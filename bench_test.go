@@ -32,7 +32,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/expr"
 	"repro/internal/generator"
 	"repro/internal/ir"
 	"repro/internal/passes"
@@ -95,7 +94,7 @@ func BenchmarkFig5(b *testing.B) {
 //
 // Compare ns/op and the evals/edge metric across /delta vs
 // /exhaustive within a scenario; stop sequences are pinned equal by
-// TestDeltaStopEquivalenceRISCV in internal/bench.
+// TestFusedStopEquivalenceRISCV in internal/bench.
 func BenchmarkFig5Activity(b *testing.B) {
 	schedModes := []struct {
 		name       string
@@ -218,20 +217,18 @@ park:
 // parks anything and the full armed set is evaluated each cycle.
 //
 // Compare ns/op across /fused (one fused program per edge, contiguous
-// ranges over the worker pool), /per-group (PR 4's per-group delta
-// path: one snapshot + pool dispatch per group), and /exhaustive (no
-// delta, no fusion). Stop sequences are pinned bit-identical by
-// TestFusedStopEquivalenceRISCV and the internal/core fused
-// differentials; this benchmark only reports cost. The fused shape
-// (conditions, CSE segments, shared reads, deduplicated operands) is
-// reported as metrics on the /fused run.
+// ranges over the worker pool) and /exhaustive (the EvalBits reference:
+// no prefetch, no fusion, no skipping). Stop sequences are pinned
+// bit-identical by TestFusedStopEquivalenceRISCV and the internal/core
+// fused differentials; this benchmark only reports cost. The fused
+// shape (conditions, CSE segments, shared reads, deduplicated operands)
+// is reported as metrics on the /fused run.
 func BenchmarkFig5Fused(b *testing.B) {
 	for _, mode := range []struct {
 		name      string
 		configure func(*core.Runtime)
 	}{
 		{"fused", func(*core.Runtime) {}},
-		{"per-group", func(rt *core.Runtime) { rt.SetFusedEval(false) }},
 		{"exhaustive", func(rt *core.Runtime) { rt.SetExhaustiveEval(true) }},
 	} {
 		mode := mode
@@ -420,110 +417,6 @@ func BenchmarkCallbackOverhead(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			s.Step()
-		}
-	})
-}
-
-// BenchmarkCompiledEval measures one clock edge's worth of condition
-// evaluation for a 100-breakpoint workload, comparing the seed's
-// tree-walk path (one GetValue per signal reference per breakpoint,
-// AST interpretation) against the compiled pipeline (one batched read
-// of the deduplicated dependency union, then zero-alloc register
-// program execution). This is the mechanism behind the scheduler's
-// per-edge refactor; the compiled form must be at least 2x faster.
-func BenchmarkCompiledEval(b *testing.B) {
-	const nBPs = 100
-	setup := func(b *testing.B) (vpi.Interface, []expr.Node, []*expr.Program) {
-		s, _ := buildCounterBench(b, false)
-		s.Poke("Counter.en", 1)
-		s.Run(3)
-		nodes := make([]expr.Node, nBPs)
-		progs := make([]*expr.Program, nBPs)
-		for i := 0; i < nBPs; i++ {
-			src := fmt.Sprintf("(count + %d) %% 7 == %d && count[3:0] != %d || out >= %d",
-				i, i%7, i%16, i%8)
-			n, err := expr.Parse(src)
-			if err != nil {
-				b.Fatal(err)
-			}
-			p, err := expr.Compile(n)
-			if err != nil {
-				b.Fatal(err)
-			}
-			nodes[i], progs[i] = n, p
-		}
-		return vpi.NewSimBackend(s), nodes, progs
-	}
-	toPath := func(name string) string { return "Counter." + name }
-
-	b.Run("tree-walk", func(b *testing.B) {
-		backend, nodes, _ := setup(b)
-		resolver := expr.ResolverFunc(func(name string) (eval.Value, error) {
-			return backend.GetValue(toPath(name))
-		})
-		hits := 0
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, n := range nodes {
-				v, err := n.Eval(resolver)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if v.IsTrue() {
-					hits++
-				}
-			}
-		}
-		if hits == 0 {
-			b.Fatal("no condition ever hit")
-		}
-	})
-	b.Run("compiled", func(b *testing.B) {
-		backend, _, progs := setup(b)
-		// Mirror the core scheduler: deduplicated union of every
-		// program's dependencies, prefetched once per edge; each program
-		// gathers operands by precomputed slot.
-		slotOf := map[string]int{}
-		var union []string
-		slots := make([][]int, len(progs))
-		for k, p := range progs {
-			slots[k] = make([]int, len(p.Deps))
-			for i, d := range p.Deps {
-				path := toPath(d)
-				s, ok := slotOf[path]
-				if !ok {
-					s = len(union)
-					slotOf[path] = s
-					union = append(union, path)
-				}
-				slots[k][i] = s
-			}
-		}
-		var m eval.Machine
-		opbuf := make([]eval.Value, 8)
-		vals := make([]eval.Value, len(union))
-		hits := 0
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := vpi.ReadBatchInto(backend, union, vals); err != nil {
-				b.Fatal(err)
-			}
-			for k, p := range progs {
-				ops := opbuf[:len(p.Deps)]
-				for j, s := range slots[k] {
-					ops[j] = vals[s]
-				}
-				v, err := p.Exec(&m, ops)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if v.IsTrue() {
-					hits++
-				}
-			}
-		}
-		if hits == 0 {
-			b.Fatal("no condition ever hit")
 		}
 	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/rtl"
 	"repro/internal/sim"
 	"repro/internal/symtab"
+	"repro/internal/val"
 	"repro/internal/vcd"
 	"repro/internal/vpi"
 )
@@ -51,7 +53,14 @@ func buildCounterDesign(t *testing.T, debug bool) *testDesign {
 	})
 	count.Set(nxt)
 	out.Set(count)
+	s, table := elaborateDesign(t, c, debug)
+	return &testDesign{sim: s, table: table, incLine: incLine, defLine: defLine}
+}
 
+// elaborateDesign compiles a generated circuit into its symbol table
+// and a fresh simulator.
+func elaborateDesign(t *testing.T, c *generator.Circuit, debug bool) (*sim.Simulator, *symtab.Table) {
+	t.Helper()
 	comp, err := passes.Compile(c.MustBuild(), debug)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
@@ -64,7 +73,27 @@ func buildCounterDesign(t *testing.T, debug bool) *testDesign {
 	if err != nil {
 		t.Fatalf("elaborate: %v", err)
 	}
-	return &testDesign{sim: sim.New(nl), table: table, incLine: incLine, defLine: defLine}
+	return sim.New(nl), table
+}
+
+// buildSignedDesign: an 8-bit SInt register counting down from 0 under
+// an enable, so it is negative from the first decrement on. Returns the
+// decrement line.
+func buildSignedDesign(t *testing.T) (*sim.Simulator, *symtab.Table, int) {
+	t.Helper()
+	c := generator.NewCircuit("Down")
+	m := c.NewModule("Down")
+	en := m.Input("en", ir.UIntType(1))
+	out := m.Output("out", ir.SIntType(8))
+	acc := m.RegInit("acc", ir.SIntType(8), m.LitS(0, 8))
+	var decLine int
+	m.When(en, func() {
+		acc.Set(acc.SubMod(m.LitS(1, 8)).AsSInt())
+		decLine = hereLine() - 1
+	})
+	out.Set(acc)
+	s, table := elaborateDesign(t, c, false)
+	return s, table, decLine
 }
 
 func TestBreakpointHitWithFrames(t *testing.T) {
@@ -481,14 +510,14 @@ func TestEvaluateWatchExpression(t *testing.T) {
 	d.sim.Poke("Counter.en", 1)
 	d.sim.Run(7)
 	d.sim.Settle()
-	v, err := rt.Evaluate("Counter", "count + 1")
+	v, err := rt.EvaluateBits("Counter", "count + 1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Bits != 8 {
-		t.Fatalf("watch = %d, want 8", v.Bits)
+	if v.V0 != 8 || v.HasX() {
+		t.Fatalf("watch = %s, want 8", v)
 	}
-	if _, err := rt.Evaluate("Counter", "ghost + 1"); err == nil {
+	if _, err := rt.EvaluateBits("Counter", "ghost + 1"); err == nil {
 		t.Fatal("unknown name evaluated")
 	}
 }
@@ -549,5 +578,95 @@ func TestDebugModeFramesRicher(t *testing.T) {
 	}
 	if opt == 0 {
 		t.Fatal("no locals in optimized frames")
+	}
+}
+
+// TestSignedConditionsMatchReference: a signal keeps its sign across
+// the four-state lowering (eval.Value.ToBits / eval.FromBits), so on a
+// signed register the default path and the EvalBits reference stop at
+// exactly the same edges, and EvaluateBits sees the register as
+// negative. A replay of the same run is unsigned on both paths, since
+// VCD carries no sign.
+func TestSignedConditionsMatchReference(t *testing.T) {
+	drive := func(s *sim.Simulator) {
+		s.Reset("Down.reset", 1)
+		s.Poke("Down.en", 1)
+		s.Run(12)
+	}
+	recorded, table, decLine := buildSignedDesign(t)
+	var trace bytes.Buffer
+	rec := vcd.NewRecorder(recorded, &trace)
+	drive(recorded)
+	if err := rec.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	// run arms cond on a fresh live simulation or a replay of the trace,
+	// on the default path or the reference, and returns the stop times.
+	run := func(cond string, replayed, reference bool) []uint64 {
+		var backend vpi.Interface
+		var advance func()
+		if replayed {
+			st, err := vcd.ParseStore(bytes.NewReader(trace.Bytes()), vcd.StoreOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := replay.NewStore(st)
+			backend, advance = eng, func() {
+				for eng.StepForward() {
+				}
+			}
+		} else {
+			s, _, _ := buildSignedDesign(t)
+			backend, advance = vpi.NewSimBackend(s), func() { drive(s) }
+		}
+		rt, err := New(backend, table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.SetExhaustiveEval(reference)
+		if _, err := rt.AddBreakpoint("core_test.go", decLine, cond); err != nil {
+			t.Fatal(err)
+		}
+		var times []uint64
+		rt.SetHandler(func(ev *StopEvent) Command {
+			times = append(times, ev.Time)
+			return CmdContinue
+		})
+		advance()
+		return times
+	}
+	for _, tc := range []struct {
+		cond       string
+		live, repl int // stop counts; -1 = only compared across paths
+	}{
+		{"acc < 0", 11, 0},
+		{"acc > 5", 0, -1},
+		{"acc + 1 == 0", 1, -1},
+		{"acc >> 1 == 127", 0, -1},
+	} {
+		for _, replayed := range []bool{false, true} {
+			want := map[bool]int{false: tc.live, true: tc.repl}[replayed]
+			def, ref := run(tc.cond, replayed, false), run(tc.cond, replayed, true)
+			if want >= 0 && len(def) != want {
+				t.Errorf("%s (replay %v): default stopped at %v, want %d stops", tc.cond, replayed, def, want)
+			}
+			if fmt.Sprint(def) != fmt.Sprint(ref) {
+				t.Errorf("%s (replay %v): default stops %v, reference stops %v", tc.cond, replayed, def, ref)
+			}
+		}
+	}
+
+	// The recorded simulation ended with acc counted down below zero.
+	rt, err := New(vpi.NewSimBackend(recorded), table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := rt.EvaluateBits("Down", "acc < 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Truth() != val.True {
+		t.Fatalf("EvaluateBits(acc < 0) = %s with acc negative", b)
 	}
 }

@@ -12,8 +12,8 @@ import (
 	"repro/internal/vpi"
 )
 
-// stopSig is the full observable identity of one stop, used to pin
-// delta scheduling to exhaustive evaluation bit for bit.
+// stopSig is the full observable identity of one stop, used to pin the
+// fused, activity-driven walk to the exhaustive reference bit for bit.
 type stopSig struct {
 	time     uint64
 	file     string
@@ -42,23 +42,16 @@ func signature(ev *StopEvent) stopSig {
 }
 
 // runCounterScenario drives one fresh counter simulation with a bursty
-// enable pattern (mostly idle, short active bursts) under the given
-// scheduling mode and returns every stop signature.
+// enable pattern (mostly idle, short active bursts) on the default path
+// or the exhaustive reference and returns every stop signature.
 func runCounterScenario(t *testing.T, exhaustive bool) ([]stopSig, *Runtime) {
-	t.Helper()
-	return runCounterWith(t, func(rt *Runtime) { rt.SetExhaustiveEval(exhaustive) })
-}
-
-// runCounterWith is the configurable form: the callback picks the
-// scheduling mode (exhaustive / per-group / fused) before arming.
-func runCounterWith(t *testing.T, configure func(*Runtime)) ([]stopSig, *Runtime) {
 	t.Helper()
 	d := buildCounterDesign(t, false)
 	rt, err := New(vpi.NewSimBackend(d.sim), d.table)
 	if err != nil {
 		t.Fatal(err)
 	}
-	configure(rt)
+	rt.SetExhaustiveEval(exhaustive)
 	if _, err := rt.AddBreakpoint("core_test.go", d.incLine, "count == 3"); err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +78,12 @@ func runCounterWith(t *testing.T, configure func(*Runtime)) ([]stopSig, *Runtime
 	return stops, rt
 }
 
-// TestDeltaSchedulingMatchesExhaustive pins the tentpole contract: the
-// activity-driven scheduler produces the identical stop sequence —
-// times, locations, hit instances, frame values, watch hits — as
-// re-evaluating every group at every edge, while actually skipping
-// work on the idle stretches.
+// TestDeltaSchedulingMatchesExhaustive pins the scheduler's contract:
+// the default walk — the fused program with activity skipping —
+// produces the identical stop sequence (times, locations, hit
+// instances, frame values, watch hits) as the exhaustive reference
+// evaluating every group with EvalBits at every edge, while actually
+// running the fused program and skipping work on the idle stretches.
 func TestDeltaSchedulingMatchesExhaustive(t *testing.T) {
 	exhaustive, _ := runCounterScenario(t, true)
 	delta, rt := runCounterScenario(t, false)
@@ -110,6 +104,12 @@ func TestDeltaSchedulingMatchesExhaustive(t *testing.T) {
 	}
 	if evaluated == 0 {
 		t.Fatal("delta run evaluated nothing")
+	}
+	if rt.FusedRuns() == 0 {
+		t.Fatal("fused whole-schedule program never executed")
+	}
+	if _, ok := rt.FuseInfo(); !ok {
+		t.Fatal("no fused schedule was built")
 	}
 }
 
@@ -143,9 +143,9 @@ func TestDeltaSkipsIdleEdges(t *testing.T) {
 	}
 }
 
-// TestDeltaStepAlwaysEvaluates: stepping disables every skip, so a
-// step stop lands on the next enabled statement even when its group
-// was parked as a clean miss.
+// TestDeltaStepAlwaysEvaluates: stepping evaluates every statement
+// with EvalBits, so a step stop lands on the next enabled statement
+// even when its condition was parked as a clean miss.
 func TestDeltaStepAlwaysEvaluates(t *testing.T) {
 	d := buildCounterDesign(t, false)
 	rt, err := New(vpi.NewSimBackend(d.sim), d.table)

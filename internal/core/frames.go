@@ -4,25 +4,14 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/eval"
 	"repro/internal/expr"
 	"repro/internal/val"
 	"repro/internal/vpi"
 )
 
-// pathResolver resolves through the breakpoint's precomputed path map.
-func (ibp *insertedBP) pathResolver(rt *Runtime) expr.Resolver {
-	return expr.ResolverFunc(func(name string) (eval.Value, error) {
-		if full, ok := ibp.paths[name]; ok {
-			return rt.backend.GetValue(full)
-		}
-		return rt.backend.GetValue(rt.remap.ToSim(ibp.bp.InstanceName + "." + name))
-	})
-}
-
-// pathBitsResolver is pathResolver's four-state counterpart, used by
-// the general evaluator fallback when a condition touches x/z bits or
-// a wide signal.
+// pathBitsResolver resolves a breakpoint condition's names through its
+// precomputed path map, reading four-state values for the general
+// evaluator.
 func (ibp *insertedBP) pathBitsResolver(rt *Runtime) expr.BitsResolver {
 	return expr.BitsResolverFunc(func(name string) (val.Bits, error) {
 		if full, ok := ibp.paths[name]; ok {
@@ -134,31 +123,12 @@ func (rt *Runtime) frameVar(name, full string) Variable {
 	return v
 }
 
-// Evaluate computes a watch expression in the context of an instance
-// (source-level names resolve through generator variables).
-func (rt *Runtime) Evaluate(instance, src string) (eval.Value, error) {
-	n, err := expr.Parse(src)
-	if err != nil {
-		return eval.Value{}, err
-	}
-	return n.Eval(expr.ResolverFunc(func(name string) (eval.Value, error) {
-		if rtlPath, err := rt.table.ResolveInstanceVar(instance, name); err == nil {
-			return rt.backend.GetValue(rt.remap.ToSim(rtlPath))
-		}
-		if v, err := rt.backend.GetValue(rt.remap.ToSim(instance + "." + name)); err == nil {
-			return v, nil
-		}
-		if v, err := rt.backend.GetValue(name); err == nil {
-			return v, nil
-		}
-		return eval.Value{}, fmt.Errorf("core: cannot resolve %q in %s", name, instance)
-	}))
-}
-
-// EvaluateBits computes a watch expression with full four-state,
-// arbitrary-width semantics — the path the protocol's evaluate request
-// uses, so x/z and >64-bit signals render instead of erroring. Name
-// resolution follows the same chain as Evaluate.
+// EvaluateBits computes a watch expression in the context of an
+// instance with full four-state, arbitrary-width semantics — the path
+// the protocol's evaluate request uses, so x/z and >64-bit signals
+// render instead of erroring. Source-level names resolve through
+// generator variables, then instance-local RTL names, then absolute
+// paths.
 func (rt *Runtime) EvaluateBits(instance, src string) (val.Bits, error) {
 	n, err := expr.Parse(src)
 	if err != nil {

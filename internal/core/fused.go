@@ -13,37 +13,31 @@ import (
 // program once — shared CSE prelude on the simulation goroutine, the
 // per-condition segments partitioned into contiguous ranges across the
 // worker pool — and the group walk merely consumes per-condition
-// results, with no per-group locking, snapshotting or pool dispatch.
+// results.
 //
-// PR 4's activity skip becomes a packed bitmap over fused condition
-// ids, published lock-free (an epoch-swapped double buffer behind an
-// atomic pointer) so pool workers read it without taking rt.mu.
-// Anything the fused fast path cannot prove — an unverified
-// dependency, a failed operand fetch, a poisoned shared segment —
-// falls back to the exact per-condition path (evalBP), so fused
-// scheduling is bit-identical to per-group evaluation; reverse
-// scheduling and stepping use the per-group path entirely.
-
-// fusedMask is one published skip bitmap: bit ci set means fused
-// condition ci is a provable miss this edge and the workers must not
-// re-evaluate it. Double-buffered and published via an atomic pointer;
-// the epoch counts publishes (diagnostics only).
-type fusedMask struct {
-	epoch uint64
-	bits  []uint64
-}
-
-// maskedBit reads one condition's bit from a published mask.
-func (m *fusedMask) maskedBit(ci int32) bool {
-	return m.bits[ci>>6]&(1<<(uint32(ci)&63)) != 0
-}
+// The fused program is the only compiled form a condition has.
+// Everything it does not cover runs through the general evaluator
+// (evalBP / Watchpoint.eval over expr.EvalBits): conditions it cannot
+// fuse (an unverified dependency, a literal only EvalBits accepts),
+// results that come back poisoned (a failed operand fetch, a poisoned
+// shared segment), stepping, reverse stepping, and the
+// SetExhaustiveEval reference the fused walk is pinned against.
+//
+// Activity skipping is one packed bitmap over fused condition ids
+// (fusedState.skip). The group walk parks each sound miss it consumes;
+// commitSlot's dirt un-parks every condition whose operand closure
+// reads the changed slot (fusedUnpark). Pool workers read the bitmap
+// during runFused without a lock: the pool's job-channel send orders
+// the simulation goroutine's earlier writes before the workers' reads,
+// and its WaitGroup.Wait orders those reads before any later write.
 
 // fusedState is the per-union-generation fused schedule: the compiled
 // program, its membership maps, and the per-edge execution buffers.
 // All fields are simulation-goroutine state except the buffers workers
-// are handed read-only (opsVals, shVals, ...) or write at disjoint
-// indexes (results, resOK).
+// are handed read-only (opsVals, shVals, skip, ...) or write at
+// disjoint indexes (results, resOK).
 type fusedState struct {
+	// sched is nil when no armed condition fuses.
 	sched *expr.FusedSchedule
 
 	// conds maps fused condition id -> armed breakpoint, for ids below
@@ -59,15 +53,17 @@ type fusedState struct {
 	groupExtra [][]*insertedBP
 
 	// slotConds inverts each condition's operand closure onto the
-	// dependency union: commitSlot clears the skip flags of every
-	// condition that could observe the changed slot.
+	// dependency union: commitSlot un-parks every condition that could
+	// observe the changed slot.
 	slotConds [][]int32
 
-	// condSkip marks provable misses (breakpoint conditions only);
-	// parked counts the set flags so a fully-idle edge skips execution
+	// skip parks provable misses (breakpoint conditions only; watch
+	// values always recompute): bit ci set means condition ci evaluated
+	// sound-false and no slot in its operand closure has changed since.
+	// parked counts the set bits so a fully idle edge skips execution
 	// outright.
-	condSkip []bool
-	parked   int
+	skip   []uint64
+	parked int
 
 	// Per-edge execution buffers.
 	opsVals []eval.Value
@@ -93,8 +89,13 @@ type fusedState struct {
 // fusedChunkMin is the smallest condition range worth a pool dispatch.
 const fusedChunkMin = 32
 
-// slotsFused reports whether a compiled program's dependencies are all
-// verified and slotted in the prefetch union — the fusability condition.
+// skipped reports whether condition ci is parked.
+func (fs *fusedState) skipped(ci int32) bool {
+	return fs.skip[ci>>6]&(1<<(uint32(ci)&63)) != 0
+}
+
+// slotsFused reports whether a program's dependencies are all verified
+// and slotted in the prefetch union — the fusability condition.
 func slotsFused(prog *expr.Program, slots []int) bool {
 	if prog == nil {
 		return true
@@ -112,7 +113,14 @@ func slotsFused(prog *expr.Program, slots []int) bool {
 
 // rebuildFused recompiles the fused schedule from the current armed
 // set. Runs under rt.mu from rebuildDeps, after slot assignment.
-func (rt *Runtime) rebuildFused() {
+func (rt *Runtime) rebuildFused() { rt.fused = rt.buildFused(true) }
+
+// buildFused partitions the armed set into fused conditions and
+// EvalBits-only extras and compiles the fused program. With fuse false
+// (or when the fuser rejects the schedule) every member is an extra,
+// so the forward walk keeps its single path; correctness never depends
+// on fusion.
+func (rt *Runtime) buildFused(fuse bool) *fusedState {
 	fs := &fusedState{
 		groupConds: make([][]int32, len(rt.allGroups)),
 		groupExtra: make([][]*insertedBP, len(rt.allGroups)),
@@ -124,7 +132,7 @@ func (rt *Runtime) rebuildFused() {
 			if !ok {
 				continue
 			}
-			if !armed.generalOnly() &&
+			if fuse && !armed.generalOnly() &&
 				slotsFused(armed.enableProg, armed.enableSlots) &&
 				slotsFused(armed.condProg, armed.condSlots) {
 				fs.groupConds[gi] = append(fs.groupConds[gi], int32(len(fconds)))
@@ -145,22 +153,18 @@ func (rt *Runtime) rebuildFused() {
 	// conditions; checkWatches consumes their values instead of truth.
 	for _, w := range rt.watches {
 		w.fusedID = -1
-		if w.prog == nil || !slotsFused(w.prog, w.slots) {
+		if !fuse || w.prog == nil || !slotsFused(w.prog, w.slots) {
 			continue
 		}
 		w.fusedID = len(fconds)
 		fconds = append(fconds, expr.FusedCondition{Cond: w.prog, CondSlots: w.slots})
 	}
 	if len(fconds) == 0 {
-		rt.fused = nil
-		return
+		return fs
 	}
 	sched, err := expr.Fuse(fconds)
 	if err != nil {
-		// A condition the fuser cannot compile leaves the whole schedule
-		// on the per-group path; correctness never depends on fusion.
-		rt.fused = nil
-		return
+		return rt.buildFused(false)
 	}
 	fs.sched = sched
 	n := len(sched.Prog.Conds)
@@ -170,7 +174,7 @@ func (rt *Runtime) rebuildFused() {
 	fs.shOK = make([]bool, sched.Prog.NumShared)
 	fs.results = make([]eval.Value, n)
 	fs.resOK = make([]bool, n)
-	fs.condSkip = make([]bool, n)
+	fs.skip = make([]uint64, (n+63)/64)
 	fs.slotConds = make([][]int32, len(rt.depUnion))
 	for ci, clo := range sched.OpClosures {
 		for _, op := range clo {
@@ -181,9 +185,6 @@ func (rt *Runtime) rebuildFused() {
 	fs.chunks = (n + fusedChunkMin - 1) / fusedChunkMin
 	if max := rt.pool.size + 1; fs.chunks > max {
 		fs.chunks = max
-	}
-	if fs.chunks < 1 {
-		fs.chunks = 1
 	}
 	fs.perChunk = (n + fs.chunks - 1) / fs.chunks
 	fs.machines = make([]eval.FusedMachine, fs.chunks)
@@ -196,77 +197,44 @@ func (rt *Runtime) rebuildFused() {
 		if from >= to {
 			return
 		}
-		// The skip set is read through the atomic publish, not rt.mu.
-		mask := rt.fusedSkip.Load()
 		fs.machines[k].ExecConds(&sched.Prog, fs.opsVals, fs.opsOK, fs.shVals, fs.shOK,
-			from, to, mask.bits, fs.results, fs.resOK)
+			from, to, fs.skip, fs.results, fs.resOK)
 	}
-	rt.fused = fs
-}
-
-// fusedOn reports whether the fused fast path is enabled (it also
-// requires activity-driven scheduling: SetExhaustiveEval(true) is the
-// everything-off differential baseline).
-func (rt *Runtime) fusedOn() bool {
-	return !rt.fusedOff.Load() && rt.deltaOn() && !rt.generalEval.Load()
+	return fs
 }
 
 // fusedReady returns the fused state with results current for time t,
 // executing the fused program if this edge has not run it yet (or a
-// stop handler invalidated the previous run). Returns nil when the
-// fast path is unavailable. Callers must have run ensurePrefetch(t).
+// stop handler invalidated the previous run). Callers must have run
+// ensurePrefetch(t).
 func (rt *Runtime) fusedReady(t uint64) *fusedState {
-	if !rt.fusedOn() {
-		return nil
-	}
 	fs := rt.fused
-	if fs == nil {
-		return nil
+	if !fs.valid || fs.time != t {
+		rt.runFused(fs, t)
 	}
-	if fs.valid && fs.time == t {
-		return fs
-	}
-	rt.runFused(fs, t)
 	return fs
 }
 
 // runFused executes the whole fused schedule once: gather operands from
-// the prefetch cache, publish the skip bitmap, run the shared prelude,
-// then the condition segments across the worker pool in contiguous
-// ranges.
+// the prefetch cache, run the shared prelude, then the condition
+// segments across the worker pool in contiguous ranges, skipping parked
+// conditions.
 func (rt *Runtime) runFused(fs *fusedState, t uint64) {
-	sched := fs.sched
-	if fs.parked == fs.watchBase && fs.watchBase == len(fs.resOK) {
+	fs.valid, fs.time = true, t
+	if fs.parked == len(fs.resOK) {
 		// Every breakpoint condition is a parked provable miss and no
-		// watch rides the program: the idle edge needs no execution at
-		// all, only the mask for the group walk to consume.
-		rt.publishFusedMask(fs)
-		fs.valid, fs.time = true, t
+		// watch rides the program (or nothing fused): the idle edge
+		// needs no execution at all.
 		return
 	}
+	sched := fs.sched
 	for k, s := range sched.Slots {
 		fs.opsVals[k] = rt.prefetched[s]
 		fs.opsOK[k] = rt.prefetchOK[s]
 	}
-	rt.publishFusedMask(fs)
 	fs.machines[0].ExecShared(&sched.Prog, fs.opsVals, fs.opsOK, fs.shVals, fs.shOK)
 	rt.pool.parallel(fs.chunks, fs.execChunk)
-	fs.valid, fs.time = true, t
-	// Account evaluated breakpoint conditions and park fresh provable
-	// misses: a condition that evaluated sound-and-false stays skipped
-	// until a slot in its operand closure moves (markSlotDirty).
-	evaluated := 0
-	for ci := 0; ci < fs.watchBase; ci++ {
-		if fs.condSkip[ci] {
-			continue
-		}
-		evaluated++
-		if fs.resOK[ci] && !fs.results[ci].IsTrue() {
-			fs.condSkip[ci] = true
-			fs.parked++
-		}
-	}
-	if evaluated > 0 {
+	if evaluated := fs.watchBase - fs.parked; evaluated > 0 {
 		rt.mu.Lock()
 		rt.evalCount += uint64(evaluated)
 		rt.mu.Unlock()
@@ -274,56 +242,34 @@ func (rt *Runtime) runFused(fs *fusedState, t uint64) {
 	rt.statFusedRuns.Add(1)
 }
 
-// publishFusedMask packs the current skip flags into the inactive mask
-// buffer and publishes it with an atomic pointer swap. Workers of this
-// edge load the fresh pointer; a straggler holding the previous edge's
-// pointer (impossible once parallel() returned, but harmless) sees the
-// other, untouched buffer.
-func (rt *Runtime) publishFusedMask(fs *fusedState) {
-	words := (len(fs.resOK) + 63) / 64
-	buf := &rt.maskBufs[rt.maskFlip&1]
-	rt.maskFlip++
-	if cap(buf.bits) < words {
-		buf.bits = make([]uint64, words)
-	}
-	buf.bits = buf.bits[:words]
-	for i := range buf.bits {
-		buf.bits[i] = 0
-	}
-	// Only breakpoint conditions are maskable; watch values always
-	// recompute (their own canSkip check lives in checkWatches).
-	for ci := 0; ci < fs.watchBase; ci++ {
-		if fs.condSkip[ci] {
-			buf.bits[ci>>6] |= 1 << (uint(ci) & 63)
-		}
-	}
-	rt.maskEpoch++
-	buf.epoch = rt.maskEpoch
-	rt.fusedSkip.Store(buf)
-}
-
-// fusedGroupEval consumes one group's fused results: masked conditions
-// are provable misses, sound results decide directly, poisoned results
-// and unfusable members fall back to the exact per-condition path.
+// fusedGroupEval consumes one group's fused results: parked conditions
+// are provable misses, sound results decide directly (a sound miss
+// parks), and poisoned results and unfusable members fall back to the
+// general evaluator.
 func (rt *Runtime) fusedGroupEval(fs *fusedState, gi int) []*insertedBP {
-	mask := rt.fusedSkip.Load()
 	var hits []*insertedBP
 	evaluated := 0
 	fallback := 0
 	for _, ci := range fs.groupConds[gi] {
-		if mask.maskedBit(ci) {
+		if fs.skipped(ci) {
 			continue
 		}
 		evaluated++
-		if !fs.resOK[ci] {
+		switch {
+		case !fs.resOK[ci]:
 			fallback++
 			if rt.evalBP(fs.conds[ci]) {
 				hits = append(hits, fs.conds[ci])
 			}
-			continue
-		}
-		if fs.results[ci].IsTrue() {
+		case fs.results[ci].IsTrue():
+			// A hit condition stays hot: it re-evaluates at every edge
+			// until a dependency moves or the user resumes past it.
 			hits = append(hits, fs.conds[ci])
+		default:
+			// The miss provably holds until a slot in the condition's
+			// operand closure moves (fusedUnpark).
+			fs.skip[ci>>6] |= 1 << (uint32(ci) & 63)
+			fs.parked++
 		}
 	}
 	for _, ibp := range fs.groupExtra[gi] {
@@ -343,21 +289,18 @@ func (rt *Runtime) fusedGroupEval(fs *fusedState, gi int) []*insertedBP {
 	} else {
 		rt.statSkipped.Add(1)
 	}
-	// A hit condition stays hot by construction: hits never set
-	// condSkip, so they re-evaluate at every edge until a dependency
-	// moves or the user resumes past them.
 	return hits
 }
 
-// fusedUnpark clears the skip flags of every fused condition whose
+// fusedUnpark clears the skip bits of every fused condition whose
 // operand closure includes union slot i; called from markSlotDirty.
 func (fs *fusedState) fusedUnpark(i int) {
-	if fs == nil || i >= len(fs.slotConds) {
+	if i >= len(fs.slotConds) {
 		return
 	}
 	for _, ci := range fs.slotConds[i] {
-		if fs.condSkip[ci] {
-			fs.condSkip[ci] = false
+		if fs.skipped(ci) {
+			fs.skip[ci>>6] &^= 1 << (uint32(ci) & 63)
 			fs.parked--
 		}
 	}

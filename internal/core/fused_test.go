@@ -10,50 +10,16 @@ import (
 )
 
 // These tests pin the fused whole-schedule path (fused.go) to the
-// per-group and exhaustive evaluators bit for bit, across the cases
-// where the fused cache could go stale: handler-poked values, mid-run
-// breakpoint changes, and reverse scheduling.
-
-// TestFusedSchedulingMatchesPerGroupAndExhaustive is the three-way
-// differential on the bursty counter scenario: fused (the default),
-// per-group delta (SetFusedEval(false)), and exhaustive evaluation must
-// produce identical stop sequences — and the fused run must actually
-// have executed the fused program and skipped idle work.
-func TestFusedSchedulingMatchesPerGroupAndExhaustive(t *testing.T) {
-	exhaustive, _ := runCounterWith(t, func(rt *Runtime) { rt.SetExhaustiveEval(true) })
-	perGroup, _ := runCounterWith(t, func(rt *Runtime) { rt.SetFusedEval(false) })
-	fused, rt := runCounterWith(t, func(*Runtime) {})
-	if len(exhaustive) == 0 {
-		t.Fatal("scenario produced no stops; test is vacuous")
-	}
-	if len(perGroup) != len(exhaustive) || len(fused) != len(exhaustive) {
-		t.Fatalf("stop counts differ: fused=%d per-group=%d exhaustive=%d",
-			len(fused), len(perGroup), len(exhaustive))
-	}
-	for i := range exhaustive {
-		if fused[i] != exhaustive[i] {
-			t.Fatalf("stop %d differs:\nfused:      %+v\nexhaustive: %+v", i, fused[i], exhaustive[i])
-		}
-		if perGroup[i] != exhaustive[i] {
-			t.Fatalf("stop %d differs:\nper-group:  %+v\nexhaustive: %+v", i, perGroup[i], exhaustive[i])
-		}
-	}
-	if rt.FusedRuns() == 0 {
-		t.Fatal("fused whole-schedule program never executed")
-	}
-	if _, ok := rt.FuseInfo(); !ok {
-		t.Fatal("no fused schedule was built")
-	}
-	if skipped, _, _ := rt.ActivityStats(); skipped == 0 {
-		t.Fatal("fused run skipped nothing on the idle stretches")
-	}
-}
+// exhaustive EvalBits reference bit for bit, across the cases where the
+// fused cache could go stale: handler-poked values, mid-run breakpoint
+// changes, and reverse scheduling. The plain bursty-counter
+// differential is TestDeltaSchedulingMatchesExhaustive.
 
 // TestFusedHandlerPokeDirtyPropagation: a value the paused user
 // deposits from the stop handler must un-park the fused conditions
 // depending on it — with en frozen low the breakpoint parks as a
 // provable miss, and it can only ever stop if the handler's poke of en
-// propagates through the fused skip state.
+// propagates through the fused skip bitmap.
 func TestFusedHandlerPokeDirtyPropagation(t *testing.T) {
 	run := func(configure func(*Runtime)) []stopSig {
 		d := buildCounterDesign(t, false)
@@ -150,10 +116,10 @@ func TestFusedMidRunRearm(t *testing.T) {
 	}
 }
 
-// TestFusedReverseMatchesExhaustive: reverse scheduling falls back to
-// the per-group path; with fusion enabled the whole reverse walk (which
+// TestFusedReverseMatchesExhaustive: reverse stepping evaluates with
+// EvalBits; with fusion enabled the whole reverse walk (which
 // interleaves SetTime rewinds with forward fused state) must still be
-// bit-identical to exhaustive evaluation.
+// bit-identical to the exhaustive reference.
 func TestFusedReverseMatchesExhaustive(t *testing.T) {
 	run := func(configure func(*Runtime)) []stopSig {
 		d, data := recordCounterTrace(t)

@@ -5,25 +5,24 @@ import (
 	"sync"
 
 	"repro/internal/eval"
-	"repro/internal/expr"
 	"repro/internal/vpi"
 )
 
 // This file is the runtime half of the compiled condition pipeline. At
-// insertion time every breakpoint/watch condition is compiled to a flat
-// register program (expr.Compile) and its signal dependencies are
-// resolved to simulator paths. At each clock edge the scheduler makes
-// one batched backend read covering the union of every armed
-// condition's dependencies (vpi.ReadBatch), caches the values for the
-// cycle, and executes the compiled programs against the cache on a
-// persistent worker pool — replacing the seed's tree-walk + one
-// GetValue per signal per breakpoint + one goroutine spawned per group
-// member per edge.
+// insertion time every breakpoint/watch condition is parsed and folded
+// once (expr.ParseCompile) and its signal dependencies are resolved to
+// simulator paths. At each clock edge the scheduler makes one batched
+// backend read covering the union of every armed condition's
+// dependencies (vpi.ReadBatch), caches the values for the cycle, and
+// runs the whole schedule's fused program against the cache on a
+// persistent worker pool (fused.go) — replacing the seed's tree-walk +
+// one GetValue per signal per breakpoint + one goroutine spawned per
+// group member per edge.
 
 // workerPool is a fixed set of evaluation goroutines that lives for the
-// runtime's lifetime. The scheduler dispatches each breakpoint group's
-// members onto it (§3.2's parallel evaluation) without the per-edge
-// goroutine spawn cost.
+// runtime's lifetime. The scheduler dispatches the fused program's
+// condition chunks onto it (§3.2's parallel evaluation) without the
+// per-edge goroutine spawn cost.
 type workerPool struct {
 	// mu serializes job submission against close, so a Detach issued
 	// from a stop handler (or another goroutine) mid-edge can never
@@ -34,20 +33,23 @@ type workerPool struct {
 	started bool
 	closed  bool
 	jobs    chan poolJob
+	// wg counts one parallel call's dispatched jobs. parallel has a
+	// single caller, so one pool-owned WaitGroup serves every call
+	// without a per-edge allocation.
+	wg sync.WaitGroup
 }
 
 type poolJob struct {
 	fn func(int)
 	i  int
-	wg *sync.WaitGroup
 }
 
 func newWorkerPool(n int) *workerPool {
 	if n < 1 {
 		n = 1
 	}
-	// Workers spawn lazily on the first multi-member group, so runtimes
-	// that never evaluate parallel groups (or are dropped without
+	// Workers spawn lazily on the first multi-chunk fused run, so
+	// runtimes that never evaluate in parallel (or are dropped without
 	// Detach) hold no goroutines.
 	return &workerPool{size: n, jobs: make(chan poolJob, 4*n)}
 }
@@ -55,7 +57,7 @@ func newWorkerPool(n int) *workerPool {
 func (p *workerPool) worker() {
 	for j := range p.jobs {
 		j.fn(j.i)
-		j.wg.Done()
+		p.wg.Done()
 	}
 }
 
@@ -68,15 +70,13 @@ func (p *workerPool) parallel(n int, fn func(int)) {
 	}
 	if n <= 2 {
 		// Small batches run inline: the channel round-trip plus WaitGroup
-		// wake-up costs more than a second condition evaluation, so
-		// two-member groups (the common pair-instance case) stay on the
-		// simulation goroutine.
+		// wake-up costs more than running a second chunk here, so
+		// two-chunk schedules stay on the simulation goroutine.
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
 		return
 	}
-	var wg sync.WaitGroup
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -91,13 +91,13 @@ func (p *workerPool) parallel(n int, fn func(int)) {
 			go p.worker()
 		}
 	}
-	wg.Add(n - 1)
+	p.wg.Add(n - 1)
 	for i := 1; i < n; i++ {
-		p.jobs <- poolJob{fn: fn, i: i, wg: &wg}
+		p.jobs <- poolJob{fn: fn, i: i}
 	}
 	p.mu.Unlock()
 	fn(0)
-	wg.Wait()
+	p.wg.Wait()
 }
 
 // close shuts the workers down; idempotent. Workers drain any jobs
@@ -145,8 +145,9 @@ func (rt *Runtime) resolveSourceName(bpID int64, instance, name string) (string,
 func (rt *Runtime) markDepsDirty() { rt.depsDirty = true }
 
 // rebuildDeps recomputes the union of every armed condition's simulator
-// paths and assigns each program dependency its slot in the prefetched
-// value slice. Runs on the simulation goroutine.
+// paths, assigns each program dependency its slot in the prefetched
+// value slice, and recompiles the fused schedule against the fresh
+// slots. Runs on the simulation goroutine.
 func (rt *Runtime) rebuildDeps() {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -178,45 +179,14 @@ func (rt *Runtime) rebuildDeps() {
 		}
 		return slots
 	}
-	// Rebuild the activity-scheduling indexes alongside the slots: the
-	// slot→group inverted index (dirt propagation), each group's slot
-	// list (skip eligibility), armed-member counts, and the clean-miss
-	// flags — all reset, so the first edge after any breakpoint change
-	// evaluates everything.
+	// Armed-member counts let the forward walk pass over groups that
+	// can never hit.
 	rt.groupArmed = make([]int, len(rt.allGroups))
-	rt.groupStatic = make([]bool, len(rt.allGroups))
-	rt.groupSlots = make([][]int32, len(rt.allGroups))
-	rt.groupSkip = make([]bool, len(rt.allGroups))
-	for i := range rt.groupStatic {
-		rt.groupStatic[i] = true
-	}
-	addGroupSlots := func(gi int, slots []int) bool {
-		ok := true
-		for _, s := range slots {
-			if s < 0 {
-				// Unverified dependency, probed per evaluation: the
-				// group's misses can never be proven stable.
-				ok = false
-				continue
-			}
-			rt.groupSlots[gi] = append(rt.groupSlots[gi], int32(s))
-		}
-		return ok
-	}
 	for _, ibp := range rt.inserted {
 		ibp.enableSlots = assign(ibp.enablePaths, ibp.enableVerified)
 		ibp.condSlots = assign(ibp.condPaths, ibp.condVerified)
-		gi, ok := rt.groupIdx[ibp.key()]
-		if !ok {
-			continue // not a schedulable statement; never evaluated
-		}
-		rt.groupArmed[gi]++
-		if !addGroupSlots(gi, ibp.enableSlots) || !addGroupSlots(gi, ibp.condSlots) ||
-			ibp.generalOnly() {
-			// generalOnly: the condition's dependencies are invisible to
-			// the slot machinery (no compiled program), so its misses can
-			// never be proven stable.
-			rt.groupStatic[gi] = false
+		if gi, ok := rt.groupIdx[ibp.key()]; ok {
+			rt.groupArmed[gi]++
 		}
 	}
 	for _, w := range rt.watches {
@@ -225,12 +195,6 @@ func (rt *Runtime) rebuildDeps() {
 	}
 	// Invert only after every slot is assigned — watch assignment above
 	// still extends the union.
-	rt.slotGroups = make([][]int32, len(rt.depUnion))
-	for gi, slots := range rt.groupSlots {
-		for _, s := range slots {
-			rt.slotGroups[s] = append(rt.slotGroups[s], int32(gi))
-		}
-	}
 	rt.slotWatches = make([][]*Watchpoint, len(rt.depUnion))
 	for _, w := range rt.watches {
 		for _, s := range w.slots {
@@ -261,8 +225,8 @@ func (rt *Runtime) rebuildDeps() {
 		rt.reporter.TrackChanges(rt.depUnion)
 	}
 	// Recompile the whole-schedule fused program against the fresh slot
-	// assignment (fused.go); its skip state resets with the union, so the
-	// first edge after any breakpoint change evaluates everything.
+	// assignment (fused.go); its skip bitmap resets with the union, so
+	// the first edge after any breakpoint change evaluates everything.
 	rt.rebuildFused()
 }
 
@@ -273,8 +237,8 @@ func (rt *Runtime) rebuildDeps() {
 // watch pass) hits the cache. When the backend reports per-edge signal
 // activity (vpi.ChangeReporter), only the reported-dirty slots are
 // re-read; every refreshed slot is diffed against its previous value
-// and actual changes clear the clean-miss flags of the groups and
-// watches depending on it. Runs on the simulation goroutine.
+// and actual changes un-park the fused conditions and watches depending
+// on it. Runs on the simulation goroutine.
 func (rt *Runtime) ensurePrefetch(t uint64) {
 	rt.mu.Lock()
 	dirty := rt.depsDirty
@@ -291,17 +255,18 @@ func (rt *Runtime) ensurePrefetch(t uint64) {
 	// delta report can bound what to re-read and value diffs against it
 	// are meaningful. A mid-edge invalidation (stop handler returned,
 	// SetTime rewound) clears only prefetchValid — the snapshot is
-	// still the set of values every parked group was last evaluated
+	// still the set of values every parked condition was last evaluated
 	// against, exactly the baseline the diff must use: handler pokes
 	// and rewinds surface as value differences (or a reporter dirt /
-	// cannot-bound verdict) and un-park precisely the affected groups.
+	// cannot-bound verdict) and un-park precisely the affected
+	// conditions.
 	hadValues := rt.diffBase
 	rt.prefetchTime = t
 	rt.prefetchValid = true
 	if len(rt.depUnion) == 0 {
 		return
 	}
-	if rt.deltaOn() && rt.reporter != nil {
+	if rt.reporter != nil {
 		// Poll once per refresh. The report window spans since the
 		// previous poll, which is never later than the cache's last
 		// refresh, so a clean verdict always covers the cached value's
@@ -323,8 +288,8 @@ func (rt *Runtime) ensurePrefetch(t uint64) {
 }
 
 // refreshAll re-reads the whole dependency union, diffing each slot
-// against the previous snapshot (when one exists) to clear clean-miss
-// flags only for dependencies that actually moved.
+// against the previous snapshot (when one exists) to un-park only what
+// depends on dependencies that actually moved.
 func (rt *Runtime) refreshAll(hadValues bool) {
 	in := rt.incoming[:len(rt.depUnion)]
 	if err := vpi.ReadBatchInto(rt.backend, rt.depUnion, in); err == nil {
@@ -337,8 +302,8 @@ func (rt *Runtime) refreshAll(hadValues bool) {
 	// A path in the union failed (e.g. a condition naming a signal that
 	// only resolves as an absolute path, or not at all). Fall back to
 	// per-path reads so one bad name cannot starve every other
-	// breakpoint; evaluations touching the missing slot fail per-eval,
-	// exactly like the tree-walk reference.
+	// breakpoint; fused conditions reading the missing slot come back
+	// poisoned and fall to the general evaluator.
 	for i, p := range rt.depUnion {
 		v, err := rt.backend.GetValue(p)
 		rt.commitSlot(i, v, err == nil, hadValues)
@@ -375,7 +340,7 @@ func (rt *Runtime) refreshSlots(slots []int) {
 
 // commitSlot stores one refreshed union value. A slot whose value
 // actually differs from the cached one (or whose read failed, or that
-// has no valid baseline) dirties every group and watch depending on
+// has no valid baseline) dirties every condition and watch depending on
 // it: their last-miss verdicts no longer provably hold.
 func (rt *Runtime) commitSlot(i int, v eval.Value, ok, hadValues bool) {
 	if !hadValues || !ok || !rt.prefetchOK[i] || v != rt.prefetched[i] {
@@ -385,33 +350,14 @@ func (rt *Runtime) commitSlot(i int, v eval.Value, ok, hadValues bool) {
 	rt.prefetchOK[i] = ok
 }
 
-// markSlotDirty clears the clean-miss flags of everything depending on
-// union slot i.
+// markSlotDirty un-parks everything depending on union slot i: the
+// watches reading it and the fused conditions whose operand closure
+// includes it.
 func (rt *Runtime) markSlotDirty(i int) {
-	for _, gi := range rt.slotGroups[i] {
-		rt.groupSkip[gi] = false
-	}
 	for _, w := range rt.slotWatches[i] {
 		w.canSkip = false
 	}
 	rt.fused.fusedUnpark(i)
-}
-
-// noteGroupMiss records that group gi was evaluated with no hits. When
-// the group is skip-eligible — every armed member's dependencies are
-// verified, slotted, and currently readable — the miss provably holds
-// until one of those dependencies changes, and the scheduler may skip
-// the group at clean edges.
-func (rt *Runtime) noteGroupMiss(gi int) {
-	if !rt.groupStatic[gi] {
-		return
-	}
-	for _, s := range rt.groupSlots[gi] {
-		if !rt.prefetchOK[s] {
-			return
-		}
-	}
-	rt.groupSkip[gi] = true
 }
 
 // invalidatePrefetch drops the cycle cache; called after the stop
@@ -423,51 +369,5 @@ func (rt *Runtime) noteGroupMiss(gi int) {
 // conditions).
 func (rt *Runtime) invalidatePrefetch() {
 	rt.prefetchValid = false
-	if fs := rt.fused; fs != nil {
-		fs.valid = false
-	}
-}
-
-// fetchDep returns dependency i of a compiled program, preferring the
-// prefetched cycle cache and falling back to a direct backend read for
-// dependencies outside the union (step-mode candidates) or failed
-// slots.
-func (rt *Runtime) fetchDep(paths []string, slots []int, i int) (eval.Value, error) {
-	if slots != nil {
-		// The bounds check is defensive: slot assignments are rebuilt
-		// only before members are snapshotted, but a stale slot must
-		// degrade to a direct read, never an out-of-range panic.
-		if s := slots[i]; s >= 0 && s < len(rt.prefetchOK) && rt.prefetchOK[s] {
-			return rt.prefetched[s], nil
-		}
-	}
-	return rt.backend.GetValue(paths[i])
-}
-
-// execCompiled gathers a program's operands (cache-first) into the
-// caller's scratch buffer and executes it on the caller's machine. It
-// is the single evaluation path for breakpoint and watch conditions;
-// callers own machine/buf exclusively for the duration (each group
-// member is evaluated by exactly one pool worker per edge, watches run
-// on the simulation goroutine), so no locking is needed.
-func (rt *Runtime) execCompiled(prog *expr.Program, paths []string, slots []int, m *eval.Machine, buf *[]eval.Value) (eval.Value, error) {
-	n := len(prog.Deps)
-	if cap(*buf) < n {
-		*buf = make([]eval.Value, n)
-	}
-	ops := (*buf)[:n]
-	for i := range ops {
-		v, err := rt.fetchDep(paths, slots, i)
-		if err != nil {
-			return eval.Value{}, err
-		}
-		ops[i] = v
-	}
-	return prog.Exec(m, ops)
-}
-
-// execProg evaluates one of the breakpoint's compiled conditions with
-// its private scratch.
-func (ibp *insertedBP) execProg(rt *Runtime, prog *expr.Program, paths []string, slots []int) (eval.Value, error) {
-	return rt.execCompiled(prog, paths, slots, &ibp.machine, &ibp.opbuf)
+	rt.fused.valid = false
 }

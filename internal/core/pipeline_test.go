@@ -13,47 +13,6 @@ import (
 	"repro/internal/vpi"
 )
 
-// TestCompiledMatchesTreeWalk drives the full runtime and, cycle by
-// cycle, cross-checks the compiled pipeline (batched prefetch + program
-// execution) against the tree-walk reference evaluator for every armed
-// breakpoint.
-func TestCompiledMatchesTreeWalk(t *testing.T) {
-	d := buildCounterDesign(t, false)
-	rt, err := New(vpi.NewSimBackend(d.sim), d.table)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.AddBreakpoint("core_test.go", d.incLine, "count % 7 == 3 && count[2:0] != 1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.AddBreakpoint("core_test.go", d.defLine, "nxt > 40"); err != nil {
-		t.Fatal(err)
-	}
-	d.sim.Poke("Counter.en", 1)
-	agreed := 0
-	for cycle := 0; cycle < 200; cycle++ {
-		rt.ensurePrefetch(d.sim.Time())
-		rt.mu.Lock()
-		armed := make([]*insertedBP, 0, len(rt.inserted))
-		for _, ibp := range rt.inserted {
-			armed = append(armed, ibp)
-		}
-		rt.mu.Unlock()
-		for _, ibp := range armed {
-			compiled := rt.evalBP(ibp)
-			tree := rt.evalBPTree(ibp)
-			if compiled != tree {
-				t.Fatalf("cycle %d bp %d: compiled=%v tree=%v", cycle, ibp.bp.ID, compiled, tree)
-			}
-			agreed++
-		}
-		d.sim.Step()
-	}
-	if agreed == 0 {
-		t.Fatal("no evaluations compared")
-	}
-}
-
 // TestCompiledBreakpointStops checks end-to-end stop behavior through
 // the batched scheduler: a conditional breakpoint fires exactly when
 // its condition holds.
@@ -143,7 +102,7 @@ func buildManyInstances(t *testing.T, n int) (*sim.Simulator, *Runtime) {
 }
 
 // TestWorkerPoolGroupEvaluation arms one breakpoint across many
-// instances and checks every member evaluates (on the persistent pool)
+// instances and checks every member evaluates (as one fused schedule)
 // and stops as one multi-threaded event.
 func TestWorkerPoolGroupEvaluation(t *testing.T) {
 	const n = 16
@@ -218,10 +177,10 @@ func TestPrefetchInvalidatedAfterHandler(t *testing.T) {
 	}
 }
 
-// TestShortCircuitUnresolvableName pins the eager-gather divergence
-// fix: a condition whose short-circuited side names an unresolvable
-// signal must still hit when the deciding side holds, exactly like the
-// tree-walk reference.
+// TestShortCircuitUnresolvableName: a condition whose short-circuited
+// side names an unresolvable signal cannot fuse (the name has no
+// prefetch slot) and must still hit when the deciding side holds —
+// EvalBits never evaluates the dead side.
 func TestShortCircuitUnresolvableName(t *testing.T) {
 	d := buildCounterDesign(t, false)
 	rt, err := New(vpi.NewSimBackend(d.sim), d.table)

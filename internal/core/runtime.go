@@ -7,11 +7,15 @@
 // instances presented as threads (Figure 4), watchpoints, and
 // intra-cycle plus (on replay backends) full reverse debugging (§3.2).
 //
-// Conditions compile once at insertion time to register bytecode
-// (expr.Compile → eval.Machine) and each edge issues one batched read
-// of the armed dependency union; on backends implementing
-// vpi.Prefetcher (the replay block store) that union is advised ahead
-// of time so per-cycle reads stay off cold trace state. See DESIGN.md.
+// A condition has two evaluators. The whole armed set compiles into one
+// fused register program (expr.Fuse → eval.MultiProg) that runs once
+// per forward clock edge over one batched read of the armed dependency
+// union; everything else — stepping, reverse stepping, conditions the
+// fuser cannot take, poisoned fused results, and the SetExhaustiveEval
+// reference — runs through the general four-state evaluator
+// (expr.EvalBits). On backends implementing vpi.Prefetcher (the replay
+// block store) the union is advised ahead of time so per-cycle reads
+// stay off cold trace state. See DESIGN.md.
 package core
 
 import (
@@ -208,17 +212,18 @@ type Handler func(*StopEvent) Command
 // insertedBP is one armed emulated breakpoint.
 type insertedBP struct {
 	bp     symtab.Breakpoint
-	enable expr.Node // nil = always enabled; tree-walk reference form
-	cond   expr.Node // user condition; nil = none; tree-walk reference
+	enable expr.Node // nil = always enabled; EvalBits' input
+	cond   expr.Node // user condition; nil = none; EvalBits' input
 	// paths precomputes name → full simulator path for every identifier
-	// the conditions reference, so per-cycle evaluation allocates
-	// nothing (the timing-sensitive path of §3.3).
+	// the conditions reference, so per-cycle evaluation never resolves
+	// names (the timing-sensitive path of §3.3).
 	paths map[string]string
 
-	// Compiled pipeline state: the conditions lowered to register
-	// programs at insertion time, their dependency paths aligned with
-	// each program's Deps order, and the dependencies' slots in the
-	// runtime's per-cycle prefetch cache (-1/nil when not prefetched).
+	// Fused pipeline state: the conditions folded at insertion time (nil
+	// when only the general evaluator accepts them), their dependency
+	// paths aligned with each program's Deps order, and the
+	// dependencies' slots in the runtime's per-cycle prefetch cache
+	// (-1/nil when not prefetched).
 	enableProg  *expr.Program
 	condProg    *expr.Program
 	enablePaths []string
@@ -231,14 +236,10 @@ type insertedBP struct {
 	// the whole batch, and are probed per evaluation instead.
 	enableVerified []bool
 	condVerified   []bool
-	// Per-member evaluation scratch. A member is evaluated by exactly
-	// one worker per edge, so no locking is needed.
-	machine eval.Machine
-	opbuf   []eval.Value
 }
 
-// group is a set of breakpoints sharing one source statement; the
-// scheduler evaluates a group's members (instances) in parallel.
+// group is a set of breakpoints sharing one source statement; its
+// members are the statement's instances.
 type group struct {
 	file    string
 	line    int
@@ -270,20 +271,18 @@ type Runtime struct {
 	// stepping state
 	stepArmed    bool // stop at the next enabled statement
 	reverseArmed bool // schedule in reverse on the next evaluation
-	resumeFrom   int  // group index to resume within the current cycle
 	detached     bool
 
 	watches   []*Watchpoint
 	nextWatch int
 
-	cbID       int
-	attached   bool
-	evalCount  uint64 // statistics: breakpoint condition evaluations
-	stopCount  uint64
-	allGroups  []*group // all symtab statements, for stepping
-	cycleGuard bool
+	cbID      int
+	attached  bool
+	evalCount uint64 // statistics: breakpoint condition evaluations
+	stopCount uint64
+	allGroups []*group // all symtab statements, for stepping
 
-	// pool evaluates breakpoint group members; it lives for the
+	// pool runs the fused program's condition chunks; it lives for the
 	// runtime's lifetime (workers park between edges) instead of
 	// spawning goroutines per edge.
 	pool *workerPool
@@ -315,34 +314,27 @@ type Runtime struct {
 	prefetchValid bool
 
 	// Activity-driven scheduling state (simulation goroutine only,
-	// except the atomics). The scheduler skips any group whose last
-	// evaluation produced no hit and whose dependency slots have been
+	// except the atomics). The fused walk skips any condition whose last
+	// evaluation was a sound miss and whose dependency slots have been
 	// clean at every cache refresh since; dirt arrives either from the
 	// backend's vpi.ChangeReporter poll (which also lets the refresh
 	// re-read only the dirty slots) or from value diffing on a full
 	// refresh. See DESIGN.md "Activity-driven scheduling".
-	reporter    vpi.ChangeReporter // backend capability; nil if absent
-	deltaOff    atomic.Bool        // SetExhaustiveEval escape hatch
-	generalEval atomic.Bool        // SetGeneralEval: force four-state tree-walk
-	changedBuf  []bool             // reporter poll scratch, aligned with depUnion
-	incoming    []eval.Value       // refresh scratch (read-then-diff)
-	dirtySlots  []int              // slots to refresh this edge (partial path)
-	pathBuf     []string           // partial-refresh path gather scratch
-	valBuf      []eval.Value       // partial-refresh value scatter scratch
-	diffBase    bool               // prefetched holds values of this union generation
+	reporter   vpi.ChangeReporter // backend capability; nil if absent
+	exhaustive atomic.Bool        // SetExhaustiveEval: the EvalBits reference
+	changedBuf []bool             // reporter poll scratch, aligned with depUnion
+	incoming   []eval.Value       // refresh scratch (read-then-diff)
+	dirtySlots []int              // slots to refresh this edge (partial path)
+	pathBuf    []string           // partial-refresh path gather scratch
+	valBuf     []eval.Value       // partial-refresh value scatter scratch
+	diffBase   bool               // prefetched holds values of this union generation
 
-	// Per-group scheduling state, indexed by position in allGroups and
-	// rebuilt with the dependency union: the slot→groups inverted
-	// index, each group's dependency slots, armed-member counts, the
-	// skip-eligibility of each group (every armed member's deps
-	// verified and slotted), and the clean-miss flags themselves.
+	// Per-group scheduling state: each statement's position in
+	// allGroups, plus — rebuilt with the dependency union — armed-member
+	// counts and the slot→watches inverted index (dirt propagation).
 	groupIdx    map[groupKey]int
-	slotGroups  [][]int32
-	slotWatches [][]*Watchpoint
-	groupSlots  [][]int32
 	groupArmed  []int
-	groupStatic []bool
-	groupSkip   []bool
+	slotWatches [][]*Watchpoint
 
 	// Activity statistics (atomic: benchmarks read them cross-routine).
 	statSkipped   atomic.Uint64 // armed groups skipped as provably clean misses
@@ -351,18 +343,11 @@ type Runtime struct {
 
 	// evaluateGroup scratch (simulation goroutine only).
 	memberBuf []*insertedBP
-	resultBuf []bool
 
-	// Fused schedule compilation state (see fused.go): the whole-schedule
-	// fused program rebuilt with the dependency union, its per-edge skip
-	// bitmap published lock-free through fusedSkip (double-buffered in
-	// maskBufs), and the SetFusedEval escape hatch.
+	// Fused schedule compilation state (see fused.go): the
+	// whole-schedule fused program and its skip bitmap, rebuilt with the
+	// dependency union.
 	fused         *fusedState
-	fusedOff      atomic.Bool
-	fusedSkip     atomic.Pointer[fusedMask]
-	maskBufs      [2]fusedMask
-	maskFlip      int
-	maskEpoch     uint64
 	statFusedRuns atomic.Uint64 // fused whole-schedule executions
 }
 
@@ -398,34 +383,17 @@ func New(backend vpi.Interface, table *symtab.Table) (*Runtime, error) {
 	return rt, nil
 }
 
-// SetExhaustiveEval disables (on=true) or re-enables activity-driven
-// scheduling: with exhaustive evaluation every group is re-evaluated at
-// every clock edge, the seed behavior delta scheduling is
-// differentially tested against. Call before driving the simulation.
-func (rt *Runtime) SetExhaustiveEval(on bool) { rt.deltaOff.Store(on) }
-
-// deltaOn reports whether activity-driven scheduling is active.
-func (rt *Runtime) deltaOn() bool { return !rt.deltaOff.Load() }
-
-// SetFusedEval disables (on=false) or re-enables whole-schedule fused
-// condition compilation. With fusion off, forward scheduling uses the
-// per-group activity-driven path — the comparison baseline fused
-// execution is benchmarked against. Call before driving the simulation.
-func (rt *Runtime) SetFusedEval(on bool) { rt.fusedOff.Store(!on) }
-
-// SetGeneralEval (on=true) forces every condition through the general
-// four-state tree-walk evaluator instead of the compiled two-state
-// pipeline — the differential baseline that pins the fast path
-// bit-identical to four-state semantics on fully known designs. It
-// also suppresses fused execution, which is a two-state specialization
-// of the same conditions. Call before driving the simulation.
-func (rt *Runtime) SetGeneralEval(on bool) { rt.generalEval.Store(on) }
+// SetExhaustiveEval (on=true) turns the runtime into the differential
+// reference the fast path is pinned against: every armed group at
+// every clock edge is evaluated with the general four-state evaluator,
+// with no prefetch, no fusion and no activity skipping. Call before
+// driving the simulation.
+func (rt *Runtime) SetExhaustiveEval(on bool) { rt.exhaustive.Store(on) }
 
 // FuseInfo reports the current fused schedule's shape: fused condition
 // count, CSE shared segments, shared-register reads those segments
-// replaced, and deduplicated operand count. ok is false when the fast
-// path is unavailable (nothing armed, fusion disabled, or a condition
-// the fuser rejected).
+// replaced, and deduplicated operand count. ok is false when nothing
+// fused (no armed fusable condition, or a schedule the fuser rejected).
 func (rt *Runtime) FuseInfo() (stats expr.FuseStats, ok bool) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -489,25 +457,23 @@ func (ibp *insertedBP) key() groupKey {
 }
 
 // generalOnly reports whether any of the breakpoint's conditions parsed
-// but did not compile (four-state literals, wide constants): such a
-// member evaluates exclusively through the general four-state
-// evaluator, its dependencies stay out of the prefetch union, and its
-// group can never be proven a clean miss.
+// but has no fusable program (four-state literals, wide constants):
+// such a member evaluates exclusively through the general four-state
+// evaluator and its dependencies stay out of the prefetch union.
 func (ibp *insertedBP) generalOnly() bool {
 	return (ibp.enable != nil && ibp.enableProg == nil) ||
 		(ibp.cond != nil && ibp.condProg == nil)
 }
 
-// prepare parses and compiles the enable and user conditions of a
+// prepare parses and folds the enable and user conditions of a
 // breakpoint, then resolves every dependency to its simulator path —
-// the compile-once half of the pipeline; per-cycle evaluation only
-// executes the compiled programs.
+// the compile-once half of the pipeline.
 func (rt *Runtime) prepare(bp symtab.Breakpoint, userCond string) (*insertedBP, error) {
 	ibp := &insertedBP{bp: bp}
 	if bp.Enable != "" {
 		// ParseCompile shares one immutable (AST, program) pair across
 		// the N instances of a generated statement — and across re-arms —
-		// instead of recompiling the identical source N times.
+		// instead of re-parsing the identical source N times.
 		n, p, err := expr.ParseCompile(bp.Enable)
 		if err != nil {
 			return nil, fmt.Errorf("core: bad enable condition %q: %w", bp.Enable, err)
@@ -526,9 +492,9 @@ func (rt *Runtime) prepare(bp symtab.Breakpoint, userCond string) (*insertedBP, 
 }
 
 // precomputePaths resolves every identifier in the breakpoint's
-// compiled conditions to its full simulator path once, at arm time.
-// The dependency lists come from the compiled programs (constant
-// folding may eliminate references the raw AST still mentions).
+// conditions to its full simulator path once, at arm time. The
+// dependency lists come from the folded programs (constant folding may
+// eliminate references the raw AST still mentions).
 func (rt *Runtime) precomputePaths(ibp *insertedBP) {
 	ibp.paths = map[string]string{}
 	inst := ibp.bp.InstanceName
@@ -544,7 +510,7 @@ func (rt *Runtime) precomputePaths(ibp *insertedBP) {
 			ibp.enablePaths[i] = p
 			// A four-state read error still proves the signal exists —
 			// its value just needs the general evaluator, which the
-			// per-slot prefetch failure routes to.
+			// per-slot prefetch failure routes the condition to.
 			_, err := rt.backend.GetValue(p)
 			ibp.enableVerified[i] = err == nil || errors.Is(err, vpi.ErrFourState)
 		}
@@ -571,10 +537,10 @@ func (rt *Runtime) precomputePaths(ibp *insertedBP) {
 			ibp.condVerified[i] = ok
 		}
 	}
-	// Conditions without a compiled program (general-evaluator-only:
-	// four-state literals, wide constants) still get their names
-	// resolved through the same chains, so the EvalBits resolver sees
-	// the paths the compiled pipeline would have used.
+	// Conditions without a program (general-evaluator-only: four-state
+	// literals, wide constants) still get their names resolved through
+	// the same chains, so the EvalBits resolver sees the paths the fused
+	// pipeline would have used.
 	if ibp.enable != nil && ibp.enableProg == nil {
 		for _, n := range expr.Names(ibp.enable) {
 			if _, done := ibp.paths[n]; !done {

@@ -65,10 +65,10 @@ func (rt *Runtime) onEdge(time uint64) {
 }
 
 // schedule walks breakpoint groups in the pre-computed order (or its
-// reverse), evaluates each group's members in parallel, and blocks in
-// the handler on hits. Reverse scheduling that falls off the beginning
-// of a cycle re-enters the previous cycle when the backend supports
-// SetTime (trace replay), giving full reverse debugging.
+// reverse), evaluates each group's members, and blocks in the handler
+// on hits. Reverse scheduling that falls off the beginning of a cycle
+// re-enters the previous cycle when the backend supports SetTime
+// (trace replay), giving full reverse debugging.
 func (rt *Runtime) schedule(time uint64, start int, stepping, reverse bool, handler Handler) {
 	t := time
 	i := start
@@ -92,52 +92,27 @@ func (rt *Runtime) schedule(time uint64, start int, stepping, reverse bool, hand
 			break
 		}
 		g := rt.allGroups[i]
-		// Activity-driven skip: outside stepping, a group with no armed
-		// member can never hit, and a group whose last evaluation was a
-		// provable miss with all dependency slots clean since
-		// (ensurePrefetch maintains the flags) must miss again —
-		// skipping it is bit-identical to evaluating it. Stepping
-		// always evaluates everything.
 		var hits []*insertedBP
-		usedFused := false
-		if !stepping && rt.deltaOn() {
+		if stepping || rt.exhaustive.Load() {
+			// Stepping (forward and reverse) and the exhaustive reference
+			// evaluate every member with the general evaluator.
+			hits = rt.evaluateGroup(g, stepping)
+		} else {
+			// Forward, non-stepping edge: the whole schedule's conditions
+			// ran as one fused program when this edge's cache was
+			// refreshed (fused.go); the walk consumes per-condition
+			// results. A group with no armed member can never hit.
 			rt.ensurePrefetch(t)
 			if rt.groupArmed[i] == 0 {
 				i = next(i, reverse)
 				continue
 			}
-			// Fused fast path (fused.go): the whole schedule's conditions
-			// ran as one program when this edge's cache was refreshed;
-			// the walk just consumes per-condition results. Reverse
-			// scheduling stays on the per-group path — its mid-walk
-			// SetTime rewinds re-run per group anyway, so fusion would
-			// re-execute the whole schedule per rewound group.
-			if !reverse {
-				if fs := rt.fusedReady(t); fs != nil {
-					hits = rt.fusedGroupEval(fs, i)
-					usedFused = true
-				}
-			}
-			if !usedFused && rt.groupSkip[i] {
-				rt.statSkipped.Add(1)
-				i = next(i, reverse)
-				continue
-			}
-		}
-		if !usedFused {
-			hits = rt.evaluateGroup(g, stepping, t)
+			hits = rt.fusedGroupEval(rt.fusedReady(t), i)
 		}
 		if len(hits) == 0 {
-			if !usedFused && !stepping && rt.deltaOn() {
-				rt.noteGroupMiss(i)
-			}
 			i = next(i, reverse)
 			continue
 		}
-		// A hit group stays hot: its condition holds and must re-stop
-		// at every edge until a dependency moves or the user resumes
-		// past it.
-		rt.groupSkip[i] = false
 		event := rt.buildEvent(g, hits, t, reverse, stepping)
 		rt.mu.Lock()
 		rt.stopCount++
@@ -193,17 +168,11 @@ func (rt *Runtime) setStep(step, reverse bool) {
 }
 
 // evaluateGroup evaluates all candidate breakpoints of one source
-// statement in parallel (§3.2 step 2) and returns the members that hit.
-// Members run as compiled programs against the per-cycle prefetched
-// value cache, dispatched onto the persistent worker pool.
-func (rt *Runtime) evaluateGroup(g *group, stepping bool, t uint64) []*insertedBP {
-	// Refresh the cache (and any pending dependency-union rebuild)
-	// BEFORE snapshotting members: a rebuild reassigns every inserted
-	// breakpoint's cache slots, so it must never run between selecting
-	// a member and evaluating it (a breakpoint removed concurrently by
-	// a connection goroutine would otherwise be evaluated with slots
-	// indexing the rebuilt, possibly shorter, arrays).
-	rt.ensurePrefetch(t)
+// statement with the general evaluator (§3.2 step 2) and returns the
+// members that hit. It serves stepping and the exhaustive reference,
+// neither of them a hot path, so members run in order on the
+// simulation goroutine; the worker pool serves the fused chunks.
+func (rt *Runtime) evaluateGroup(g *group, stepping bool) []*insertedBP {
 	// Select members: inserted breakpoints always; when stepping, every
 	// potential breakpoint participates.
 	rt.mu.Lock()
@@ -222,83 +191,23 @@ func (rt *Runtime) evaluateGroup(g *group, stepping bool, t uint64) []*insertedB
 		return nil
 	}
 	rt.statEvaluated.Add(1)
-
-	if cap(rt.resultBuf) < len(members) {
-		rt.resultBuf = make([]bool, len(members))
-	}
-	results := rt.resultBuf[:len(members)]
-	if len(members) == 1 {
-		results[0] = rt.evalBP(members[0])
-	} else {
-		rt.pool.parallel(len(members), func(k int) {
-			results[k] = rt.evalBP(members[k])
-		})
-	}
 	var hits []*insertedBP
-	for idx, ok := range results {
-		if ok {
-			hits = append(hits, members[idx])
+	for _, m := range members {
+		if rt.evalBP(m) {
+			hits = append(hits, m)
 		}
 	}
 	return hits
 }
 
-// evalBP checks one breakpoint: SSA enable condition AND user
-// condition, both executed as compiled register programs over operands
-// resolved at arm time and prefetched for the cycle. Compiled execution
-// gathers operands eagerly, so a dependency that cannot be fetched
-// fails it even when the tree-walk would short-circuit past that
-// reference; on error the tree-walk reference decides, keeping the two
-// paths semantically identical. When the two-state tree-walk also
-// fails — an operand carries x/z bits or exceeds 64 bits — the general
-// four-state evaluator is the final authority: the breakpoint hits
-// only when the condition is definitely true (x is not a hit, matching
-// Verilog's `if`).
+// evalBP checks one breakpoint with the general four-state evaluator:
+// the SSA enable condition, then the user condition, each reading its
+// signals straight from the backend through the paths resolved at arm
+// time. The breakpoint hits only when both are definitely true (x is
+// not a hit, matching Verilog's `if`).
 func (rt *Runtime) evalBP(ibp *insertedBP) bool {
-	if rt.generalEval.Load() {
-		return rt.evalBPBits(ibp)
-	}
-	if ibp.enable != nil {
-		if ibp.enableProg == nil {
-			// Parsed but not compilable (four-state constructs): the
-			// general evaluator is the only path.
-			if !rt.condTruthBits(ibp, ibp.enable) {
-				return false
-			}
-		} else {
-			v, err := ibp.execProg(rt, ibp.enableProg, ibp.enablePaths, ibp.enableSlots)
-			if err != nil {
-				v, err = ibp.enable.Eval(ibp.pathResolver(rt))
-			}
-			if err != nil {
-				if !rt.condTruthBits(ibp, ibp.enable) {
-					return false
-				}
-			} else if !v.IsTrue() {
-				return false
-			}
-		}
-	}
-	if ibp.cond != nil {
-		if ibp.condProg == nil {
-			if !rt.condTruthBits(ibp, ibp.cond) {
-				return false
-			}
-		} else {
-			v, err := ibp.execProg(rt, ibp.condProg, ibp.condPaths, ibp.condSlots)
-			if err != nil {
-				v, err = ibp.cond.Eval(ibp.pathResolver(rt))
-			}
-			if err != nil {
-				if !rt.condTruthBits(ibp, ibp.cond) {
-					return false
-				}
-			} else if !v.IsTrue() {
-				return false
-			}
-		}
-	}
-	return true
+	return (ibp.enable == nil || rt.condTruthBits(ibp, ibp.enable)) &&
+		(ibp.cond == nil || rt.condTruthBits(ibp, ibp.cond))
 }
 
 // condTruthBits evaluates one condition tree with the general
@@ -306,37 +215,4 @@ func (rt *Runtime) evalBP(ibp *insertedBP) bool {
 func (rt *Runtime) condTruthBits(ibp *insertedBP, n expr.Node) bool {
 	b, err := expr.EvalBits(n, ibp.pathBitsResolver(rt))
 	return err == nil && b.Truth() == val.True
-}
-
-// evalBPBits is the all-general form of evalBP: both conditions walked
-// by the four-state evaluator, hits requiring definite truth. It is
-// the SetGeneralEval baseline the compiled pipeline is differentially
-// pinned against.
-func (rt *Runtime) evalBPBits(ibp *insertedBP) bool {
-	if ibp.enable != nil && !rt.condTruthBits(ibp, ibp.enable) {
-		return false
-	}
-	if ibp.cond != nil && !rt.condTruthBits(ibp, ibp.cond) {
-		return false
-	}
-	return true
-}
-
-// evalBPTree is the tree-walk reference implementation of evalBP,
-// retained for differential testing of the compiled pipeline.
-func (rt *Runtime) evalBPTree(ibp *insertedBP) bool {
-	resolver := ibp.pathResolver(rt)
-	if ibp.enable != nil {
-		v, err := ibp.enable.Eval(resolver)
-		if err != nil || !v.IsTrue() {
-			return false
-		}
-	}
-	if ibp.cond != nil {
-		v, err := ibp.cond.Eval(resolver)
-		if err != nil || !v.IsTrue() {
-			return false
-		}
-	}
-	return true
 }

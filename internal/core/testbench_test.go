@@ -122,12 +122,12 @@ func TestDebugInsideForeignTestbench(t *testing.T) {
 		t.Fatalf("conditional stop values = %v, want [2]", stopVals)
 	}
 	// Watch expressions resolve through the remap too.
-	v, err := rt.Evaluate("Filter", "accum")
+	v, err := rt.EvaluateBits("Filter", "accum")
 	if err != nil {
-		t.Fatalf("Evaluate through remap: %v", err)
+		t.Fatalf("EvaluateBits through remap: %v", err)
 	}
-	if v.Bits != 6 {
-		t.Fatalf("accum after run = %d, want 6", v.Bits)
+	if v.V0 != 6 || v.HasX() {
+		t.Fatalf("accum after run = %s, want 6", v)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/eval"
 	"repro/internal/expr"
 	"repro/internal/val"
 	"repro/internal/vpi"
@@ -22,26 +21,25 @@ type Watchpoint struct {
 	// Expr is the watched expression source.
 	Expr string
 
-	node expr.Node // tree-walk reference form
-	// Compiled pipeline state, mirroring insertedBP: the expression as
-	// a register program, its dependency paths in prog.Deps order, the
-	// dependencies' prefetch-cache slots, and evaluation scratch.
-	prog    *expr.Program
-	paths   []string
-	pathOf  map[string]string // name → sim path, for tree-walk fallback
-	slots   []int
-	machine eval.Machine
-	opbuf   []eval.Value
+	node expr.Node // the parsed expression, EvalBits' input
+	// Fused pipeline state, mirroring insertedBP: the folded expression
+	// (nil when only the general evaluator accepts it), its dependency
+	// paths in prog.Deps order, and the dependencies' prefetch-cache
+	// slots.
+	prog   *expr.Program
+	paths  []string
+	pathOf map[string]string // name → sim path, for the general evaluator
+	slots  []int
 
-	// last is the previous value in the four-state plane; two-state
-	// results are lifted into it so the change compare is uniform
-	// across the compiled, tree-walk, and general paths.
+	// last is the previous value in the four-state plane; fused results
+	// are lifted into it so the change compare is uniform across the
+	// fused and general paths.
 	last  val.Bits
 	armed bool
 	// fusedID is this watch's condition id in the whole-schedule fused
-	// program, or -1 when the watch rides the per-watch path (unfusable
-	// dependencies, or fusion unavailable). Set by rebuildFused under
-	// rt.mu; read on the simulation goroutine.
+	// program, or -1 when the general evaluator computes it (unfusable
+	// dependencies or literal). Set by rebuildFused under rt.mu; read on
+	// the simulation goroutine.
 	fusedID int
 	// canSkip marks the watch evaluation as provably redundant: the
 	// last evaluation succeeded with every dependency slot readable,
@@ -54,9 +52,9 @@ type Watchpoint struct {
 
 // AddWatch registers a watchpoint on an expression evaluated in an
 // instance context; it stops on any value change. The expression is
-// compiled once here and its dependencies resolve through the same
-// chain breakpoint conditions use (resolveSourceName), so watchpoints
-// and breakpoints see identical names.
+// folded once here and its dependencies resolve through the same chain
+// breakpoint conditions use (resolveSourceName), so watchpoints and
+// breakpoints see identical names.
 func (rt *Runtime) AddWatch(instance, source string) (int, error) {
 	n, prog, err := expr.ParseCompile(source)
 	if err != nil {
@@ -122,28 +120,11 @@ func (rt *Runtime) Watches() []*Watchpoint {
 	return out
 }
 
-// eval executes the compiled watch program against the per-cycle
-// prefetch cache; on an operand-fetch failure the tree-walk reference
-// decides, and when that fails too (x/z bits, >64-bit signals) the
-// general four-state evaluator is the final authority — the same
-// degradation chain as evalBP. Watches run on the simulation
-// goroutine only.
+// eval computes the watched value with the general four-state
+// evaluator: the path for every watch value the fused program does not
+// deliver (unfusable, poisoned, or the exhaustive reference). Watches
+// run on the simulation goroutine only.
 func (w *Watchpoint) eval(rt *Runtime) (val.Bits, error) {
-	if w.prog != nil && !rt.generalEval.Load() {
-		v, err := rt.execCompiled(w.prog, w.paths, w.slots, &w.machine, &w.opbuf)
-		if err == nil {
-			return v.ToBits(), nil
-		}
-		v, err = w.node.Eval(expr.ResolverFunc(func(name string) (eval.Value, error) {
-			if full, ok := w.pathOf[name]; ok {
-				return rt.backend.GetValue(full)
-			}
-			return eval.Value{}, fmt.Errorf("core: watch: unresolved %q", name)
-		}))
-		if err == nil {
-			return v.ToBits(), nil
-		}
-	}
 	return expr.EvalBits(w.node, expr.BitsResolverFunc(func(name string) (val.Bits, error) {
 		if full, ok := w.pathOf[name]; ok {
 			return vpi.ReadBits(rt.backend, full)
@@ -170,26 +151,26 @@ func (rt *Runtime) watchSlotsOK(w *Watchpoint) bool {
 // checkWatches runs at each clock edge before the breakpoint schedule;
 // it returns a stop event when any watched value changed.
 func (rt *Runtime) checkWatches(time uint64) *StopEvent {
-	// Prefetch (and any pending union rebuild) before snapshotting, so
-	// a concurrent RemoveWatch can never leave a snapshotted watch with
-	// slots indexing rebuilt arrays (see evaluateGroup).
-	rt.ensurePrefetch(time)
+	// Outside the exhaustive reference, watch expressions were computed
+	// by the same whole-schedule program run (rebuildFused appends them
+	// after the breakpoint conditions); consume those values instead of
+	// re-evaluating each watch. A poisoned or unfused watch falls back to
+	// the general evaluator.
+	fast := !rt.exhaustive.Load()
+	var fs *fusedState
+	if fast {
+		// Prefetch (and any pending union rebuild) before snapshotting,
+		// so a concurrent RemoveWatch can never leave a snapshotted watch
+		// with slots indexing rebuilt arrays.
+		rt.ensurePrefetch(time)
+		fs = rt.fusedReady(time)
+	}
 	rt.mu.Lock()
 	watches := rt.watches
 	rt.mu.Unlock()
-	delta := rt.deltaOn()
-	// When the fused schedule is live, watch expressions were computed by
-	// the same whole-schedule program run (rebuildFused appends them
-	// after the breakpoint conditions); consume those values instead of
-	// re-executing each watch. A poisoned fused result (resOK false)
-	// falls back to the exact per-watch path.
-	var fs *fusedState
-	if delta {
-		fs = rt.fusedReady(time)
-	}
 	var ev *StopEvent
 	for _, w := range watches {
-		if delta && w.canSkip {
+		if fast && w.canSkip {
 			// Every dependency is clean since the last successful
 			// evaluation: the watched value is unchanged, so this edge
 			// cannot produce a hit.
@@ -197,7 +178,7 @@ func (rt *Runtime) checkWatches(time uint64) *StopEvent {
 		}
 		var b val.Bits
 		var err error
-		if fs != nil && w.fusedID >= 0 && fs.resOK[w.fusedID] {
+		if fast && w.fusedID >= 0 && fs.resOK[w.fusedID] {
 			b = fs.results[w.fusedID].ToBits()
 		} else {
 			b, err = w.eval(rt)
@@ -206,7 +187,7 @@ func (rt *Runtime) checkWatches(time uint64) *StopEvent {
 			w.canSkip = false
 			continue
 		}
-		if delta {
+		if fast {
 			w.canSkip = rt.watchSlotsOK(w)
 		}
 		if !w.armed {

@@ -52,7 +52,7 @@ type Options struct {
 //	                    instance
 //	scopes/variables  → Locals + Generator variables through the
 //	                    variablesReference handle table
-//	evaluate          → the runtime's compiled-expression Evaluate
+//	evaluate          → the runtime's four-state EvaluateBits
 //	continue/next     → continue / step commands
 //	pause             → interrupt at the next statement
 //	stepBack          → reverse-step (replay backends only)

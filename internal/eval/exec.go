@@ -6,12 +6,13 @@ import (
 	"repro/internal/ir"
 )
 
-// This file implements the execution half of the compiled condition
-// pipeline: a flat register-based instruction set that expression
-// compilers (internal/expr) lower into, and a Machine that executes it
-// with zero heap allocations per run. The debugger's clock-edge
-// callback re-evaluates every inserted breakpoint condition each cycle,
-// so this is the hottest code in the system (§3.2, §4.3 of the paper).
+// This file implements the instruction set of the compiled condition
+// pipeline: a flat register-based code that the schedule fuser
+// (internal/expr) lowers every armed condition into, and runCode, the
+// interpreter FusedMachine executes segments with — zero heap
+// allocations per run. The debugger's clock-edge callback re-evaluates
+// every inserted breakpoint condition each cycle, so this is the
+// hottest code in the system (§3.2, §4.3 of the paper).
 
 // InstrKind discriminates compiled instructions.
 type InstrKind uint8
@@ -59,46 +60,9 @@ type Instr struct {
 	Const Value
 }
 
-// Prog is a compiled register program. Result names the register
-// holding the final value after the last instruction retires.
-type Prog struct {
-	Code        []Instr
-	NumRegs     int
-	NumOperands int
-	Result      uint16
-}
-
-// Machine executes compiled programs against a caller-provided operand
-// slice. The register file is owned by the machine and reused across
-// runs, so steady-state execution performs zero heap allocations. A
-// Machine is not safe for concurrent use; give each evaluator goroutine
-// its own.
-type Machine struct {
-	regs []Value
-	args [2]Value
-}
-
-// Exec runs a program. operands[i] must hold the current value of the
-// program's i-th signal dependency; the compiler that produced the
-// program defines that ordering (expr.Program.Deps).
-func (m *Machine) Exec(p *Prog, operands []Value) (Value, error) {
-	if len(operands) < p.NumOperands {
-		return Value{}, fmt.Errorf("eval: program needs %d operands, got %d", p.NumOperands, len(operands))
-	}
-	if cap(m.regs) < p.NumRegs {
-		m.regs = make([]Value, p.NumRegs)
-	}
-	regs := m.regs[:p.NumRegs]
-	if err := runCode(p.Code, 0, len(p.Code), regs, operands, &m.args); err != nil {
-		return Value{}, err
-	}
-	return regs[p.Result], nil
-}
-
-// runCode interprets code[from:to) against a register file and operand
-// slice. Jump targets are absolute instruction indexes; compilers must
-// keep them inside the executed range. Shared by Machine.Exec (whole
-// program) and FusedMachine (one segment of a fused program).
+// runCode interprets code[from:to) — one segment of a fused program —
+// against a register file and operand slice. Jump targets are absolute
+// instruction indexes; the fuser keeps them inside the segment.
 func runCode(code []Instr, from, to int, regs, operands []Value, args *[2]Value) error {
 	for pc := from; pc < to; {
 		in := &code[pc]

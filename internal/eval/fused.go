@@ -15,8 +15,8 @@ package eval
 // error (a width-overflow prim, a failed operand read) poisons only the
 // segment it occurs in plus the conditions that read the poisoned
 // shared register — those conditions report !ok and the scheduler falls
-// back to the exact per-condition path, keeping fused scheduling
-// bit-identical to per-group evaluation.
+// back to the general evaluator (expr.EvalBits), keeping fused
+// scheduling bit-identical to evaluating each condition alone.
 
 // Segment is one independently executable slice of a fused program:
 // Code[Start:End) computes one value into the Result register. Ops
@@ -51,10 +51,10 @@ type MultiProg struct {
 	Conds []Segment
 }
 
-// FusedMachine executes fused programs. Like Machine it owns a reusable
-// register file, so steady-state execution allocates nothing, and it is
-// not safe for concurrent use — the scheduler gives each worker range
-// its own machine and copies the prelude's shared values in.
+// FusedMachine executes fused programs. It owns a reusable register
+// file, so steady-state execution allocates nothing, and it is not safe
+// for concurrent use — the scheduler gives each worker range its own
+// machine and copies the prelude's shared values in.
 type FusedMachine struct {
 	regs []Value
 	args [2]Value
@@ -114,8 +114,8 @@ func (m *FusedMachine) ExecShared(p *MultiProg, operands []Value, opsOK []bool, 
 // and their result entries are left untouched — the scheduler's own
 // skip state decides what a masked condition means. A condition with a
 // failed operand, a poisoned shared dependency, or an execution error
-// reports resultOK false; the caller must then evaluate it by the exact
-// per-condition path. sharedVals/sharedOK come from ExecShared;
+// reports resultOK false; the caller must then evaluate it with the
+// general evaluator. sharedVals/sharedOK come from ExecShared;
 // distinct machines may execute disjoint ranges concurrently as long as
 // results/resultOK writes land in disjoint indexes.
 func (m *FusedMachine) ExecConds(p *MultiProg, operands []Value, opsOK []bool, sharedVals []Value, sharedOK []bool, from, to int, skip []uint64, results []Value, resultOK []bool) {

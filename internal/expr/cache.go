@@ -5,12 +5,12 @@ import "sync"
 // This file implements the per-condition compile cache. A design with N
 // instances of one generated statement arms N breakpoints whose enable
 // conditions are the same source string; without the cache each arm
-// re-lexes, re-parses, re-folds, re-deduplicates Names and re-compiles
-// the identical expression. Parsed nodes and compiled programs are
-// immutable, so one cached copy is shared by every breakpoint instance
-// (per-instance state — operand slots, resolved paths, machines — lives
-// with the caller); re-arming after a breakpoint change then rebuilds
-// the schedule from cached programs instead of from source.
+// re-lexes, re-parses, re-folds and re-deduplicates Names for the
+// identical expression. Parsed nodes and programs are immutable, so
+// one cached copy is shared by every breakpoint instance (per-instance
+// state — operand slots, resolved paths — lives with the caller);
+// re-arming after a breakpoint change then rebuilds the fused schedule
+// from cached programs instead of from source.
 
 // parseCompileCacheLimit bounds the cache; debuggers see a bounded set
 // of distinct condition sources (the symbol table's enables plus what
@@ -28,13 +28,12 @@ type pcEntry struct {
 	prog *Program
 }
 
-// ParseCompile parses and compiles one expression, returning a shared
+// ParseCompile parses and folds one expression, returning a shared
 // immutable (AST, program) pair from the process-wide cache when the
-// identical source was compiled before. An expression that parses but
-// cannot compile — it uses four-state or >64-bit constructs only the
-// general evaluator supports (8'b1x0z literals, wide constants) —
-// returns a nil Program: callers run it through EvalBits exclusively.
-// Parse errors are not cached.
+// identical source was seen before. An expression whose folded tree
+// holds a four-state or >64-bit literal only the general evaluator
+// supports (8'b1x0z, wide constants) returns a nil Program: callers
+// run it through EvalBits exclusively. Parse errors are not cached.
 func ParseCompile(src string) (Node, *Program, error) {
 	pcMu.Lock()
 	if e, ok := pcCache[src]; ok {
@@ -47,10 +46,7 @@ func ParseCompile(src string) (Node, *Program, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	p, err := Compile(n)
-	if err != nil {
-		p = nil // general-evaluator-only expression
-	}
+	p := newProgram(n) // nil: general-evaluator-only expression
 	pcMu.Lock()
 	if len(pcCache) >= parseCompileCacheLimit {
 		pcCache = map[string]*pcEntry{}

@@ -8,7 +8,7 @@ import (
 
 // TestParseCompileCacheShares pins the compile cache's contract: the
 // same source returns the same shared Program (so N instances of one
-// statement compile once), and the shared program still executes
+// statement fold once), and the shared program still evaluates
 // correctly.
 func TestParseCompileCacheShares(t *testing.T) {
 	src := "cache_probe_a + cache_probe_b == 9"
@@ -27,22 +27,23 @@ func TestParseCompileCacheShares(t *testing.T) {
 	if _, hits := CacheStats(); hits != hitsBefore+1 {
 		t.Fatalf("hit counter did not advance: %d -> %d", hitsBefore, hits)
 	}
-	// The shared program is usable by independent machines.
-	env := envResolver{
-		"cache_probe_a": eval.Make(4, 8, false),
-		"cache_probe_b": eval.Make(5, 8, false),
-	}
-	want, err := n2.Eval(env)
+	// The shared program fuses into independent schedules, each agreeing
+	// with EvalBits over the shared tree.
+	slots := map[string]int{"cache_probe_a": 0, "cache_probe_b": 1}
+	env := []eval.Value{eval.Make(4, 8, false), eval.Make(5, 8, false)}
+	want, err := EvalBits(n2, slotEnv(slots, env))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m eval.Machine
-	got, err := execCompiled(t, p2, &m, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("cached program = %#v, want %#v", got, want)
+	for i := 0; i < 2; i++ {
+		fs, err := Fuse([]FusedCondition{{Cond: p2, CondSlots: []int{0, 1}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := fuseExec(fs, env)
+		if err := checkFused(got[0], ok[0], want, nil); err != nil || !ok[0] {
+			t.Fatalf("cached program (sound %v): %v", ok[0], err)
+		}
 	}
 }
 

@@ -9,20 +9,24 @@ import (
 )
 
 // This file is the general four-state evaluator: the tree-walk the
-// debugger falls back to when a condition touches an unknown (x/z) or
-// wider-than-64-bit signal, or uses a literal only val.Bits can hold.
+// debugger uses for every evaluation the fused program does not cover —
+// stepping, reverse stepping, the exhaustive reference, conditions that
+// touch an unknown (x/z) or wider-than-64-bit signal or use a literal
+// only val.Bits can hold, and fused results that come back poisoned.
 //
-// Bit-identity with the two-state fast path is by construction, not by
+// Bit-identity with the fused program is by construction, not by
 // testing alone: every node evaluates its children first, and when all
 // of them are fully known and at most 64 bits wide the node applies
 // the exact same two-state operator body (applyBin / unaryNode.apply /
-// bitsNode.apply) the compiled and tree-walk fast paths use. Only
-// subtrees that actually see an X bit or a wide value run the val.Bits
-// operators, which follow Verilog X-propagation: bitwise ops are
-// per-bit (known 0 dominates &, known 1 dominates |), arithmetic and
-// ordered comparisons go whole-result x on any unknown input bit, ==
-// is three-valued, and === / !== compare all four states bit-for-bit
-// and always produce a known 0/1.
+// bitsNode.apply, all over eval.Prim) the fuser lowers into
+// instructions. Only subtrees that actually see an X bit or a wide
+// value run the val.Bits operators, which follow Verilog
+// X-propagation: bitwise ops are per-bit (known 0 dominates &, known 1
+// dominates |), arithmetic and ordered comparisons go whole-result x
+// on any unknown input bit, == is three-valued, and === / !== compare
+// all four states bit-for-bit and always produce a known 0/1. Signals
+// keep their sign across the lowering (val.Bits.Signed), so signed
+// comparisons, shifts and arithmetic match too.
 
 // BitsResolver maps a (possibly dotted) name to its current four-state
 // value.

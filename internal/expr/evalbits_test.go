@@ -2,11 +2,9 @@ package expr
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"testing"
 
-	"repro/internal/eval"
 	"repro/internal/val"
 )
 
@@ -150,72 +148,21 @@ func TestSizedLiterals(t *testing.T) {
 	}
 
 	// Known sized literals stay on the two-state path at their declared
-	// width.
-	n := MustParse("16'hdead")
-	v, err := n.Eval(nil)
-	if err != nil || v.Bits != 0xdead || v.Width != 16 {
-		t.Fatalf("two-state 16'hdead = %v, %v", v, err)
+	// width, so a condition using one still fuses.
+	p := newProgram(MustParse("16'hdead"))
+	if lit, ok := p.Folded.(numNode); p == nil || !ok || lit.v.Bits != 0xdead || lit.v.Width != 16 {
+		t.Fatalf("two-state 16'hdead folded to %v", p)
 	}
 
-	// Four-state literals parse but are rejected by the two-state
-	// evaluator and the compiler, forcing the general path.
-	n = MustParse("sig === 8'b1x0z")
-	if _, err := n.Eval(ResolverFunc(func(string) (eval.Value, error) {
-		return eval.Make(0, 8, false), nil
-	})); err == nil {
-		t.Fatal("two-state Eval of a four-state literal should error")
-	}
-	if _, err := Compile(n); err == nil {
-		t.Fatal("Compile of a four-state literal should error")
+	// Four-state literals parse but have no fusable program, forcing
+	// the general path.
+	if p := newProgram(MustParse("sig === 8'b1x0z")); p != nil {
+		t.Fatalf("four-state literal fused as %s", p.Folded)
 	}
 
 	for _, bad := range []string{"8'b2", "99999999'h0", "8'hgg", "0'd0"} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) should fail", bad)
-		}
-	}
-}
-
-// TestEvalBitsMatchesTwoState is the in-package differential check: on
-// fully known ≤64-bit inputs the four-state evaluator must produce
-// bit-identical results to the two-state tree-walk, including widths.
-func TestEvalBitsMatchesTwoState(t *testing.T) {
-	exprs := []string{
-		"a + b", "a - b", "a * b", "b / (a | 1)", "b % (a | 1)",
-		"a & b", "a | b", "a ^ b", "~a", "-b", "!a",
-		"a == b", "a != b", "a === b", "a !== b",
-		"a < b", "a <= b", "a > b", "a >= b",
-		"a << 3", "a >> 2", "a << b[2:0]",
-		"a && b", "a || b", "!a && (b || c)",
-		"a ? b : c", "(a & 0xff) == 0x80 ? b + 1 : c - 1",
-		"a[7:0] + b[15:8]", "a[31]", "(a + b) * (c & 0xf)",
-		"a === 16'hdead", "a[7:0] !== 8'hff",
-	}
-	rng := rand.New(rand.NewSource(7))
-	for _, src := range exprs {
-		n := MustParse(src)
-		for trial := 0; trial < 50; trial++ {
-			vals := map[string]eval.Value{
-				"a": eval.Make(rng.Uint64(), 32, false),
-				"b": eval.Make(rng.Uint64(), 16, false),
-				"c": eval.Make(rng.Uint64(), 64, false),
-			}
-			want, err := n.Eval(ResolverFunc(func(name string) (eval.Value, error) {
-				return vals[name], nil
-			}))
-			got, gerr := EvalBits(n, BitsResolverFunc(func(name string) (val.Bits, error) {
-				return vals[name].ToBits(), nil
-			}))
-			if (err != nil) != (gerr != nil) {
-				t.Fatalf("%s: error mismatch: two-state %v, four-state %v", src, err, gerr)
-			}
-			if err != nil {
-				continue
-			}
-			if !got.CaseEq(want.ToBits()) || got.Width != want.ToBits().Width {
-				t.Fatalf("%s: four-state %s (width %d) != two-state %s (width %d)",
-					src, got, got.Width, want, want.Width)
-			}
 		}
 	}
 }

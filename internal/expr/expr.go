@@ -1,8 +1,10 @@
 // Package expr implements the small C-like expression language used by
 // the debugger: enable conditions stored in the symbol table (rendered
 // by ir.RenderInfix) and user-supplied conditional-breakpoint / watch
-// expressions both parse into an AST evaluated against a name resolver
-// that fetches live signal values.
+// expressions both parse into an AST. A condition has exactly two
+// evaluators: the whole-schedule fused program (Fuse → eval.MultiProg)
+// that runs every armed condition once per clock edge, and EvalBits,
+// the general four-state evaluator behind everything else.
 package expr
 
 import (
@@ -15,25 +17,13 @@ import (
 	"repro/internal/val"
 )
 
-// Resolver maps a (possibly dotted) name to its current value.
-type Resolver interface {
-	Resolve(name string) (eval.Value, error)
-}
-
-// ResolverFunc adapts a function to the Resolver interface.
-type ResolverFunc func(name string) (eval.Value, error)
-
-// Resolve implements Resolver.
-func (f ResolverFunc) Resolve(name string) (eval.Value, error) { return f(name) }
-
 // Node is a parsed expression node.
 type Node interface {
-	// Eval computes the node's value against a resolver.
-	Eval(r Resolver) (eval.Value, error)
 	// evalBits computes the node's value with four-state semantics (see
 	// evalbits.go); subtrees whose operands are all fully known and at
 	// most 64 bits wide run through the exact same eval.Prim calls as
-	// Eval, so the general path is bit-identical on two-state inputs.
+	// the fused program, so the two evaluators are bit-identical on
+	// two-state inputs.
 	evalBits(r BitsResolver) (bval, error)
 	// Names reports the identifiers the expression references.
 	names(into map[string]bool)
@@ -64,21 +54,17 @@ type numNode struct {
 	v eval.Value
 }
 
-func (n numNode) Eval(Resolver) (eval.Value, error) { return n.v, nil }
-func (n numNode) names(map[string]bool)             {}
-func (n numNode) String() string                    { return n.v.String() }
+func (n numNode) names(map[string]bool) {}
+func (n numNode) String() string        { return n.v.String() }
 
 // xnumNode is a literal the two-state fast path cannot represent:
 // wider than 64 bits or carrying x/z digits (128'hdead_beef, 8'b1x0z).
-// Eval and Compile reject it, which routes the whole expression to the
-// general four-state evaluator.
+// ParseCompile returns no Program for an expression holding one, which
+// routes the whole expression to the general four-state evaluator.
 type xnumNode struct {
 	b val.Bits
 }
 
-func (n xnumNode) Eval(Resolver) (eval.Value, error) {
-	return eval.Value{}, fmt.Errorf("expr: literal %s needs the four-state evaluator", n.b.String())
-}
 func (n xnumNode) names(map[string]bool) {}
 func (n xnumNode) String() string        { return n.b.String() }
 
@@ -86,9 +72,8 @@ type nameNode struct {
 	name string
 }
 
-func (n nameNode) Eval(r Resolver) (eval.Value, error) { return r.Resolve(n.name) }
-func (n nameNode) names(m map[string]bool)             { m[n.name] = true }
-func (n nameNode) String() string                      { return n.name }
+func (n nameNode) names(m map[string]bool) { m[n.name] = true }
+func (n nameNode) String() string          { return n.name }
 
 type unaryNode struct {
 	op string
@@ -98,16 +83,9 @@ type unaryNode struct {
 func (n unaryNode) names(m map[string]bool) { n.x.names(m) }
 func (n unaryNode) String() string          { return "(" + n.op + n.x.String() + ")" }
 
-func (n unaryNode) Eval(r Resolver) (eval.Value, error) {
-	v, err := n.x.Eval(r)
-	if err != nil {
-		return eval.Value{}, err
-	}
-	return n.apply(v)
-}
-
-// apply is the two-state operator body, shared with the four-state
-// evaluator's known-operand specialization.
+// apply is the two-state operator body: the four-state evaluator's
+// known-operand specialization, matching the fused program's IPrim1 /
+// ILogNot instructions.
 func (n unaryNode) apply(v eval.Value) (eval.Value, error) {
 	switch n.op {
 	case "~":
@@ -145,48 +123,10 @@ var binOps = map[string]ir.PrimOp{
 	"<<": ir.OpDshl, ">>": ir.OpDshr,
 }
 
-func (n binNode) Eval(r Resolver) (eval.Value, error) {
-	a, err := n.a.Eval(r)
-	if err != nil {
-		return eval.Value{}, err
-	}
-	// Short-circuit the logical forms.
-	switch n.op {
-	case "&&":
-		if !a.IsTrue() {
-			return eval.Make(0, 1, false), nil
-		}
-		b, err := n.b.Eval(r)
-		if err != nil {
-			return eval.Value{}, err
-		}
-		if b.IsTrue() {
-			return eval.Make(1, 1, false), nil
-		}
-		return eval.Make(0, 1, false), nil
-	case "||":
-		if a.IsTrue() {
-			return eval.Make(1, 1, false), nil
-		}
-		b, err := n.b.Eval(r)
-		if err != nil {
-			return eval.Value{}, err
-		}
-		if b.IsTrue() {
-			return eval.Make(1, 1, false), nil
-		}
-		return eval.Make(0, 1, false), nil
-	}
-	b, err := n.b.Eval(r)
-	if err != nil {
-		return eval.Value{}, err
-	}
-	return applyBin(n.op, a, b)
-}
-
 // applyBin applies a non-short-circuit binary operator to two-state
-// values. Shared by the tree-walk and the four-state evaluator's
-// known-operand specialization so the two stay bit-identical.
+// values: the four-state evaluator's known-operand specialization,
+// matching the fused program's ICapW / IPrim2 lowering so the two stay
+// bit-identical.
 func applyBin(opText string, a, b eval.Value) (eval.Value, error) {
 	op, ok := binOps[opText]
 	if !ok {
@@ -209,17 +149,6 @@ func (n ternaryNode) String() string {
 	return "(" + n.cond.String() + " ? " + n.t.String() + " : " + n.f.String() + ")"
 }
 
-func (n ternaryNode) Eval(r Resolver) (eval.Value, error) {
-	c, err := n.cond.Eval(r)
-	if err != nil {
-		return eval.Value{}, err
-	}
-	if c.IsTrue() {
-		return n.t.Eval(r)
-	}
-	return n.f.Eval(r)
-}
-
 type bitsNode struct {
 	x      Node
 	hi, lo int
@@ -233,16 +162,8 @@ func (n bitsNode) String() string {
 	return fmt.Sprintf("%s[%d:%d]", n.x, n.hi, n.lo)
 }
 
-func (n bitsNode) Eval(r Resolver) (eval.Value, error) {
-	v, err := n.x.Eval(r)
-	if err != nil {
-		return eval.Value{}, err
-	}
-	return n.apply(v)
-}
-
-// apply is the two-state bit-select body, shared with the four-state
-// evaluator's known-operand specialization.
+// apply is the two-state bit-select body: the four-state evaluator's
+// known-operand specialization, matching the fused program's IBits.
 func (n bitsNode) apply(v eval.Value) (eval.Value, error) {
 	if n.hi >= v.Width {
 		// Be forgiving about widths the resolver reports: extract what
@@ -282,15 +203,6 @@ func MustParse(src string) Node {
 		panic(err)
 	}
 	return n
-}
-
-// Eval parses and evaluates in one step.
-func Eval(src string, r Resolver) (eval.Value, error) {
-	n, err := Parse(src)
-	if err != nil {
-		return eval.Value{}, err
-	}
-	return n.Eval(r)
 }
 
 type parser struct {

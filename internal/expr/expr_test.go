@@ -5,29 +5,40 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/eval"
 	"repro/internal/ir"
+	"repro/internal/val"
 )
 
 // mapResolver resolves names from a fixed table of 32-bit values.
 type mapResolver map[string]uint64
 
-func (m mapResolver) Resolve(name string) (eval.Value, error) {
+func (m mapResolver) ResolveBits(name string) (val.Bits, error) {
 	v, ok := m[name]
 	if !ok {
-		return eval.Value{}, fmt.Errorf("unknown name %q", name)
+		return val.Bits{}, fmt.Errorf("unknown name %q", name)
 	}
-	return eval.Make(v, 32, false), nil
+	return val.FromUint64(v, 32), nil
 }
 
-func evalStr(t *testing.T, src string, r Resolver) eval.Value {
-	t.Helper()
-	v, err := Eval(src, r)
+// evalSrc parses and evaluates one expression.
+func evalSrc(src string, r BitsResolver) (val.Bits, error) {
+	n, err := Parse(src)
 	if err != nil {
-		t.Fatalf("Eval(%q): %v", src, err)
+		return val.Bits{}, err
+	}
+	return EvalBits(n, r)
+}
+
+func evalStr(t *testing.T, src string, r BitsResolver) val.Bits {
+	t.Helper()
+	v, err := evalSrc(src, r)
+	if err != nil {
+		t.Fatalf("EvalBits(%q): %v", src, err)
 	}
 	return v
 }
+
+func isTrue(b val.Bits) bool { return b.Truth() == val.True }
 
 func TestArithmetic(t *testing.T) {
 	r := mapResolver{"a": 10, "b": 3}
@@ -47,8 +58,8 @@ func TestArithmetic(t *testing.T) {
 		{"0b101 + 1", 6},
 	}
 	for _, c := range cases {
-		if got := evalStr(t, c.src, r); got.Bits != c.want {
-			t.Errorf("%q = %d, want %d", c.src, got.Bits, c.want)
+		if got := evalStr(t, c.src, r); got.V0 != c.want {
+			t.Errorf("%q = %d, want %d", c.src, got.V0, c.want)
 		}
 	}
 }
@@ -74,8 +85,8 @@ func TestComparisonsAndLogic(t *testing.T) {
 		{"x != 5 ? 1 : 0", false},
 	}
 	for _, c := range cases {
-		if got := evalStr(t, c.src, r); got.IsTrue() != c.want {
-			t.Errorf("%q = %v, want %v", c.src, got.IsTrue(), c.want)
+		if got := evalStr(t, c.src, r); isTrue(got) != c.want {
+			t.Errorf("%q = %v, want %v", c.src, isTrue(got), c.want)
 		}
 	}
 }
@@ -98,16 +109,16 @@ func TestBitwiseAndShifts(t *testing.T) {
 		{"~a & 0xF", 0b0011},
 	}
 	for _, c := range cases {
-		if got := evalStr(t, c.src, r); got.Bits != c.want {
-			t.Errorf("%q = %#b, want %#b", c.src, got.Bits, c.want)
+		if got := evalStr(t, c.src, r); got.V0 != c.want {
+			t.Errorf("%q = %#b, want %#b", c.src, got.V0, c.want)
 		}
 	}
 }
 
 func TestDottedNames(t *testing.T) {
 	r := mapResolver{"Top.u0.acc": 42, "io.out.bits": 7}
-	if got := evalStr(t, "Top.u0.acc + io.out.bits", r); got.Bits != 49 {
-		t.Fatalf("dotted = %d", got.Bits)
+	if got := evalStr(t, "Top.u0.acc + io.out.bits", r); got.V0 != 49 {
+		t.Fatalf("dotted = %d", got.V0)
 	}
 	n := MustParse("Top.u0.acc == 42")
 	names := Names(n)
@@ -119,8 +130,8 @@ func TestDottedNames(t *testing.T) {
 func TestTernaryNesting(t *testing.T) {
 	r := mapResolver{"s": 2}
 	got := evalStr(t, "s == 0 ? 10 : s == 1 ? 20 : 30", r)
-	if got.Bits != 30 {
-		t.Fatalf("nested ternary = %d", got.Bits)
+	if got.V0 != 30 {
+		t.Fatalf("nested ternary = %d", got.V0)
 	}
 }
 
@@ -133,24 +144,24 @@ func TestRoundTripWithRenderInfix(t *testing.T) {
 		ir.NewPrim(ir.OpNot, ir.Ref{Name: "_T_2"}))
 	src := ir.RenderInfix(enable)
 	r := mapResolver{"_T_1": 1, "_T_2": 0}
-	v, err := Eval(src, r)
+	v, err := evalSrc(src, r)
 	if err != nil {
 		t.Fatalf("round trip %q: %v", src, err)
 	}
-	if !v.IsTrue() {
+	if !isTrue(v) {
 		t.Fatalf("%q = false, want true", src)
 	}
 	// Bit-extract rendering round-trips too.
 	bit := ir.NewPrimP(ir.OpBits, []int{0, 0}, ir.Ref{Name: "data"})
 	src2 := ir.RenderInfix(bit)
-	v2, err := Eval(src2, mapResolver{"data": 3})
-	if err != nil || v2.Bits != 1 {
+	v2, err := evalSrc(src2, mapResolver{"data": 3})
+	if err != nil || v2.V0 != 1 {
 		t.Fatalf("%q = %v, %v", src2, v2, err)
 	}
 	// Mux rendering.
 	mux := ir.Mux{Cond: ir.Ref{Name: "c"}, T: ir.ConstUInt(4, 4), F: ir.ConstUInt(9, 4)}
-	v3, err := Eval(ir.RenderInfix(mux), mapResolver{"c": 0})
-	if err != nil || v3.Bits != 9 {
+	v3, err := evalSrc(ir.RenderInfix(mux), mapResolver{"c": 0})
+	if err != nil || v3.V0 != 9 {
 		t.Fatalf("mux render = %v, %v", v3, err)
 	}
 }
@@ -169,10 +180,10 @@ func TestParseErrors(t *testing.T) {
 
 func TestEvalErrors(t *testing.T) {
 	r := mapResolver{}
-	if _, err := Eval("ghost + 1", r); err == nil {
+	if _, err := evalSrc("ghost + 1", r); err == nil {
 		t.Fatal("unknown name evaluated")
 	}
-	if _, err := Eval("a[100]", mapResolver{"a": 1}); err != nil {
+	if _, err := evalSrc("a[100]", mapResolver{"a": 1}); err != nil {
 		// Forgiving width handling: high bits read as zero.
 		t.Fatalf("wide bit extract: %v", err)
 	}
@@ -219,12 +230,12 @@ func TestParseRenderFixpointProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		v1, err1 := n1.Eval(r)
-		v2, err2 := n2.Eval(r)
+		v1, err1 := EvalBits(n1, r)
+		v2, err2 := EvalBits(n2, r)
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		return v1.Bits == v2.Bits
+		return v1.CaseEq(v2) && v1.Width == v2.Width
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -9,11 +9,11 @@ import (
 	"repro/internal/ir"
 )
 
-// This file implements the schedule fuser: it compiles the compiled
+// This file implements the schedule fuser: it lowers the folded
 // conditions of EVERY armed breakpoint and watchpoint into one fused
-// eval.MultiProg the debugger executes once per clock edge, instead of
-// dispatching each condition group separately. Two things make the
-// fused form cheaper than N independent programs:
+// eval.MultiProg the debugger executes once per clock edge — the only
+// compiled form a condition has. Two things make the fused form cheaper
+// than evaluating the conditions one by one:
 //
 //   - Cross-condition CSE. Subexpressions are canonicalized with their
 //     signal names replaced by the caller's operand slot ids (the
@@ -34,16 +34,15 @@ import (
 // CSE candidates, guarded occurrences merely read an already-hoisted
 // register, and any evaluation error poisons exactly the segments that
 // observed it (eval.Segment.Ops/Deps), whose conditions the scheduler
-// then re-evaluates by the exact per-condition path. Correctness never
-// depends on the CSE heuristic; the heuristic only decides how much
-// work is shared.
+// then re-evaluates with EvalBits. Correctness never depends on the CSE
+// heuristic; the heuristic only decides how much work is shared.
 
 // FusedCondition is one armed condition handed to the fuser: the
-// compiled enable and user-condition programs (either may be nil; both
+// folded enable and user-condition programs (either may be nil; both
 // nil means "always hits when evaluated") plus, aligned with each
 // program's Deps order, the caller's operand slot ids. Every slot must
 // be >= 0 — conditions with unresolved dependencies are not fusable and
-// stay on the per-condition path.
+// are evaluated with EvalBits instead.
 type FusedCondition struct {
 	Enable      *Program
 	Cond        *Program
@@ -160,8 +159,8 @@ func Fuse(conds []FusedCondition) (*FusedSchedule, error) {
 		f.emitted[s.key] = uint16(i)
 	}
 	// Pass 4: emit one segment per condition: enable short-circuits the
-	// user condition exactly like the per-condition path (a falsy enable
-	// value is itself the — falsy — result).
+	// user condition exactly like EvalBits does (a falsy enable value is
+	// itself the — falsy — result).
 	for i, ir := range irs {
 		seg := eval.Segment{Start: len(f.code), Result: uint16(f.reg(scratch))}
 		switch {
@@ -388,11 +387,14 @@ func addU16(list []uint16, v uint16) []uint16 {
 	return append(list, v)
 }
 
-// fcompile mirrors compiler.compile with two hooks: names resolve
+// fcompile emits code leaving the node's value in register dst, using
+// registers > dst as scratch (stack-style allocation). Names resolve
 // through the fused operand table, and any subtree whose key has
 // already been hoisted compiles to a single shared-register read —
 // guarded occurrences included, since reading a register cannot fault
-// and a poisoned source is caught through the segment's Deps.
+// and a poisoned source is caught through the segment's Deps. The
+// short-circuit forms (&&, ||, ?:) compile to branches so the skipped
+// side is never executed, exactly like EvalBits.
 func (f *fuser) fcompile(n Node, dst int, nameOp map[string]uint16) error {
 	switch n.(type) {
 	case numNode, nameNode:
@@ -499,6 +501,8 @@ func (f *fuser) fcompileBin(t binNode, dst int, nameOp map[string]uint16) error 
 		return err
 	}
 	if op == ir.OpDshl {
+		// Mirror applyBin: the dynamic-shift amount is capped to 6 bits
+		// of magnitude to satisfy eval's width model.
 		f.emit(eval.Instr{Kind: eval.ICapW, Dst: uint16(f.reg(dst + 1)), A: uint16(dst + 1), P0: 6})
 	}
 	f.emit(eval.Instr{Kind: eval.IPrim2, Op: op, Dst: uint16(f.reg(dst)), A: uint16(dst), B: uint16(dst + 1)})

@@ -1,10 +1,12 @@
 package expr
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/eval"
+	"repro/internal/val"
 )
 
 // fuseExec runs a fused schedule against per-slot values and returns
@@ -26,34 +28,59 @@ func fuseExec(fs *FusedSchedule, slotVals []eval.Value) (results []eval.Value, o
 	return results, ok
 }
 
-// refCond evaluates one fused condition by the exact per-condition
-// compiled path: enable, then (only when the enable holds) the user
-// condition. The bool reports the combined truth value.
-func refCond(c FusedCondition, slotVals []eval.Value, m *eval.Machine) (bool, error) {
-	gather := func(p *Program, slots []int) []eval.Value {
-		ops := make([]eval.Value, len(p.Deps))
-		for i := range ops {
-			ops[i] = slotVals[slots[i]]
+// slotEnv exposes per-slot values to EvalBits under one condition's
+// name → slot mapping. Values lift through ToBits, sign included, so
+// the oracle sees exactly the operands the fused program reads.
+func slotEnv(slotOf map[string]int, slotVals []eval.Value) BitsResolver {
+	return BitsResolverFunc(func(name string) (val.Bits, error) {
+		s, ok := slotOf[name]
+		if !ok {
+			return val.Bits{}, fmt.Errorf("unknown name %q", name)
 		}
-		return ops
+		return slotVals[s].ToBits(), nil
+	})
+}
+
+// refCond is the fuser's oracle: EvalBits over the original, unfolded
+// enable and user-condition trees, combined the way a fused segment
+// combines them — the user condition runs only once the enable holds,
+// a falsy enable value is itself the result, and a condition with
+// neither is the constant 1.
+func refCond(enable, cond Node, env BitsResolver) (val.Bits, error) {
+	if enable != nil {
+		e, err := EvalBits(enable, env)
+		if err != nil || cond == nil || e.Truth() != val.True {
+			return e, err
+		}
 	}
-	if c.Enable != nil {
-		v, err := c.Enable.Exec(m, gather(c.Enable, c.EnableSlots))
-		if err != nil {
-			return false, err
-		}
-		if !v.IsTrue() {
-			return false, nil
-		}
+	if cond != nil {
+		return EvalBits(cond, env)
 	}
-	if c.Cond != nil {
-		v, err := c.Cond.Exec(m, gather(c.Cond, c.CondSlots))
-		if err != nil {
-			return false, err
+	return val.FromUint64(1, 1), nil
+}
+
+// checkFused compares one fused result with the oracle's. A sound
+// result must match by value, width and sign — watch values ride the
+// fused program, not just truth — and a condition whose oracle
+// evaluation errors must never be reported sound. Unsound results
+// where the oracle succeeds are allowed: poisoning may be conservative
+// (a hoisted subexpression can fault where the original would have
+// short-circuited past it) but must not be optimistic.
+func checkFused(got eval.Value, ok bool, want val.Bits, errW error) error {
+	if errW != nil {
+		if ok {
+			return fmt.Errorf("EvalBits errs (%v) but fused reports sound %v", errW, got)
 		}
-		return v.IsTrue(), nil
+		return nil
 	}
-	return true, nil
+	if !ok {
+		return nil
+	}
+	if g := got.ToBits(); !g.CaseEq(want) || g.Width != want.Width || g.Signed != want.Signed {
+		return fmt.Errorf("fused %s (width %d, signed %v), EvalBits %s (width %d, signed %v)",
+			g, g.Width, g.Signed, want, want.Width, want.Signed)
+	}
+	return nil
 }
 
 // compileCond builds a FusedCondition from optional enable/cond ASTs
@@ -62,9 +89,9 @@ func compileCond(t *testing.T, enable, cond Node, slotOf map[string]int) FusedCo
 	t.Helper()
 	var fc FusedCondition
 	mk := func(n Node) (*Program, []int) {
-		p, err := Compile(n)
-		if err != nil {
-			t.Fatalf("compile %s: %v", n, err)
+		p := newProgram(n)
+		if p == nil {
+			t.Fatalf("%s has no fusable program", n)
 		}
 		slots := make([]int, len(p.Deps))
 		for i, d := range p.Deps {
@@ -81,21 +108,24 @@ func compileCond(t *testing.T, enable, cond Node, slotOf map[string]int) FusedCo
 	return fc
 }
 
-// TestFuseDifferential pins the fuser's parity contract against the
-// per-condition compiled path over random condition sets: a condition
-// the fused program reports sound (ok) must match the reference truth
-// value exactly, and a condition whose reference evaluation errors must
-// never be reported sound — poisoning may be conservative (a hoisted
-// subexpression can fault where the original would have short-circuited
-// past it) but must not be optimistic.
+// TestFuseDifferential pins the fuser against EvalBits over random
+// condition sets: every sound fused result must equal EvalBits of the
+// original trees in value, width and sign (see checkFused), across
+// random environments mixing signed and unsigned operands of widths
+// 1–64.
 func TestFuseDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(20260808))
 	names := []string{"a", "b", "c", "d"}
 	const numSlots = 6
 	sharedTotal := 0
+	type orig struct {
+		enable, cond Node
+		slotOf       map[string]int
+	}
 	for trial := 0; trial < 300; trial++ {
 		k := 1 + r.Intn(10)
 		conds := make([]FusedCondition, k)
+		origs := make([]orig, k)
 		for i := range conds {
 			slotOf := map[string]int{}
 			for _, n := range names {
@@ -111,6 +141,7 @@ func TestFuseDifferential(t *testing.T) {
 				cond = randNode(r, names, 3)
 			}
 			conds[i] = compileCond(t, enable, cond, slotOf)
+			origs[i] = orig{enable, cond, slotOf}
 		}
 		fs, err := Fuse(conds)
 		if err != nil {
@@ -123,18 +154,10 @@ func TestFuseDifferential(t *testing.T) {
 				slotVals[s] = eval.Make(r.Uint64(), 1+r.Intn(64), r.Intn(2) == 0)
 			}
 			results, ok := fuseExec(fs, slotVals)
-			var m eval.Machine
-			for ci := range conds {
-				want, errW := refCond(conds[ci], slotVals, &m)
-				if errW != nil {
-					if ok[ci] {
-						t.Fatalf("trial %d cond %d: reference errs (%v) but fused reports sound %v",
-							trial, ci, errW, results[ci])
-					}
-					continue
-				}
-				if ok[ci] && results[ci].IsTrue() != want {
-					t.Fatalf("trial %d cond %d: fused=%v want=%v", trial, ci, results[ci].IsTrue(), want)
+			for ci, o := range origs {
+				want, errW := refCond(o.enable, o.cond, slotEnv(o.slotOf, slotVals))
+				if err := checkFused(results[ci], ok[ci], want, errW); err != nil {
+					t.Fatalf("trial %d cond %d (%v / %v): %v", trial, ci, o.enable, o.cond, err)
 				}
 			}
 		}
@@ -146,33 +169,35 @@ func TestFuseDifferential(t *testing.T) {
 
 // FuzzFuse is the coverage-guided version of TestFuseDifferential: two
 // fuzz-chosen condition sources (shared slot pool, so common structure
-// fuses) against the per-condition reference. The corpus seeds cover
-// the interesting shapes — hoistable common enables, guarded-only
-// sharing, ternaries, slices.
+// fuses) against EvalBits. The corpus seeds cover the interesting
+// shapes — hoistable common enables, guarded-only sharing, ternaries,
+// slices.
 func FuzzFuse(f *testing.F) {
 	f.Add("(x + y) > 3", "(x + y) < 9", uint64(1))
 	f.Add("a == 0 && (b << a) > 1", "a == 1 && (b << a) > 1", uint64(2))
 	f.Add("en ? cnt == 5 : cnt == 9", "en && cnt[3:0] != 2", uint64(3))
 	f.Add("a % b == 0", "a / b > 1", uint64(4))
-	// Sized literals and case equality: two-state sized forms compile
-	// (and fuse); four-state / >64-bit literals bail at Compile, seeding
+	// Sized literals and case equality: two-state sized forms fuse;
+	// four-state / >64-bit literals have no fusable program, seeding
 	// the parser side of the corpus.
 	f.Add("x === 16'hdead", "x !== 16'hbeef && x > 0", uint64(5))
 	f.Add("a === 8'b1x0z", "a == 130'h3deadbeefcafebabe0123456789abcdef0", uint64(6))
+	f.Add("-a < 0", "(a >> 1) + 1 == 0", uint64(7))
 	f.Fuzz(func(t *testing.T, src1, src2 string, seed uint64) {
 		if len(src1) > 256 || len(src2) > 256 {
 			return
 		}
 		const numSlots = 4
 		var conds []FusedCondition
+		var nodes []Node
 		slotOf := map[string]int{}
 		for _, src := range []string{src1, src2} {
 			n, err := Parse(src)
 			if err != nil {
 				return
 			}
-			p, err := Compile(n)
-			if err != nil {
+			p := newProgram(n)
+			if p == nil {
 				return
 			}
 			slots := make([]int, len(p.Deps))
@@ -183,6 +208,7 @@ func FuzzFuse(f *testing.F) {
 				slots[i] = slotOf[d]
 			}
 			conds = append(conds, FusedCondition{Enable: p, EnableSlots: slots})
+			nodes = append(nodes, n)
 		}
 		fs, err := Fuse(conds)
 		if err != nil {
@@ -201,19 +227,10 @@ func FuzzFuse(f *testing.F) {
 				slotVals[s] = eval.Make(next(), 1+int(next()%64), next()%2 == 0)
 			}
 			results, ok := fuseExec(fs, slotVals)
-			var m eval.Machine
-			for ci := range conds {
-				want, errW := refCond(conds[ci], slotVals, &m)
-				if errW != nil {
-					if ok[ci] {
-						t.Fatalf("cond %d (%q/%q): reference errs (%v) but fused sound %v",
-							ci, src1, src2, errW, results[ci])
-					}
-					continue
-				}
-				if ok[ci] && results[ci].IsTrue() != want {
-					t.Fatalf("cond %d (%q/%q): fused=%v want=%v",
-						ci, src1, src2, results[ci].IsTrue(), want)
+			for ci, n := range nodes {
+				want, errW := refCond(n, nil, slotEnv(slotOf, slotVals))
+				if err := checkFused(results[ci], ok[ci], want, errW); err != nil {
+					t.Fatalf("cond %d (%q/%q): %v", ci, src1, src2, err)
 				}
 			}
 		}
@@ -272,9 +289,10 @@ func TestFuseGuardedNotHoisted(t *testing.T) {
 	// (b << a) > 1 appears in both conditions but only on && right
 	// sides, and the unguarded left sides differ — nothing may be
 	// shared.
+	nodes := []Node{MustParse("a == 0 && (b << a) > 1"), MustParse("a == 1 && (b << a) > 1")}
 	conds := []FusedCondition{
-		compileCond(t, MustParse("a == 0 && (b << a) > 1"), nil, slots),
-		compileCond(t, MustParse("a == 1 && (b << a) > 1"), nil, slots),
+		compileCond(t, nodes[0], nil, slots),
+		compileCond(t, nodes[1], nil, slots),
 	}
 	fs, err := Fuse(conds)
 	if err != nil {
@@ -285,19 +303,21 @@ func TestFuseGuardedNotHoisted(t *testing.T) {
 	}
 	slotVals := []eval.Value{eval.Make(0, 8, false), eval.Make(3, 8, false)}
 	results, ok := fuseExec(fs, slotVals)
-	for ci := range conds {
-		var m eval.Machine
-		want, errW := refCond(conds[ci], slotVals, &m)
+	for ci, n := range nodes {
+		want, errW := refCond(n, nil, slotEnv(slots, slotVals))
 		if errW != nil {
 			t.Fatalf("cond %d: unexpected reference error %v", ci, errW)
 		}
-		if !ok[ci] || results[ci].IsTrue() != want {
-			t.Fatalf("cond %d: fused=(%v, ok=%v) want=%v", ci, results[ci].IsTrue(), ok[ci], want)
+		if !ok[ci] {
+			t.Fatalf("cond %d: fused result poisoned", ci)
+		}
+		if err := checkFused(results[ci], ok[ci], want, errW); err != nil {
+			t.Fatalf("cond %d: %v", ci, err)
 		}
 	}
 }
 
-// TestFusePoisonIsolation checks per-segment error isolation. Compiled
+// TestFusePoisonIsolation checks per-segment error isolation. Fused
 // expr primitives cannot fault at run time (division by zero yields
 // zero, dynamic shifts cap their width), so the poison source is the
 // one the scheduler actually sees: a failed operand fetch. A condition
@@ -340,7 +360,8 @@ func TestFusePoisonIsolation(t *testing.T) {
 }
 
 // TestFusedExecZeroAllocs pins the fused hot loop's allocation-free
-// property, matching TestExecZeroAllocs for the per-condition machine.
+// property: steady-state execution of a fused program with CSE and a
+// skip bitmap performs no heap allocations.
 func TestFusedExecZeroAllocs(t *testing.T) {
 	slots := map[string]int{"a": 0, "b": 1, "c": 2}
 	enable := MustParse("(a + b) % 7 == 3")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 )
@@ -20,7 +21,10 @@ import (
 // holding the same table — or the same path re-written identically —
 // share one entry, and a file that changed on disk gets a fresh one.
 // Entries are refcounted: Acquire returns a release closure, and an
-// entry stays resident while any runtime holds it. Released entries
+// entry stays resident while any runtime holds it. Loading is
+// single-flight: the first acquirer of a content key parses it outside
+// the lock while later acquirers of the same key wait for that one
+// parse instead of starting their own. Released entries
 // are not discarded immediately — they park on an idle LRU whose
 // total serialized size is budgeted, so launch/evict churn over a
 // small set of designs keeps hitting memory while a large history
@@ -37,13 +41,21 @@ type Cache struct {
 	budget    int
 
 	hits, misses uint64
+
+	// load parses one table (Load; replaceable so tests can hold a load
+	// in flight).
+	load func(io.Reader) (*Table, error)
 }
 
 type cacheEntry struct {
-	key   string
+	key  string
+	size int // serialized byte size, the LRU budget unit
+	refs int
+	// done is closed when the entry's load finishes; table and err are
+	// written before it closes and read only after.
+	done  chan struct{}
 	table *Table
-	size  int // serialized byte size, the LRU budget unit
-	refs  int
+	err   error
 }
 
 // DefaultCacheBudget bounds idle (released, unreferenced) cached
@@ -57,15 +69,17 @@ func NewCache(budget int) *Cache {
 	if budget <= 0 {
 		budget = DefaultCacheBudget
 	}
-	return &Cache{entries: map[string]*cacheEntry{}, budget: budget}
+	return &Cache{entries: map[string]*cacheEntry{}, budget: budget, load: Load}
 }
 
 // Acquire loads the symbol table at path through the cache. The
 // returned release closure must be called exactly once when the
 // runtime holding the table is done with it; the table itself must be
 // treated as read-only (it may be shared with other runtimes). hit
-// reports whether the table was already resident — identical content
-// had been loaded by an earlier (or concurrent) acquisition.
+// reports whether the table came without a parse — identical content
+// had been loaded, or was being loaded, by an earlier or concurrent
+// acquisition. A failed load is not cached: every acquirer waiting on
+// it gets the error, and the next acquisition parses again.
 func (c *Cache) Acquire(path string) (table *Table, release func(), hit bool, err error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -76,39 +90,38 @@ func (c *Cache) Acquire(path string) (table *Table, release func(), hit bool, er
 
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
-		c.hits++
 		if e.refs == 0 {
 			c.removeIdleLocked(e)
 		}
 		e.refs++
+		c.mu.Unlock()
+		// The entry may still be loading: share that one parse.
+		<-e.done
+		if e.err != nil {
+			return nil, nil, false, e.err
+		}
+		c.mu.Lock()
+		c.hits++
 		c.mu.Unlock()
 		return e.table, c.releaseFunc(e), true, nil
 	}
 	c.misses++
+	e := &cacheEntry{key: key, size: len(raw), refs: 1, done: make(chan struct{})}
+	c.entries[key] = e
 	c.mu.Unlock()
 
 	// Parse outside the lock: a slow load (multi-MB table) must not
-	// stall unrelated hits. Two concurrent first-loads of the same
-	// content may both parse; the loser's copy is dropped below.
-	table, err = Load(bytes.NewReader(raw))
-	if err != nil {
-		return nil, nil, false, err
-	}
-
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		// Lost the parse race: share the winner's table.
-		c.hits++
-		if e.refs == 0 {
-			c.removeIdleLocked(e)
-		}
-		e.refs++
+	// stall unrelated hits.
+	e.table, e.err = c.load(bytes.NewReader(raw))
+	if e.err != nil {
+		c.mu.Lock()
+		delete(c.entries, key)
 		c.mu.Unlock()
-		return e.table, c.releaseFunc(e), true, nil
 	}
-	e := &cacheEntry{key: key, table: table, size: len(raw), refs: 1}
-	c.entries[key] = e
-	c.mu.Unlock()
+	close(e.done)
+	if e.err != nil {
+		return nil, nil, false, e.err
+	}
 	return e.table, c.releaseFunc(e), false, nil
 }
 
@@ -161,9 +174,10 @@ func (c *Cache) evictLocked() {
 
 // CacheStats is a snapshot of the cache's accounting.
 type CacheStats struct {
-	// Hits counts acquisitions served by an already-resident table
-	// (including parse races lost to a concurrent first load); Misses
-	// counts content keys that had to be parsed.
+	// Hits counts acquisitions served without a parse (by a resident
+	// table, or by waiting on a concurrent first load); Misses counts
+	// parses. Hits+Misses is the number of acquisitions that read their
+	// file, less those that waited on a load that failed.
 	Hits, Misses uint64
 	// Live is the number of resident tables currently referenced by at
 	// least one runtime; Idle the number parked on the LRU, whose

@@ -2,10 +2,14 @@ package symtab
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // writeTable serializes the dual-core fixture table to a file and
@@ -206,19 +210,74 @@ func TestCacheConcurrentAcquire(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	for i := 1; i < n; i++ {
-		if tables[i] != nil && tables[0] != nil && tables[i] != tables[0] {
-			// Concurrent first loads may briefly produce a dropped loser,
-			// but everyone must converge on a winner; with one path and a
-			// sequential-ish start it should be one table. Allow at most
-			// the entries map to say one survivor remains.
-			st := c.Stats()
-			if st.Live+st.Idle != 1 {
-				t.Fatalf("cache kept %d tables resident", st.Live+st.Idle)
-			}
+	for i := range tables {
+		if tables[i] == nil || tables[i] != tables[0] {
+			t.Fatalf("acquisition %d got table %p, acquisition 0 got %p: not one shared table",
+				i, tables[i], tables[0])
 		}
 	}
-	if st := c.Stats(); st.Hits+st.Misses != n {
-		t.Fatalf("accounting lost acquisitions: %+v", st)
+	// Single-flight loading: concurrent first loads of one content key
+	// parse it exactly once.
+	if st := c.Stats(); st.Misses != 1 || st.Hits != n-1 || st.Live+st.Idle != 1 {
+		t.Fatalf("stats = %+v, want 1 parse, %d hits, 1 resident table", st, n-1)
+	}
+}
+
+// TestCacheFailedLoad: acquirers waiting on an in-flight load that
+// fails all get its error, the failure is not cached, and the next
+// acquisition parses again.
+func TestCacheFailedLoad(t *testing.T) {
+	dir := t.TempDir()
+	path, _ := writeTable(t, dir, "a.db")
+	c := NewCache(0)
+	gate := make(chan struct{})
+	var loads atomic.Int32
+	c.load = func(io.Reader) (*Table, error) {
+		loads.Add(1)
+		<-gate
+		return nil, errors.New("corrupt table")
+	}
+
+	const n = 8
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			_, _, _, err := c.Acquire(path)
+			errs <- err
+		}()
+	}
+	// Hold the load in flight until every acquirer has joined it.
+	for joined := 0; joined < n; {
+		time.Sleep(time.Millisecond)
+		c.mu.Lock()
+		for _, e := range c.entries {
+			joined = e.refs
+		}
+		c.mu.Unlock()
+	}
+	close(gate)
+	for i := 0; i < n; i++ {
+		if err := <-errs; err == nil || err.Error() != "corrupt table" {
+			t.Fatalf("acquirer %d: err = %v, want the load's error", i, err)
+		}
+	}
+	if got := loads.Load(); got != 1 {
+		t.Fatalf("%d loads for one content key, want 1", got)
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Hits != 0 || st.Live+st.Idle != 0 {
+		t.Fatalf("stats after failed load = %+v, want 1 miss, no hits, nothing resident", st)
+	}
+
+	c.load = Load
+	tbl, rel, hit, err := c.Acquire(path)
+	if err != nil {
+		t.Fatalf("acquire after failed load: %v", err)
+	}
+	defer rel()
+	if hit || tbl == nil {
+		t.Fatalf("acquire after failed load: hit=%v table=%p, want a fresh parse", hit, tbl)
+	}
+	if st := c.Stats(); st.Misses != 2 || st.Live != 1 {
+		t.Fatalf("stats after reload = %+v", st)
 	}
 }

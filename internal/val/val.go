@@ -32,10 +32,17 @@ import (
 //     X-plane 1 and value-plane 1 is z.
 //
 // The zero Bits is a known 0 of width 0; Normalize widths it to 1.
+//
+// Signed records that the value came from a signed (SInt) signal, so
+// lowering it back onto the two-state fast path (eval.FromBits) keeps
+// signed comparisons, shifts and arithmetic. Every operator in this
+// package ignores it and returns unsigned results, as do rendering and
+// the wire encoding.
 type Bits struct {
 	Width  int
 	V0, X0 uint64
 	VH, XH []uint64
+	Signed bool
 }
 
 // Words returns the number of 64-bit words each plane occupies.
