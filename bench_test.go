@@ -94,7 +94,7 @@ func BenchmarkFig5(b *testing.B) {
 //
 // Compare ns/op and the evals/edge metric across /delta vs
 // /exhaustive within a scenario; stop sequences are pinned equal by
-// TestFusedStopEquivalenceRISCV in internal/bench.
+// TestDeltaStopEquivalenceRISCV in internal/bench.
 func BenchmarkFig5Activity(b *testing.B) {
 	schedModes := []struct {
 		name       string

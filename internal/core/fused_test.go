@@ -10,10 +10,57 @@ import (
 )
 
 // These tests pin the fused whole-schedule path (fused.go) to the
-// exhaustive EvalBits reference bit for bit, across the cases where the
-// fused cache could go stale: handler-poked values, mid-run breakpoint
-// changes, and reverse scheduling. The plain bursty-counter
-// differential is TestDeltaSchedulingMatchesExhaustive.
+// exhaustive EvalBits reference bit for bit, on the bursty counter and
+// across the cases where the fused cache could go stale: handler-poked
+// values, mid-run breakpoint changes, and reverse scheduling.
+
+// unfusableCounterConds are counterConds with a term only EvalBits
+// accepts: a known count never case-equals 8'bx, so each predicate is
+// unchanged, but the four-state literal keeps it out of the fused
+// program and the forward walk evaluates it per group at every edge.
+var unfusableCounterConds = [2]string{
+	"count == 3 && count !== 8'bx",
+	"count == 5 && count !== 8'bx",
+}
+
+// TestFusedSchedulingMatchesPerGroupAndExhaustive is the three-way
+// differential on the bursty counter scenario: fused conditions (the
+// default), the forward walk's per-group EvalBits fallback for
+// conditions that cannot fuse, and the exhaustive reference must
+// produce identical stop sequences — and the fused run must actually
+// have executed the fused program and skipped idle work.
+func TestFusedSchedulingMatchesPerGroupAndExhaustive(t *testing.T) {
+	exhaustive, _ := runCounterScenario(t, true, counterConds)
+	perGroup, rtPG := runCounterScenario(t, false, unfusableCounterConds)
+	fused, rt := runCounterScenario(t, false, counterConds)
+	if len(exhaustive) == 0 {
+		t.Fatal("scenario produced no stops; test is vacuous")
+	}
+	if len(perGroup) != len(exhaustive) || len(fused) != len(exhaustive) {
+		t.Fatalf("stop counts differ: fused=%d per-group=%d exhaustive=%d",
+			len(fused), len(perGroup), len(exhaustive))
+	}
+	for i := range exhaustive {
+		if fused[i] != exhaustive[i] {
+			t.Fatalf("stop %d differs:\nfused:      %+v\nexhaustive: %+v", i, fused[i], exhaustive[i])
+		}
+		if perGroup[i] != exhaustive[i] {
+			t.Fatalf("stop %d differs:\nper-group:  %+v\nexhaustive: %+v", i, perGroup[i], exhaustive[i])
+		}
+	}
+	if n := rtPG.fused.watchBase; n != 0 {
+		t.Fatalf("%d four-state breakpoint conditions fused; the per-group leg is vacuous", n)
+	}
+	if rt.FusedRuns() == 0 {
+		t.Fatal("fused whole-schedule program never executed")
+	}
+	if _, ok := rt.FuseInfo(); !ok {
+		t.Fatal("no fused schedule was built")
+	}
+	if skipped, _, _ := rt.ActivityStats(); skipped == 0 {
+		t.Fatal("fused run skipped nothing on the idle stretches")
+	}
+}
 
 // TestFusedHandlerPokeDirtyPropagation: a value the paused user
 // deposits from the stop handler must un-park the fused conditions
