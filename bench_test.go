@@ -531,14 +531,13 @@ func BenchmarkEdgeVsChange(b *testing.B) {
 
 // --- Trace index & checkpointed replay (§3.3 replay backend) ---
 //
-// The workload for the three benchmarks below is a real generated
-// RISC-V trace: the full optimized SoC running the vvadd kernel with
-// every signal recorded. The benchmarks compare the seed trace path
-// (vcd.Parse eager timelines + binary-search replay) against the
-// streaming block store (vcd.ParseStore + checkpointed replay.Engine)
-// on three axes: parse memory, value-at-time latency, and reverse-step
-// latency. DESIGN.md "Trace index & checkpointing" records reference
-// numbers.
+// The workload for the benchmarks below is a real generated RISC-V
+// trace: the full optimized SoC running the vvadd kernel with every
+// signal recorded. They measure the streaming block store
+// (vcd.ParseStore + checkpointed replay.Engine) on parse memory,
+// value-at-time latency, reverse-step latency and store open.
+// DESIGN.md "Trace index & checkpointing" records reference numbers,
+// including those of the retired eager parser and seed engine.
 
 var (
 	replayTraceOnce sync.Once
@@ -585,33 +584,11 @@ func riscvTraceVCD(b *testing.B) []byte {
 }
 
 // BenchmarkTraceParse measures parsing the RISC-V trace. Allocation
-// volume (B/op with -benchmem) is the peak-memory comparison; the
-// retained change-data footprint is reported as the data-bytes metric —
-// 16 bytes per change in eager per-signal slices vs the store's varint
-// blocks plus sparse per-signal block index.
+// volume (B/op with -benchmem) is the peak memory; the retained
+// change-data footprint (varint blocks plus the sparse per-signal
+// block index) is reported as the data-bytes metric.
 func BenchmarkTraceParse(b *testing.B) {
 	data := riscvTraceVCD(b)
-	b.Run("eager", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			tr, err := vcd.Parse(bytes.NewReader(data))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == b.N-1 {
-				retained := 0
-				changes := 0
-				for _, name := range tr.SignalNames() {
-					ts, _ := tr.Signal(name)
-					retained += ts.NumChanges() * 16
-					changes += ts.NumChanges()
-				}
-				b.ReportMetric(float64(retained), "data-bytes")
-				b.ReportMetric(float64(changes), "changes")
-			}
-		}
-	})
 	b.Run("store", func(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(data)))
@@ -713,17 +690,17 @@ func traceQuerySet(names []string) []string {
 }
 
 // BenchmarkTraceValueAt measures random-access value-at-time queries:
-// the eager binary search, the store's lazy path (sparse block index +
-// one block decode), and the store after materializing the query set
-// (identical binary search, decoded on demand).
+// the store's lazy path (sparse block index + one block decode), and
+// the store after materializing the query set (binary search over
+// timelines decoded on demand).
 func BenchmarkTraceValueAt(b *testing.B) {
 	data := riscvTraceVCD(b)
-	tr, err := vcd.Parse(bytes.NewReader(data))
+	st, err := vcd.ParseStore(bytes.NewReader(data), vcd.StoreOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	names := traceQuerySet(tr.SignalNames())
-	maxT := tr.MaxTime
+	names := traceQuerySet(st.SignalNames())
+	maxT := st.MaxTime
 	// xorshift keeps query times deterministic without pulling in rand.
 	next := uint64(0x9E3779B97F4A7C15)
 	rnd := func() uint64 {
@@ -731,17 +708,6 @@ func BenchmarkTraceValueAt(b *testing.B) {
 		next ^= next >> 7
 		next ^= next << 17
 		return next
-	}
-	b.Run("eager", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ts, _ := tr.Signal(names[i%len(names)])
-			ts.ValueAt(rnd() % (maxT + 1))
-		}
-	})
-	st, err := vcd.ParseStore(bytes.NewReader(data), vcd.StoreOptions{})
-	if err != nil {
-		b.Fatal(err)
 	}
 	b.Run("store-lazy", func(b *testing.B) {
 		b.ReportAllocs()
@@ -763,26 +729,17 @@ func BenchmarkTraceValueAt(b *testing.B) {
 
 // BenchmarkReplayReverseStep measures sequential reverse stepping — the
 // debugger's reverse-execution inner loop — at increasing trace depths:
-// each op is one StepBackward plus a full-state signal read. The store
-// engine's checkpointed restore averages O(checkpoint interval / 2)
-// records per step regardless of depth; the same engine with
-// checkpoints disabled replays from t=0 every step (O(t)), and the
-// eager seed engine answers by binary search but pays the eager parse
-// to exist at all. Compare /t25 vs /t50 vs /t100 (percent of trace
-// depth) within each backend: checkpointed stays flat, no-checkpoint
-// scales linearly.
+// each op is one StepBackward plus a full-state signal read. The
+// checkpointed restore averages O(checkpoint interval / 2) records per
+// step regardless of depth; the same engine with checkpoints disabled
+// replays from t=0 every step (O(t)). Compare /t25 vs /t50 vs /t100
+// (percent of trace depth) within each: checkpointed stays flat,
+// no-checkpoint scales linearly.
 func BenchmarkReplayReverseStep(b *testing.B) {
 	data := riscvTraceVCD(b)
-	tr, err := vcd.Parse(bytes.NewReader(data))
-	if err != nil {
-		b.Fatal(err)
-	}
 	// A mid-hierarchy register that is not in any dependency union, so
 	// reading it exercises full-state reconstruction on the store.
 	probe := "SoC.core0.pc"
-	if _, ok := tr.Signal(probe); !ok {
-		b.Fatalf("probe signal %s not in trace", probe)
-	}
 	depths := []struct {
 		name string
 		frac uint64 // rewind depth t = MaxTime / frac
@@ -791,13 +748,6 @@ func BenchmarkReplayReverseStep(b *testing.B) {
 		name string
 		make func(b *testing.B) *replay.Engine
 	}{
-		{"seed", func(b *testing.B) *replay.Engine {
-			t2, err := vcd.Parse(bytes.NewReader(data))
-			if err != nil {
-				b.Fatal(err)
-			}
-			return replay.New(t2)
-		}},
 		{"checkpointed", func(b *testing.B) *replay.Engine {
 			st, err := vcd.ParseStore(bytes.NewReader(data), vcd.StoreOptions{})
 			if err != nil {

@@ -9,7 +9,7 @@
 // Usage:
 //
 //	hgdb-load [-observers 1000] [-dap 0] [-duration 5s | -cycles N]
-//	          [-binary] [-delta] [-per-session-encode]
+//	          [-binary] [-delta]
 //	          [-json] [-ref testdata/broadcast_ref.json] [-v]
 //	hgdb-load -runtimes 8 [-observers 50] [-duration 5s]
 //
@@ -53,7 +53,6 @@ func main() {
 	cycles := flag.Uint64("cycles", 0, "storm length in stops (overrides -duration)")
 	binary := flag.Bool("binary", false, "observers negotiate binary frames")
 	delta := flag.Bool("delta", false, "observers negotiate delta stop frames")
-	perSession := flag.Bool("per-session-encode", false, "baseline: re-encode per session, no shared frames")
 	jsonOut := flag.Bool("json", false, "emit the report as JSON on stdout")
 	refPath := flag.String("ref", "", "reference JSON; fail if p99 latency regresses past 2x")
 	verbose := flag.Bool("v", false, "log progress")
@@ -95,13 +94,12 @@ func main() {
 	}
 
 	opts := bench.FanoutOptions{
-		Observers:        *observers,
-		DAPClients:       *dapClients,
-		Duration:         *duration,
-		Cycles:           *cycles,
-		Binary:           *binary,
-		Delta:            *delta,
-		PerSessionEncode: *perSession,
+		Observers:  *observers,
+		DAPClients: *dapClients,
+		Duration:   *duration,
+		Cycles:     *cycles,
+		Binary:     *binary,
+		Delta:      *delta,
 	}
 	if *cycles > 0 {
 		opts.Duration = 0

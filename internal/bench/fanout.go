@@ -45,9 +45,6 @@ type FanoutOptions struct {
 	// Binary/Delta select the observers' wire negotiation.
 	Binary bool
 	Delta  bool
-	// PerSessionEncode disables shared-frame broadcast encoding on the
-	// server — the measured baseline the shared path is compared to.
-	PerSessionEncode bool
 	// BareCycles calibrates the no-observer per-edge cost (0 = 200).
 	BareCycles uint64
 	// Logf receives progress lines; nil is silent.
@@ -60,7 +57,6 @@ type FanoutReport struct {
 	DAPClients int    `json:"dap_clients"`
 	Encoding   string `json:"encoding"`
 	Delta      bool   `json:"delta"`
-	Shared     bool   `json:"shared_frames"`
 
 	Stops       uint64  `json:"stops"`
 	DurationSec float64 `json:"duration_sec"`
@@ -220,7 +216,6 @@ func RunFanout(opts FanoutOptions) (*FanoutReport, error) {
 		return nil, err
 	}
 	defer srv.Close()
-	srv.SetPerSessionEncode(opts.PerSessionEncode)
 
 	ctrl, err := client.Dial(addr)
 	if err != nil {
@@ -343,7 +338,6 @@ func RunFanout(opts FanoutOptions) (*FanoutReport, error) {
 		DAPClients:   len(daps),
 		Encoding:     "json",
 		Delta:        opts.Delta,
-		Shared:       !opts.PerSessionEncode,
 		Stops:        n,
 		DurationSec:  d.Seconds(),
 		BareEdgeUS:   bareEdge,
@@ -400,8 +394,8 @@ func RunFanout(opts FanoutOptions) (*FanoutReport, error) {
 
 // PrintFanout renders one report as the hgdb-load text table.
 func PrintFanout(w interface{ Write([]byte) (int, error) }, r *FanoutReport) {
-	fmt.Fprintf(w, "broadcast fan-out: %d observers + %d dap, %s frames, delta=%v, shared=%v\n",
-		r.Observers, r.DAPClients, r.Encoding, r.Delta, r.Shared)
+	fmt.Fprintf(w, "broadcast fan-out: %d observers + %d dap, %s frames, delta=%v\n",
+		r.Observers, r.DAPClients, r.Encoding, r.Delta)
 	fmt.Fprintf(w, "  stops            %d in %.2fs\n", r.Stops, r.DurationSec)
 	fmt.Fprintf(w, "  stop latency     p50 %.2f ms   p99 %.2f ms\n", r.P50LatencyMS, r.P99LatencyMS)
 	fmt.Fprintf(w, "  per-edge cost    bare %.1f us → loaded %.1f us (%.2fx slowdown)\n",

@@ -42,32 +42,29 @@ func TestRunFanoutSmoke(t *testing.T) {
 
 // BenchmarkBroadcastFanout measures the broadcast path at 1k observers
 // against a live sim, one stepped stop per iteration. Sub-benchmarks
-// cover the shared encode-once path (JSON and binary+delta) and the
-// per-session-encode baseline; bytes-on-wire per stop and p99 latency
-// are reported as custom metrics. Compare shared vs baseline for the
-// encode-once win; see DESIGN.md for reference numbers.
+// cover the shared encode-once path with JSON and with binary+delta
+// frames; bytes-on-wire per stop and p99 latency are reported as
+// custom metrics. See DESIGN.md for reference numbers, including the
+// retired baseline that encoded every frame per session.
 func BenchmarkBroadcastFanout(b *testing.B) {
 	observers := 1000
 	if testing.Short() {
 		observers = 100
 	}
 	for _, cfg := range []struct {
-		name             string
-		binary, delta    bool
-		perSessionEncode bool
+		name          string
+		binary, delta bool
 	}{
-		{"shared-json", false, false, false},
-		{"shared-binary-delta", true, true, false},
-		{"baseline-per-session", false, false, true},
+		{"shared-json", false, false},
+		{"shared-binary-delta", true, true},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			rep, err := RunFanout(FanoutOptions{
-				Observers:        observers,
-				Cycles:           uint64(b.N),
-				Binary:           cfg.binary,
-				Delta:            cfg.delta,
-				PerSessionEncode: cfg.perSessionEncode,
-				BareCycles:       50,
+				Observers:  observers,
+				Cycles:     uint64(b.N),
+				Binary:     cfg.binary,
+				Delta:      cfg.delta,
+				BareCycles: 50,
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -389,11 +389,11 @@ func TestReplayReverseAcrossCycles(t *testing.T) {
 	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := vcd.Parse(&buf)
+	st, err := vcd.ParseStore(&buf, vcd.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := replay.New(tr)
+	eng := replay.NewStore(st)
 	rt, err := New(eng, d.table)
 	if err != nil {
 		t.Fatalf("runtime over replay: %v", err)
@@ -433,12 +433,12 @@ func TestReplayReverseAcrossCycles(t *testing.T) {
 	}
 }
 
-// TestReplayReverseAcrossCyclesCheckpointed is the block-store twin of
+// TestReplayReverseAcrossCyclesCheckpointed is the small-block twin of
 // TestReplayReverseAcrossCycles: the same reverse schedule, driven
-// through the checkpointed engine. It also checks the Prefetcher wiring
-// — arming the breakpoint must materialize the dependency union in the
-// store — and that crossing cycle boundaries backwards left restore
-// points behind.
+// through 2-cycle blocks and a checkpoint every 2 cycles. It also
+// checks the Prefetcher wiring — arming the breakpoint must materialize
+// the dependency union in the store — and that crossing cycle
+// boundaries backwards left restore points behind.
 func TestReplayReverseAcrossCyclesCheckpointed(t *testing.T) {
 	d := buildCounterDesign(t, false)
 	var buf bytes.Buffer

@@ -3,14 +3,12 @@ package replay
 import (
 	"fmt"
 	"sort"
-	"sync"
 
-	"repro/internal/rtl"
 	"repro/internal/val"
 	"repro/internal/vcd"
 )
 
-// This file is the checkpointed state machine behind NewStore. The
+// This file is the checkpointed state machine behind Engine. The
 // block store holds undecoded change records; reconstructing "the value
 // of signal X at time t" therefore has two paths:
 //
@@ -43,14 +41,14 @@ import (
 const DefaultMaxCheckpoints = 256
 
 // StoreEngineOption configures NewStore.
-type StoreEngineOption func(*storeBacking)
+type StoreEngineOption func(*Engine)
 
 // WithCheckpointInterval sets the distance in trace time units between
 // value-snapshot checkpoints. Smaller intervals make backward seeks
 // cheaper and snapshots more numerous; 0 restores the adaptive default
 // (trace length / DefaultMaxCheckpoints, at least one block).
 func WithCheckpointInterval(interval uint64) StoreEngineOption {
-	return func(sb *storeBacking) { sb.interval = interval }
+	return func(e *Engine) { e.interval = interval }
 }
 
 // snapshot is one restore point: the full packed signal-state planes
@@ -60,159 +58,94 @@ type snapshot struct {
 	cur   vcd.Cursor
 }
 
-// storeBacking implements backing over a vcd.Store.
-type storeBacking struct {
-	st       *vcd.Store
-	interval uint64
-
-	// mu guards the mutable replay state below. Unlike the seed's
-	// immutable trace, syncing moves shared state, and the debug server
-	// dispatches raw get_value reads on connection goroutines while the
-	// simulation goroutine replays — both can land in sync at once.
-	// Materialized reads never take the lock; they see an immutable
-	// timeline.
-	mu sync.Mutex
-
-	// Replay state: the packed four-state planes of every signal at
-	// stateTime (laid out by the store; read via StateBits); cur is the
-	// stream position just past the last applied record.
-	state     *vcd.State
-	stateTime uint64
-	cur       vcd.Cursor
-
-	// cps maps checkpoint time → snapshot; cpTimes holds the same times
-	// sorted ascending so restore can binary-search the nearest one.
-	cps     map[uint64]*snapshot
-	cpTimes []uint64
-
-	// Dirty-set tracking (vpi.ChangeReporter): trSlot maps signal index
-	// → tracked slot, trCur walks the store's change-record stream so a
-	// forward poll costs exactly the records since the last poll — the
-	// per-block change records the store already holds give the edge's
-	// change set for free. A backward or discontinuous move re-anchors
-	// the cursor with SeekCursor and reports "cannot bound" once.
-	// Tracking state is single-consumer (the debugger runtime polls
-	// from the simulation goroutine) and never touches mu-guarded
-	// replay state.
-	trSlot    []int32
-	trIdx     []int // tracked slot -> signal index, -1 unresolved
-	trPending []bool
-	trAlways  []int // tracked slots with unresolvable paths
-	trCur     vcd.Cursor
-	trLastT   uint64
-	trFresh   bool
-	trActive  bool
-}
-
-func newStoreBacking(st *vcd.Store, opts ...StoreEngineOption) *storeBacking {
-	sb := &storeBacking{
-		st:    st,
-		state: st.NewState(),
-		cps:   map[uint64]*snapshot{},
-	}
-	for _, o := range opts {
-		o(sb)
-	}
-	if sb.interval == 0 {
-		sb.interval = st.MaxTime/DefaultMaxCheckpoints + 1
-		if bs := st.BlockSize(); sb.interval < bs {
-			sb.interval = bs
-		}
-	}
-	sb.resetToZero()
-	return sb
-}
-
 // resetToZero puts the replay state at time 0 — which is NOT the zero
 // state: a trace's #0 records ($dumpvars initial values in real
 // simulator output) must be applied, or every read at t=0 would return
 // 0 instead of the recorded initial values.
-func (sb *storeBacking) resetToZero() {
-	sb.state.Zero()
-	sb.cur = sb.st.ApplyUpTo(vcd.Cursor{}, 0, sb.state)
-	sb.stateTime = 0
+func (e *Engine) resetToZero() {
+	e.state.Zero()
+	e.cur = e.st.ApplyUpTo(vcd.Cursor{}, 0, e.state)
+	e.stateTime = 0
 }
 
-func (sb *storeBacking) maxTime() uint64              { return sb.st.MaxTime }
-func (sb *storeBacking) hierarchy() *rtl.InstanceNode { return sb.st.Hierarchy }
-
-func (sb *storeBacking) checkpoints() int {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	return len(sb.cps)
-}
-
-func (sb *storeBacking) prefetch(paths []string) { sb.st.Materialize(paths...) }
-
-func (sb *storeBacking) trackChanges(paths []string) {
-	if sb.trSlot == nil && len(paths) > 0 {
-		sb.trSlot = make([]int32, sb.st.NumSignals())
-		for i := range sb.trSlot {
-			sb.trSlot[i] = -1
+// TrackChanges implements vpi.ChangeReporter: registers the dirty-set
+// watch list. Polls derive the per-edge change set from the store's
+// change-record streams via a resumable cursor.
+func (e *Engine) TrackChanges(paths []string) {
+	if e.trSlot == nil && len(paths) > 0 {
+		e.trSlot = make([]int32, e.st.NumSignals())
+		for i := range e.trSlot {
+			e.trSlot[i] = -1
 		}
 	}
 	// Clear the previous registration via its index list, not a sweep
 	// of every signal in the trace.
-	for _, idx := range sb.trIdx {
+	for _, idx := range e.trIdx {
 		if idx >= 0 {
-			sb.trSlot[idx] = -1
+			e.trSlot[idx] = -1
 		}
 	}
-	sb.trIdx = sb.trIdx[:0]
-	sb.trPending = make([]bool, len(paths))
-	sb.trAlways = sb.trAlways[:0]
+	e.trIdx = e.trIdx[:0]
+	e.trPending = make([]bool, len(paths))
+	e.trAlways = e.trAlways[:0]
 	for slot, p := range paths {
-		ts, ok := sb.st.Signal(p)
+		ts, ok := e.st.Signal(p)
 		if !ok {
-			sb.trIdx = append(sb.trIdx, -1)
-			sb.trAlways = append(sb.trAlways, slot)
+			e.trIdx = append(e.trIdx, -1)
+			e.trAlways = append(e.trAlways, slot)
 			continue
 		}
-		sb.trIdx = append(sb.trIdx, ts.Index())
-		sb.trSlot[ts.Index()] = int32(slot)
+		e.trIdx = append(e.trIdx, ts.Index())
+		e.trSlot[ts.Index()] = int32(slot)
 	}
-	sb.trActive = len(paths) > 0
-	sb.trFresh = true
+	e.trActive = len(paths) > 0
+	e.trFresh = true
 }
 
-func (sb *storeBacking) changedInto(t uint64, dst []bool) bool {
-	if !sb.trActive || len(dst) < len(sb.trPending) {
+// ChangedInto implements vpi.ChangeReporter at the current replay time.
+func (e *Engine) ChangedInto(dst []bool) bool {
+	if !e.trActive || len(dst) < len(e.trPending) {
 		return false
 	}
-	if sb.trFresh || t < sb.trLastT {
+	t := e.time.Load()
+	if e.trFresh || t < e.trLastT {
 		// First poll after a registration, or time moved backwards:
 		// nothing bounds the change set. Re-anchor the cursor at t so
 		// the next forward poll scans exactly (t, t'].
-		discontinuous := !sb.trFresh
-		sb.trFresh = false
-		sb.trCur = sb.st.SeekCursor(t)
-		sb.trLastT = t
-		for i := range sb.trPending {
-			sb.trPending[i] = false
+		discontinuous := !e.trFresh
+		e.trFresh = false
+		e.trCur = e.st.SeekCursor(t)
+		e.trLastT = t
+		for i := range e.trPending {
+			e.trPending[i] = false
 			dst[i] = true
 		}
 		return !discontinuous
 	}
 	// Forward: every change record in (trLastT, t] names a signal whose
 	// value moved; mark the tracked ones.
-	sb.trCur = sb.st.ScanChanges(sb.trCur, t, func(sig int) {
-		if slot := sb.trSlot[sig]; slot >= 0 {
-			sb.trPending[slot] = true
+	e.trCur = e.st.ScanChanges(e.trCur, t, func(sig int) {
+		if slot := e.trSlot[sig]; slot >= 0 {
+			e.trPending[slot] = true
 		}
 	})
-	sb.trLastT = t
-	for i, p := range sb.trPending {
+	e.trLastT = t
+	for i, p := range e.trPending {
 		dst[i] = p
-		sb.trPending[i] = false
+		e.trPending[i] = false
 	}
-	for _, slot := range sb.trAlways {
+	for _, slot := range e.trAlways {
 		dst[slot] = true
 	}
 	return true
 }
 
-func (sb *storeBacking) bits(path string, t uint64) (val.Bits, error) {
-	ts, ok := sb.st.Signal(path)
+// bits returns the signal's recorded four-state value at time t —
+// traces are the one backend whose native value plane really is
+// four-state; GetValue lowers it onto the two-state vpi surface where
+// possible.
+func (e *Engine) bits(path string, t uint64) (val.Bits, error) {
+	ts, ok := e.st.Signal(path)
 	if !ok {
 		return val.Bits{}, fmt.Errorf("replay: unknown signal %q", path)
 	}
@@ -221,25 +154,25 @@ func (sb *storeBacking) bits(path string, t uint64) (val.Bits, error) {
 		// touching the shared state array — lock-free.
 		return ts.BitsAt(t), nil
 	}
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	sb.sync(t)
-	if err := sb.st.Err(); err != nil {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.sync(t)
+	if err := e.st.Err(); err != nil {
 		// A corrupt or unreadable block stopped the walk mid-stream; the
 		// state array is only synced up to the damage, so surface the
 		// store failure rather than a silently stale value.
 		return val.Bits{}, err
 	}
-	return sb.st.StateBits(sb.state, ts), nil
+	return e.st.StateBits(e.state, ts), nil
 }
 
 // sync moves the replay state to time t.
-func (sb *storeBacking) sync(t uint64) {
-	if t == sb.stateTime {
+func (e *Engine) sync(t uint64) {
+	if t == e.stateTime {
 		return
 	}
-	if t < sb.stateTime {
-		sb.restore(t)
+	if t < e.stateTime {
+		e.restore(t)
 	}
 	// Forward apply, snapshotting checkpoint boundaries as the sweep
 	// crosses them. Record-free stretches (timestamps count timescale
@@ -248,55 +181,55 @@ func (sb *storeBacking) sync(t uint64) {
 	// before a gap already serves any backward seek into it. Sweep cost
 	// is therefore O(records applied + snapshots taken), never
 	// O(t / interval).
-	for sb.stateTime < t {
-		nt, ok := sb.st.NextChangeTime(sb.cur)
+	for e.stateTime < t {
+		nt, ok := e.st.NextChangeTime(e.cur)
 		if !ok || nt > t {
 			// No records in (stateTime, t]: values at t are identical.
-			sb.stateTime = t
+			e.stateTime = t
 			return
 		}
-		next := (sb.stateTime/sb.interval + 1) * sb.interval
+		next := (e.stateTime/e.interval + 1) * e.interval
 		if nt > next {
 			// Jump the gap: land on the last boundary at or before the
 			// next record so the upcoming interval gets its snapshot.
-			next = (nt / sb.interval) * sb.interval
+			next = (nt / e.interval) * e.interval
 		}
 		if next > t {
 			break
 		}
-		sb.cur = sb.st.ApplyUpTo(sb.cur, next, sb.state)
-		sb.stateTime = next
-		if _, ok := sb.cps[next]; !ok {
-			sn := &snapshot{state: sb.state.Clone(), cur: sb.cur}
-			sb.cps[next] = sn
+		e.cur = e.st.ApplyUpTo(e.cur, next, e.state)
+		e.stateTime = next
+		if _, ok := e.cps[next]; !ok {
+			sn := &snapshot{state: e.state.Clone(), cur: e.cur}
+			e.cps[next] = sn
 			// Insert in sorted position: snapshots are usually created in
 			// ascending order, but a partial sweep that stops short of a
 			// boundary, a later gap-jump past it, and a rewind-and-resweep
 			// can create an earlier boundary after later ones — restore's
 			// binary search needs cpTimes sorted regardless.
-			i := sort.Search(len(sb.cpTimes), func(i int) bool { return sb.cpTimes[i] > next })
-			sb.cpTimes = append(sb.cpTimes, 0)
-			copy(sb.cpTimes[i+1:], sb.cpTimes[i:])
-			sb.cpTimes[i] = next
+			i := sort.Search(len(e.cpTimes), func(i int) bool { return e.cpTimes[i] > next })
+			e.cpTimes = append(e.cpTimes, 0)
+			copy(e.cpTimes[i+1:], e.cpTimes[i:])
+			e.cpTimes[i] = next
 		}
 	}
-	if t > sb.stateTime {
-		sb.cur = sb.st.ApplyUpTo(sb.cur, t, sb.state)
-		sb.stateTime = t
+	if t > e.stateTime {
+		e.cur = e.st.ApplyUpTo(e.cur, t, e.state)
+		e.stateTime = t
 	}
 }
 
 // restore rewinds the state to the nearest checkpoint at or before t
 // (the time-0 state when none exists yet).
-func (sb *storeBacking) restore(t uint64) {
-	i := sort.Search(len(sb.cpTimes), func(i int) bool { return sb.cpTimes[i] > t }) - 1
+func (e *Engine) restore(t uint64) {
+	i := sort.Search(len(e.cpTimes), func(i int) bool { return e.cpTimes[i] > t }) - 1
 	if i < 0 {
-		sb.resetToZero()
+		e.resetToZero()
 		return
 	}
-	ck := sb.cpTimes[i]
-	sn := sb.cps[ck]
-	sb.state.CopyFrom(sn.state)
-	sb.cur = sn.cur
-	sb.stateTime = ck
+	ck := e.cpTimes[i]
+	sn := e.cps[ck]
+	e.state.CopyFrom(sn.state)
+	e.cur = sn.cur
+	e.stateTime = ck
 }

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -22,49 +23,58 @@ func storeEngine(t testing.TB, data []byte, interval uint64) *Engine {
 	return NewStore(st, WithCheckpointInterval(interval))
 }
 
+// referenceStore parses the trace a second time and materializes every
+// signal: its answers are binary searches over decoded timelines, with
+// no state array and no checkpoints — the reference a checkpointed
+// engine's restore-plus-sync path is checked against.
+func referenceStore(t testing.TB, data []byte) *vcd.Store {
+	t.Helper()
+	st, err := vcd.ParseStore(bytes.NewReader(data), vcd.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Materialize(st.SignalNames()...)
+	return st
+}
+
+// checkAgainst fails unless every signal of ref reads the same through
+// eng at the engine's current time.
+func checkAgainst(t *testing.T, eng *Engine, ref *vcd.Store, label string) {
+	t.Helper()
+	for _, name := range ref.SignalNames() {
+		got, err := eng.GetBits(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, _ := ref.Signal(name)
+		if want := rs.BitsAt(eng.Time()); got.Width != want.Width || !got.CaseEq(want) {
+			t.Fatalf("%s: %s@%d = %s, want %s", label, name, eng.Time(), got.String(), want.String())
+		}
+	}
+}
+
 // TestStoreEngineDifferential is the reverse-SetTime correctness
 // contract: across random time jumps (forward and backward), the
-// checkpointed store engine must return bit-identical values to the
-// seed eager-trace implementation for every signal — with none, some,
-// and all signals materialized.
+// checkpointed store engine must return bit-identical values to a
+// fully materialized reference store for every signal — with none,
+// some, and all of the engine's signals materialized.
 func TestStoreEngineDifferential(t *testing.T) {
 	data := makeVCD(t)
-	seed := New(makeTrace(t))
+	ref := referenceStore(t, data)
 	eng := storeEngine(t, data, 3)
-	names := func() []string {
-		tr, _ := vcd.Parse(bytes.NewReader(data))
-		return tr.SignalNames()
-	}()
+	names := ref.SignalNames()
 
 	rng := rand.New(rand.NewSource(42))
-	max := seed.MaxTime()
+	max := ref.MaxTime
 	if max != eng.MaxTime() {
-		t.Fatalf("MaxTime: store %d, seed %d", eng.MaxTime(), max)
-	}
-	compareAll := func(jump int) {
-		for _, name := range names {
-			want, err := seed.GetValue(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := eng.GetValue(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("jump %d: %s@%d = %v, want %v", jump, name, eng.Time(), got, want)
-			}
-		}
+		t.Fatalf("MaxTime: engine %d, reference %d", eng.MaxTime(), max)
 	}
 	for jump := 0; jump < 200; jump++ {
 		tm := uint64(rng.Int63n(int64(max + 1)))
-		if err := seed.SetTime(tm); err != nil {
-			t.Fatal(err)
-		}
 		if err := eng.SetTime(tm); err != nil {
 			t.Fatal(err)
 		}
-		compareAll(jump)
+		checkAgainst(t, eng, ref, fmt.Sprintf("jump %d", jump))
 		switch jump {
 		case 66:
 			// Materialize part of the signal set mid-run; answers from
@@ -103,42 +113,25 @@ func diskStoreEngine(t testing.TB, data []byte, interval uint64) *Engine {
 // TestDiskStoreEngineDifferential runs the full replay contract over a
 // disk-opened store: random forward/backward jumps, partial and full
 // materialization, and checkpointed reverse seeks must all be
-// bit-identical to the seed eager-trace engine — proving the replay
-// and checkpoint machinery runs unchanged over the on-disk format.
+// bit-identical to a fully materialized in-memory reference store —
+// proving the replay and checkpoint machinery runs unchanged over the
+// on-disk format.
 func TestDiskStoreEngineDifferential(t *testing.T) {
 	data := makeVCD(t)
-	seed := New(makeTrace(t))
+	ref := referenceStore(t, data)
 	eng := diskStoreEngine(t, data, 3)
-	names := func() []string {
-		tr, _ := vcd.Parse(bytes.NewReader(data))
-		return tr.SignalNames()
-	}()
+	names := ref.SignalNames()
 	rng := rand.New(rand.NewSource(7))
-	max := seed.MaxTime()
+	max := ref.MaxTime
 	if max != eng.MaxTime() {
-		t.Fatalf("MaxTime: disk store %d, seed %d", eng.MaxTime(), max)
+		t.Fatalf("MaxTime: disk store %d, reference %d", eng.MaxTime(), max)
 	}
 	for jump := 0; jump < 200; jump++ {
 		tm := uint64(rng.Int63n(int64(max + 1)))
-		if err := seed.SetTime(tm); err != nil {
-			t.Fatal(err)
-		}
 		if err := eng.SetTime(tm); err != nil {
 			t.Fatal(err)
 		}
-		for _, name := range names {
-			want, err := seed.GetValue(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := eng.GetValue(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("jump %d: %s@%d = %v, want %v", jump, name, eng.Time(), got, want)
-			}
-		}
+		checkAgainst(t, eng, ref, fmt.Sprintf("jump %d", jump))
 		switch jump {
 		case 66:
 			eng.Prefetch(names[:len(names)/2])
@@ -151,42 +144,50 @@ func TestDiskStoreEngineDifferential(t *testing.T) {
 	}
 }
 
-// TestStoreEngineStepsMatchSeed runs the two engines through the same
-// forward/backward step sequence and compares values and callback
-// times at every point.
-func TestStoreEngineStepsMatchSeed(t *testing.T) {
-	data := makeVCD(t)
-	seed := New(makeTrace(t))
-	eng := storeEngine(t, data, 4)
-	var seedTimes, engTimes []uint64
-	seed.OnClockEdge(func(tm uint64) { seedTimes = append(seedTimes, tm) })
-	eng.OnClockEdge(func(tm uint64) { engTimes = append(engTimes, tm) })
-	step := func(fwd bool) {
-		var a, b bool
-		if fwd {
-			a, b = seed.StepForward(), eng.StepForward()
-		} else {
-			a, b = seed.StepBackward(), eng.StepBackward()
-		}
-		if a != b {
-			t.Fatalf("step(fwd=%v) diverged: seed %v, store %v", fwd, a, b)
-		}
-		v1, err1 := seed.GetValue("Counter.count")
-		v2, err2 := eng.GetValue("Counter.count")
-		if err1 != nil || err2 != nil || v1 != v2 {
-			t.Fatalf("count@%d: seed %v (%v), store %v (%v)", seed.Time(), v1, err1, v2, err2)
+// TestStoreEngineStepsMatchLive runs the engine through a
+// forward/backward step sequence and checks, at every point, the value
+// the live simulator read at that edge and the time each edge callback
+// was handed.
+func TestStoreEngineStepsMatchLive(t *testing.T) {
+	rec := recordLive(t, counterNetlist(t), countTen)
+	eng := storeEngine(t, rec.vcd, 4)
+	count := -1
+	for i, name := range rec.names {
+		if name == "Counter.count" {
+			count = i
 		}
 	}
+	if count < 0 {
+		t.Fatal("Counter.count not in the netlist")
+	}
+	var times []uint64
+	eng.OnClockEdge(func(tm uint64) { times = append(times, tm) })
+	want := uint64(0)
 	for _, fwd := range []bool{true, true, true, true, true, false, false, true, false, true} {
-		step(fwd)
-	}
-	if len(seedTimes) != len(engTimes) {
-		t.Fatalf("callback counts: seed %d, store %d", len(seedTimes), len(engTimes))
-	}
-	for i := range seedTimes {
-		if seedTimes[i] != engTimes[i] {
-			t.Fatalf("callback[%d]: seed %d, store %d", i, seedTimes[i], engTimes[i])
+		if fwd {
+			want++
+			if !eng.StepForward() {
+				t.Fatalf("StepForward refused at %d", want-1)
+			}
+		} else {
+			want--
+			if !eng.StepBackward() {
+				t.Fatalf("StepBackward refused at %d", want+1)
+			}
 		}
+		if got := times[len(times)-1]; got != want || eng.Time() != want {
+			t.Fatalf("callback time %d, engine time %d, want %d", got, eng.Time(), want)
+		}
+		v, err := eng.GetValue("Counter.count")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if live := rec.edges[want][count]; v.Bits != live {
+			t.Fatalf("count@%d = %d, live %d", want, v.Bits, live)
+		}
+	}
+	if len(times) != 10 {
+		t.Fatalf("callbacks fired %d times, want 10", len(times))
 	}
 }
 
@@ -212,9 +213,9 @@ func TestStoreEngineBatchZeroAlloc(t *testing.T) {
 // TestStoreEngineInitialValues pins time-zero semantics: real
 // simulator output dumps nonzero initial values at #0 ($dumpvars), and
 // the store engine must return them — at first read, and again after
-// seeking away and back — identically to the seed engine. The repo's
-// own Recorder happens to dump zeros at #0, which is why the random
-// differential test alone cannot catch this.
+// seeking away and back. The repo's own Recorder happens to dump zeros
+// at #0, which is why the random differential test alone cannot catch
+// this.
 func TestStoreEngineInitialValues(t *testing.T) {
 	const trace = `$scope module Top $end
 $var wire 1 ! rst $end
@@ -230,29 +231,22 @@ b110 "
 #4
 b111 "
 `
-	seed := New(func() *vcd.Trace {
-		tr, err := vcd.Parse(bytes.NewReader([]byte(trace)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}())
 	eng := storeEngine(t, []byte(trace), 2)
+	// The trace's values at t = 0..4.
+	want := map[string][]uint64{
+		"Top.rst": {1, 1, 0, 0, 0},
+		"Top.v":   {5, 5, 6, 6, 7},
+	}
 	check := func(when string) {
-		for _, tm := range []uint64{0, 1, 2, 3, 4} {
-			seed.SetTime(tm)
+		for tm := uint64(0); tm <= 4; tm++ {
 			eng.SetTime(tm)
-			for _, name := range []string{"Top.rst", "Top.v"} {
-				want, err := seed.GetValue(name)
-				if err != nil {
-					t.Fatal(err)
-				}
+			for name, vals := range want {
 				got, err := eng.GetValue(name)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got != want {
-					t.Fatalf("%s: %s@%d = %v, want %v", when, name, tm, got, want)
+				if got.Bits != vals[tm] {
+					t.Fatalf("%s: %s@%d = %d, want %d", when, name, tm, got.Bits, vals[tm])
 				}
 			}
 		}
@@ -333,27 +327,27 @@ b11 !
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb := newStoreBacking(st, WithCheckpointInterval(10))
+	e := NewStore(st, WithCheckpointInterval(10))
 	// sync(7) consumes the t=5 record without snapshotting boundary 10;
 	// sync(200) gap-jumps past 10 and snapshots 90/100/200; the rewind
 	// and resweep to 25 finally creates checkpoint 10 — out of creation
 	// order.
 	for _, tm := range []uint64{7, 200, 3, 25} {
-		sb.sync(tm)
+		e.sync(tm)
 	}
-	for i := 1; i < len(sb.cpTimes); i++ {
-		if sb.cpTimes[i-1] >= sb.cpTimes[i] {
-			t.Fatalf("cpTimes not sorted: %v", sb.cpTimes)
+	for i := 1; i < len(e.cpTimes); i++ {
+		if e.cpTimes[i-1] >= e.cpTimes[i] {
+			t.Fatalf("cpTimes not sorted: %v", e.cpTimes)
 		}
 	}
 	// A backward seek to 60 must land on checkpoint 10, not reset to
 	// time zero (which would silently degrade reverse seeks to O(t)).
-	sb.sync(200)
-	sb.restore(60)
-	if sb.stateTime != 10 {
-		t.Fatalf("restore(60) landed at %d, want checkpoint 10 (cpTimes %v)", sb.stateTime, sb.cpTimes)
+	e.sync(200)
+	e.restore(60)
+	if e.stateTime != 10 {
+		t.Fatalf("restore(60) landed at %d, want checkpoint 10 (cpTimes %v)", e.stateTime, e.cpTimes)
 	}
-	if got, _ := sb.bits("Top.v", 60); got.V0 != 1 {
+	if got, _ := e.bits("Top.v", 60); got.V0 != 1 {
 		t.Fatalf("v@60 = %d, want 1", got.V0)
 	}
 }
@@ -362,21 +356,15 @@ b11 !
 // shape: the simulation goroutine sweeps replay state forward and
 // backward while server connection goroutines issue raw get_value
 // reads and a breakpoint arm materializes the dependency union
-// mid-flight. Values must stay bit-identical to the seed engine
-// throughout; run with -race to catch reader/sync races.
+// mid-flight. Values must stay bit-identical to a fully materialized
+// reference store throughout; run with -race to catch reader/sync
+// races.
 func TestStoreEngineConcurrentReads(t *testing.T) {
 	data := makeVCD(t)
-	st, err := vcd.ParseStore(bytes.NewReader(data), vcd.StoreOptions{BlockSize: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb := newStoreBacking(st, WithCheckpointInterval(2))
-	seed := New(makeTrace(t))
-	names := func() []string {
-		tr, _ := vcd.Parse(bytes.NewReader(data))
-		return tr.SignalNames()
-	}()
-	max := st.MaxTime
+	e := storeEngine(t, data, 2)
+	ref := referenceStore(t, data)
+	names := ref.SignalNames()
+	max := e.MaxTime()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -385,32 +373,23 @@ func TestStoreEngineConcurrentReads(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				tm := uint64((i*7 + g*3) % int(max+1))
 				name := names[(i+g)%len(names)]
-				got, err := sb.bits(name, tm)
+				got, err := e.bits(name, tm)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				ref, ok := seedSignal(seed, name)
-				if !ok {
-					t.Errorf("seed trace missing %s", name)
-					return
-				}
-				if want := ref.ValueAt(tm); got.V0 != want {
+				rs, _ := ref.Signal(name)
+				if want := rs.ValueAt(tm); got.V0 != want {
 					t.Errorf("%s@%d = %d, want %d", name, tm, got.V0, want)
 					return
 				}
 				if i == 150 && g == 0 {
-					sb.prefetch(names[:len(names)/2])
+					e.Prefetch(names[:len(names)/2])
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-}
-
-// seedSignal resolves a signal on the eager reference engine's trace.
-func seedSignal(e *Engine, name string) (*vcd.TraceSignal, bool) {
-	return e.src.(*traceBacking).trace.Signal(name)
 }
 
 // TestStoreEngineReverseUsesCheckpoints checks the mechanism (not just
@@ -432,17 +411,15 @@ func TestStoreEngineReverseUsesCheckpoints(t *testing.T) {
 	if got := eng.Checkpoints(); got != want {
 		t.Fatalf("checkpoints after full sweep = %d, want %d", got, want)
 	}
-	seed := New(makeTrace(t))
+	ref, _ := referenceStore(t, data).Signal("Counter.count")
 	for tm := int64(eng.MaxTime()); tm >= 0; tm-- {
 		eng.SetTime(uint64(tm))
-		seed.SetTime(uint64(tm))
 		got, err := eng.GetValue("Counter.count")
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantV, _ := seed.GetValue("Counter.count")
-		if got != wantV {
-			t.Fatalf("reverse read@%d = %v, want %v", tm, got, wantV)
+		if want := ref.ValueAt(uint64(tm)); got.Bits != want {
+			t.Fatalf("reverse read@%d = %d, want %d", tm, got.Bits, want)
 		}
 	}
 }

@@ -5,20 +5,17 @@
 // debugging — stepping to previous clock cycles and re-running the
 // breakpoint schedule in reverse order (§3.2).
 //
-// Two trace representations are supported behind one Engine type:
-//
-//   - New wraps an eagerly parsed vcd.Trace (every signal's full
-//     timeline in memory) — simple, and the reference implementation
-//     the checkpointed path is differentially tested against.
-//   - NewStore wraps a vcd.Store block index: signal timelines decode
-//     lazily (Prefetch materializes the debugger's dependency union),
-//     and backward SetTime restores the nearest periodic value-snapshot
-//     checkpoint then replays forward deltas, making a reverse step
-//     O(checkpoint interval) instead of O(t) on undecoded state.
+// The trace is a vcd.Store block index, parsed from VCD text or opened
+// from an indexed store file. Signal timelines decode lazily (Prefetch
+// materializes the debugger's dependency union), and backward SetTime
+// restores the nearest periodic value-snapshot checkpoint then replays
+// forward deltas, making a reverse step O(checkpoint interval) instead
+// of O(t) on undecoded state.
 package replay
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/eval"
@@ -28,31 +25,11 @@ import (
 	"repro/internal/vpi"
 )
 
-// backing is the trace representation behind an Engine. Implementations
-// answer value queries at an arbitrary time; the Engine owns time
-// itself, clock-edge callbacks, and the vpi surface.
-type backing interface {
-	maxTime() uint64
-	hierarchy() *rtl.InstanceNode
-	// bits returns the signal's recorded four-state value at time t —
-	// traces are the one backend whose native value plane really is
-	// four-state. The Engine lowers it onto the two-state vpi surface
-	// where possible.
-	bits(path string, t uint64) (val.Bits, error)
-	// prefetch advises which paths will be read every cycle.
-	prefetch(paths []string)
-	// checkpoints reports how many restore points exist (stats).
-	checkpoints() int
-	// trackChanges registers the dirty-set watch list and changedInto
-	// reports, for each tracked path, whether it may have changed since
-	// the previous poll (the vpi.ChangeReporter capability at time t).
-	trackChanges(paths []string)
-	changedInto(t uint64, dst []bool) bool
-}
-
-// Engine replays a VCD trace behind the vpi.Interface.
+// Engine replays a trace store behind the vpi.Interface.
 type Engine struct {
-	src backing
+	st       *vcd.Store
+	interval uint64
+
 	// time is atomic because the debug server dispatches raw reads on
 	// connection goroutines while the owning goroutine steps/seeks; a
 	// batched read loads it once so one batch sees one instant.
@@ -60,6 +37,43 @@ type Engine struct {
 	callbacks map[int]func(uint64)
 	cbOrder   []int
 	nextCB    int
+
+	// mu guards the replay state below. Syncing moves shared state, and
+	// the debug server dispatches raw get_value reads on connection
+	// goroutines while the simulation goroutine replays — both can land
+	// in sync at once. Materialized reads never take the lock; they see
+	// an immutable timeline.
+	mu sync.Mutex
+
+	// Replay state: the packed four-state planes of every signal at
+	// stateTime (laid out by the store; read via StateBits); cur is the
+	// stream position just past the last applied record.
+	state     *vcd.State
+	stateTime uint64
+	cur       vcd.Cursor
+
+	// cps maps checkpoint time → snapshot; cpTimes holds the same times
+	// sorted ascending so restore can binary-search the nearest one.
+	cps     map[uint64]*snapshot
+	cpTimes []uint64
+
+	// Dirty-set tracking (vpi.ChangeReporter): trSlot maps signal index
+	// → tracked slot, trCur walks the store's change-record stream so a
+	// forward poll costs exactly the records since the last poll — the
+	// per-block change records the store already holds give the edge's
+	// change set for free. A backward or discontinuous move re-anchors
+	// the cursor with SeekCursor and reports "cannot bound" once.
+	// Tracking state is single-consumer (the debugger runtime polls
+	// from the simulation goroutine) and never touches mu-guarded
+	// replay state.
+	trSlot    []int32
+	trIdx     []int // tracked slot -> signal index, -1 unresolved
+	trPending []bool
+	trAlways  []int // tracked slots with unresolvable paths
+	trCur     vcd.Cursor
+	trLastT   uint64
+	trFresh   bool
+	trActive  bool
 }
 
 var (
@@ -71,99 +85,45 @@ var (
 	_ vpi.BitsReader      = (*Engine)(nil)
 )
 
-// traceBacking adapts an eager vcd.Trace: every query is a binary
-// search over the signal's fully materialized timeline.
-type traceBacking struct {
-	trace *vcd.Trace
-
-	// Dirty-set tracking: per tracked signal, the change count at the
-	// last poll time. Equal counts at two instants bracket no change
-	// record, so the value is identical — which makes the stamp valid
-	// in both time directions (reverse debugging included).
-	tracked   []*vcd.TraceSignal // nil entries: unresolved paths
-	lastCount []int
-	fresh     bool
-}
-
-func (tb *traceBacking) maxTime() uint64              { return tb.trace.MaxTime }
-func (tb *traceBacking) hierarchy() *rtl.InstanceNode { return tb.trace.Hierarchy }
-func (tb *traceBacking) prefetch([]string)            {}
-func (tb *traceBacking) checkpoints() int             { return 0 }
-func (tb *traceBacking) bits(path string, t uint64) (val.Bits, error) {
-	ts, ok := tb.trace.Signal(path)
-	if !ok {
-		return val.Bits{}, fmt.Errorf("replay: unknown signal %q", path)
+// NewStore wraps a trace store with checkpointed state reconstruction;
+// see the package comment and WithCheckpointInterval.
+func NewStore(st *vcd.Store, opts ...StoreEngineOption) *Engine {
+	e := &Engine{
+		st:        st,
+		callbacks: map[int]func(uint64){},
+		state:     st.NewState(),
+		cps:       map[uint64]*snapshot{},
 	}
-	return ts.BitsAt(t), nil
-}
-
-func (tb *traceBacking) trackChanges(paths []string) {
-	tb.tracked = make([]*vcd.TraceSignal, len(paths))
-	tb.lastCount = make([]int, len(paths))
-	for i, p := range paths {
-		tb.tracked[i], _ = tb.trace.Signal(p)
+	for _, o := range opts {
+		o(e)
 	}
-	tb.fresh = true
-}
-
-func (tb *traceBacking) changedInto(t uint64, dst []bool) bool {
-	if tb.tracked == nil || len(dst) < len(tb.tracked) {
-		return false
-	}
-	first := tb.fresh
-	tb.fresh = false
-	for i, ts := range tb.tracked {
-		if ts == nil {
-			dst[i] = true
-			continue
+	if e.interval == 0 {
+		e.interval = st.MaxTime/DefaultMaxCheckpoints + 1
+		if bs := st.BlockSize(); e.interval < bs {
+			e.interval = bs
 		}
-		n := ts.ChangeCountAt(t)
-		dst[i] = first || n != tb.lastCount[i]
-		tb.lastCount[i] = n
 	}
-	return true
-}
-
-// New wraps an eagerly parsed trace.
-func New(trace *vcd.Trace) *Engine {
-	return newEngine(&traceBacking{trace: trace})
-}
-
-// NewStore wraps a block-store trace index with checkpointed state
-// reconstruction; see the package comment and WithCheckpointInterval.
-func NewStore(store *vcd.Store, opts ...StoreEngineOption) *Engine {
-	return newEngine(newStoreBacking(store, opts...))
-}
-
-func newEngine(src backing) *Engine {
-	return &Engine{src: src, callbacks: map[int]func(uint64){}}
+	e.resetToZero()
+	return e
 }
 
 // MaxTime returns the final timestamp in the trace.
-func (e *Engine) MaxTime() uint64 { return e.src.maxTime() }
+func (e *Engine) MaxTime() uint64 { return e.st.MaxTime }
 
 // Checkpoints returns how many value-snapshot restore points the
-// backend currently holds (always 0 for eager traces).
-func (e *Engine) Checkpoints() int { return e.src.checkpoints() }
-
-// TrackChanges implements vpi.ChangeReporter: registers the dirty-set
-// watch list with the trace backend. The eager backend answers polls
-// by change-count stamps on its decoded timelines; the block store
-// derives the per-edge change set from its change-record streams via a
-// resumable cursor.
-func (e *Engine) TrackChanges(paths []string) { e.src.trackChanges(paths) }
-
-// ChangedInto implements vpi.ChangeReporter at the current replay time.
-func (e *Engine) ChangedInto(dst []bool) bool {
-	return e.src.changedInto(e.time.Load(), dst)
+// engine currently holds.
+func (e *Engine) Checkpoints() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.cps)
 }
 
 // Prefetch implements vpi.Prefetcher: the debugger runtime advises the
 // set of signal paths it will read every cycle (its breakpoint/watch
-// dependency union), and the store backend materializes exactly those
+// dependency union), and the store materializes exactly those
 // timelines so per-cycle reads never touch undecoded blocks or move the
 // full replay state.
-func (e *Engine) Prefetch(paths []string) { e.src.prefetch(paths) }
+func (e *Engine) Prefetch(paths []string) { e.st.Materialize(paths...) }
 
 // GetValue implements vpi.Interface: the signal's recorded value at the
 // current replay time, lowered onto the two-state fast path. A value
@@ -171,7 +131,7 @@ func (e *Engine) Prefetch(paths []string) { e.src.prefetch(paths) }
 // error wrapping vpi.ErrFourState; callers that can handle the general
 // representation read through GetBits instead.
 func (e *Engine) GetValue(path string) (eval.Value, error) {
-	b, err := e.src.bits(path, e.time.Load())
+	b, err := e.bits(path, e.time.Load())
 	if err != nil {
 		return eval.Value{}, err
 	}
@@ -185,7 +145,7 @@ func (e *Engine) GetValue(path string) (eval.Value, error) {
 // GetBits implements vpi.BitsReader: the signal's full four-state value
 // at the current replay time.
 func (e *Engine) GetBits(path string) (val.Bits, error) {
-	return e.src.bits(path, e.time.Load())
+	return e.bits(path, e.time.Load())
 }
 
 // GetValues implements vpi.BatchReader: one trace lookup pass for the
@@ -205,7 +165,7 @@ func (e *Engine) GetValuesInto(paths []string, dst []eval.Value) error {
 	}
 	t := e.time.Load()
 	for i, p := range paths {
-		b, err := e.src.bits(p, t)
+		b, err := e.bits(p, t)
 		if err != nil {
 			return err
 		}
@@ -221,14 +181,14 @@ func (e *Engine) GetValuesInto(paths []string, dst []eval.Value) error {
 // Hierarchy implements vpi.Interface with the scope tree reconstructed
 // from the trace (hierarchy only — no definition information, as the
 // paper notes for VCD).
-func (e *Engine) Hierarchy() *rtl.InstanceNode { return e.src.hierarchy() }
+func (e *Engine) Hierarchy() *rtl.InstanceNode { return e.st.Hierarchy }
 
 // ClockName implements vpi.Interface.
 func (e *Engine) ClockName() string {
-	if e.src.hierarchy() == nil {
+	if e.st.Hierarchy == nil {
 		return "clock"
 	}
-	return e.src.hierarchy().Path + ".clock"
+	return e.st.Hierarchy.Path + ".clock"
 }
 
 // OnClockEdge implements vpi.Interface.
@@ -256,11 +216,11 @@ func (e *Engine) Time() uint64 { return e.time.Load() }
 
 // SetTime implements vpi.Interface — the primitive that unlocks reverse
 // debugging. Seeking does not fire edge callbacks; use StepForward and
-// StepBackward to emulate clock edges. On a store backend a backward
-// seek costs O(checkpoint interval) trace records, not O(t).
+// StepBackward to emulate clock edges. A backward seek costs
+// O(checkpoint interval) trace records, not O(t).
 func (e *Engine) SetTime(t uint64) error {
-	if t > e.src.maxTime() {
-		return fmt.Errorf("replay: time %d beyond end of trace (%d)", t, e.src.maxTime())
+	if t > e.st.MaxTime {
+		return fmt.Errorf("replay: time %d beyond end of trace (%d)", t, e.st.MaxTime)
 	}
 	e.time.Store(t)
 	return nil
@@ -283,7 +243,7 @@ func (e *Engine) fire() {
 // false at the end of the trace.
 func (e *Engine) StepForward() bool {
 	t := e.time.Load()
-	if t >= e.src.maxTime() {
+	if t >= e.st.MaxTime {
 		return false
 	}
 	e.time.Store(t + 1)

@@ -9,14 +9,20 @@ import (
 	"repro/internal/ir"
 	"repro/internal/passes"
 	"repro/internal/rtl"
-	"repro/internal/sim"
 	"repro/internal/vcd"
 	"repro/internal/vpi"
 )
 
 // makeVCD records the counter design for 10 cycles and returns the raw
-// VCD text, shared by the eager-trace and block-store engine tests.
+// VCD text, shared by the engine tests.
 func makeVCD(t testing.TB) []byte {
+	t.Helper()
+	return recordLive(t, counterNetlist(t), countTen).vcd
+}
+
+// counterNetlist elaborates an 8-bit counter that counts while en is
+// high.
+func counterNetlist(t testing.TB) *rtl.Netlist {
 	t.Helper()
 	c := generator.NewCircuit("Counter")
 	m := c.NewModule("Counter")
@@ -35,29 +41,21 @@ func makeVCD(t testing.TB) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sim.New(nl)
-	var buf bytes.Buffer
-	rec := vcd.NewRecorder(s, &buf)
-	s.Reset("Counter.reset", 1)
-	s.Poke("Counter.en", 1)
-	s.Run(10)
-	if err := rec.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return nl
 }
 
-func makeTrace(t testing.TB) *vcd.Trace {
+// makeEngine replays the counter recording with default options.
+func makeEngine(t testing.TB) *Engine {
 	t.Helper()
-	tr, err := vcd.Parse(bytes.NewReader(makeVCD(t)))
+	st, err := vcd.ParseStore(bytes.NewReader(makeVCD(t)), vcd.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr
+	return NewStore(st)
 }
 
 func TestReplayForwardMatchesRecording(t *testing.T) {
-	e := New(makeTrace(t))
+	e := makeEngine(t)
 	// Walk forward; count increases by one per enabled cycle.
 	e.SetTime(2)
 	v2, err := e.GetValue("Counter.count")
@@ -72,7 +70,7 @@ func TestReplayForwardMatchesRecording(t *testing.T) {
 }
 
 func TestReverseTime(t *testing.T) {
-	e := New(makeTrace(t))
+	e := makeEngine(t)
 	e.SetTime(8)
 	v8, _ := e.GetValue("Counter.count")
 	if !e.StepBackward() {
@@ -94,7 +92,7 @@ func TestReverseTime(t *testing.T) {
 }
 
 func TestStepForwardStopsAtEnd(t *testing.T) {
-	e := New(makeTrace(t))
+	e := makeEngine(t)
 	e.SetTime(e.MaxTime())
 	if e.StepForward() {
 		t.Fatal("stepped past end of trace")
@@ -105,7 +103,7 @@ func TestStepForwardStopsAtEnd(t *testing.T) {
 }
 
 func TestCallbacksFireOnSteps(t *testing.T) {
-	e := New(makeTrace(t))
+	e := makeEngine(t)
 	var times []uint64
 	id := e.OnClockEdge(func(tm uint64) { times = append(times, tm) })
 	e.Run(3)
@@ -124,7 +122,7 @@ func TestCallbacksFireOnSteps(t *testing.T) {
 }
 
 func TestSetValueUnsupported(t *testing.T) {
-	e := New(makeTrace(t))
+	e := makeEngine(t)
 	err := e.SetValue("Counter.count", 1)
 	if !errors.Is(err, vpi.ErrNotSupported) {
 		t.Fatalf("err = %v, want ErrNotSupported", err)
@@ -132,14 +130,14 @@ func TestSetValueUnsupported(t *testing.T) {
 }
 
 func TestUnknownSignal(t *testing.T) {
-	e := New(makeTrace(t))
+	e := makeEngine(t)
 	if _, err := e.GetValue("Counter.ghost"); err == nil {
 		t.Fatal("unknown signal accepted")
 	}
 }
 
 func TestHierarchyAndClock(t *testing.T) {
-	e := New(makeTrace(t))
+	e := makeEngine(t)
 	if e.Hierarchy() == nil || e.Hierarchy().Name != "Counter" {
 		t.Fatalf("hierarchy = %+v", e.Hierarchy())
 	}

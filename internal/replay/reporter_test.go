@@ -1,23 +1,20 @@
 package replay
 
 import (
-	"bytes"
 	"testing"
 
-	"repro/internal/vcd"
 	"repro/internal/vpi"
 )
 
-// reporterEngines builds the eager and store engines over the shared
-// counter trace, so every dirty-set contract below is checked against
-// both derivations (timeline change-count stamps vs block-record
-// cursor scans).
+// reporterEngines builds engines over the shared counter trace, parsed
+// and round-tripped through the on-disk format, so every dirty-set
+// contract below is checked on resident and lazily loaded blocks.
 func reporterEngines(t *testing.T) map[string]*Engine {
 	t.Helper()
 	data := makeVCD(t)
 	return map[string]*Engine{
-		"eager": New(makeTrace(t)),
 		"store": storeEngine(t, data, 3),
+		"disk":  diskStoreEngine(t, data, 3),
 	}
 }
 
@@ -56,8 +53,8 @@ func TestChangeReporterBackwardCannotBound(t *testing.T) {
 			e.SetTime(6)
 			e.ChangedInto(dst)
 			// Backward seek. The store cursor cannot scan backwards: it
-			// must answer "cannot bound" (the eager stamps can — either
-			// verdict is allowed, but a claimed bound must be correct).
+			// must answer "cannot bound" (either verdict is allowed, but
+			// a claimed bound must be correct).
 			e.SetTime(3)
 			ok := e.ChangedInto(dst)
 			if ok && !dst[0] {
@@ -115,12 +112,8 @@ func TestChangeReporterUnknownPathAndUnregistered(t *testing.T) {
 // must have an unchanged value — checked for every signal in the trace
 // at once.
 func TestChangeReporterMatchesValueDiff(t *testing.T) {
-	data := makeVCD(t)
-	tr, err := vcd.Parse(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := tr.SignalNames()
+	ref := referenceStore(t, makeVCD(t))
+	names := ref.SignalNames()
 	for engName, e := range reporterEngines(t) {
 		t.Run(engName, func(t *testing.T) {
 			e.TrackChanges(names)
@@ -128,7 +121,7 @@ func TestChangeReporterMatchesValueDiff(t *testing.T) {
 			e.ChangedInto(dst) // consume registration report
 			prev := make([]uint64, len(names))
 			for i, n := range names {
-				ts, _ := tr.Signal(n)
+				ts, _ := ref.Signal(n)
 				prev[i] = ts.ValueAt(e.Time())
 			}
 			for e.Time() < e.MaxTime() {
@@ -137,7 +130,7 @@ func TestChangeReporterMatchesValueDiff(t *testing.T) {
 					t.Fatalf("t=%d: forward poll not ok", e.Time())
 				}
 				for i, n := range names {
-					ts, _ := tr.Signal(n)
+					ts, _ := ref.Signal(n)
 					cur := ts.ValueAt(e.Time())
 					if cur != prev[i] && !dst[i] {
 						t.Fatalf("t=%d: %s changed %d->%d but reported clean",

@@ -50,31 +50,12 @@ func (f *frame) binBytes() []byte {
 	return f.bin
 }
 
-// bytesFor returns the frame in the session's negotiated encoding. In
-// the per-session-encode baseline (benchmarks) every call re-marshals,
-// reproducing the pre-coalescing broadcast cost.
-func (s *Server) bytesFor(f *frame, sess *Session) []byte {
-	if s.perSessionEncode {
-		b, err := json.Marshal(f.ev)
-		if err != nil {
-			return nil
-		}
-		return b
-	}
+// bytesFor returns the frame in the session's negotiated encoding.
+func (f *frame) bytesFor(sess *Session) []byte {
 	if sess.binary {
 		return f.binBytes()
 	}
 	return f.jsonBytes()
-}
-
-// SetPerSessionEncode switches the server into the baseline broadcast
-// mode benchmarks compare against: every session re-marshals each
-// event (the behavior before shared frames) and stop events are never
-// delta-encoded. Not for production use.
-func (s *Server) SetPerSessionEncode(on bool) {
-	s.mu.Lock()
-	s.perSessionEncode = on
-	s.mu.Unlock()
 }
 
 // classOf maps an event type to its coalescing class.
@@ -93,14 +74,14 @@ func classOf(typ string) eventClass {
 // enqueueFrameLocked hands one shared frame to one session in its
 // negotiated encoding. Callers hold s.mu.
 func (s *Server) enqueueFrameLocked(sess *Session, f *frame) bool {
-	msg := s.bytesFor(f, sess)
+	msg := f.bytesFor(sess)
 	if msg == nil {
 		return false
 	}
 	return sess.enqueue(outEntry{
 		cls:    classOf(f.ev.Type),
 		msg:    msg,
-		binary: sess.binary && !s.perSessionEncode,
+		binary: sess.binary,
 	})
 }
 
@@ -153,7 +134,7 @@ func (s *Server) broadcastStopLocked(ev *core.StopEvent) uint64 {
 	for _, id := range s.order {
 		sess := s.sessions[id]
 		f := full
-		if sess.delta && !s.perSessionEncode {
+		if sess.delta {
 			if ack := sess.lastAck.Load(); ack > 0 && ack < seq {
 				if base := s.stopBaseLocked(ack); base != nil {
 					df, ok := deltas[ack]

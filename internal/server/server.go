@@ -56,10 +56,8 @@ type Server struct {
 	closing     bool
 
 	// stopHist retains recent stop broadcasts as delta bases (see
-	// broadcast.go); perSessionEncode switches the benchmark baseline
-	// that re-marshals every event per session.
-	stopHist         []stopRecord
-	perSessionEncode bool
+	// broadcast.go).
+	stopHist []stopRecord
 
 	// reverse records whether the backend supports SetTime (replay),
 	// probed once at construction; advertised in welcome events and the

@@ -46,6 +46,12 @@ type Simulator struct {
 	changeHooks []func(sig *rtl.Signal, v eval.Value)
 	prev        []eval.Value
 	trackChange bool
+	// poked records a Poke, PokeReg or WriteMem since the last edge
+	// (or an initial report taken before any settle): the next Step
+	// then reports the settled pre-edge changes at the current time,
+	// before the edge callbacks read them, so a trace shows a poked
+	// value at the edge that saw it.
+	poked bool
 
 	// Dirty-signal tracking (the vpi.ChangeReporter capability): the
 	// debugger registers the signal paths it reads every cycle; every
@@ -157,6 +163,7 @@ func (s *Simulator) Poke(name string, v uint64) error {
 		s.markChanged(sig.Index)
 	}
 	s.state.Values[sig.Index] = nv
+	s.poked = true
 	s.publish()
 	return nil
 }
@@ -177,6 +184,7 @@ func (s *Simulator) PokeReg(name string, v uint64) error {
 		s.markChanged(sig.Index)
 	}
 	s.state.Values[sig.Index] = nv
+	s.poked = true
 	s.publish()
 	return nil
 }
@@ -191,6 +199,7 @@ func (s *Simulator) WriteMem(mem string, addr uint64, v uint64) error {
 		return fmt.Errorf("sim: address %d out of range for %q (depth %d)", addr, mem, len(data))
 	}
 	data[addr] = v & eval.Mask(s.state.MemWidth[mem])
+	s.poked = true
 	s.publish()
 	return nil
 }
@@ -307,12 +316,14 @@ func (s *Simulator) OnChange(hook func(sig *rtl.Signal, v eval.Value)) {
 		s.trackChange = true
 		s.prev = make([]eval.Value, len(s.state.Values))
 		copy(s.prev, s.state.Values)
-		// Report initial values.
+		// Report initial values; the next Step reports what settling
+		// them changes at the current time.
 		for _, sig := range s.nl.Signals {
 			for _, h := range s.changeHooks {
 				h(sig, s.state.Values[sig.Index])
 			}
 		}
+		s.poked = true
 	}
 }
 
@@ -338,12 +349,19 @@ func (s *Simulator) Settle() {
 }
 
 // Step advances one clock cycle:
-//  1. combinational settle,
+//  1. combinational settle (change hooks see it at the current time
+//     if a poke or memory write happened since the last edge),
 //  2. posedge callbacks observe the stable pre-edge state,
 //  3. registers and memories commit,
-//  4. time advances.
+//  4. time advances and change hooks see the settled post-edge state.
 func (s *Simulator) Step() {
 	s.Settle()
+	if s.poked {
+		s.poked = false
+		if s.trackChange {
+			s.reportChanges()
+		}
+	}
 	for _, id := range s.cbOrder {
 		if cb, ok := s.callbacks[id]; ok {
 			cb(s.time)
@@ -389,17 +407,23 @@ func (s *Simulator) Step() {
 	s.time++
 	if s.trackChange {
 		s.Settle() // make post-edge combinational state visible to hooks
-		for _, sig := range s.nl.Signals {
-			cur := s.state.Values[sig.Index]
-			if cur != s.prev[sig.Index] {
-				for _, h := range s.changeHooks {
-					h(sig, cur)
-				}
-				s.prev[sig.Index] = cur
-			}
-		}
+		s.reportChanges()
 	}
 	s.publish()
+}
+
+// reportChanges hands every signal whose value differs from the last
+// report to the change hooks, at the current time.
+func (s *Simulator) reportChanges() {
+	for _, sig := range s.nl.Signals {
+		cur := s.state.Values[sig.Index]
+		if cur != s.prev[sig.Index] {
+			for _, h := range s.changeHooks {
+				h(sig, cur)
+			}
+			s.prev[sig.Index] = cur
+		}
+	}
 }
 
 // Run advances n cycles.

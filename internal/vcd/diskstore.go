@@ -70,7 +70,7 @@ const (
 	// for a disk-opened store.
 	DefaultBlockCacheBytes = 64 << 20
 	// DefaultTimelineBudget bounds resident materialized timelines
-	// (see Store.SetTimelineBudget).
+	// (see Store.evictTimelines).
 	DefaultTimelineBudget = 256 << 20
 )
 
@@ -460,8 +460,7 @@ func indexStream(rd io.Reader, out *os.File) func(StoreOptions) (*IndexStats, er
 		g := newStoreIngest(bs, func(slot int, blk storeBlock) {
 			jobs <- job{slot: slot, win: blk.win, buf: blk.buf}
 		})
-		var h hierBuilder
-		maxTime, pstats, scanErr := scanVCD(rd, &h, g.events())
+		scanErr := scanVCD(rd, g)
 		if scanErr == nil {
 			g.finish()
 		}
@@ -477,10 +476,6 @@ func indexStream(rd io.Reader, out *os.File) func(StoreOptions) (*IndexStats, er
 		}
 
 		st := g.st
-		st.MaxTime = maxTime
-		st.Hierarchy = h.root
-		st.Stats = pstats
-
 		// Metadata sections follow the block data; the section table
 		// follows them; the header is backpatched last.
 		strs := newStringTable()
@@ -512,9 +507,9 @@ func indexStream(rd io.Reader, out *os.File) func(StoreOptions) (*IndexStats, er
 			Signals: len(st.list),
 			Blocks:  len(dir),
 			Changes: st.changes,
-			MaxTime: maxTime,
+			MaxTime: st.MaxTime,
 			Bytes:   int64(tableOff) + int64(len(tableB)),
-			Parse:   pstats,
+			Parse:   st.Stats,
 		}, nil
 	}
 }

@@ -152,7 +152,7 @@ func diffStores(t *testing.T, mem, disk *Store, label string) {
 // real recorded design: the opened store must be bit-identical to the
 // parsed store it was written from.
 func TestStoreRoundTrip(t *testing.T) {
-	data := recordDesign(t, 300)
+	data, _ := recordDesign(t, 300)
 	mem, err := ParseStore(bytes.NewReader(data), StoreOptions{BlockSize: 16})
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestStoreRoundTrip(t *testing.T) {
 // TestWriteStoreRejectsDiskStore: re-serializing an opened store is not
 // supported (its blocks are not resident); the writer must say so.
 func TestWriteStoreRejectsDiskStore(t *testing.T) {
-	data := recordDesign(t, 20)
+	data, _ := recordDesign(t, 20)
 	mem, err := ParseStore(bytes.NewReader(data), StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +252,7 @@ func TestDiskMemoryDifferentialRandom(t *testing.T) {
 // must produce a store identical to ParseStore over the same text, and
 // report honest stats.
 func TestIndexFile(t *testing.T) {
-	data := recordDesign(t, 250)
+	data, _ := recordDesign(t, 250)
 	dir := t.TempDir()
 	vcdPath := filepath.Join(dir, "trace.vcd")
 	storePath := filepath.Join(dir, "trace.hgdbstore")
@@ -310,7 +310,7 @@ func TestIndexFile(t *testing.T) {
 // smaller than the trace, repeated point queries across many blocks
 // stay correct while resident cache bytes never exceed the bound.
 func TestBlockCacheEviction(t *testing.T) {
-	data := recordDesign(t, 300)
+	data, _ := recordDesign(t, 300)
 	mem, err := ParseStore(bytes.NewReader(data), StoreOptions{BlockSize: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -351,7 +351,7 @@ func TestBlockCacheEviction(t *testing.T) {
 // terminate (no fabricated records, no infinite loop) and the store
 // reports a sticky error instead of silently serving garbage.
 func TestCorruptBlockPoisons(t *testing.T) {
-	data := recordDesign(t, 100)
+	data, _ := recordDesign(t, 100)
 	mem, err := ParseStore(bytes.NewReader(data), StoreOptions{BlockSize: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -453,7 +453,7 @@ func TestBlockReaderHostile(t *testing.T) {
 // targeted ways; every mutation must be rejected at open (or at worst
 // poison the store on first touch), never panic, hang, or over-allocate.
 func TestOpenStoreHostile(t *testing.T) {
-	data := recordDesign(t, 60)
+	data, _ := recordDesign(t, 60)
 	mem, err := ParseStore(bytes.NewReader(data), StoreOptions{BlockSize: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -515,7 +515,7 @@ func TestOpenStoreHostile(t *testing.T) {
 // lazily must poison the store rather than fabricate history.
 func FuzzOpenStore(f *testing.F) {
 	// Seeds: a valid store, a truncation, a bit flip, raw VCD text.
-	data := recordDesign(f, 40)
+	data, _ := recordDesign(f, 40)
 	mem, err := ParseStore(bytes.NewReader(data), StoreOptions{BlockSize: 8})
 	if err != nil {
 		f.Fatal(err)
@@ -730,7 +730,7 @@ func TestOpenStoreV1Legacy(t *testing.T) {
 // newer-version error, not a generic corruption message and never a
 // misdecode.
 func TestOpenStoreNewerVersion(t *testing.T) {
-	data := recordDesign(t, 20)
+	data, _ := recordDesign(t, 20)
 	mem, err := ParseStore(bytes.NewReader(data), StoreOptions{BlockSize: 8})
 	if err != nil {
 		t.Fatal(err)

@@ -12,8 +12,8 @@ import (
 	"repro/internal/val"
 )
 
-// This file is the trace index: a streaming, single-pass alternative to
-// Parse that emits change records into fixed-size time blocks instead of
+// This file is the trace index: a streaming, single-pass parse that
+// emits change records into fixed-size time blocks instead of
 // per-signal in-memory slices. Signals are decoded lazily — only the
 // debugger's breakpoint/watch dependency set is materialized into
 // binary-searchable timelines (Materialize); everything else stays as
@@ -321,11 +321,9 @@ func newStoreIngest(bs uint64, emit func(slot int, blk storeBlock)) *storeIngest
 	}
 }
 
-func (g *storeIngest) events() vcdEvents {
-	return vcdEvents{vardecl: g.vardecl, change: g.change}
-}
-
-func (g *storeIngest) vardecl(id string, width int, full, local string) {
+// vardecl declares a signal: its id code, bit width and full
+// hierarchical path.
+func (g *storeIngest) vardecl(id string, width int, full string) {
 	ts := &StoreSignal{Name: full, Width: width, store: g.st, index: len(g.st.list)}
 	ts.last.nw = ts.nw()
 	g.st.sigs[full] = ts
@@ -374,6 +372,10 @@ func appendRecord(dst []byte, sig int, dt uint64, b val.Bits) []byte {
 	return dst
 }
 
+// change ingests one value change for a declared id at absolute time t
+// (non-decreasing across calls). lit is the raw MSB-first literal —
+// characters from 01xXzZ, already validated by scanVCD — not yet
+// extended or truncated to the signal's declared width.
 func (g *storeIngest) change(id string, t uint64, lit string) {
 	ts, ok := g.byID[id]
 	if !ok {
@@ -430,18 +432,12 @@ func ParseStore(rd io.Reader, opts StoreOptions) (*Store, error) {
 	g = newStoreIngest(bs, func(_ int, blk storeBlock) {
 		g.st.blocks = append(g.st.blocks, blk)
 	})
-	var h hierBuilder
-	maxTime, stats, err := scanVCD(rd, &h, g.events())
-	if err != nil {
+	if err := scanVCD(rd, g); err != nil {
 		return nil, err
 	}
 	g.finish()
-	st := g.st
-	st.MaxTime = maxTime
-	st.Hierarchy = h.root
-	st.Stats = stats
-	st.finalizeLayout()
-	return st, nil
+	g.st.finalizeLayout()
+	return g.st, nil
 }
 
 // BlockSize returns the store's time-window width.
@@ -731,19 +727,6 @@ func (s *Store) Materialize(paths ...string) {
 // change plus the packed value/x planes).
 func timelineBytes(tl *timeline) int { return 8*len(tl.times) + tl.pl.byteSize() }
 
-// SetTimelineBudget bounds the total bytes of resident materialized
-// timelines (0 restores DefaultTimelineBudget). When a Materialize
-// call pushes the resident set over the budget, the least recently
-// advised timelines are dropped back to block-index form — their
-// ValueAt queries fall back to lazy block decodes — so the resident
-// set stays flat however many signals successive dependency unions
-// name.
-func (s *Store) SetTimelineBudget(bytes int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tlBudget = bytes
-}
-
 // TimelineBytes returns the resident footprint of all materialized
 // timelines.
 func (s *Store) TimelineBytes() int {
@@ -757,9 +740,14 @@ func (s *Store) TimelineBytes() int {
 }
 
 // evictTimelines enforces the timeline budget, called with mu held at
-// the end of Materialize. Eviction is LRU over advise generations:
-// signals from older dependency unions go first; current-union
-// signals are evicted only if the union alone exceeds the budget.
+// the end of Materialize. When a Materialize call pushes the resident
+// set over the budget, the least recently advised timelines are dropped
+// back to block-index form — their ValueAt queries fall back to lazy
+// block decodes — so the resident set stays flat however many signals
+// successive dependency unions name. Eviction is LRU over advise
+// generations: signals from older dependency unions go first;
+// current-union signals are evicted only if the union alone exceeds
+// the budget.
 func (s *Store) evictTimelines() {
 	budget := s.tlBudget
 	if budget <= 0 {

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/eval"
 	"repro/internal/generator"
 	"repro/internal/ir"
 	"repro/internal/passes"
@@ -12,10 +13,74 @@ import (
 	"repro/internal/sim"
 )
 
+// liveRun is the ground truth of a recorded simulation: what sim.Peek
+// read for every signal at every clock edge (and once more after the
+// last one), and the value changes the simulator reported.
+type liveRun struct {
+	end     uint64              // time after the last edge
+	values  map[string][]uint64 // signal -> value at times 0..end
+	changes map[string]int      // signal -> reported changes
+	times   []uint64            // ascending times with a reported change
+}
+
+// at returns what the live simulator read for name at time t. Nothing
+// changes after the last edge.
+func (r *liveRun) at(name string, t uint64) uint64 {
+	if t > r.end {
+		t = r.end
+	}
+	return r.values[name][t]
+}
+
 // recordDesign simulates a two-level design (top counter plus two child
-// accumulators) for n cycles and returns the VCD text. Multiple scopes
-// and widths exercise hierarchy reconstruction and vector changes.
-func recordDesign(t testing.TB, n int) []byte {
+// accumulators) for n cycles and returns the VCD text together with
+// the live run it must reproduce. Multiple scopes and widths exercise
+// hierarchy reconstruction and vector changes.
+func recordDesign(t testing.TB, n int) ([]byte, *liveRun) {
+	t.Helper()
+	nl := twoLevelNetlist(t)
+	s := sim.New(nl)
+	var buf bytes.Buffer
+	rec := NewRecorder(s, &buf)
+	live := &liveRun{values: map[string][]uint64{}, changes: map[string]int{}, times: []uint64{0}}
+	peekAll := func(uint64) {
+		for _, sig := range nl.Signals {
+			v, err := s.Peek(sig.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live.values[sig.Name] = append(live.values[sig.Name], v.Bits)
+		}
+	}
+	s.OnClockEdge(peekAll)
+	// The Recorder took the initial-value report at time 0, one change
+	// per signal; this hook sees every change after it.
+	for _, sig := range nl.Signals {
+		live.changes[sig.Name] = 1
+	}
+	s.OnChange(func(sig *rtl.Signal, _ eval.Value) {
+		live.changes[sig.Name]++
+		if tm := s.Time(); tm != live.times[len(live.times)-1] {
+			live.times = append(live.times, tm)
+		}
+	})
+	if err := s.Reset("Top.reset", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Poke("Top.en", 1); err != nil {
+		t.Fatal(err)
+	}
+	s.Run(n)
+	if err := rec.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	live.end = s.Time()
+	peekAll(live.end)
+	return buf.Bytes(), live
+}
+
+// twoLevelNetlist elaborates recordDesign's design.
+func twoLevelNetlist(t testing.TB) *rtl.Netlist {
 	t.Helper()
 	c := generator.NewCircuit("Top")
 	leaf := c.NewModule("Leaf")
@@ -46,60 +111,41 @@ func recordDesign(t testing.TB, n int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sim.New(nl)
-	var buf bytes.Buffer
-	rec := NewRecorder(s, &buf)
-	if err := s.Reset("Top.reset", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Poke("Top.en", 1); err != nil {
-		t.Fatal(err)
-	}
-	s.Run(n)
-	if err := rec.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return nl
 }
 
-// TestStoreMatchesEagerParse is the parser-level differential: every
-// signal's value at every time must be identical between the eager
-// per-signal timelines and the block store, queried lazily (block
-// decode), again after materialization, and via ApplyUpTo state sweeps.
-func TestStoreMatchesEagerParse(t *testing.T) {
-	data := recordDesign(t, 300)
-	tr, err := Parse(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestStoreMatchesLiveSim pins the whole recording path against ground
+// truth: every signal's value at every time must be what the live
+// simulator read at that edge, queried lazily (block decode), again
+// after partial and full materialization, and every signal's change
+// count must be what its OnChange hook reported.
+func TestStoreMatchesLiveSim(t *testing.T) {
+	data, live := recordDesign(t, 300)
 	// Block size 16 forces many blocks; 300 cycles crosses plenty of
 	// boundaries.
 	st, err := ParseStore(bytes.NewReader(data), StoreOptions{BlockSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.MaxTime != tr.MaxTime {
-		t.Fatalf("MaxTime: store %d, eager %d", st.MaxTime, tr.MaxTime)
+	if st.MaxTime != live.end {
+		t.Fatalf("MaxTime: store %d, live run ended at %d", st.MaxTime, live.end)
 	}
-	names := tr.SignalNames()
-	storeNames := st.SignalNames()
-	if len(names) != len(storeNames) {
-		t.Fatalf("signal count: store %d, eager %d", len(storeNames), len(names))
+	names := st.SignalNames()
+	if len(names) != len(live.values) {
+		t.Fatalf("signal count: store %d, netlist %d", len(names), len(live.values))
 	}
 	check := func(phase string) {
 		for _, name := range names {
-			es, _ := tr.Signal(name)
-			ss, ok := st.Signal(name)
-			if !ok {
-				t.Fatalf("%s: store missing signal %q", phase, name)
+			ss, _ := st.Signal(name)
+			if _, ok := live.values[name]; !ok {
+				t.Fatalf("%s: store signal %q not in the netlist", phase, name)
 			}
-			if ss.NumChanges() != es.NumChanges() {
-				t.Fatalf("%s: %s changes: store %d, eager %d",
-					phase, name, ss.NumChanges(), es.NumChanges())
+			if got, want := ss.NumChanges(), live.changes[name]; got != want {
+				t.Fatalf("%s: %s changes: store %d, OnChange %d", phase, name, got, want)
 			}
-			for tm := uint64(0); tm <= tr.MaxTime; tm++ {
-				if got, want := ss.ValueAt(tm), es.ValueAt(tm); got != want {
-					t.Fatalf("%s: %s@%d = %d, want %d", phase, name, tm, got, want)
+			for tm := uint64(0); tm <= st.MaxTime; tm++ {
+				if got, want := ss.ValueAt(tm), live.at(name, tm); got != want {
+					t.Fatalf("%s: %s@%d = %d, live %d", phase, name, tm, got, want)
 				}
 			}
 		}
@@ -115,15 +161,11 @@ func TestStoreMatchesEagerParse(t *testing.T) {
 	check("materialized")
 }
 
-// TestStoreApplyUpTo checks cursor-resumed state sweeps against eager
-// per-signal queries: replaying in arbitrary forward increments must
-// land on the exact signal values at every stop.
+// TestStoreApplyUpTo checks cursor-resumed state sweeps against the
+// live run: replaying in arbitrary forward increments must land on the
+// exact signal values at every stop.
 func TestStoreApplyUpTo(t *testing.T) {
-	data := recordDesign(t, 200)
-	tr, err := Parse(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
+	data, live := recordDesign(t, 200)
 	st, err := ParseStore(bytes.NewReader(data), StoreOptions{BlockSize: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -138,46 +180,30 @@ func TestStoreApplyUpTo(t *testing.T) {
 			at = st.MaxTime
 		}
 		cur = st.ApplyUpTo(cur, at, state)
-		for _, name := range tr.SignalNames() {
-			es, _ := tr.Signal(name)
+		for _, name := range st.SignalNames() {
 			ss, _ := st.Signal(name)
-			if got, want := st.StateBits(state, ss).V0, es.ValueAt(at); got != want {
-				t.Fatalf("state[%s]@%d = %d, want %d", name, at, got, want)
+			if got, want := st.StateBits(state, ss).V0, live.at(name, at); got != want {
+				t.Fatalf("state[%s]@%d = %d, live %d", name, at, got, want)
 			}
 		}
 	}
 }
 
-// TestStoreHierarchy checks the scope tree matches the eager parser's.
+// TestStoreHierarchy checks the scope tree matches the elaborated
+// netlist's, which is what the Recorder wrote.
 func TestStoreHierarchy(t *testing.T) {
-	data := recordDesign(t, 10)
-	tr, err := Parse(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
+	data, _ := recordDesign(t, 10)
 	st, err := ParseStore(bytes.NewReader(data), StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var flatten func(n *rtl.InstanceNode) []string
-	flatten = func(n *rtl.InstanceNode) []string {
-		if n == nil {
-			return nil
-		}
-		out := []string{n.Path}
-		out = append(out, n.Signals...)
-		for _, c := range n.Children {
-			out = append(out, flatten(c)...)
-		}
-		return out
-	}
-	a, b := flatten(tr.Hierarchy), flatten(st.Hierarchy)
+	a, b := flattenHier(twoLevelNetlist(t).Hierarchy), flattenHier(st.Hierarchy)
 	if len(a) != len(b) {
-		t.Fatalf("hierarchy size: eager %d, store %d", len(a), len(b))
+		t.Fatalf("hierarchy size: netlist %d, store %d", len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("hierarchy[%d]: eager %q, store %q", i, a[i], b[i])
+			t.Fatalf("hierarchy[%d]: netlist %q, store %q", i, a[i], b[i])
 		}
 	}
 	if st.NumBlocks() == 0 || st.NumChanges() == 0 || st.IndexBytes() == 0 {
@@ -191,38 +217,24 @@ func TestStoreHierarchy(t *testing.T) {
 // off-by-one between "partially covered" and "exhausted" block
 // handling would corrupt resumed sweeps. For every boundary-adjacent
 // time: SeekCursor must equal the cursor a from-zero ScanChanges walk
-// produces, resumed ApplyUpTo sweeps must match fresh ones, and
-// NextChangeTime must report the first record past the cursor.
+// produces, resumed ApplyUpTo sweeps must match fresh ones and the live
+// run, and NextChangeTime must report the first record past the cursor.
 func TestCursorWindowBoundaries(t *testing.T) {
-	data := recordDesign(t, 120)
-	tr, err := Parse(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
+	data, live := recordDesign(t, 120)
 	const bs = 16
 	st, err := ParseStore(bytes.NewReader(data), StoreOptions{BlockSize: bs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Change times, for NextChangeTime's expected answers.
-	changed := map[uint64]bool{}
-	var changeTimes []uint64
-	for _, name := range tr.SignalNames() {
-		es, _ := tr.Signal(name)
-		for tm := range es.times {
-			if !changed[es.times[tm]] {
-				changed[es.times[tm]] = true
-				changeTimes = append(changeTimes, es.times[tm])
-			}
-		}
-	}
-	sort.Slice(changeTimes, func(i, j int) bool { return changeTimes[i] < changeTimes[j] })
+	// NextChangeTime's expected answers: the Recorder writes a change
+	// record at exactly the times the simulator reported a change.
+	names := st.SignalNames()
 	firstAfter := func(tm uint64) (uint64, bool) {
-		i := sort.Search(len(changeTimes), func(i int) bool { return changeTimes[i] > tm })
-		if i == len(changeTimes) {
+		i := sort.Search(len(live.times), func(i int) bool { return live.times[i] > tm })
+		if i == len(live.times) {
 			return 0, false
 		}
-		return changeTimes[i], true
+		return live.times[i], true
 	}
 
 	var times []uint64
@@ -243,16 +255,15 @@ func TestCursorWindowBoundaries(t *testing.T) {
 			continue
 		}
 		prev = tm
-		// Resumed sweep vs fresh sweep vs eager truth.
+		// Resumed sweep vs fresh sweep vs the live run.
 		cur = st.ApplyUpTo(cur, tm, state)
 		fresh.Zero()
 		freshCur := st.ApplyUpTo(Cursor{}, tm, fresh)
-		for _, name := range tr.SignalNames() {
-			es, _ := tr.Signal(name)
+		for _, name := range names {
 			ss, _ := st.Signal(name)
-			want := es.ValueAt(tm)
+			want := live.at(name, tm)
 			if st.StateBits(state, ss).V0 != want || st.StateBits(fresh, ss).V0 != want {
-				t.Fatalf("sweep @%d %s: resumed %d, fresh %d, want %d",
+				t.Fatalf("sweep @%d %s: resumed %d, fresh %d, live %d",
 					tm, name, st.StateBits(state, ss).V0, st.StateBits(fresh, ss).V0, want)
 			}
 		}
@@ -321,12 +332,8 @@ $enddefinitions $end
 // budget, the least recently advised timelines drop back to
 // block-index form — and answers do not change.
 func TestTimelineLRUBudget(t *testing.T) {
-	data := recordDesign(t, 300)
+	data, live := recordDesign(t, 300)
 	st, err := ParseStore(bytes.NewReader(data), StoreOptions{BlockSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := Parse(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +347,7 @@ func TestTimelineLRUBudget(t *testing.T) {
 		ss, _ := st.Signal(n)
 		total += 16 * ss.NumChanges()
 	}
-	st.SetTimelineBudget(total / 2)
+	st.setTimelineBudget(total / 2)
 
 	half := len(names) / 2
 	st.Materialize(names[:half]...)
@@ -361,16 +368,15 @@ func TestTimelineLRUBudget(t *testing.T) {
 		t.Fatal("entire most-recent union evicted")
 	}
 	for _, n := range names {
-		es, _ := tr.Signal(n)
 		ss, _ := st.Signal(n)
 		for tm := uint64(0); tm <= st.MaxTime; tm += 7 {
-			if got, want := ss.ValueAt(tm), es.ValueAt(tm); got != want {
-				t.Fatalf("post-eviction %s@%d = %d, want %d", n, tm, got, want)
+			if got, want := ss.ValueAt(tm), live.at(n, tm); got != want {
+				t.Fatalf("post-eviction %s@%d = %d, live %d", n, tm, got, want)
 			}
 		}
 	}
 	// Re-advising an evicted union re-materializes it.
-	st.SetTimelineBudget(0)
+	st.setTimelineBudget(0)
 	st.Materialize(names...)
 	for _, n := range names {
 		ss, _ := st.Signal(n)
@@ -380,14 +386,9 @@ func TestTimelineLRUBudget(t *testing.T) {
 	}
 }
 
-// TestStoreSparseTimestamps pins the sparse-block property: real
-// simulator dumps count timescale units, not cycles, so timestamps can
-// be enormous (#1e12 for a 1 s run at 1 ps) with huge empty gaps.
-// Block memory must scale with changes, not with MaxTime/blockSize,
-// and queries inside and across the gaps must agree with the eager
-// parser.
-func TestStoreSparseTimestamps(t *testing.T) {
-	const trace = `$scope module Top $end
+// sparseTrace has huge record-free gaps: changes at 0, 70, 1e12 and
+// 1e12+100.
+const sparseTrace = `$scope module Top $end
 $var wire 1 ! a $end
 $var wire 8 " v $end
 $upscope $end
@@ -403,7 +404,15 @@ b11 "
 #1000000000100
 0!
 `
-	st, err := ParseStore(bytes.NewReader([]byte(trace)), StoreOptions{BlockSize: 64})
+
+// TestStoreSparseTimestamps pins the sparse-block property: real
+// simulator dumps count timescale units, not cycles, so timestamps can
+// be enormous (#1e12 for a 1 s run at 1 ps) with huge empty gaps.
+// Block memory must scale with changes, not with MaxTime/blockSize,
+// and queries inside and across the gaps must return the values the
+// trace spells out.
+func TestStoreSparseTimestamps(t *testing.T) {
+	st, err := ParseStore(bytes.NewReader([]byte(sparseTrace)), StoreOptions{BlockSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,19 +424,19 @@ b11 "
 	if st.IndexBytes() > 1<<12 {
 		t.Fatalf("IndexBytes = %d, want tiny for 6 changes", st.IndexBytes())
 	}
-	tr, err := Parse(bytes.NewReader([]byte(trace)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Expected values per query time, straight from the trace text.
 	times := []uint64{0, 1, 69, 70, 71, 1000, 999999999999, 1000000000000,
 		1000000000050, 1000000000100, st.MaxTime}
+	want := map[string][]uint64{
+		"Top.a": {1, 1, 1, 0, 0, 0, 0, 1, 1, 0, 0},
+		"Top.v": {5, 5, 5, 5, 5, 5, 5, 3, 3, 3, 3},
+	}
 	check := func(phase string) {
-		for _, name := range []string{"Top.a", "Top.v"} {
-			es, _ := tr.Signal(name)
+		for name, vals := range want {
 			ss, _ := st.Signal(name)
-			for _, tm := range times {
-				if got, want := ss.ValueAt(tm), es.ValueAt(tm); got != want {
-					t.Fatalf("%s: %s@%d = %d, want %d", phase, name, tm, got, want)
+			for i, tm := range times {
+				if got := ss.ValueAt(tm); got != vals[i] {
+					t.Fatalf("%s: %s@%d = %d, want %d", phase, name, tm, got, vals[i])
 				}
 			}
 		}
@@ -436,16 +445,24 @@ b11 "
 	// State sweeps must step across the gap without visiting it.
 	state := st.NewState()
 	var cur Cursor
-	for _, tm := range times {
+	for i, tm := range times {
 		cur = st.ApplyUpTo(cur, tm, state)
-		for _, name := range []string{"Top.a", "Top.v"} {
-			es, _ := tr.Signal(name)
+		for name, vals := range want {
 			ss, _ := st.Signal(name)
-			if got, want := st.StateBits(state, ss).V0, es.ValueAt(tm); got != want {
-				t.Fatalf("sweep: %s@%d = %d, want %d", name, tm, got, want)
+			if got := st.StateBits(state, ss).V0; got != vals[i] {
+				t.Fatalf("sweep: %s@%d = %d, want %d", name, tm, got, vals[i])
 			}
 		}
 	}
 	st.Materialize("Top.a", "Top.v")
 	check("materialized")
+}
+
+// setTimelineBudget bounds the total bytes of resident materialized
+// timelines (0 restores DefaultTimelineBudget), so tests can force
+// eviction on small traces.
+func (s *Store) setTimelineBudget(bytes int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.tlBudget = bytes
 }

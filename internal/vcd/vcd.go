@@ -1,23 +1,22 @@
-// Package vcd implements writing and parsing of Value Change Dump
+// Package vcd implements writing and indexing of Value Change Dump
 // traces. The paper's replay backend consumes VCD files — which carry
 // design hierarchy but no definition information (§3.3) — so the parser
-// reconstructs an instance tree from $scope nesting and per-signal
-// change timelines that support value-at-time queries for reverse
-// debugging.
+// reconstructs an instance tree from $scope nesting and indexes the
+// value changes into a time-blocked Store that answers value-at-time
+// queries for reverse debugging, either straight from the text
+// (ParseStore) or from a persisted store file (IndexFile, OpenStore).
 package vcd
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/eval"
 	"repro/internal/rtl"
 	"repro/internal/sim"
-	"repro/internal/val"
 )
 
 // idCode converts a dense index into a VCD identifier code (printable
@@ -117,39 +116,6 @@ func (r *Recorder) Flush() error {
 	return r.w.Flush()
 }
 
-// TraceSignal is one signal's change timeline, held as packed
-// four-state planes (value words plus a lazily tracked unknown-bit
-// plane; see planeSeq).
-type TraceSignal struct {
-	Name  string // full hierarchical path
-	Width int
-	times []uint64
-	pl    planeSeq
-}
-
-// ValueAt returns the signal's two-state value word at time t (the
-// most recent change at or before t; zero before the first change).
-// Unknown bits read as 0 and bits above 64 are not visible — callers
-// that need the full four-state value use BitsAt.
-func (ts *TraceSignal) ValueAt(t uint64) uint64 {
-	i := sort.Search(len(ts.times), func(i int) bool { return ts.times[i] > t })
-	if i == 0 {
-		return 0
-	}
-	return ts.pl.word0(i - 1)
-}
-
-// BitsAt returns the signal's full four-state value at time t (known
-// zero of the declared width before the first change). The result
-// aliases the immutable timeline.
-func (ts *TraceSignal) BitsAt(t uint64) val.Bits {
-	i := sort.Search(len(ts.times), func(i int) bool { return ts.times[i] > t })
-	if i == 0 {
-		return val.Bits{Width: maxInt(ts.Width, 1)}
-	}
-	return ts.pl.bits(i-1, maxInt(ts.Width, 1))
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a
@@ -157,20 +123,8 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// NumChanges returns how many value changes were recorded.
-func (ts *TraceSignal) NumChanges() int { return len(ts.times) }
-
-// ChangeCountAt returns how many changes were recorded at or before
-// time t. It is a change stamp: two instants with equal counts bracket
-// no change record, so the signal's value is identical at both — which
-// is how the replay backend derives per-edge dirty sets from an eager
-// timeline without re-reading values.
-func (ts *TraceSignal) ChangeCountAt(t uint64) int {
-	return sort.Search(len(ts.times), func(i int) bool { return ts.times[i] > t })
-}
-
 // ParseStats counts events on the parse path that change what the
-// trace representation holds. Both Parse and ParseStore fill it.
+// trace representation holds. ParseStore and IndexFile fill it.
 type ParseStats struct {
 	// XZChanges counts value changes carrying at least one x or z bit.
 	// Four-state changes are stored exactly (the unknown-bit plane);
@@ -181,47 +135,6 @@ type ParseStats struct {
 	// widths are stored exactly — nothing is masked — so this is a
 	// trace-shape statistic, not a loss report.
 	MaxWidth int
-}
-
-// Trace is a parsed VCD file.
-type Trace struct {
-	Signals   map[string]*TraceSignal
-	Hierarchy *rtl.InstanceNode
-	MaxTime   uint64
-	Stats     ParseStats
-}
-
-// Signal returns a signal timeline by full path.
-func (t *Trace) Signal(path string) (*TraceSignal, bool) {
-	s, ok := t.Signals[path]
-	return s, ok
-}
-
-// SignalNames returns all signal paths, sorted.
-func (t *Trace) SignalNames() []string {
-	var names []string
-	for n := range t.Signals {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// vcdEvents receives the parsed elements of a VCD stream in file order.
-// scanVCD drives it; Parse (eager per-signal timelines) and ParseStore
-// (streaming block store) are both thin sinks over the same scanner, so
-// the two trace representations can never drift on syntax handling.
-type vcdEvents struct {
-	// vardecl declares a signal: its id code, bit width, full
-	// hierarchical path, and scope-local name.
-	vardecl func(id string, width int, full, local string)
-	// change reports one value change for a declared id at absolute
-	// time t (#time markers never decrease, so t is non-decreasing
-	// across calls). lit is the raw MSB-first literal — characters
-	// from 01xXzZ, already validated by the scanner — NOT yet
-	// extended or truncated to the signal's declared width (sinks
-	// apply val.ParseVCD against the width they declared).
-	change func(id string, t uint64, lit string)
 }
 
 // hierBuilder reconstructs the instance tree from $scope nesting.
@@ -268,16 +181,17 @@ func (h *hierBuilder) declare(local string) (full string) {
 // unterminated stream.
 const maxLineBytes = 64 << 20
 
-// scanVCD reads a VCD stream line by line, maintaining scope nesting
-// in h and dispatching declarations and value changes to ev; the
-// current time and the maximum timestamp seen are tracked here, in the
-// one place both parsers share, and the latter is returned. Only the
+// scanVCD reads a VCD stream line by line into the ingest g: it
+// rebuilds the scope tree, hands declarations and value changes to g,
+// and sets the store's Hierarchy, MaxTime and Stats. Only the
 // constructs produced by Recorder and common simulators are supported:
 // $scope/$var/$upscope nesting, scalar and binary vector changes, and
-// #time markers. #time markers must be non-decreasing — that is the
-// vcdEvents.change contract ParseStore's delta encoding depends on —
-// and a regression is rejected with a positioned error.
-func scanVCD(rd io.Reader, h *hierBuilder, ev vcdEvents) (maxTime uint64, stats ParseStats, err error) {
+// #time markers. #time markers must be non-decreasing — the ingest's
+// time-delta encoding depends on it — and a regression, like every
+// other malformed line, is rejected with a positioned error.
+func scanVCD(rd io.Reader, g *storeIngest) error {
+	st := g.st
+	var h hierBuilder
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 64*1024), maxLineBytes)
 	inDefs := true
@@ -293,7 +207,7 @@ func scanVCD(rd io.Reader, h *hierBuilder, ev vcdEvents) (maxTime uint64, stats 
 		case strings.HasPrefix(line, "$scope"):
 			f := strings.Fields(line)
 			if len(f) < 3 {
-				return 0, stats, fmt.Errorf("vcd: line %d: malformed scope line %q", lineNo, line)
+				return fmt.Errorf("vcd: line %d: malformed scope line %q", lineNo, line)
 			}
 			h.enter(f[2])
 		case strings.HasPrefix(line, "$upscope"):
@@ -302,14 +216,18 @@ func scanVCD(rd io.Reader, h *hierBuilder, ev vcdEvents) (maxTime uint64, stats 
 			// $var wire <width> <id> <name> [...] $end
 			f := strings.Fields(line)
 			if len(f) < 5 {
-				return 0, stats, fmt.Errorf("vcd: line %d: malformed var line %q", lineNo, line)
+				return fmt.Errorf("vcd: line %d: malformed var line %q", lineNo, line)
 			}
 			width, err := strconv.Atoi(f[2])
 			if err != nil || width < 0 {
-				return 0, stats, fmt.Errorf("vcd: line %d: bad width in %q", lineNo, line)
+				return fmt.Errorf("vcd: line %d: bad width in %q", lineNo, line)
 			}
-			id, local := f[3], f[4]
-			ev.vardecl(id, width, h.declare(local), local)
+			if width > maxSignalWidth {
+				// OpenStore refuses wider signals, and the value planes
+				// of one change would be allocated at this width.
+				return fmt.Errorf("vcd: line %d: width %d exceeds the %d-bit limit", lineNo, width, maxSignalWidth)
+			}
+			g.vardecl(f[3], width, h.declare(f[4]))
 		case strings.HasPrefix(line, "$enddefinitions"):
 			inDefs = false
 		case strings.HasPrefix(line, "$"):
@@ -318,34 +236,31 @@ func scanVCD(rd io.Reader, h *hierBuilder, ev vcdEvents) (maxTime uint64, stats 
 		case line[0] == '#':
 			t, err := strconv.ParseUint(line[1:], 10, 64)
 			if err != nil {
-				return 0, stats, fmt.Errorf("vcd: line %d: bad timestamp %q", lineNo, line)
+				return fmt.Errorf("vcd: line %d: bad timestamp %q", lineNo, line)
 			}
 			if t < curTime {
 				// A regressed timestamp would make ParseStore's time-delta
 				// encoding underflow and silently corrupt the block record
 				// stream; reject it where the position is still known.
-				return 0, stats, fmt.Errorf("vcd: line %d: timestamp #%d went backwards (previous #%d)",
+				return fmt.Errorf("vcd: line %d: timestamp #%d went backwards (previous #%d)",
 					lineNo, t, curTime)
 			}
 			curTime = t
-			if t > maxTime {
-				maxTime = t
-			}
 		case line[0] == 'b' || line[0] == 'B':
 			if inDefs {
 				continue
 			}
 			sp := strings.IndexByte(line, ' ')
 			if sp < 0 {
-				return 0, stats, fmt.Errorf("vcd: line %d: malformed vector change %q", lineNo, line)
+				return fmt.Errorf("vcd: line %d: malformed vector change %q", lineNo, line)
 			}
 			raw := line[1:sp]
 			if raw == "" {
-				return 0, stats, fmt.Errorf("vcd: line %d: empty vector value %q", lineNo, line)
+				return fmt.Errorf("vcd: line %d: empty vector value %q", lineNo, line)
 			}
 			// Validate digits here (the one place with a line number) so
-			// sinks can parse the literal infallibly; count four-state
-			// and width statistics in the same pass.
+			// the ingest can parse the literal infallibly; count
+			// four-state and width statistics in the same pass.
 			hasXZ := false
 			for i := 0; i < len(raw); i++ {
 				switch raw[i] {
@@ -353,66 +268,31 @@ func scanVCD(rd io.Reader, h *hierBuilder, ev vcdEvents) (maxTime uint64, stats 
 				case 'x', 'X', 'z', 'Z':
 					hasXZ = true
 				default:
-					return 0, stats, fmt.Errorf("vcd: line %d: bad vector value %q", lineNo, line)
+					return fmt.Errorf("vcd: line %d: bad vector value %q", lineNo, line)
 				}
 			}
 			if hasXZ {
-				stats.XZChanges++
+				st.Stats.XZChanges++
 			}
-			if len(raw) > stats.MaxWidth {
-				stats.MaxWidth = len(raw)
+			if len(raw) > st.Stats.MaxWidth {
+				st.Stats.MaxWidth = len(raw)
 			}
-			ev.change(strings.TrimSpace(line[sp+1:]), curTime, raw)
+			g.change(strings.TrimSpace(line[sp+1:]), curTime, raw)
 		case line[0] == '0' || line[0] == '1' || line[0] == 'x' || line[0] == 'z' ||
 			line[0] == 'X' || line[0] == 'Z':
 			if inDefs {
 				continue
 			}
 			if line[0] != '0' && line[0] != '1' {
-				stats.XZChanges++
+				st.Stats.XZChanges++
 			}
-			if stats.MaxWidth < 1 {
-				stats.MaxWidth = 1
+			if st.Stats.MaxWidth < 1 {
+				st.Stats.MaxWidth = 1
 			}
-			ev.change(line[1:], curTime, line[:1])
+			g.change(line[1:], curTime, line[:1])
 		}
 	}
-	return maxTime, stats, sc.Err()
-}
-
-// Parse reads a VCD stream into eagerly materialized per-signal
-// timelines: every signal's complete change history in memory. Memory
-// scales with the total number of changes in the file; for large traces
-// where only a subset of signals will be inspected, prefer ParseStore.
-func Parse(rd io.Reader) (*Trace, error) {
-	tr := &Trace{Signals: map[string]*TraceSignal{}}
-	byID := map[string]*TraceSignal{}
-	var h hierBuilder
-	maxTime, stats, err := scanVCD(rd, &h, vcdEvents{
-		vardecl: func(id string, width int, full, local string) {
-			ts := &TraceSignal{Name: full, Width: width}
-			ts.pl.nw = sigWords(maxInt(width, 1))
-			tr.Signals[full] = ts
-			byID[id] = ts
-		},
-		change: func(id string, t uint64, lit string) {
-			ts, ok := byID[id]
-			if !ok {
-				return
-			}
-			b, perr := val.ParseVCD(lit, maxInt(ts.Width, 1))
-			if perr != nil {
-				return // unreachable: the scanner validated the literal
-			}
-			ts.times = append(ts.times, t)
-			ts.pl.appendBits(b)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	tr.MaxTime = maxTime
-	tr.Hierarchy = h.root
-	tr.Stats = stats
-	return tr, nil
+	st.MaxTime = curTime
+	st.Hierarchy = h.root
+	return sc.Err()
 }
