@@ -795,6 +795,62 @@ func BenchmarkReplayReverseStep(b *testing.B) {
 	}
 }
 
+// BenchmarkReplayReverseContinue measures the runtime's reverse-continue
+// walk over the whole RISC-V trace: one op starts at the last cycle and
+// walks back to the entry stop in cycle 0, with one breakpoint armed
+// that never hits (the taken-branch statement of core0, on a pc value
+// the core never holds). cycle-ns is the walk's cost per trace cycle.
+func BenchmarkReplayReverseContinue(b *testing.B) {
+	data := riscvTraceVCD(b)
+	st, err := vcd.ParseStore(bytes.NewReader(data), vcd.StoreOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := riscv.NewMachine(1, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := replay.NewStore(st)
+	rt, err := core.New(eng, m.Table)
+	if err != nil {
+		b.Fatal(err)
+	}
+	armed := false
+	for _, bp := range m.Table.AllBreakpoints() {
+		if bp.InstanceName == "SoC.core0" && bp.EnableSrc == "(isBranch & taken)" {
+			_, err := rt.AddBreakpointInstance(bp.Filename, bp.Line, bp.InstanceName, "pc == 2")
+			armed = err == nil
+			break
+		}
+	}
+	if !armed {
+		b.Fatal("no taken-branch statement in SoC.core0")
+	}
+	landings := 0
+	rt.SetHandler(func(ev *core.StopEvent) core.Command {
+		if ev.Reverse {
+			if ev.Time != 0 {
+				b.Fatalf("reverse-continue landed at t=%d, want the entry", ev.Time)
+			}
+			landings++
+			return core.CmdContinue
+		}
+		return core.CmdReverseContinue
+	})
+	end := eng.MaxTime()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.SetTime(end - 1)
+		rt.InterruptNext()
+		eng.StepForward()
+	}
+	b.StopTimer()
+	if landings != b.N {
+		b.Fatalf("%d landings in %d walks", landings, b.N)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*end), "cycle-ns")
+}
+
 // BenchmarkParallelEval measures the §3.2 parallel group evaluation on
 // a many-instance design where every instance hits the same line.
 func BenchmarkParallelEval(b *testing.B) {

@@ -23,7 +23,9 @@
 //
 // Reverse execution: when the attached server is backed by a replay
 // trace, the adapter advertises supportsStepBack and maps DAP's
-// stepBack/reverseContinue onto hgdb reverse-stepping.
+// stepBack onto hgdb's reverse-step and reverseContinue onto its
+// reverse-continue, one walk inside the runtime back to the previous
+// armed hit.
 package main
 
 import (

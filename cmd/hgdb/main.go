@@ -23,6 +23,7 @@
 //	c                             continue
 //	s                             step (next enabled statement)
 //	rs                            reverse step
+//	rc                            reverse continue (replay backends)
 //	p <expr> [@<instance>]        evaluate expression
 //	get <path> / set <path> <v>   raw signal access
 //	pause                         break at next statement
@@ -284,6 +285,8 @@ func execute(cl *client.Client, line string) bool {
 		report(cl.Command("step"))
 	case "rs", "reverse-step":
 		report(cl.Command("reverse-step"))
+	case "rc", "reverse-continue":
+		report(cl.Command("reverse-continue"))
 	case "pause":
 		report(cl.Command("pause"))
 	case "detach":
@@ -325,7 +328,7 @@ func execute(cl *client.Client, line string) bool {
 		}
 		report(cl.SetValue(args[0], v))
 	case "help", "h":
-		fmt.Println("commands: b <file>:<line> [if cond] | watch <expr> [@inst] | delete | info | c | s | rs | p <expr> [@inst] | get | set | pause | detach | sessions | release | claim | q")
+		fmt.Println("commands: b <file>:<line> [if cond] | watch <expr> [@inst] | delete | info | c | s | rs | rc | p <expr> [@inst] | get | set | pause | detach | sessions | release | claim | q")
 	default:
 		fmt.Printf("unknown command %q (try help)\n", cmd)
 	}

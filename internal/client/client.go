@@ -619,7 +619,8 @@ func (c *Client) ClearBreakpoints() error {
 }
 
 // Command resumes a stopped simulation: continue, step, reverse-step,
-// detach, pause. Requires control.
+// reverse-continue (replay backends only), detach, pause. Requires
+// control.
 func (c *Client) Command(cmd string) error {
 	_, err := c.roundTrip(&proto.Request{Type: "command", Command: cmd})
 	return err

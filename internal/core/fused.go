@@ -20,8 +20,9 @@ import (
 // (evalBP / Watchpoint.eval over expr.EvalBits): conditions it cannot
 // fuse (an unverified dependency, a literal only EvalBits accepts),
 // results that come back poisoned (a failed operand fetch, a poisoned
-// shared segment), stepping, reverse stepping, and the
-// SetExhaustiveEval reference the fused walk is pinned against.
+// shared segment), stepping, reverse walks (reverse steps and
+// reverse-continue), and the SetExhaustiveEval reference the fused
+// walk is pinned against.
 //
 // Activity skipping is one packed bitmap over fused condition ids
 // (fusedState.skip). The group walk parks each sound miss it consumes;

@@ -144,6 +144,22 @@ func (rt *Runtime) resolveSourceName(bpID int64, instance, name string) (string,
 // prefetch. Callers must hold rt.mu.
 func (rt *Runtime) markDepsDirty() { rt.depsDirty = true }
 
+// syncDeps runs a dependency-union rebuild scheduled since the last
+// one (breakpoints or watches changed), so the armed-member counts are
+// current. Runs on the simulation goroutine, when a reverse-continue
+// walk starts and at each cycle it rewinds. ensurePrefetch makes the
+// same check inline: it runs once per group on every forward edge,
+// where a second call per group would add to every armed edge.
+func (rt *Runtime) syncDeps() {
+	rt.mu.Lock()
+	dirty := rt.depsDirty
+	rt.depsDirty = false
+	rt.mu.Unlock()
+	if dirty {
+		rt.rebuildDeps()
+	}
+}
+
 // rebuildDeps recomputes the union of every armed condition's simulator
 // paths, assigns each program dependency its slot in the prefetched
 // value slice, and recompiles the fused schedule against the fresh

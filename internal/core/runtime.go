@@ -10,7 +10,7 @@
 // A condition has two evaluators. The whole armed set compiles into one
 // fused register program (expr.Fuse → eval.MultiProg) that runs once
 // per forward clock edge over one batched read of the armed dependency
-// union; everything else — stepping, reverse stepping, conditions the
+// union; everything else — stepping, reverse walks, conditions the
 // fuser cannot take, poisoned fused results, and the SetExhaustiveEval
 // reference — runs through the general four-state evaluator
 // (expr.EvalBits). On backends implementing vpi.Prefetcher (the replay
@@ -49,6 +49,12 @@ const (
 	// CmdDetach removes the runtime from the simulation; the design
 	// runs freely afterwards.
 	CmdDetach
+	// CmdReverseContinue runs backwards until an inserted breakpoint
+	// hits, walking the schedule in reverse and rewinding across cycle
+	// boundaries with SetTime. Cycle 0 is walked as a reverse step, so
+	// with no earlier hit the walk stops at the first enabled statement
+	// it reaches there (a step stop: the trace's entry).
+	CmdReverseContinue
 )
 
 func (c Command) String() string {
@@ -61,6 +67,8 @@ func (c Command) String() string {
 		return "reverse-step"
 	case CmdDetach:
 		return "detach"
+	case CmdReverseContinue:
+		return "reverse-continue"
 	}
 	return fmt.Sprintf("Command(%d)", int(c))
 }
@@ -271,6 +279,7 @@ type Runtime struct {
 	// stepping state
 	stepArmed    bool // stop at the next enabled statement
 	reverseArmed bool // schedule in reverse on the next evaluation
+	interrupted  bool // InterruptNext since the last edge or stop: survives the walk
 	detached     bool
 
 	watches   []*Watchpoint
@@ -668,11 +677,16 @@ func (rt *Runtime) ListBreakpoints() []symtab.Breakpoint {
 }
 
 // InterruptNext arms a step stop at the next evaluated statement
-// (asynchronous pause).
+// (asynchronous pause). A pause that arrives while the scheduler walks
+// an edge survives the walk: the next edge stops at its first enabled
+// statement. A reverse-continue walk honours it at its next cycle
+// boundary. A pause that arrives while parked in the handler is
+// superseded by the command the handler returns.
 func (rt *Runtime) InterruptNext() {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.stepArmed = true
+	rt.interrupted = true
 }
 
 // Detach removes the clock callback; the simulation runs free.

@@ -23,6 +23,7 @@ func (rt *Runtime) onEdge(time uint64) {
 	rt.mu.Lock()
 	stepping := rt.stepArmed
 	reverse := rt.reverseArmed
+	rt.interrupted = false // a pending pause is now this edge's step
 	hasBPs := len(rt.inserted) > 0
 	hasWatches := len(rt.watches) > 0
 	handler := rt.handler
@@ -37,12 +38,7 @@ func (rt *Runtime) onEdge(time uint64) {
 	}
 	if hasWatches {
 		if ev := rt.checkWatches(time); ev != nil {
-			rt.mu.Lock()
-			rt.stopCount++
-			rt.mu.Unlock()
-			cmd := handler(ev)
-			rt.invalidatePrefetch()
-			switch cmd {
+			switch rt.stop(handler, ev) {
 			case CmdDetach:
 				rt.Detach()
 				return
@@ -50,10 +46,12 @@ func (rt *Runtime) onEdge(time uint64) {
 				stepping = true
 			case CmdReverseStep:
 				stepping, reverse = true, true
+			case CmdReverseContinue:
+				stepping, reverse = rt.reverseContinue(time)
 			}
 		}
 	}
-	if !hasBPs && !stepping {
+	if !hasBPs && !stepping && !reverse {
 		return
 	}
 
@@ -64,11 +62,41 @@ func (rt *Runtime) onEdge(time uint64) {
 	rt.schedule(time, start, stepping, reverse, handler)
 }
 
+// stop hands one stop event to the handler and returns its command.
+// The paused user may have deposited values or changed the breakpoint
+// set, so the cycle cache is dropped; a pause requested while parked
+// is superseded by the command.
+func (rt *Runtime) stop(handler Handler, ev *StopEvent) Command {
+	rt.mu.Lock()
+	rt.stopCount++
+	rt.mu.Unlock()
+	cmd := handler(ev)
+	rt.mu.Lock()
+	rt.interrupted = false
+	rt.mu.Unlock()
+	rt.invalidatePrefetch()
+	return cmd
+}
+
+// reverseContinue starts a reverse-continue walk at time t and returns
+// its stop rule. The walk is a non-stepping reverse schedule, except in
+// cycle 0, which it walks as a reverse step. It passes over statements
+// with no armed member, so their counts are brought up to date first.
+func (rt *Runtime) reverseContinue(t uint64) (stepping, reverse bool) {
+	rt.syncDeps()
+	return t == 0, true
+}
+
 // schedule walks breakpoint groups in the pre-computed order (or its
 // reverse), evaluates each group's members, and blocks in the handler
 // on hits. Reverse scheduling that falls off the beginning of a cycle
 // re-enters the previous cycle when the backend supports SetTime
 // (trace replay), giving full reverse debugging.
+//
+// stepping stops at the next enabled statement; reverse walks
+// backwards. A reverse, non-stepping walk is a reverse-continue: it
+// evaluates only armed members, stops at the first hit, and keeps
+// rewinding until one is found or cycle 0 begins.
 func (rt *Runtime) schedule(time uint64, start int, stepping, reverse bool, handler Handler) {
 	t := time
 	i := start
@@ -84,72 +112,85 @@ func (rt *Runtime) schedule(time uint64, start int, stepping, reverse bool, hand
 				// the wrong cycle.
 				if err := rt.backend.SetTime(t - 1); err == nil {
 					rt.invalidatePrefetch()
+					// A rewound cycle is an edge to the query surface,
+					// as in onEdge: observers stay served during a long
+					// walk, and RunQuery's idle fallback never runs
+					// inline against it.
+					rt.edgeSeen.Add(1)
+					rt.drainQueries()
 					t--
 					i = len(rt.allGroups) - 1
+					if !stepping {
+						// A reverse-continue walk turns into a reverse
+						// step in cycle 0, or when a pause arrived.
+						rt.syncDeps()
+						rt.mu.Lock()
+						stepping = t == 0 || rt.interrupted
+						rt.mu.Unlock()
+					}
 					continue
 				}
+				// The backend cannot rewind: a reverse-continue walk
+				// degrades to a reverse step, which stays armed below.
+				stepping = true
 			}
 			break
 		}
 		g := rt.allGroups[i]
 		var hits []*insertedBP
-		if stepping || rt.exhaustive.Load() {
+		switch {
+		case stepping || rt.exhaustive.Load():
 			// Stepping (forward and reverse) and the exhaustive reference
 			// evaluate every member with the general evaluator.
 			hits = rt.evaluateGroup(g, stepping)
-		} else {
+		case reverse:
+			// A reverse-continue walk: the fused program runs forward
+			// edges only, so armed members go through the general
+			// evaluator. A group with no armed member can never hit.
+			if rt.groupArmed[i] > 0 {
+				hits = rt.evaluateGroup(g, false)
+			}
+		default:
 			// Forward, non-stepping edge: the whole schedule's conditions
 			// ran as one fused program when this edge's cache was
 			// refreshed (fused.go); the walk consumes per-condition
 			// results. A group with no armed member can never hit.
 			rt.ensurePrefetch(t)
-			if rt.groupArmed[i] == 0 {
-				i = next(i, reverse)
-				continue
+			if rt.groupArmed[i] > 0 {
+				hits = rt.fusedGroupEval(rt.fusedReady(t), i)
 			}
-			hits = rt.fusedGroupEval(rt.fusedReady(t), i)
 		}
 		if len(hits) == 0 {
 			i = next(i, reverse)
 			continue
 		}
-		event := rt.buildEvent(g, hits, t, reverse, stepping)
-		rt.mu.Lock()
-		rt.stopCount++
-		rt.mu.Unlock()
-		cmd := handler(event)
-		// The paused user may have deposited values or changed the
-		// breakpoint set; refetch before evaluating further groups.
-		rt.invalidatePrefetch()
-		switch cmd {
+		switch rt.stop(handler, rt.buildEvent(g, hits, t, reverse, stepping)) {
 		case CmdDetach:
 			rt.Detach()
 			rt.setStep(false, false)
 			return
-		case CmdContinue:
-			stepping, reverse = false, false
-			i = next(i, false)
 		case CmdStep:
 			stepping, reverse = true, false
-			i = next(i, false)
 		case CmdReverseStep:
 			stepping, reverse = true, true
-			i = next(i, true)
+		case CmdReverseContinue:
+			stepping, reverse = rt.reverseContinue(t)
 		default:
 			stepping, reverse = false, false
-			i = next(i, false)
 		}
+		i = next(i, reverse)
 		rt.mu.Lock()
 		hasBPs := len(rt.inserted) > 0
 		rt.mu.Unlock()
-		if !stepping && !hasBPs {
+		if !stepping && !reverse && !hasBPs {
 			break
 		}
 	}
 	// Carry stepping state into the next cycle: a forward step that ran
 	// off the end of this cycle stops at the first enabled statement of
 	// the next; an un-rewindable reverse step stays armed so the user
-	// still gets a stop (documented live-simulation limitation).
+	// still gets a stop (documented live-simulation limitation). A
+	// pause that arrived during the walk arms a step.
 	rt.setStep(stepping, reverse && stepping)
 }
 
@@ -162,16 +203,17 @@ func next(i int, reverse bool) int {
 
 func (rt *Runtime) setStep(step, reverse bool) {
 	rt.mu.Lock()
-	rt.stepArmed = step
+	rt.stepArmed = step || rt.interrupted
 	rt.reverseArmed = reverse
 	rt.mu.Unlock()
 }
 
 // evaluateGroup evaluates all candidate breakpoints of one source
 // statement with the general evaluator (§3.2 step 2) and returns the
-// members that hit. It serves stepping and the exhaustive reference,
-// neither of them a hot path, so members run in order on the
-// simulation goroutine; the worker pool serves the fused chunks.
+// members that hit. It serves stepping, reverse-continue walks and the
+// exhaustive reference, none of them a forward hot path, so members run
+// in order on the simulation goroutine; the worker pool serves the
+// fused chunks.
 func (rt *Runtime) evaluateGroup(g *group, stepping bool) []*insertedBP {
 	// Select members: inserted breakpoints always; when stepping, every
 	// potential breakpoint participates.

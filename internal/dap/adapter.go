@@ -56,15 +56,16 @@ type Options struct {
 //	continue/next     → continue / step commands
 //	pause             → interrupt at the next statement
 //	stepBack          → reverse-step (replay backends only)
-//	reverseContinue   → reverse-steps until an armed breakpoint hits
-//	                    or the trace begins (synthesized client-side)
+//	reverseContinue   → reverse-continue (replay backends only): the
+//	                    runtime walks back to the previous armed hit,
+//	                    or to the trace's entry in cycle 0
 //	disconnect        → hgdb session closed; the runtime survives for
 //	                    other sessions
 //
 // Unsolicited runtime events translate on the event pump: broadcast
 // stops become "stopped" events with reason breakpoint / step / pause
-// / data breakpoint, resumes this adapter issues become "continued",
-// and losing the hgdb session becomes "terminated".
+// / entry / data breakpoint, resumes this adapter issues become
+// "continued", and losing the hgdb session becomes "terminated".
 type Adapter struct {
 	conn *Conn
 	opts Options
@@ -89,7 +90,7 @@ type Adapter struct {
 	lastEvent StoppedEvent // the stopped event emitted for lastStop (for rollback re-announcement)
 	stopped   bool
 	pauseReq  bool // a pause was requested; next step stop reports "pause"
-	reversing bool // a reverseContinue is in flight (intermediate stops are re-stepped)
+	reversing bool // a reverseContinue is in flight; its step-stop landing reports "entry"
 
 	handles *handleTable
 
@@ -367,17 +368,17 @@ func (a *Adapter) handleRequest(req *Message) {
 	case "evaluate":
 		body, err = a.onEvaluate(req)
 	case "continue":
-		if err = a.resume("continue", false); err == nil {
+		if err = a.resume("continue"); err == nil {
 			body = ContinueResponse{AllThreadsContinued: true}
 		}
 	case "next", "stepIn", "stepOut":
 		// Hardware has one frame: every step granularity is "next
 		// enabled source statement".
-		err = a.resume("step", false)
+		err = a.resume("step")
 	case "stepBack":
-		err = a.reverseResume(false)
+		err = a.reverseResume("reverse-step")
 	case "reverseContinue":
-		err = a.reverseResume(true)
+		err = a.reverseResume("reverse-continue")
 	case "pause":
 		err = a.onPause()
 	case "disconnect", "terminate":
@@ -732,7 +733,7 @@ func (a *Adapter) onEvaluate(req *Message) (any, error) {
 // trailing continued would leave the UI showing a running target while
 // the simulation is parked). If the command fails, the previous stop
 // is re-announced to undo the continued event.
-func (a *Adapter) resume(cmd string, reversing bool) error {
+func (a *Adapter) resume(cmd string) error {
 	a.mu.Lock()
 	if !a.stopped {
 		a.mu.Unlock()
@@ -740,7 +741,7 @@ func (a *Adapter) resume(cmd string, reversing bool) error {
 	}
 	prevStop, prevEvent := a.lastStop, a.lastEvent
 	a.stopped = false
-	a.reversing = reversing
+	a.reversing = cmd == "reverse-continue"
 	a.lastStop = nil
 	// A user-issued resume cancels any pending pause label, mirroring
 	// the scheduler: a command from a stop clears the armed interrupt.
@@ -776,14 +777,14 @@ func (a *Adapter) resume(cmd string, reversing bool) error {
 
 // reverseResume gates stepBack/reverseContinue behind the backend's
 // time-travel capability.
-func (a *Adapter) reverseResume(reversing bool) error {
+func (a *Adapter) reverseResume(cmd string) error {
 	a.mu.Lock()
 	reverse := a.reverse
 	a.mu.Unlock()
 	if !reverse {
 		return fmt.Errorf("backend cannot step back (live simulation; use a replay trace)")
 	}
-	return a.resume("reverse-step", reversing)
+	return a.resume(cmd)
 }
 
 func (a *Adapter) onPause() error {
@@ -840,9 +841,8 @@ func (a *Adapter) hitBreakpointsLocked(stop *core.StopEvent) []int64 {
 	return hit
 }
 
-// onStop is the pump's stop translation: classify the reason, or —
-// mid-reverseContinue — keep stepping backwards until an armed
-// breakpoint hits or the trace runs out.
+// onStop is the pump's stop translation: record the stop and classify
+// its reason.
 func (a *Adapter) onStop(stop *core.StopEvent) {
 	a.mu.Lock()
 	a.lastStop = stop
@@ -851,46 +851,29 @@ func (a *Adapter) onStop(stop *core.StopEvent) {
 		a.ensureThreadLocked(th.Instance)
 	}
 	hit := a.hitBreakpointsLocked(stop)
-	if a.reversing && len(hit) == 0 && len(stop.Watch) == 0 && stop.Time > 0 {
-		// Synthesized reverseContinue: this intermediate step stop is
-		// not a breakpoint — swallow it and keep going backwards.
-		a.stopped = false
-		a.lastStop = nil
-		a.mu.Unlock()
-		a.handles.reset()
-		if err := a.cl.Command("reverse-step"); err == nil {
-			return
-		}
-		// The command failed (control lost, connection gone): surface
-		// the stop as-is rather than going silent — and classify it by
-		// its own hit/step nature, not as the trace running out.
-		a.mu.Lock()
-		a.lastStop = stop
-		a.stopped = true
-		a.reversing = false
-	}
 	wasReversing := a.reversing
 	a.reversing = false
 	a.handles.reset()
 
-	reason := "breakpoint"
+	reason := "step"
 	switch {
 	case len(stop.Watch) > 0:
 		reason = "data breakpoint"
-	case len(hit) > 0:
+	case len(hit) > 0 || !stop.StepStop:
+		// An armed id among the hit threads, or a landing on another
+		// session's breakpoint.
 		reason = "breakpoint"
-	case wasReversing:
-		// reverseContinue exhausted the trace without a breakpoint.
-		reason = "entry"
-	case a.pauseReq && stop.StepStop:
+	case a.pauseReq:
 		// This step stop is the requested interrupt landing; only now
 		// is the pause consumed — a breakpoint or watch stop arriving
 		// first must not eat the label (the interrupt is still armed
 		// until the user resumes, which clears it in resume()).
 		reason = "pause"
 		a.pauseReq = false
-	case stop.StepStop:
-		reason = "step"
+	case wasReversing:
+		// reverseContinue found no earlier hit and stopped at the
+		// trace's entry, in cycle 0.
+		reason = "entry"
 	}
 	threadID := 0
 	if len(stop.Threads) > 0 {

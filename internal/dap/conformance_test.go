@@ -6,6 +6,7 @@ import (
 	"net"
 	goruntime "runtime"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,7 +31,8 @@ import (
 // stopped(breakpoint) → threads → stackTrace → scopes → variables
 // (structured child expansion) → evaluate → next → continue →
 // disconnect; the replay scenario adds stepBack and reverseContinue
-// behind supportsStepBack. Stop times and frame contents are compared
+// behind supportsStepBack, and reverseContinue's entry and pause
+// landings have cases of their own. Stop times and frame contents are compared
 // against the same script run through internal/client directly.
 
 func hereLine() int {
@@ -89,7 +91,15 @@ func buildDualCoreBundle(t *testing.T) (*sim.Simulator, *symtab.Table, int) {
 func startSimServer(t *testing.T) (string, *sim.Simulator, int) {
 	t.Helper()
 	s, table, accLine := buildDualCoreBundle(t)
-	rt, err := core.New(vpi.NewSimBackend(s), table)
+	addr, _ := serveBackend(t, vpi.NewSimBackend(s), table)
+	return addr, s, accLine
+}
+
+// serveBackend attaches a runtime to the backend and serves it,
+// returning the listen address and the runtime (for its stop counts).
+func serveBackend(t *testing.T, be vpi.Interface, table *symtab.Table) (string, *core.Runtime) {
+	t.Helper()
+	rt, err := core.New(be, table)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +109,7 @@ func startSimServer(t *testing.T) (string, *sim.Simulator, int) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	return addr, s, accLine
+	return addr, rt
 }
 
 // recordTrace runs the dual-core design forward and returns its VCD
@@ -120,24 +130,22 @@ func recordTrace(t *testing.T, cycles int) ([]byte, *symtab.Table, int) {
 
 // startReplayServer serves a recorded trace through the checkpointed
 // block-store engine and returns a driver that replays it forward.
-func startReplayServer(t *testing.T, trace []byte, table *symtab.Table) (string, *replay.Engine) {
+func startReplayServer(t *testing.T, trace []byte, table *symtab.Table) (string, *replay.Engine, *core.Runtime) {
+	t.Helper()
+	eng := replayEngine(t, trace)
+	addr, rt := serveBackend(t, eng, table)
+	return addr, eng, rt
+}
+
+// replayEngine indexes a recorded trace into small blocks with frequent
+// checkpoints, so reverse execution crosses both.
+func replayEngine(t *testing.T, trace []byte) *replay.Engine {
 	t.Helper()
 	store, err := vcd.ParseStore(bytes.NewReader(trace), vcd.StoreOptions{BlockSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := replay.NewStore(store, replay.WithCheckpointInterval(4))
-	rt, err := core.New(eng, table)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := server.New(rt, nil)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	return addr, eng
+	return replay.NewStore(store, replay.WithCheckpointInterval(4))
 }
 
 // dapClient is the scripted DAP peer: it talks to an in-process
@@ -532,7 +540,7 @@ func TestDAPConformanceSim(t *testing.T) {
 // backend: the same lifecycle plus reverse execution.
 func TestDAPConformanceReplay(t *testing.T) {
 	trace, table, accLine := recordTrace(t, 10)
-	addr, eng := startReplayServer(t, trace, table)
+	addr, eng, rt := startReplayServer(t, trace, table)
 	d := newDAPSession(t, addr)
 
 	caps := decodeBody[Capabilities](t, d.request("initialize", InitializeArguments{AdapterID: "hgdb"}))
@@ -585,12 +593,17 @@ func TestDAPConformanceReplay(t *testing.T) {
 	}
 
 	// --- reverseContinue: runs backwards until the armed breakpoint
-	// hits at an earlier time.
+	// hits at an earlier time, in one walk inside the runtime: the
+	// intermediate statements cost no stops.
+	_, stops0 := rt.Stats()
 	d.request("reverseContinue", ThreadedArguments{ThreadID: u0})
 	d.event("continued")
 	rev := d.stopped()
 	if rev.Reason != "breakpoint" {
 		t.Fatalf("reverseContinue stop = %+v", rev)
+	}
+	if _, stops1 := rt.Stats(); stops1-stops0 != 1 {
+		t.Fatalf("reverseContinue cost %d core stops, want 1", stops1-stops0)
 	}
 	if rev.Time >= second.Time {
 		t.Fatalf("reverseContinue did not move back: %d (from %d)", rev.Time, second.Time)
@@ -609,7 +622,7 @@ func TestDAPConformanceReplay(t *testing.T) {
 
 	// --- reference comparison: forward stop times through
 	// internal/client on a fresh replay server over the same trace.
-	refAddr, refEng := startReplayServer(t, trace, table)
+	refAddr, refEng, _ := startReplayServer(t, trace, table)
 	refTimes, refAccs := referenceStops(t, refAddr, harnessFile, accLine, func() {
 		for refEng.StepForward() {
 		}
@@ -707,4 +720,113 @@ func TestDAPPause(t *testing.T) {
 	}
 	d.request("disconnect", nil)
 	d.event("terminated")
+}
+
+// replayToHit starts a DAP session on a replay server, arms the
+// accumulate line, replays the trace forward on a goroutine of its
+// own, and continues until a hit at or after time from. It returns the
+// session, the hit, and a wait for the replay to finish.
+func replayToHit(t *testing.T, addr string, accLine int, eng *replay.Engine, from uint64) (*dapClient, StoppedEvent, func()) {
+	t.Helper()
+	d := newDAPSession(t, addr)
+	d.request("initialize", InitializeArguments{})
+	d.request("attach", AttachArguments{})
+	d.event("initialized")
+	d.request("setBreakpoints", SetBreakpointsArguments{
+		Source:      Source{Path: harnessFile},
+		Breakpoints: []SourceBreakpoint{{Line: accLine}},
+	})
+	d.request("configurationDone", nil)
+	replayDone := make(chan struct{})
+	go func() {
+		defer close(replayDone)
+		for eng.StepForward() {
+		}
+	}()
+	stop := d.stopped()
+	for stop.Time < from {
+		d.request("continue", ThreadedArguments{})
+		d.event("continued")
+		stop = d.stopped()
+	}
+	return d, stop, func() {
+		select {
+		case <-replayDone:
+		case <-time.After(10 * time.Second):
+			t.Fatal("replay stuck after disconnect")
+		}
+	}
+}
+
+// TestDAPReverseContinueEntry: with no breakpoint armed, reverseContinue
+// runs back to the trace's entry and reports it with reason "entry" at
+// time 0.
+func TestDAPReverseContinueEntry(t *testing.T) {
+	trace, table, accLine := recordTrace(t, 10)
+	addr, eng, _ := startReplayServer(t, trace, table)
+	d, stop, wait := replayToHit(t, addr, accLine, eng, 4)
+	d.request("setBreakpoints", SetBreakpointsArguments{Source: Source{Path: harnessFile}})
+	d.request("reverseContinue", ThreadedArguments{})
+	d.event("continued")
+	entry := d.stopped()
+	if entry.Reason != "entry" || entry.Time != 0 {
+		t.Fatalf("reverseContinue from t=%d with nothing armed = %+v, want entry at time 0", stop.Time, entry)
+	}
+	d.request("disconnect", nil)
+	d.event("terminated")
+	wait()
+}
+
+// gatedRewind holds the runtime's rewind to time at until release is
+// closed, so a test can act while a reverse walk is in flight.
+type gatedRewind struct {
+	vpi.Interface
+	at      uint64
+	reached chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (g *gatedRewind) SetTime(t uint64) error {
+	err := g.Interface.SetTime(t)
+	if err == nil && t == g.at {
+		g.once.Do(func() {
+			close(g.reached)
+			<-g.release
+		})
+	}
+	return err
+}
+
+// TestDAPPauseDuringReverseContinue: a pause that arrives while the
+// runtime walks a reverseContinue lands as the next enabled statement
+// back and reports reason "pause".
+func TestDAPPauseDuringReverseContinue(t *testing.T) {
+	trace, table, accLine := recordTrace(t, 10)
+	eng := replayEngine(t, trace)
+	gate := &gatedRewind{Interface: eng, at: 2, reached: make(chan struct{}), release: make(chan struct{})}
+	addr, _ := serveBackend(t, gate, table)
+	// Registered after the server's cleanup, so it runs first: a failed
+	// test must not leave the walk parked under a closing server.
+	release := sync.OnceFunc(func() { close(gate.release) })
+	t.Cleanup(release)
+	d, stop, wait := replayToHit(t, addr, accLine, eng, 5)
+	// Nothing armed: without the pause the walk would run to the entry.
+	d.request("setBreakpoints", SetBreakpointsArguments{Source: Source{Path: harnessFile}})
+	d.request("reverseContinue", ThreadedArguments{})
+	d.event("continued")
+	select {
+	case <-gate.reached:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("reverseContinue from t=%d never rewound to t=%d", stop.Time, gate.at)
+	}
+	d.request("pause", ThreadedArguments{})
+	release()
+	paused := d.stopped()
+	if paused.Reason != "pause" || paused.Time != gate.at {
+		t.Fatalf("pause during reverseContinue = %+v, want reason pause at time %d", paused, gate.at)
+	}
+	d.request("disconnect", nil)
+	d.event("terminated")
+	wait()
 }

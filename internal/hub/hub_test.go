@@ -256,6 +256,33 @@ func TestHubReplayRuntimesShareSymtab(t *testing.T) {
 	if !stop.Reverse {
 		t.Fatalf("reverse-step stop not marked reverse: %+v", stop)
 	}
+	// Reverse-continue is one walk inside the runtime: from a later hit
+	// it lands on an earlier one, marked reverse, at the cost of exactly
+	// one core stop.
+	for i := 0; i < 2; i++ {
+		if err := ctrl.Command("continue"); err != nil {
+			t.Fatal(err)
+		}
+		if stop, err = ctrl.WaitStop(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rt := h.Server("r0").Runtime()
+	_, stops0 := rt.Stats()
+	if err := ctrl.Command("reverse-continue"); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ctrl.WaitStop(10 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, stops1 := rt.Stats(); stops1-stops0 != 1 {
+		t.Fatalf("reverse-continue cost %d core stops, want 1", stops1-stops0)
+	}
+	if !back.Reverse || back.StepStop || back.Time >= stop.Time {
+		t.Fatalf("reverse-continue from t=%d landed at t=%d (reverse=%v step=%v)",
+			stop.Time, back.Time, back.Reverse, back.StepStop)
+	}
 
 	// Evicting all but one keeps the table resident and referenced;
 	// evicting the last parks it idle (still resident for relaunch).

@@ -21,6 +21,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		`{"type":"breakpoint","action":"clear","token":"4"}`,
 		`{"type":"command","command":"continue","token":"5"}`,
 		`{"type":"command","command":"reverse-step","token":"6"}`,
+		`{"type":"command","command":"reverse-continue","token":"6"}`,
 		`{"type":"command","command":"pause","token":"7"}`,
 		`{"type":"evaluate","instance":"Counter","expression":"count + 10","token":"8"}`,
 		`{"type":"get-value","path":"Counter.count","token":"9"}`,

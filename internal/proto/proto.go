@@ -30,7 +30,9 @@ type Request struct {
 	Line      int    `json:"line,omitempty"`
 	Condition string `json:"condition,omitempty"`
 
-	// command field: continue | step | reverse-step | detach | pause
+	// command field: continue | step | reverse-step | reverse-continue
+	// | detach | pause. reverse-continue needs a backend that can travel
+	// backwards (replay).
 	Command string `json:"command,omitempty"`
 
 	// evaluate fields
@@ -170,7 +172,7 @@ type Event struct {
 	// latency; it is advisory otherwise (clocks may differ).
 	Emit int64 `json:"emit,omitempty"`
 	// Command reports how the simulation resumed ("resume" events):
-	// continue | step | reverse-step | detach.
+	// continue | step | reverse-step | reverse-continue | detach.
 	Command string `json:"command,omitempty"`
 	// Welcome payload
 	Top   string `json:"top,omitempty"`
@@ -284,6 +286,8 @@ func ParseCommand(s string) (core.Command, error) {
 		return core.CmdStep, nil
 	case "reverse-step":
 		return core.CmdReverseStep, nil
+	case "reverse-continue":
+		return core.CmdReverseContinue, nil
 	case "detach":
 		return core.CmdDetach, nil
 	}
@@ -300,6 +304,8 @@ func CommandString(cmd core.Command) string {
 		return "step"
 	case core.CmdReverseStep:
 		return "reverse-step"
+	case core.CmdReverseContinue:
+		return "reverse-continue"
 	case core.CmdDetach:
 		return "detach"
 	}

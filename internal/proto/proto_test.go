@@ -36,15 +36,19 @@ func TestErrorResponse(t *testing.T) {
 
 func TestParseCommand(t *testing.T) {
 	cases := map[string]core.Command{
-		"continue":     core.CmdContinue,
-		"step":         core.CmdStep,
-		"reverse-step": core.CmdReverseStep,
-		"detach":       core.CmdDetach,
+		"continue":         core.CmdContinue,
+		"step":             core.CmdStep,
+		"reverse-step":     core.CmdReverseStep,
+		"reverse-continue": core.CmdReverseContinue,
+		"detach":           core.CmdDetach,
 	}
 	for s, want := range cases {
 		got, err := ParseCommand(s)
 		if err != nil || got != want {
 			t.Errorf("ParseCommand(%q) = %v, %v", s, got, err)
+		}
+		if back := CommandString(got); back != s {
+			t.Errorf("CommandString(ParseCommand(%q)) = %q", s, back)
 		}
 	}
 	if _, err := ParseCommand("warp"); err == nil {

@@ -770,6 +770,13 @@ func (s *Server) handleCommand(sess *Session, req *proto.Request) *proto.Respons
 	if err != nil {
 		return proto.Error(req.Token, "%v", err)
 	}
+	if cmd == core.CmdReverseContinue && !s.reverse {
+		// Refused up front: on a backend that cannot seek, the walk
+		// would degrade to a reverse step left armed for the next
+		// cycle instead of reaching the previous hit. The stop stays
+		// parked.
+		return proto.Error(req.Token, "backend cannot travel backwards (live simulation; use a replay trace)")
+	}
 	// Control check and resume are one critical section: a session
 	// that lost control a moment ago must not resume the simulation
 	// out from under the new controller.

@@ -278,6 +278,48 @@ func TestStepCommandOverProtocol(t *testing.T) {
 	}
 }
 
+// TestReverseContinueRefusedOnLiveSim: a live simulation cannot seek,
+// so reverse-continue is refused with an error response, and the stop
+// it was sent from stays parked for the next command.
+func TestReverseContinueRefusedOnLiveSim(t *testing.T) {
+	cl, s, incLine := startServer(t)
+	if _, err := cl.AddBreakpoint("server_test.go", incLine, "count == 1"); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Poke("Counter.en", 1)
+		s.Run(5)
+	}()
+	stop, err := cl.WaitStop(5 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Command("reverse-continue"); err == nil {
+		t.Fatal("reverse-continue accepted on a live simulation")
+	}
+	raw, err := cl.Info("status", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var status struct{ Time uint64 }
+	if err := json.Unmarshal(raw, &status); err != nil {
+		t.Fatal(err)
+	}
+	if status.Time != stop.Time {
+		t.Fatalf("simulation moved to t=%d after the refusal, stop was at t=%d", status.Time, stop.Time)
+	}
+	if err := cl.Command("continue"); err != nil {
+		t.Fatalf("continue after the refusal: %v", err)
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("simulation stuck after the refused reverse-continue")
+	}
+}
+
 func TestWatchOverProtocol(t *testing.T) {
 	cl, s, _ := startServer(t)
 	id, err := cl.AddWatch("Counter", "count")
