@@ -16,7 +16,8 @@
 //   - BenchmarkSSA / BenchmarkCompile: compilation-pipeline ablations.
 //   - BenchmarkEdgeVsChange: the §3 design choice of evaluating
 //     breakpoints only at clock edges rather than on every change.
-//   - BenchmarkParallelEval: §3.2's parallel group evaluation.
+//   - BenchmarkParallelEval: §3.2's parallel group evaluation, run as
+//     one fused pass over every member.
 //
 // Run: go test -bench=. -benchmem .
 package repro_test
@@ -216,9 +217,9 @@ park:
 // whose dependencies change every edge, so activity skipping never
 // parks anything and the full armed set is evaluated each cycle.
 //
-// Compare ns/op across /fused (one fused program per edge, contiguous
-// ranges over the worker pool) and /exhaustive (the EvalBits reference:
-// no prefetch, no fusion, no skipping). Stop sequences are pinned
+// Compare ns/op across /fused (one fused program pass per edge on the
+// simulation goroutine) and /exhaustive (the EvalBits reference: no
+// prefetch, no fusion, no skipping). Stop sequences are pinned
 // bit-identical by TestFusedStopEquivalenceRISCV and the internal/core
 // fused differentials; this benchmark only reports cost. The fused
 // shape (conditions, CSE segments, shared reads, deduplicated operands)
@@ -852,7 +853,8 @@ func BenchmarkReplayReverseContinue(b *testing.B) {
 }
 
 // BenchmarkParallelEval measures the §3.2 parallel group evaluation on
-// a many-instance design where every instance hits the same line.
+// a many-instance design where every instance hits the same line; the
+// members' conditions run as one fused pass on the simulation goroutine.
 func BenchmarkParallelEval(b *testing.B) {
 	buildMany := func(n int) (*sim.Simulator, *core.Runtime, string, int) {
 		c := generator.NewCircuit("Top")

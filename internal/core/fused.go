@@ -10,10 +10,11 @@ import (
 // program (expr.Fuse) covering each armed breakpoint condition and
 // watchpoint expression whose dependencies are verified and slotted;
 // at each forward, non-stepping clock edge the scheduler executes that
-// program once — shared CSE prelude on the simulation goroutine, the
-// per-condition segments partitioned into contiguous ranges across the
-// worker pool — and the group walk merely consumes per-condition
-// results.
+// program once — shared CSE prelude, then every condition segment, in
+// one pass on the simulation goroutine — and the group walk merely
+// consumes per-condition results. That pass is this repo's form of the
+// paper's parallel evaluation of a group's members (§3.2): every member
+// of every group is decided by the same run.
 //
 // The fused program is the only compiled form a condition has.
 // Everything it does not cover runs through the general evaluator
@@ -27,16 +28,11 @@ import (
 // Activity skipping is one packed bitmap over fused condition ids
 // (fusedState.skip). The group walk parks each sound miss it consumes;
 // commitSlot's dirt un-parks every condition whose operand closure
-// reads the changed slot (fusedUnpark). Pool workers read the bitmap
-// during runFused without a lock: the pool's job-channel send orders
-// the simulation goroutine's earlier writes before the workers' reads,
-// and its WaitGroup.Wait orders those reads before any later write.
+// reads the changed slot (fusedUnpark).
 
 // fusedState is the per-union-generation fused schedule: the compiled
 // program, its membership maps, and the per-edge execution buffers.
-// All fields are simulation-goroutine state except the buffers workers
-// are handed read-only (opsVals, shVals, skip, ...) or write at
-// disjoint indexes (results, resOK).
+// It is simulation-goroutine state.
 type fusedState struct {
 	// sched is nil when no armed condition fuses.
 	sched *expr.FusedSchedule
@@ -66,29 +62,17 @@ type fusedState struct {
 	skip   []uint64
 	parked int
 
-	// Per-edge execution buffers.
+	// Per-edge execution buffers and the one machine that runs the
+	// program.
 	opsVals []eval.Value
 	opsOK   []bool
-	shVals  []eval.Value
-	shOK    []bool
 	results []eval.Value
 	resOK   []bool
-
-	// machines are the per-chunk executors; chunk k runs the contiguous
-	// condition range [k*perChunk, (k+1)*perChunk). execChunk is the
-	// worker closure, built once per rebuild so dispatching it each edge
-	// does not allocate.
-	machines  []eval.FusedMachine
-	chunks    int
-	perChunk  int
-	execChunk func(k int)
+	machine eval.FusedMachine
 
 	valid bool
 	time  uint64
 }
-
-// fusedChunkMin is the smallest condition range worth a pool dispatch.
-const fusedChunkMin = 32
 
 // skipped reports whether condition ci is parked.
 func (fs *fusedState) skipped(ci int32) bool {
@@ -171,8 +155,6 @@ func (rt *Runtime) buildFused(fuse bool) *fusedState {
 	n := len(sched.Prog.Conds)
 	fs.opsVals = make([]eval.Value, len(sched.Slots))
 	fs.opsOK = make([]bool, len(sched.Slots))
-	fs.shVals = make([]eval.Value, sched.Prog.NumShared)
-	fs.shOK = make([]bool, sched.Prog.NumShared)
 	fs.results = make([]eval.Value, n)
 	fs.resOK = make([]bool, n)
 	fs.skip = make([]uint64, (n+63)/64)
@@ -182,24 +164,6 @@ func (rt *Runtime) buildFused(fuse bool) *fusedState {
 			s := sched.Slots[op]
 			fs.slotConds[s] = append(fs.slotConds[s], int32(ci))
 		}
-	}
-	fs.chunks = (n + fusedChunkMin - 1) / fusedChunkMin
-	if max := rt.pool.size + 1; fs.chunks > max {
-		fs.chunks = max
-	}
-	fs.perChunk = (n + fs.chunks - 1) / fs.chunks
-	fs.machines = make([]eval.FusedMachine, fs.chunks)
-	fs.execChunk = func(k int) {
-		from := k * fs.perChunk
-		to := from + fs.perChunk
-		if to > n {
-			to = n
-		}
-		if from >= to {
-			return
-		}
-		fs.machines[k].ExecConds(&sched.Prog, fs.opsVals, fs.opsOK, fs.shVals, fs.shOK,
-			from, to, fs.skip, fs.results, fs.resOK)
 	}
 	return fs
 }
@@ -217,9 +181,8 @@ func (rt *Runtime) fusedReady(t uint64) *fusedState {
 }
 
 // runFused executes the whole fused schedule once: gather operands from
-// the prefetch cache, run the shared prelude, then the condition
-// segments across the worker pool in contiguous ranges, skipping parked
-// conditions.
+// the prefetch cache, then run the shared prelude and every condition
+// segment not parked.
 func (rt *Runtime) runFused(fs *fusedState, t uint64) {
 	fs.valid, fs.time = true, t
 	if fs.parked == len(fs.resOK) {
@@ -233,8 +196,7 @@ func (rt *Runtime) runFused(fs *fusedState, t uint64) {
 		fs.opsVals[k] = rt.prefetched[s]
 		fs.opsOK[k] = rt.prefetchOK[s]
 	}
-	fs.machines[0].ExecShared(&sched.Prog, fs.opsVals, fs.opsOK, fs.shVals, fs.shOK)
-	rt.pool.parallel(fs.chunks, fs.execChunk)
+	fs.machine.Exec(&sched.Prog, fs.opsVals, fs.opsOK, fs.skip, fs.results, fs.resOK)
 	if evaluated := fs.watchBase - fs.parked; evaluated > 0 {
 		rt.mu.Lock()
 		rt.evalCount += uint64(evaluated)

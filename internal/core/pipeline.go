@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"sync"
 
 	"repro/internal/eval"
 	"repro/internal/vpi"
@@ -13,106 +12,11 @@ import (
 // once (expr.ParseCompile) and its signal dependencies are resolved to
 // simulator paths. At each clock edge the scheduler makes one batched
 // backend read covering the union of every armed condition's
-// dependencies (vpi.ReadBatch), caches the values for the cycle, and
-// runs the whole schedule's fused program against the cache on a
-// persistent worker pool (fused.go) — replacing the seed's tree-walk +
-// one GetValue per signal per breakpoint + one goroutine spawned per
-// group member per edge.
-
-// workerPool is a fixed set of evaluation goroutines that lives for the
-// runtime's lifetime. The scheduler dispatches the fused program's
-// condition chunks onto it (§3.2's parallel evaluation) without the
-// per-edge goroutine spawn cost.
-type workerPool struct {
-	// mu serializes job submission against close, so a Detach issued
-	// from a stop handler (or another goroutine) mid-edge can never
-	// race a send onto the closed channel; once closed, parallel
-	// degrades to inline execution.
-	mu      sync.Mutex
-	size    int
-	started bool
-	closed  bool
-	jobs    chan poolJob
-	// wg counts one parallel call's dispatched jobs. parallel has a
-	// single caller, so one pool-owned WaitGroup serves every call
-	// without a per-edge allocation.
-	wg sync.WaitGroup
-}
-
-type poolJob struct {
-	fn func(int)
-	i  int
-}
-
-func newWorkerPool(n int) *workerPool {
-	if n < 1 {
-		n = 1
-	}
-	// Workers spawn lazily on the first multi-chunk fused run, so
-	// runtimes that never evaluate in parallel (or are dropped without
-	// Detach) hold no goroutines.
-	return &workerPool{size: n, jobs: make(chan poolJob, 4*n)}
-}
-
-func (p *workerPool) worker() {
-	for j := range p.jobs {
-		j.fn(j.i)
-		p.wg.Done()
-	}
-}
-
-// parallel runs fn(0)..fn(n-1) across the pool plus the calling
-// goroutine and returns when every call has completed. Only the
-// simulation goroutine (the clock-edge callback) may call it.
-func (p *workerPool) parallel(n int, fn func(int)) {
-	if n <= 0 {
-		return
-	}
-	if n <= 2 {
-		// Small batches run inline: the channel round-trip plus WaitGroup
-		// wake-up costs more than running a second chunk here, so
-		// two-chunk schedules stay on the simulation goroutine.
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	if !p.started {
-		p.started = true
-		for i := 0; i < p.size; i++ {
-			go p.worker()
-		}
-	}
-	p.wg.Add(n - 1)
-	for i := 1; i < n; i++ {
-		p.jobs <- poolJob{fn: fn, i: i}
-	}
-	p.mu.Unlock()
-	fn(0)
-	p.wg.Wait()
-}
-
-// close shuts the workers down; idempotent. Workers drain any jobs
-// already submitted (closing the channel lets the range loops consume
-// the buffer first), and later parallel calls run inline.
-func (p *workerPool) close() {
-	p.mu.Lock()
-	if !p.closed {
-		p.closed = true
-		if p.started {
-			close(p.jobs)
-		}
-	}
-	p.mu.Unlock()
-}
+// dependencies (vpi.ReadBatchInto), caches the values for the cycle,
+// and runs the whole schedule's fused program against the cache in one
+// pass on the simulation goroutine (fused.go) — replacing the seed's
+// tree-walk + one GetValue per signal per breakpoint + one goroutine
+// spawned per group member per edge.
 
 // resolveSourceName resolves a source-level identifier to a simulator
 // path using the same chain for breakpoint conditions and watchpoints:

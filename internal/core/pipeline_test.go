@@ -101,11 +101,12 @@ func buildManyInstances(t *testing.T, n int) (*sim.Simulator, *Runtime) {
 	return s, rt
 }
 
-// TestWorkerPoolGroupEvaluation arms one breakpoint across many
+// TestManyInstanceGroupEvaluation arms one breakpoint across many
 // instances and checks every member evaluates (as one fused schedule)
-// and stops as one multi-threaded event.
-func TestWorkerPoolGroupEvaluation(t *testing.T) {
-	const n = 16
+// and stops as one multi-threaded event. 48 instances put the schedule
+// above the 32-condition ranges the fused program was once split into.
+func TestManyInstanceGroupEvaluation(t *testing.T) {
+	const n = 48
 	s, rt := buildManyInstances(t, n)
 	threads := 0
 	rt.SetHandler(func(ev *StopEvent) Command {
@@ -121,22 +122,34 @@ func TestWorkerPoolGroupEvaluation(t *testing.T) {
 	if evals == 0 || stops != 4 {
 		t.Fatalf("stats = (%d evals, %d stops), want (>0, 4)", evals, stops)
 	}
+	if info, ok := rt.FuseInfo(); !ok || info.Conds != n {
+		t.Fatalf("fused conds = %d (ok=%v), want %d", info.Conds, ok, n)
+	}
 }
 
 // TestDetachFromHandlerMidEdge: a handler that calls Detach directly
-// (instead of returning CmdDetach) and then continues must not crash
-// the scheduler — the closed worker pool degrades to inline
-// evaluation for the remainder of the edge.
+// (instead of returning CmdDetach) and then continues ends the walk at
+// that stop — the statement scheduled later in the same edge must not
+// stop a runtime that is already detached.
 func TestDetachFromHandlerMidEdge(t *testing.T) {
-	s, rt := buildManyInstances(t, 8)
+	d := buildCounterDesign(t, false)
+	rt, err := New(vpi.NewSimBackend(d.sim), d.table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []int{d.defLine, d.incLine} {
+		if _, err := rt.AddBreakpoint("core_test.go", line, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
 	stops := 0
 	rt.SetHandler(func(ev *StopEvent) Command {
 		stops++
 		rt.Detach()
 		return CmdContinue
 	})
-	s.Poke("Top.x", 3)
-	s.Run(3)
+	d.sim.Poke("Counter.en", 1)
+	d.sim.Run(3)
 	if stops != 1 {
 		t.Fatalf("stops = %d, want 1 (detached after first)", stops)
 	}

@@ -1,8 +1,8 @@
 // Package core implements the hgdb debugger runtime — the paper's
 // breakpoint emulation layer (§3.2, Figure 2): breakpoint insertion
 // against the symbol table, the Figure 2 scheduling loop executed
-// inside the simulator's clock-edge callback, parallel condition
-// evaluation of breakpoint groups, source-level stack frame
+// inside the simulator's clock-edge callback, evaluation of every
+// breakpoint group's members in one fused pass, source-level stack frame
 // reconstruction with structured variables (§3.4), concurrent
 // instances presented as threads (Figure 4), watchpoints, and
 // intra-cycle plus (on replay backends) full reverse debugging (§3.2).
@@ -21,7 +21,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	goruntime "runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -291,11 +290,6 @@ type Runtime struct {
 	stopCount uint64
 	allGroups []*group // all symtab statements, for stepping
 
-	// pool runs the fused program's condition chunks; it lives for the
-	// runtime's lifetime (workers park between edges) instead of
-	// spawning goroutines per edge.
-	pool *workerPool
-
 	// queries holds pending debugger queries awaiting a drain point
 	// with stable simulation state; execMu serializes every job's
 	// execution across all drain points so two queries can never touch
@@ -372,7 +366,6 @@ func New(backend vpi.Interface, table *symtab.Table) (*Runtime, error) {
 		table:    table,
 		remap:    remap,
 		inserted: map[int64]*insertedBP{},
-		pool:     newWorkerPool(goruntime.GOMAXPROCS(0)),
 		queries:  make(chan *QueryJob, queryQueueDepth),
 	}
 	rt.allGroups = rt.buildAllGroups()
@@ -696,7 +689,6 @@ func (rt *Runtime) Detach() {
 	if rt.attached {
 		rt.backend.RemoveCallback(rt.cbID)
 		rt.attached = false
-		rt.pool.close()
 		// Release the backend's dirty-signal tracking: an empty
 		// registration disables reporting, so the free-running design
 		// stops paying the per-commit change compares for a debugger

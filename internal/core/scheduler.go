@@ -65,7 +65,8 @@ func (rt *Runtime) onEdge(time uint64) {
 // stop hands one stop event to the handler and returns its command.
 // The paused user may have deposited values or changed the breakpoint
 // set, so the cycle cache is dropped; a pause requested while parked
-// is superseded by the command.
+// is superseded by the command. A handler that detached the runtime
+// itself gets CmdDetach whatever it returned, so the walk ends there.
 func (rt *Runtime) stop(handler Handler, ev *StopEvent) Command {
 	rt.mu.Lock()
 	rt.stopCount++
@@ -73,6 +74,9 @@ func (rt *Runtime) stop(handler Handler, ev *StopEvent) Command {
 	cmd := handler(ev)
 	rt.mu.Lock()
 	rt.interrupted = false
+	if rt.detached {
+		cmd = CmdDetach
+	}
 	rt.mu.Unlock()
 	rt.invalidatePrefetch()
 	return cmd
@@ -212,8 +216,7 @@ func (rt *Runtime) setStep(step, reverse bool) {
 // statement with the general evaluator (§3.2 step 2) and returns the
 // members that hit. It serves stepping, reverse-continue walks and the
 // exhaustive reference, none of them a forward hot path, so members run
-// in order on the simulation goroutine; the worker pool serves the
-// fused chunks.
+// one by one.
 func (rt *Runtime) evaluateGroup(g *group, stepping bool) []*insertedBP {
 	// Select members: inserted breakpoints always; when stepping, every
 	// potential breakpoint participates.

@@ -18,7 +18,7 @@ func runSegment(m *FusedMachine, code []Instr, numRegs int, ops []uint16, operan
 	}
 	results := make([]Value, 1)
 	ok := make([]bool, 1)
-	m.ExecConds(p, operands, opsOK, nil, nil, 0, 1, nil, results, ok)
+	m.Exec(p, operands, opsOK, nil, results, ok)
 	return results[0], ok[0]
 }
 

@@ -6,9 +6,9 @@ package eval
 // once per clock edge instead of once per condition group. The fuser
 // (internal/expr) performs cross-condition CSE — subexpressions shared
 // between conditions (same structure over the same operand slots) are
-// hoisted into shared prelude segments computed once — and the
-// scheduler partitions the per-condition segments into contiguous
-// ranges across its worker pool.
+// hoisted into shared prelude segments computed once — and one
+// FusedMachine runs the prelude and then every condition segment, in a
+// single pass on the caller's goroutine.
 //
 // Error isolation is per segment: the segments of a fused program share
 // one register file but are otherwise independent, so an evaluation
@@ -42,28 +42,31 @@ type MultiProg struct {
 	NumRegs     int
 	NumShared   int
 	NumOperands int
-	// Shared are the CSE prelude segments, run once per edge on the
-	// scheduling goroutine before any condition executes.
+	// Shared are the CSE prelude segments, run once per edge before any
+	// condition executes.
 	Shared []Segment
 	// Conds are the per-condition segments; Conds[i] computes condition
-	// i's value. Any contiguous range can run on any goroutine given a
-	// private FusedMachine and the prelude's shared values.
+	// i's value.
 	Conds []Segment
 }
 
 // FusedMachine executes fused programs. It owns a reusable register
-// file, so steady-state execution allocates nothing, and it is not safe
-// for concurrent use — the scheduler gives each worker range its own
-// machine and copies the prelude's shared values in.
+// file and the shared segments' soundness flags, so steady-state
+// execution allocates nothing; it is not safe for concurrent use.
 type FusedMachine struct {
-	regs []Value
-	args [2]Value
+	regs     []Value
+	sharedOK []bool
+	args     [2]Value
 }
 
 func (m *FusedMachine) ensure(p *MultiProg) []Value {
 	if cap(m.regs) < p.NumRegs {
 		m.regs = make([]Value, p.NumRegs)
 	}
+	if cap(m.sharedOK) < p.NumShared {
+		m.sharedOK = make([]bool, p.NumShared)
+	}
+	m.sharedOK = m.sharedOK[:p.NumShared]
 	return m.regs[:p.NumRegs]
 }
 
@@ -84,49 +87,32 @@ func segOK(seg *Segment, opsOK, sharedOK []bool) bool {
 	return true
 }
 
-// ExecShared runs the shared prelude segments in order, writing each
-// segment's value into sharedVals and its soundness into sharedOK (both
-// at least NumShared long). A poisoned segment — failed operand, failed
-// dependency, or an execution error — leaves sharedOK false and later
+// Exec runs the whole program once: the shared prelude segments in
+// order, each leaving its value in its own register, then every
+// condition segment, writing results[i] and resultOK[i] for each
+// condition i. A poisoned shared segment — failed operand, failed
+// dependency, or an execution error — is recorded unsound, and the
 // segments reading it are poisoned transitively; independent segments
-// still run. Call once per edge before any ExecConds.
-func (m *FusedMachine) ExecShared(p *MultiProg, operands []Value, opsOK []bool, sharedVals []Value, sharedOK []bool) {
+// still run. skip is an optional packed bitmap over condition ids (bit
+// i set = condition i is provably unchanged since its last miss):
+// skipped conditions are not executed and their result entries are
+// left untouched — the scheduler's own skip state decides what a
+// masked condition means. A condition with a failed operand, a poisoned
+// shared dependency, or an execution error reports resultOK false; the
+// caller must then evaluate it with the general evaluator.
+func (m *FusedMachine) Exec(p *MultiProg, operands []Value, opsOK []bool, skip []uint64, results []Value, resultOK []bool) {
 	regs := m.ensure(p)
 	for i := range p.Shared {
 		seg := &p.Shared[i]
-		if !segOK(seg, opsOK, sharedOK) {
-			sharedOK[i] = false
-			continue
-		}
-		if err := runCode(p.Code, seg.Start, seg.End, regs, operands, &m.args); err != nil {
-			sharedOK[i] = false
-			continue
-		}
-		sharedVals[i] = regs[seg.Result]
-		sharedOK[i] = true
+		m.sharedOK[i] = segOK(seg, opsOK, m.sharedOK) &&
+			runCode(p.Code, seg.Start, seg.End, regs, operands, &m.args) == nil
 	}
-}
-
-// ExecConds runs condition segments [from, to), writing results[i] and
-// resultOK[i] for each condition i in the range. skip is an optional
-// packed bitmap over condition ids (bit i set = condition i is provably
-// unchanged since its last miss): skipped conditions are not executed
-// and their result entries are left untouched — the scheduler's own
-// skip state decides what a masked condition means. A condition with a
-// failed operand, a poisoned shared dependency, or an execution error
-// reports resultOK false; the caller must then evaluate it with the
-// general evaluator. sharedVals/sharedOK come from ExecShared;
-// distinct machines may execute disjoint ranges concurrently as long as
-// results/resultOK writes land in disjoint indexes.
-func (m *FusedMachine) ExecConds(p *MultiProg, operands []Value, opsOK []bool, sharedVals []Value, sharedOK []bool, from, to int, skip []uint64, results []Value, resultOK []bool) {
-	regs := m.ensure(p)
-	copy(regs[:p.NumShared], sharedVals[:p.NumShared])
-	for ci := from; ci < to; ci++ {
+	for ci := range p.Conds {
 		if skip != nil && skip[ci>>6]&(1<<(uint(ci)&63)) != 0 {
 			continue
 		}
 		seg := &p.Conds[ci]
-		if !segOK(seg, opsOK, sharedOK) {
+		if !segOK(seg, opsOK, m.sharedOK) {
 			resultOK[ci] = false
 			continue
 		}

@@ -47,21 +47,18 @@ func fusedFixture() *MultiProg {
 	}
 }
 
-func runFixture(p *MultiProg, operands []Value, opsOK []bool, skip []uint64) ([]Value, []bool) {
-	var m FusedMachine
-	sharedVals := make([]Value, p.NumShared)
-	sharedOK := make([]bool, p.NumShared)
+func runFixture(m *FusedMachine, p *MultiProg, operands []Value, opsOK []bool, skip []uint64) ([]Value, []bool) {
 	results := make([]Value, len(p.Conds))
 	resultOK := make([]bool, len(p.Conds))
-	m.ExecShared(p, operands, opsOK, sharedVals, sharedOK)
-	m.ExecConds(p, operands, opsOK, sharedVals, sharedOK, 0, len(p.Conds), skip, results, resultOK)
+	m.Exec(p, operands, opsOK, skip, results, resultOK)
 	return results, resultOK
 }
 
 func TestFusedProgramValues(t *testing.T) {
 	p := fusedFixture()
 	ops := []Value{Make(5, 8, false), Make(7, 8, false), Make(3, 8, false)}
-	results, ok := runFixture(p, ops, []bool{true, true, true}, nil)
+	var m FusedMachine
+	results, ok := runFixture(&m, p, ops, []bool{true, true, true}, nil)
 	want := []bool{true, true, true} // 12==12, 12!=3, 3==3
 	for i := range want {
 		if !ok[i] {
@@ -75,11 +72,19 @@ func TestFusedProgramValues(t *testing.T) {
 
 // TestFusedPoisonIsolation: a failed operand poisons the shared segment
 // reading it and, transitively, the conditions depending on that shared
-// register — while an independent condition stays sound.
+// register — while an independent condition stays sound. The poisoned
+// run follows a sound one on the same machine: the shared register
+// still holds the earlier edge's value, so the machine must not carry
+// that edge's soundness over either.
 func TestFusedPoisonIsolation(t *testing.T) {
 	p := fusedFixture()
+	var m FusedMachine
+	sound := []Value{Make(5, 8, false), Make(7, 8, false), Make(3, 8, false)}
+	if _, ok := runFixture(&m, p, sound, []bool{true, true, true}, nil); !ok[0] || !ok[1] || !ok[2] {
+		t.Fatalf("sound run reported poison: %v", ok)
+	}
 	ops := []Value{{}, Make(7, 8, false), Make(3, 8, false)}
-	_, ok := runFixture(p, ops, []bool{false, true, true}, nil)
+	_, ok := runFixture(&m, p, ops, []bool{false, true, true}, nil)
 	if ok[0] || ok[1] {
 		t.Fatalf("conds reading the poisoned shared segment reported ok: %v", ok)
 	}
@@ -93,7 +98,8 @@ func TestFusedPoisonIsolation(t *testing.T) {
 func TestFusedSkipBitmapUntouched(t *testing.T) {
 	p := fusedFixture()
 	ops := []Value{Make(5, 8, false), Make(7, 8, false), Make(3, 8, false)}
-	results, ok := runFixture(p, ops, []bool{true, true, true}, []uint64{0b010})
+	var m FusedMachine
+	results, ok := runFixture(&m, p, ops, []bool{true, true, true}, []uint64{0b010})
 	if ok[1] {
 		t.Fatal("masked cond executed")
 	}
@@ -114,15 +120,12 @@ func TestFusedExecZeroAllocs(t *testing.T) {
 	opsOK := []bool{true, true, true}
 	skip := []uint64{0b100}
 	var m FusedMachine
-	sharedVals := make([]Value, p.NumShared)
-	sharedOK := make([]bool, p.NumShared)
 	results := make([]Value, len(p.Conds))
 	resultOK := make([]bool, len(p.Conds))
 	// Warm the register file outside the measured runs.
-	m.ExecShared(p, ops, opsOK, sharedVals, sharedOK)
+	m.Exec(p, ops, opsOK, skip, results, resultOK)
 	allocs := testing.AllocsPerRun(200, func() {
-		m.ExecShared(p, ops, opsOK, sharedVals, sharedOK)
-		m.ExecConds(p, ops, opsOK, sharedVals, sharedOK, 0, len(p.Conds), skip, results, resultOK)
+		m.Exec(p, ops, opsOK, skip, results, resultOK)
 	})
 	if allocs != 0 {
 		t.Fatalf("fused execution allocates %.1f per edge, want 0", allocs)

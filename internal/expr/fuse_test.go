@@ -18,13 +18,10 @@ func fuseExec(fs *FusedSchedule, slotVals []eval.Value) (results []eval.Value, o
 		operands[i] = slotVals[s]
 		opsOK[i] = true
 	}
-	shVals := make([]eval.Value, fs.Prog.NumShared)
-	shOK := make([]bool, fs.Prog.NumShared)
 	results = make([]eval.Value, len(fs.Prog.Conds))
 	ok = make([]bool, len(fs.Prog.Conds))
 	var m eval.FusedMachine
-	m.ExecShared(&fs.Prog, operands, opsOK, shVals, shOK)
-	m.ExecConds(&fs.Prog, operands, opsOK, shVals, shOK, 0, len(fs.Prog.Conds), nil, results, ok)
+	m.Exec(&fs.Prog, operands, opsOK, nil, results, ok)
 	return results, ok
 }
 
@@ -344,13 +341,10 @@ func TestFusePoisonIsolation(t *testing.T) {
 		operands[i] = slotVals[s]
 		opsOK[i] = s != 0 // slot 0 ("a") failed to fetch
 	}
-	shVals := make([]eval.Value, fs.Prog.NumShared)
-	shOK := make([]bool, fs.Prog.NumShared)
 	results := make([]eval.Value, len(fs.Prog.Conds))
 	ok := make([]bool, len(fs.Prog.Conds))
 	var m eval.FusedMachine
-	m.ExecShared(&fs.Prog, operands, opsOK, shVals, shOK)
-	m.ExecConds(&fs.Prog, operands, opsOK, shVals, shOK, 0, len(fs.Prog.Conds), nil, results, ok)
+	m.Exec(&fs.Prog, operands, opsOK, nil, results, ok)
 	if ok[0] || ok[1] {
 		t.Fatalf("conditions reading the failed operand must be poisoned: ok=%v", ok)
 	}
@@ -380,15 +374,12 @@ func TestFusedExecZeroAllocs(t *testing.T) {
 	for i, s := range fs.Slots {
 		operands[i], opsOK[i] = slotVals[s], true
 	}
-	shVals := make([]eval.Value, fs.Prog.NumShared)
-	shOK := make([]bool, fs.Prog.NumShared)
 	results := make([]eval.Value, len(fs.Prog.Conds))
 	ok := make([]bool, len(fs.Prog.Conds))
 	var m eval.FusedMachine
 	skip := make([]uint64, (len(fs.Prog.Conds)+63)/64)
 	allocs := testing.AllocsPerRun(100, func() {
-		m.ExecShared(&fs.Prog, operands, opsOK, shVals, shOK)
-		m.ExecConds(&fs.Prog, operands, opsOK, shVals, shOK, 0, len(fs.Prog.Conds), skip, results, ok)
+		m.Exec(&fs.Prog, operands, opsOK, skip, results, ok)
 	})
 	if allocs != 0 {
 		t.Fatalf("fused exec allocates %.1f objects per run, want 0", allocs)

@@ -78,7 +78,6 @@ type Engine struct {
 
 var (
 	_ vpi.Interface       = (*Engine)(nil)
-	_ vpi.BatchReader     = (*Engine)(nil)
 	_ vpi.BatchReaderInto = (*Engine)(nil)
 	_ vpi.Prefetcher      = (*Engine)(nil)
 	_ vpi.ChangeReporter  = (*Engine)(nil)
@@ -148,17 +147,9 @@ func (e *Engine) GetBits(path string) (val.Bits, error) {
 	return e.bits(path, e.time.Load())
 }
 
-// GetValues implements vpi.BatchReader: one trace lookup pass for the
-// whole dependency set at the current replay time.
-func (e *Engine) GetValues(paths []string) ([]eval.Value, error) {
-	out := make([]eval.Value, len(paths))
-	if err := e.GetValuesInto(paths, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// GetValuesInto implements vpi.BatchReaderInto without allocating.
+// GetValuesInto implements vpi.BatchReaderInto: one trace lookup pass
+// for the whole dependency set at the current replay time, without
+// allocating.
 func (e *Engine) GetValuesInto(paths []string, dst []eval.Value) error {
 	if len(dst) < len(paths) {
 		return fmt.Errorf("replay: batch destination too short: %d < %d", len(dst), len(paths))

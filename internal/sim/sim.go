@@ -133,7 +133,7 @@ func (s *Simulator) Peek(name string) (eval.Value, error) {
 
 // PeekBatch reads many signals in one call, writing values into out
 // (which must be at least as long as paths). It is the native batched
-// read behind the vpi.BatchReader capability: one call resolves and
+// read behind the vpi.BatchReaderInto capability: one call resolves and
 // reads the whole dependency set of the debugger's inserted
 // breakpoints, instead of one Peek round trip per signal.
 func (s *Simulator) PeekBatch(paths []string, out []eval.Value) error {

@@ -55,22 +55,16 @@ type Interface interface {
 	SetValue(path string, v uint64) error
 }
 
-// BatchReader is an optional backend capability: fetch many signal
-// values in one call. The debugger's clock-edge callback reads the
-// union of every inserted breakpoint's dependencies each cycle; doing
-// that through one batched call instead of one GetValue round trip per
-// signal per breakpoint is what keeps the per-cycle overhead flat as
-// breakpoints accumulate (§4.3). On a real VPI transport each GetValue
-// is an IPC round trip, so the capability matters even more there.
-type BatchReader interface {
-	// GetValues returns the current value of each path, in order.
-	GetValues(paths []string) ([]eval.Value, error)
-}
-
-// BatchReaderInto is an optional refinement of BatchReader for callers
-// that reuse a destination buffer across calls — the debugger's
-// per-edge prefetch runs every cycle for the simulation's lifetime, so
-// it must not allocate a result slice per edge.
+// BatchReaderInto is an optional backend capability: fetch many signal
+// values in one call, into a caller-owned buffer. The debugger's
+// clock-edge callback reads the union of every inserted breakpoint's
+// dependencies each cycle; doing that through one batched call instead
+// of one GetValue round trip per signal per breakpoint is what keeps
+// the per-cycle overhead flat as breakpoints accumulate (§4.3). On a
+// real VPI transport each GetValue is an IPC round trip, so the
+// capability matters even more there. The prefetch runs every cycle for
+// the simulation's lifetime, so the destination is reused and the read
+// must not allocate.
 type BatchReaderInto interface {
 	// GetValuesInto writes the current value of each path into dst
 	// (which must be at least len(paths) long).
@@ -125,34 +119,17 @@ type ChangeReporter interface {
 	ChangedInto(dst []bool) bool
 }
 
-// ReadBatch reads many signals through the backend's native batch
-// primitive when it implements BatchReader, falling back to one
-// GetValue call per path otherwise. Any unknown path fails the whole
-// batch; callers that tolerate partial results must probe individually.
-func ReadBatch(b Interface, paths []string) ([]eval.Value, error) {
-	out := make([]eval.Value, len(paths))
-	if err := ReadBatchInto(b, paths, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReadBatchInto is ReadBatch with a caller-owned destination buffer,
-// preferring the backend's allocation-free BatchReaderInto form.
+// ReadBatchInto reads many signals into a caller-owned buffer through
+// the backend's native BatchReaderInto primitive when it has one,
+// falling back to one GetValue call per path otherwise. Any unknown
+// path fails the whole batch; callers that tolerate partial results
+// must probe individually.
 func ReadBatchInto(b Interface, paths []string, dst []eval.Value) error {
 	if len(dst) < len(paths) {
 		return fmt.Errorf("vpi: batch destination too short: %d < %d", len(dst), len(paths))
 	}
 	if bi, ok := b.(BatchReaderInto); ok {
 		return bi.GetValuesInto(paths, dst)
-	}
-	if br, ok := b.(BatchReader); ok {
-		vals, err := br.GetValues(paths)
-		if err != nil {
-			return err
-		}
-		copy(dst, vals)
-		return nil
 	}
 	for i, p := range paths {
 		v, err := b.GetValue(p)
@@ -171,7 +148,6 @@ type SimBackend struct {
 
 var (
 	_ Interface       = (*SimBackend)(nil)
-	_ BatchReader     = (*SimBackend)(nil)
 	_ BatchReaderInto = (*SimBackend)(nil)
 	_ ChangeReporter  = (*SimBackend)(nil)
 )
@@ -184,17 +160,8 @@ func (b *SimBackend) GetValue(path string) (eval.Value, error) {
 	return b.Sim.Peek(path)
 }
 
-// GetValues implements BatchReader with the simulator's native batched
-// peek.
-func (b *SimBackend) GetValues(paths []string) ([]eval.Value, error) {
-	out := make([]eval.Value, len(paths))
-	if err := b.Sim.PeekBatch(paths, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// GetValuesInto implements BatchReaderInto without allocating.
+// GetValuesInto implements BatchReaderInto with the simulator's native
+// batched peek, without allocating.
 func (b *SimBackend) GetValuesInto(paths []string, dst []eval.Value) error {
 	return b.Sim.PeekBatch(paths, dst)
 }
