@@ -22,7 +22,8 @@
 // replay sessions sharing one trace fixture), each stormed by its own
 // controller with -observers sessions attached, and the report breaks
 // p50/p99 stop latency out per runtime plus the shared symbol-table
-// cache's hit accounting.
+// cache's hit accounting. A replay reaching the end of its trace is
+// rewound to the entry; the report counts rewinds per runtime.
 package main
 
 import (

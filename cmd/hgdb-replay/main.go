@@ -6,11 +6,15 @@
 // Usage:
 //
 //	hgdb-replay -vcd trace.vcd -symtab table.json [-listen :9876]
-//	            [-auto] [-block N] [-checkpoint N]
+//	            [-auto | -hold 60s] [-block N] [-checkpoint N]
 //
 // With -auto the tool replays the trace forward to the end (pausing at
-// breakpoint stops, like a live simulation would); otherwise it holds
-// at time zero and the attached debugger steps through time.
+// breakpoint stops, like a live simulation would) and exits. Otherwise
+// it serves for -hold: the replay holds at time zero until an attached
+// debugger arms a breakpoint, watch or step, runs to the next stop, and
+// stops at the trace's last enabled statement instead of wrapping
+// around. When -hold expires the server closes, resuming a debugger
+// parked at a stop, and the tool exits.
 //
 // The trace is parsed in one streaming pass into a time-blocked change
 // index (-block sets the window width); signal timelines decode only
@@ -25,6 +29,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -119,19 +124,22 @@ func main() {
 		for eng.StepForward() {
 		}
 		log.Printf("replay finished at time %d", eng.Time())
-	} else {
-		log.Printf("holding for %s; attach with: hgdb %s", *holdFor, addr)
-		deadline := time.Now().Add(*holdFor)
-		for time.Now().Before(deadline) {
-			// Drive the trace forward slowly so breakpoint evaluation
-			// happens; a stopped debugger blocks inside StepForward.
-			if !eng.StepForward() {
-				eng.SetTime(0)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
+		srv.Close()
+		return
 	}
+	log.Printf("holding for %s; attach with: hgdb %s", *holdFor, addr)
+	ctx, cancel := context.WithTimeout(context.Background(), *holdFor)
+	defer cancel()
+	driven := make(chan struct{})
+	go func() {
+		defer close(driven)
+		rt.Drive(ctx, eng.StepForward)
+	}()
+	<-ctx.Done()
+	// Closing resumes a debugger parked at a stop, so the drive loop
+	// sees the deadline instead of holding the process past it.
 	srv.Close()
+	<-driven
 }
 
 // logFourState reports the trace's four-state footprint: the widest

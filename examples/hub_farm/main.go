@@ -203,8 +203,8 @@ func main() {
 	cl.Close()
 
 	// 4. Debug a replay — same endpoint, different runtime, and this
-	// one can step backwards. The hub rolls the trace forward (wrapping
-	// at the end) so the breakpoint fires even on a late attach.
+	// one can step backwards. The replay has waited at time 0 since
+	// launch: arming the breakpoint wakes its drive loop.
 	rcl, err := hc.Attach("r0")
 	if err != nil {
 		log.Fatal(err)

@@ -4,10 +4,11 @@ package bench
 // (alternating live counter simulations and replay sessions over one
 // shared trace fixture), each driven through a breakpoint storm by its
 // own controller while M observers per runtime consume the stop
-// broadcast. Reports per-runtime and aggregate p50/p99 stop latency
-// plus the shared symbol-table cache's hit accounting — the number
-// that shows the farm loads one table, not N. Used by
-// cmd/hgdb-load -runtimes and the hub CI soak.
+// broadcast. A replay that reaches the end of its trace is rewound to
+// the entry and re-armed. Reports per-runtime and aggregate p50/p99
+// stop latency, per-runtime rewinds, plus the shared symbol-table
+// cache's hit accounting — the number that shows the farm loads one
+// table, not N. Used by cmd/hgdb-load -runtimes and the hub CI soak.
 
 import (
 	"encoding/json"
@@ -41,11 +42,14 @@ type HubFarmOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// HubRuntimeReport is one runtime's measured storm.
+// HubRuntimeReport is one runtime's measured storm. Stops counts
+// breakpoint stops; Rewinds counts the times a replay reached the end
+// of its trace and was rewound to the entry.
 type HubRuntimeReport struct {
 	ID           string  `json:"id"`
 	Kind         string  `json:"kind"`
 	Stops        uint64  `json:"stops"`
+	Rewinds      uint64  `json:"rewinds"`
 	P50LatencyMS float64 `json:"p50_latency_ms"`
 	P99LatencyMS float64 `json:"p99_latency_ms"`
 }
@@ -270,13 +274,23 @@ func runFarmRuntime(addr string, info proto.RuntimeInfo, opts HubFarmOptions) (H
 	}
 	deadline := time.Now().Add(opts.Duration)
 	for {
-		if _, err := ctrl.WaitStop(30 * time.Second); err != nil {
+		stop, err := ctrl.WaitStop(30 * time.Second)
+		if err != nil {
 			return rep, nil, fmt.Errorf("lost stop after %d: %w", rep.Stops, err)
+		}
+		if stop.StepStop && stop.Reverse {
+			// The replay holds at the end of its trace: rewind to the
+			// entry and re-arm, so the storm keeps hitting breakpoints.
+			rep.Rewinds++
+			if err := rewindFarmReplay(ctrl, file, line); err != nil {
+				return rep, nil, fmt.Errorf("rewind %d: %w", rep.Rewinds, err)
+			}
+			continue
 		}
 		rep.Stops++
 		if time.Now().After(deadline) {
-			// Disarm before the final continue so the hub's drive loop
-			// runs free again once the storm ends.
+			// Disarm before the final continue so the runtime parks once
+			// the storm ends.
 			if err := ctrl.ClearBreakpoints(); err != nil {
 				return rep, nil, err
 			}
@@ -304,6 +318,25 @@ func runFarmRuntime(addr string, info proto.RuntimeInfo, opts HubFarmOptions) (H
 	return rep, lats, nil
 }
 
+// rewindFarmReplay answers a replay's end-of-trace stop: with nothing
+// armed, reverse-continue walks back to the trace's entry; the
+// breakpoint is then re-armed and the storm continues from there.
+func rewindFarmReplay(ctrl *client.Client, file string, line int) error {
+	if err := ctrl.ClearBreakpoints(); err != nil {
+		return err
+	}
+	if err := ctrl.Command("reverse-continue"); err != nil {
+		return err
+	}
+	if _, err := ctrl.WaitStop(30 * time.Second); err != nil {
+		return fmt.Errorf("entry stop: %w", err)
+	}
+	if _, err := ctrl.AddBreakpoint(file, line, ""); err != nil {
+		return err
+	}
+	return ctrl.Command("continue")
+}
+
 // PrintHubFarm renders one report as the hgdb-load text table.
 func PrintHubFarm(w interface{ Write([]byte) (int, error) }, r *HubFarmReport) {
 	fmt.Fprintf(w, "hub farm: %d runtimes × %d observers, %.1fs storm each\n",
@@ -314,7 +347,7 @@ func PrintHubFarm(w interface{ Write([]byte) (int, error) }, r *HubFarmReport) {
 	fmt.Fprintf(w, "  symtab cache     %d hits / %d misses, %d live table(s)\n",
 		r.SymtabHits, r.SymtabMisses, r.SymtabLive)
 	for _, rt := range r.PerRuntime {
-		fmt.Fprintf(w, "  %-10s %-7s %6d stops   p50 %.2f ms   p99 %.2f ms\n",
-			rt.ID, rt.Kind, rt.Stops, rt.P50LatencyMS, rt.P99LatencyMS)
+		fmt.Fprintf(w, "  %-10s %-7s %6d stops  %3d rewinds   p50 %.2f ms   p99 %.2f ms\n",
+			rt.ID, rt.Kind, rt.Stops, rt.Rewinds, rt.P50LatencyMS, rt.P99LatencyMS)
 	}
 }

@@ -45,8 +45,12 @@ func (rt *Runtime) resolveSourceName(bpID int64, instance, name string) (string,
 }
 
 // markDepsDirty schedules a dependency-union rebuild before the next
-// prefetch. Callers must hold rt.mu.
-func (rt *Runtime) markDepsDirty() { rt.depsDirty = true }
+// prefetch. The armed set changed, so a parked Drive loop wakes.
+// Callers must hold rt.mu.
+func (rt *Runtime) markDepsDirty() {
+	rt.depsDirty = true
+	rt.wakeLocked()
+}
 
 // syncDeps runs a dependency-union rebuild scheduled since the last
 // one (breakpoints or watches changed), so the armed-member counts are

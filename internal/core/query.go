@@ -18,10 +18,12 @@ import (
 //     what lets an observer session read values mid-run;
 //   - while the simulation is parked at a stop, the server's stop loop
 //     drains the same queue on the (blocked) simulation goroutine;
-//   - while the simulation is idle (never started, or finished), no
-//     drainer exists: RunQuery falls back to running the job inline on
-//     the caller after an idle grace period, which is safe exactly
-//     because nothing else is touching the state.
+//   - while a Drive loop is parked because no edge can stop, it drains
+//     the queue on the simulation goroutine as well;
+//   - while the simulation is idle and nothing drives it (never
+//     started, or finished), no drainer exists: RunQuery falls back to
+//     running the job inline on the caller after an idle grace period,
+//     which is safe exactly because nothing else is touching the state.
 //
 // The grace period only has to outlast one simulation cycle (or stop
 // handler dispatch), not bound it: if a drainer claims the job first,

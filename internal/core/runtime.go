@@ -16,6 +16,11 @@
 // (expr.EvalBits). On backends implementing vpi.Prefetcher (the replay
 // block store) the union is advised ahead of time so per-cycle reads
 // stay off cold trace state. See DESIGN.md.
+//
+// A host that owns the simulation loop (the debug hub, hgdb-replay)
+// runs it through Drive: edges run back to back while one of them can
+// stop, the loop parks while none can, and a trace holds at its end
+// with a stop instead of wrapping to time 0.
 package core
 
 import (
@@ -281,6 +286,11 @@ type Runtime struct {
 	interrupted  bool // InterruptNext since the last edge or stop: survives the walk
 	detached     bool
 
+	// wake rouses a parked Drive loop (see drive.go): arming, pausing
+	// and installing a handler each leave one token, sent without
+	// blocking under mu.
+	wake chan struct{}
+
 	watches   []*Watchpoint
 	nextWatch int
 
@@ -367,6 +377,7 @@ func New(backend vpi.Interface, table *symtab.Table) (*Runtime, error) {
 		remap:    remap,
 		inserted: map[int64]*insertedBP{},
 		queries:  make(chan *QueryJob, queryQueueDepth),
+		wake:     make(chan struct{}, 1),
 	}
 	rt.allGroups = rt.buildAllGroups()
 	rt.groupIdx = make(map[groupKey]int, len(rt.allGroups))
@@ -573,12 +584,14 @@ func verifiedIn(prog *expr.Program, verified []bool, name string) bool {
 	return false
 }
 
-// SetHandler installs the stop handler. Without a handler, hits
-// auto-continue.
+// SetHandler installs the stop handler; nil removes it. Without a
+// handler no edge can stop: the clock callback takes its fast exit and
+// Drive parks until a handler is installed.
 func (rt *Runtime) SetHandler(h Handler) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.handler = h
+	rt.wakeLocked()
 }
 
 // AddBreakpoint arms every emulated breakpoint at file:line (one per
@@ -680,6 +693,7 @@ func (rt *Runtime) InterruptNext() {
 	defer rt.mu.Unlock()
 	rt.stepArmed = true
 	rt.interrupted = true
+	rt.wakeLocked()
 }
 
 // Detach removes the clock callback; the simulation runs free.

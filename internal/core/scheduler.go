@@ -21,19 +21,16 @@ func (rt *Runtime) onEdge(time uint64) {
 	rt.drainQueries()
 
 	rt.mu.Lock()
+	idle := rt.idleLocked()
 	stepping := rt.stepArmed
 	reverse := rt.reverseArmed
 	rt.interrupted = false // a pending pause is now this edge's step
 	hasBPs := len(rt.inserted) > 0
 	hasWatches := len(rt.watches) > 0
 	handler := rt.handler
-	detached := rt.detached
 	rt.mu.Unlock()
 
-	if detached || handler == nil {
-		return
-	}
-	if !hasBPs && !stepping && !hasWatches {
+	if idle {
 		return // fast exit: no breakpoint left to schedule
 	}
 	if hasWatches {
@@ -60,6 +57,15 @@ func (rt *Runtime) onEdge(time uint64) {
 		start = len(rt.allGroups) - 1
 	}
 	rt.schedule(time, start, stepping, reverse, handler)
+}
+
+// idleLocked reports onEdge's fast-exit condition: the runtime is
+// detached, has no handler, or has no breakpoint, watch, step or pause
+// armed, so no edge can stop. Drive parks on the same condition.
+// Callers hold rt.mu.
+func (rt *Runtime) idleLocked() bool {
+	return rt.detached || rt.handler == nil ||
+		(len(rt.inserted) == 0 && len(rt.watches) == 0 && !rt.stepArmed)
 }
 
 // stop hands one stop event to the handler and returns its command.

@@ -53,7 +53,8 @@ type Options struct {
 //	scopes/variables  → Locals + Generator variables through the
 //	                    variablesReference handle table
 //	evaluate          → the runtime's four-state EvaluateBits
-//	continue/next     → continue / step commands
+//	continue/next     → continue / step commands; on a trace they end
+//	                    at its last enabled statement
 //	pause             → interrupt at the next statement
 //	stepBack          → reverse-step (replay backends only)
 //	reverseContinue   → reverse-continue (replay backends only): the
@@ -64,7 +65,7 @@ type Options struct {
 //
 // Unsolicited runtime events translate on the event pump: broadcast
 // stops become "stopped" events with reason breakpoint / step / pause
-// / entry / data breakpoint, resumes this adapter issues become
+// / entry / end / data breakpoint, resumes this adapter issues become
 // "continued", and losing the hgdb session becomes "terminated".
 type Adapter struct {
 	conn *Conn
@@ -90,7 +91,11 @@ type Adapter struct {
 	lastEvent StoppedEvent // the stopped event emitted for lastStop (for rollback re-announcement)
 	stopped   bool
 	pauseReq  bool // a pause was requested; next step stop reports "pause"
-	reversing bool // a reverseContinue is in flight; its step-stop landing reports "entry"
+	// resuming is the hgdb resume command in flight ("" = none; a hub
+	// launch's first run counts as a continue): a step stop landing
+	// under reverse-continue is the trace's entry, a reverse step stop
+	// landing under continue or step its end.
+	resuming string
 
 	handles *handleTable
 
@@ -201,6 +206,11 @@ func (a *Adapter) bindHub(command string, args AttachArguments) error {
 	}
 	a.mu.Lock()
 	a.top, a.mode, a.reverse = welcome.Top, welcome.Mode, welcome.Reverse
+	if command == "launch" {
+		// A launched runtime is fresh: its first stop ends a forward
+		// run, which may reach the end of a trace.
+		a.resuming = "continue"
+	}
 	a.mu.Unlock()
 	a.cl, a.sub, a.hubRuntime = cl, sub, id
 	if err := a.loadSymbols(); err != nil {
@@ -741,7 +751,7 @@ func (a *Adapter) resume(cmd string) error {
 	}
 	prevStop, prevEvent := a.lastStop, a.lastEvent
 	a.stopped = false
-	a.reversing = cmd == "reverse-continue"
+	a.resuming = cmd
 	a.lastStop = nil
 	// A user-issued resume cancels any pending pause label, mirroring
 	// the scheduler: a command from a stop clears the armed interrupt.
@@ -763,7 +773,7 @@ func (a *Adapter) resume(cmd string) error {
 			return err
 		}
 		a.stopped = true
-		a.reversing = false
+		a.resuming = ""
 		a.lastStop = prevStop
 		a.lastEvent = prevEvent
 		a.mu.Unlock()
@@ -851,14 +861,19 @@ func (a *Adapter) onStop(stop *core.StopEvent) {
 		a.ensureThreadLocked(th.Instance)
 	}
 	hit := a.hitBreakpointsLocked(stop)
-	wasReversing := a.reversing
-	a.reversing = false
+	resumed := a.resuming
+	a.resuming = ""
 	a.handles.reset()
 
 	reason := "step"
 	switch {
 	case len(stop.Watch) > 0:
 		reason = "data breakpoint"
+	case stop.StepStop && stop.Reverse && !a.pauseReq &&
+		(resumed == "continue" || resumed == "step"):
+		// A forward run can only end in a reverse step stop at the end
+		// of a trace: the replay holds at its last enabled statement.
+		reason = "end"
 	case len(hit) > 0 || !stop.StepStop:
 		// An armed id among the hit threads, or a landing on another
 		// session's breakpoint.
@@ -870,7 +885,7 @@ func (a *Adapter) onStop(stop *core.StopEvent) {
 		// until the user resumes, which clears it in resume()).
 		reason = "pause"
 		a.pauseReq = false
-	case wasReversing:
+	case resumed == "reverse-continue":
 		// reverseContinue found no earlier hit and stopped at the
 		// trace's entry, in cycle 0.
 		reason = "entry"
@@ -887,7 +902,10 @@ func (a *Adapter) onStop(stop *core.StopEvent) {
 		threadID = 1
 	}
 	desc := fmt.Sprintf("%s at %s:%d (time %d)", reason, stop.File, stop.Line, stop.Time)
-	if stop.Reverse {
+	switch {
+	case reason == "end":
+		desc = fmt.Sprintf("end of trace at %s:%d (time %d)", stop.File, stop.Line, stop.Time)
+	case stop.Reverse:
 		desc += " [reverse]"
 	}
 	ev := StoppedEvent{

@@ -4,6 +4,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/client"
@@ -49,17 +50,18 @@ func (d *dapClient) capabilitiesEvent() Capabilities {
 	return decodeBody[CapabilitiesEventBody](d.t, d.event("capabilities")).Capabilities
 }
 
-func TestDAPHubLifecycle(t *testing.T) {
-	_, addr := startDAPHub(t)
-
-	// Record the conformance harness trace into hub-loadable files.
+// hubTraceFiles records the conformance harness's 10-cycle trace into
+// hub-loadable files. It returns their paths, the accumulate line and
+// the trace's last cycle.
+func hubTraceFiles(t *testing.T) (vcdPath, symtabPath string, accLine int, end uint64) {
+	t.Helper()
 	dir := t.TempDir()
 	trace, table, accLine := recordTrace(t, 10)
-	vcdPath := filepath.Join(dir, "trace.vcd")
+	vcdPath = filepath.Join(dir, "trace.vcd")
 	if err := os.WriteFile(vcdPath, trace, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	symtabPath := filepath.Join(dir, "trace.symtab")
+	symtabPath = filepath.Join(dir, "trace.symtab")
 	sf, err := os.Create(symtabPath)
 	if err != nil {
 		t.Fatal(err)
@@ -68,6 +70,12 @@ func TestDAPHubLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	sf.Close()
+	return vcdPath, symtabPath, accLine, replayEngine(t, trace).MaxTime()
+}
+
+func TestDAPHubLifecycle(t *testing.T) {
+	_, addr := startDAPHub(t)
+	vcdPath, symtabPath, accLine, _ := hubTraceFiles(t)
 
 	// --- editor 1: launch a replay runtime through the registry.
 	d1 := newDAPHubSession(t, addr)
@@ -174,4 +182,61 @@ func TestDAPHubLifecycle(t *testing.T) {
 	if len(infos) != 1 {
 		t.Fatalf("registry after evict = %+v", infos)
 	}
+}
+
+// TestDAPHubEndOfTrace: a hub replay holds at the end of its trace. A
+// continue past the last hit stops at the last cycle with reason "end",
+// the next continue stops there again, and reverseContinue returns to
+// the last hit. A launch whose breakpoint never hits ends there too.
+func TestDAPHubEndOfTrace(t *testing.T) {
+	_, addr := startDAPHub(t)
+	vcdPath, symtabPath, accLine, end := hubTraceFiles(t)
+	launch := func(name, cond string) *dapClient {
+		d := newDAPHubSession(t, addr)
+		d.request("initialize", InitializeArguments{})
+		d.request("launch", AttachArguments{Name: name, Kind: "replay", VCD: vcdPath, Symtab: symtabPath})
+		d.capabilitiesEvent()
+		d.event("initialized")
+		d.request("setBreakpoints", SetBreakpointsArguments{
+			Source:      Source{Path: harnessFile},
+			Breakpoints: []SourceBreakpoint{{Line: accLine, Condition: cond}},
+		})
+		d.request("configurationDone", nil)
+		return d
+	}
+	// acc grows by 3 a cycle: it is never 1, and below 9 only in the
+	// first few cycles.
+	if stop := launch("never", "acc == 1").stopped(); stop.Reason != "end" || stop.Time != end {
+		t.Fatalf("first stop with a breakpoint that never hits = %+v, want reason end at t=%d", stop, end)
+	}
+	d := launch("early", "acc < 9")
+	last := d.stopped()
+	if last.Reason != "breakpoint" {
+		t.Fatalf("first stop = %+v", last)
+	}
+	cont := func() StoppedEvent {
+		d.request("continue", ThreadedArguments{ThreadID: 1})
+		d.event("continued")
+		return d.stopped()
+	}
+	stop := cont()
+	for i := 0; stop.Reason == "breakpoint"; i++ {
+		if stop.Time <= last.Time || i == 10 {
+			t.Fatalf("continue went from the hit at t=%d to a hit at t=%d", last.Time, stop.Time)
+		}
+		last, stop = stop, cont()
+	}
+	if stop.Reason != "end" || stop.Time != end || !strings.HasPrefix(stop.Description, "end of trace at ") {
+		t.Fatalf("continue past the last hit (t=%d) = %+v, want reason end at t=%d", last.Time, stop, end)
+	}
+	if again := cont(); again.Reason != "end" || again.Time != end {
+		t.Fatalf("continue from the end = %+v, want reason end at t=%d", again, end)
+	}
+	d.request("reverseContinue", ThreadedArguments{ThreadID: 1})
+	d.event("continued")
+	if back := d.stopped(); back.Reason != "breakpoint" || back.Time != last.Time {
+		t.Fatalf("reverseContinue from the end = %+v, want the last hit at t=%d", back, last.Time)
+	}
+	d.request("disconnect", nil)
+	d.event("terminated")
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/fpu"
@@ -21,21 +20,14 @@ import (
 	"repro/internal/vpi"
 )
 
-// driveChunk and drivePause pace a hub-owned live simulation: the
-// drive loop runs a chunk of cycles, then yields briefly, so a farm of
-// idle runtimes does not saturate every core while still producing
-// stops promptly once a debugger arms breakpoints.
-const (
-	driveChunk = 64
-	drivePause = time.Millisecond
-)
-
 // built is everything a launcher hands back to the registry.
 type built struct {
 	rt *core.Runtime
-	// drive runs the simulation (or replay) until ctx is cancelled. It
-	// may block inside a breakpoint stop; eviction resumes parked stops
-	// before waiting on it.
+	// drive runs the simulation (or replay) through rt.Drive until ctx
+	// is cancelled: unpaced while an edge can stop, parked while none
+	// can (no session attached, or nothing armed), and held at the last
+	// cycle of a trace. It may block inside a breakpoint stop; eviction
+	// resumes parked stops before waiting on it.
 	drive func(context.Context)
 	// cleanup releases backend resources (trace store, shared symbol
 	// table) after the drive goroutine has exited. May be nil.
@@ -56,7 +48,7 @@ func buildRuntime(spec proto.RuntimeSpec, cache *symtab.Cache) (*built, error) {
 // buildSim compiles one of the packaged designs and wires a live
 // simulator behind it — the in-process equivalent of cmd/hgdb-sim.
 func buildSim(spec proto.RuntimeSpec) (*built, error) {
-	circ, drive, err := buildDesign(spec.Design)
+	circ, start, err := buildDesign(spec.Design)
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +71,7 @@ func buildSim(spec proto.RuntimeSpec) (*built, error) {
 	}
 	return &built{
 		rt:     rt,
-		drive:  func(ctx context.Context) { drive(ctx, s) },
+		drive:  func(ctx context.Context) { rt.Drive(ctx, start(s)) },
 		source: spec.Design,
 	}, nil
 }
@@ -117,18 +109,8 @@ func buildReplay(spec proto.RuntimeSpec, cache *symtab.Cache) (*built, error) {
 		return nil, fmt.Errorf("hub: runtime %s: %w", spec.VCD, err)
 	}
 	return &built{
-		rt: rt,
-		drive: func(ctx context.Context) {
-			// Roll the trace forward forever (wrapping at the end) so
-			// armed breakpoints keep firing; a parked stop blocks inside
-			// StepForward until the controller — or eviction — resumes it.
-			for ctx.Err() == nil {
-				if !eng.StepForward() {
-					eng.SetTime(0)
-				}
-				time.Sleep(drivePause)
-			}
-		},
+		rt:    rt,
+		drive: func(ctx context.Context) { rt.Drive(ctx, eng.StepForward) },
 		cleanup: func() {
 			store.Close()
 			release()
@@ -140,10 +122,12 @@ func buildReplay(spec proto.RuntimeSpec, cache *symtab.Cache) (*built, error) {
 }
 
 // buildDesign returns the High-form circuit for a packaged design and
-// its continuous drive loop. The designs mirror cmd/hgdb-sim's, but
-// the drivers run until cancelled instead of for a cycle count — a hub
-// runtime lives as long as the registry keeps it.
-func buildDesign(name string) (*ir.Circuit, func(context.Context, *sim.Simulator), error) {
+// its stimulus. start resets a simulator of the design and returns its
+// step: one clock edge under the next input vector, for rt.Drive. The
+// designs mirror cmd/hgdb-sim's, but the stimulus never runs out
+// instead of stopping after a cycle count — a hub runtime lives as long
+// as the registry keeps it.
+func buildDesign(name string) (*ir.Circuit, func(*sim.Simulator) func() bool, error) {
 	switch name {
 	case "", "counter":
 		c := generator.NewCircuit("Counter")
@@ -156,17 +140,14 @@ func buildDesign(name string) (*ir.Circuit, func(context.Context, *sim.Simulator
 		})
 		out.Set(count)
 		circ, err := c.Build()
-		return circ, func(ctx context.Context, s *sim.Simulator) {
+		return circ, func(s *sim.Simulator) func() bool {
 			s.Reset("Counter.reset", 2)
 			s.Poke("Counter.en", 1)
-			for ctx.Err() == nil {
-				s.Run(driveChunk)
-				time.Sleep(drivePause)
-			}
+			return func() bool { s.Step(); return true }
 		}, err
 	case "fpu":
 		circ, err := fpu.BuildCircuit(true) // carries the seeded §4.2 bug
-		return circ, func(ctx context.Context, s *sim.Simulator) {
+		return circ, func(s *sim.Simulator) func() bool {
 			vectors := []struct{ op, a, b uint64 }{
 				{fpu.RmFLT, fpu.One, fpu.Two},
 				{fpu.RmFEQ, fpu.One, fpu.One},
@@ -174,16 +155,16 @@ func buildDesign(name string) (*ir.Circuit, func(context.Context, *sim.Simulator
 				{fpu.RmFLE, fpu.NegOne, fpu.One},
 			}
 			s.Reset("FPToInt.reset", 2)
-			for i := 0; ctx.Err() == nil; i++ {
+			i := 0
+			return func() bool {
 				v := vectors[i%len(vectors)]
+				i++
 				s.Poke("FPToInt.io_rm", v.op)
 				s.Poke("FPToInt.io_in1", v.a)
 				s.Poke("FPToInt.io_in2", v.b)
 				s.Poke("FPToInt.io_wflags", 1)
 				s.Step()
-				if i%driveChunk == driveChunk-1 {
-					time.Sleep(drivePause)
-				}
+				return true
 			}
 		}, err
 	}

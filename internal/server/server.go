@@ -74,11 +74,13 @@ type Server struct {
 	log     *log.Logger
 }
 
-// New wires a server to a runtime. The runtime's handler is replaced:
-// stops are broadcast to every attached session and the simulation
-// blocks until the controlling session answers with a command —
-// serving queued state queries from other sessions while it waits.
-// With no session attached, stops auto-continue.
+// New wires a server to a runtime. While a session is attached the
+// server is the runtime's stop handler: stops are broadcast to every
+// attached session and the simulation blocks until the controlling
+// session answers with a command — serving queued state queries from
+// other sessions while it waits. The first attach installs the handler
+// and the last session to leave removes it, so with no session
+// attached nothing stops the runtime (and its Drive loop parks).
 func New(rt *core.Runtime, logger *log.Logger) *Server {
 	s := &Server{
 		rt:       rt,
@@ -89,7 +91,6 @@ func New(rt *core.Runtime, logger *log.Logger) *Server {
 		// engines accept. Probed here, before the simulation runs.
 		reverse: rt.Backend().SetTime(rt.Backend().Time()) == nil,
 	}
-	rt.SetHandler(s.onStop)
 	return s
 }
 
@@ -125,6 +126,8 @@ func (s *Server) logf(format string, args ...any) {
 func (s *Server) onStop(ev *core.StopEvent) core.Command {
 	s.mu.Lock()
 	if len(s.sessions) == 0 || s.closing {
+		// An edge that began before the last session left (or before
+		// Shutdown) still holds this handler: nobody can answer.
 		s.mu.Unlock()
 		return core.CmdContinue
 	}
@@ -229,8 +232,8 @@ func (s *Server) Listen(addr string) (string, error) {
 // Shutdown drains this server's sessions gracefully and nothing else:
 // it stops accepting new sessions, resumes a simulation parked at a
 // stop (so the simulation goroutine can observe its own cancellation
-// instead of deadlocking on a commander that will never come), sends
-// every session a goodbye, and waits for each writer to flush its
+// instead of deadlocking on a commander that will never come), removes
+// the server's stop handler, sends every session a goodbye, and waits for each writer to flush its
 // queue and complete the close handshake — bounded by ctx, one shared
 // deadline for all writers, so shutdown latency is the slowest
 // session, not the sum over wedged ones.
@@ -257,6 +260,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.sessions = map[int64]*Session{}
 	s.order = nil
 	s.controller = 0
+	s.rt.SetHandler(nil)
 	s.mu.Unlock()
 
 	var err error
@@ -305,6 +309,9 @@ func (s *Server) attach(conn *ws.Conn, binary, delta bool) *Session {
 	if role == proto.RoleController {
 		s.controller = sess.ID
 	}
+	if len(s.sessions) == 0 {
+		s.rt.SetHandler(s.onStop)
+	}
 	s.sessions[sess.ID] = sess
 	s.order = append(s.order, sess.ID)
 	go sess.writeLoop()
@@ -338,7 +345,8 @@ func (s *Server) attach(conn *ws.Conn, binary, delta bool) *Session {
 // dropSession removes a session: hands control to the oldest
 // surviving session if the controller left, auto-continues a stopped
 // simulation that just lost its last possible commander, and tells
-// the remaining sessions. Idempotent.
+// the remaining sessions. The last session to leave takes the
+// server's stop handler with it. Idempotent.
 func (s *Server) dropSession(id int64, reason string) {
 	s.mu.Lock()
 	sess, ok := s.sessions[id]
@@ -365,6 +373,9 @@ func (s *Server) dropSession(id int64, reason string) {
 		// candidate was too backlogged to take the stop replay — none
 		// of them knows the sim is parked, so resume it.
 		s.sendResumeLocked(core.CmdContinue)
+	}
+	if len(s.sessions) == 0 {
+		s.rt.SetHandler(nil)
 	}
 	s.broadcastLocked(&proto.Event{
 		Type: "goodbye", SessionID: id,
