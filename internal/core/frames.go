@@ -2,9 +2,12 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/expr"
+	"repro/internal/symtab"
 	"repro/internal/val"
 	"repro/internal/vpi"
 )
@@ -23,41 +26,96 @@ func (ibp *insertedBP) pathBitsResolver(rt *Runtime) expr.BitsResolver {
 
 // buildEvent reconstructs the stack-frame information for every hit
 // instance (§3.2 step 3: "we reconstruct the stack frame based on the
-// symbol table and then send the result to the user").
+// symbol table and then send the result to the user"). The symbol
+// table is consulted once per statement instance, not once per stop:
+// framePlan resolves the frame's layout at its first stop, and every
+// stop reads fresh values through it.
 func (rt *Runtime) buildEvent(g *group, hits []*insertedBP, time uint64, reverse, stepping bool) *StopEvent {
 	ev := &StopEvent{
 		Time:     time,
 		File:     g.file,
 		Line:     g.line,
 		Col:      g.col,
+		Threads:  make([]Thread, len(hits)),
 		Reverse:  reverse,
 		StepStop: stepping,
 	}
-	for _, ibp := range hits {
-		th := Thread{
+	for i, ibp := range hits {
+		locals, gen := rt.framePlan(ibp.bp)
+		ev.Threads[i] = Thread{
 			BreakpointID: ibp.bp.ID,
 			Instance:     ibp.bp.InstanceName,
+			Locals:       rt.readFrame(locals),
+			Generator:    rt.readFrame(gen),
 		}
-		for _, b := range rt.table.ScopeVars(ibp.bp.ID) {
-			full := rt.remap.ToSim(ibp.bp.InstanceName + "." + b.RTL)
-			th.Locals = append(th.Locals, rt.frameVar(b.Name, full))
-		}
-		if instID, ok := rt.table.InstanceIDByName(ibp.bp.InstanceName); ok {
-			for _, b := range rt.table.GeneratorVars(instID) {
-				full := rt.remap.ToSim(ibp.bp.InstanceName + "." + b.RTL)
-				th.Generator = append(th.Generator, rt.frameVar(b.Name, full))
-			}
-		}
-		sortVars(th.Locals)
-		sortVars(th.Generator)
-		ev.Threads = append(ev.Threads, th)
 	}
-	sort.Slice(ev.Threads, func(i, j int) bool { return ev.Threads[i].Instance < ev.Threads[j].Instance })
+	slices.SortFunc(ev.Threads, func(a, b Thread) int { return strings.Compare(a.Instance, b.Instance) })
 	return ev
 }
 
-func sortVars(vars []Variable) {
-	sort.Slice(vars, func(i, j int) bool { return naturalLess(vars[i].Name, vars[j].Name) })
+// frameSlot is one variable of a frame layout: its source-level name
+// and the simulator path its value is read from.
+type frameSlot struct {
+	name, path string
+}
+
+// framePlans caches stop-frame layouts, never values: each stopped
+// statement instance's scope variables by breakpoint id, and each
+// instance's generator variables by instance path (shared by every
+// statement of that instance), both in display order. An entry is
+// built at the first stop that needs it, so statements never stopped
+// at cost nothing, and memory stays bounded by one list per statement
+// instance plus one per design instance. Simulation goroutine only.
+type framePlans struct {
+	locals    map[int64][]frameSlot
+	generator map[string][]frameSlot
+}
+
+// framePlan returns the frame layout of one breakpoint hit, resolving
+// it through the symbol table and the simulator remap on first use.
+func (rt *Runtime) framePlan(bp symtab.Breakpoint) (locals, gen []frameSlot) {
+	p := &rt.plans
+	locals, ok := p.locals[bp.ID]
+	if !ok {
+		locals = rt.planSlots(bp.InstanceName, rt.table.ScopeVars(bp.ID))
+		p.locals[bp.ID] = locals
+	}
+	gen, ok = p.generator[bp.InstanceName]
+	if !ok {
+		if instID, found := rt.table.InstanceIDByName(bp.InstanceName); found {
+			gen = rt.planSlots(bp.InstanceName, rt.table.GeneratorVars(instID))
+		}
+		p.generator[bp.InstanceName] = gen
+	}
+	return locals, gen
+}
+
+// planSlots lays out an instance's variable bindings in display order:
+// names compare with naturalLess, so vector elements read v[2] before
+// v[10].
+func (rt *Runtime) planSlots(instance string, vars []symtab.VarBinding) []frameSlot {
+	if len(vars) == 0 {
+		return nil
+	}
+	slots := make([]frameSlot, len(vars))
+	for i, b := range vars {
+		slots[i] = frameSlot{name: b.Name, path: rt.remap.ToSim(instance + "." + b.RTL)}
+	}
+	slices.SortFunc(slots, func(a, b frameSlot) int { return naturalCmp(a.name, b.name) })
+	return slots
+}
+
+// readFrame reads one frame's variables through its layout. An empty
+// layout reads as a nil list (null on the JSON wire), not an empty one.
+func (rt *Runtime) readFrame(slots []frameSlot) []Variable {
+	if len(slots) == 0 {
+		return nil
+	}
+	vars := make([]Variable, len(slots))
+	for i, s := range slots {
+		vars[i] = rt.frameVar(s.name, s.path)
+	}
+	return vars
 }
 
 // naturalLess orders variable names with digit runs compared
@@ -158,8 +216,20 @@ type StructuredVar struct {
 }
 
 // Structure converts flat variables into a nested tree by splitting
-// dotted names.
+// dotted names. The DAP adapter calls it at every scopes request; a
+// list with no dotted name comes back as the sorted flat list, without
+// building the tree's per-variable nodes and maps.
 func Structure(vars []Variable) []StructuredVar {
+	for i := range vars {
+		if strings.IndexByte(vars[i].Name, '.') >= 0 {
+			return structureTree(vars)
+		}
+	}
+	return structureFlat(vars)
+}
+
+// structureTree is Structure for lists with dotted names.
+func structureTree(vars []Variable) []StructuredVar {
 	type nodeT struct {
 		children map[string]*nodeT
 		order    []string
@@ -214,4 +284,41 @@ func splitDots(s string) []string {
 	}
 	out = append(out, s[start:])
 	return out
+}
+
+// structureFlat is Structure for names without dots: every variable is
+// a root leaf, in structureTree's order, and of two variables with one
+// name the later is kept, as in structureTree.
+func structureFlat(vars []Variable) []StructuredVar {
+	if len(vars) == 0 {
+		return nil
+	}
+	out := make([]StructuredVar, len(vars))
+	for i := range vars {
+		out[i] = StructuredVar{Name: vars[i].Name, Leaf: &vars[i]}
+	}
+	// The sort is stable, so of equal names the later variable ends its
+	// run and is the one kept.
+	slices.SortStableFunc(out, func(a, b StructuredVar) int { return naturalCmp(a.Name, b.Name) })
+	n := 0
+	for _, sv := range out {
+		if n > 0 && out[n-1].Name == sv.Name {
+			out[n-1] = sv
+			continue
+		}
+		out[n] = sv
+		n++
+	}
+	return out[:n]
+}
+
+// naturalCmp is naturalLess as a three-way comparison.
+func naturalCmp(a, b string) int {
+	switch {
+	case a == b:
+		return 0
+	case naturalLess(a, b):
+		return -1
+	}
+	return 1
 }

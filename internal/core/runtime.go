@@ -354,8 +354,10 @@ type Runtime struct {
 	statEvaluated atomic.Uint64 // groups evaluated with at least one member
 	statPartial   atomic.Uint64 // cache refreshes bounded by a delta report
 
-	// evaluateGroup scratch (simulation goroutine only).
+	// evaluateGroup scratch and buildEvent's frame layouts (simulation
+	// goroutine only).
 	memberBuf []*insertedBP
+	plans     framePlans
 
 	// Fused schedule compilation state (see fused.go): the
 	// whole-schedule fused program and its skip bitmap, rebuilt with the
@@ -378,6 +380,10 @@ func New(backend vpi.Interface, table *symtab.Table) (*Runtime, error) {
 		inserted: map[int64]*insertedBP{},
 		queries:  make(chan *QueryJob, queryQueueDepth),
 		wake:     make(chan struct{}, 1),
+		plans: framePlans{
+			locals:    map[int64][]frameSlot{},
+			generator: map[string][]frameSlot{},
+		},
 	}
 	rt.allGroups = rt.buildAllGroups()
 	rt.groupIdx = make(map[groupKey]int, len(rt.allGroups))

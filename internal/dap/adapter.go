@@ -17,7 +17,9 @@ import (
 	"repro/internal/proto"
 )
 
-// Options configures an Adapter.
+// Options configures an Adapter. The wire of the adapter's hgdb session
+// is not configurable: it always negotiates binary event frames (see
+// Adapter).
 type Options struct {
 	// Addr is the hgdb debug server (host:port) to attach to.
 	Addr string
@@ -34,6 +36,14 @@ type Options struct {
 }
 
 // Adapter is one DAP session bridged onto one hgdb debugger session.
+// The editor side speaks DAP's JSON. The hgdb session negotiates the
+// binary event encoding with full stop frames (client.Options{Binary:
+// true}): every stop the editor is shown arrives as one
+// proto.DecodeBinaryFrame pass instead of two JSON decodes, and
+// requests and responses stay JSON. Delta frames stay off, since
+// consecutive steps land on different statements and would travel as
+// full frames plus an ack each.
+//
 // The lifecycle mapping:
 //
 //	initialize        → capabilities (supportsStepBack iff replay)
@@ -43,7 +53,8 @@ type Options struct {
 //	                    registers a hub runtime from its spec
 //	                    arguments, attach names an existing one, and a
 //	                    capabilities event re-announces
-//	                    supportsStepBack before initialized
+//	                    supportsStepBack before initialized; arguments
+//	                    that do not decode fail the request
 //	setBreakpoints    → replace-per-source diffed onto add/remove,
 //	                    verified against the symbol table's line set
 //	configurationDone → acknowledged
@@ -133,31 +144,45 @@ func New(rw io.ReadWriter, opts Options) (*Adapter, error) {
 	if opts.Hub {
 		return a, nil
 	}
-	// Subscribe before connecting: a stop replayed to a late attacher
-	// arrives right after the welcome and must reach the pump.
-	a.cl = client.New(opts.Addr)
-	a.sub = a.cl.Subscribe(64, "stop", "goodbye", "disconnect")
-	if err := a.cl.Connect(); err != nil {
+	if err := a.dial(""); err != nil {
 		return nil, fmt.Errorf("dap: attach %s: %w", opts.Addr, err)
 	}
-	welcome, err := a.cl.WaitEvent("welcome", opts.DialTimeout)
-	if err != nil {
-		a.cl.Close()
-		return nil, fmt.Errorf("dap: no welcome from %s: %w", opts.Addr, err)
-	}
-	a.top, a.mode, a.reverse = welcome.Top, welcome.Mode, welcome.Reverse
-	if err := a.loadSymbols(); err != nil {
-		a.cl.Close()
-		return nil, err
-	}
 	return a, nil
+}
+
+// dial opens the adapter's hgdb session on the standalone server, or on
+// one hub runtime when runtime is set, and loads its symbols. Both
+// modes negotiate the same wire: binary event frames, full stops only.
+func (a *Adapter) dial(runtime string) error {
+	cl := client.NewOpts(a.opts.Addr, client.Options{Binary: true, Runtime: runtime})
+	// Subscribe before connecting: a stop replayed to a late attacher
+	// arrives right after the welcome and must reach the pump.
+	sub := cl.Subscribe(64, "stop", "goodbye", "disconnect")
+	if err := cl.Connect(); err != nil {
+		return err
+	}
+	welcome, err := cl.WaitEvent("welcome", a.opts.DialTimeout)
+	if err != nil {
+		cl.Close()
+		return fmt.Errorf("no welcome: %w", err)
+	}
+	a.mu.Lock()
+	a.top, a.mode, a.reverse = welcome.Top, welcome.Mode, welcome.Reverse
+	a.mu.Unlock()
+	a.cl, a.sub = cl, sub
+	if err := a.loadSymbols(); err != nil {
+		cl.Close()
+		a.cl, a.sub = nil, nil
+		return err
+	}
+	return nil
 }
 
 // bindHub resolves a hub-mode launch/attach to one registry runtime
 // and opens the debugger session on it: launch registers a runtime
 // from the spec-shaped arguments first, attach names an existing one.
-// The session dial mirrors New's standalone path (subscribe before
-// connect, welcome, symbols) and starts the event pump.
+// The session is dialed as in New's standalone path, then the event
+// pump starts.
 func (a *Adapter) bindHub(command string, args AttachArguments) error {
 	if a.cl != nil {
 		// Already bound (editors may retry launch after initialize);
@@ -194,30 +219,17 @@ func (a *Adapter) bindHub(command string, args AttachArguments) error {
 	if id == "" {
 		return fmt.Errorf(`attach needs a "runtime" id (see the runtimes listing)`)
 	}
-	cl := client.NewOpts(a.opts.Addr, client.Options{Runtime: id})
-	sub := cl.Subscribe(64, "stop", "goodbye", "disconnect")
-	if err := cl.Connect(); err != nil {
+	if err := a.dial(id); err != nil {
 		return fmt.Errorf("attach runtime %s: %w", id, err)
 	}
-	welcome, err := cl.WaitEvent("welcome", a.opts.DialTimeout)
-	if err != nil {
-		cl.Close()
-		return fmt.Errorf("no welcome from runtime %s: %w", id, err)
-	}
-	a.mu.Lock()
-	a.top, a.mode, a.reverse = welcome.Top, welcome.Mode, welcome.Reverse
 	if command == "launch" {
 		// A launched runtime is fresh: its first stop ends a forward
 		// run, which may reach the end of a trace.
+		a.mu.Lock()
 		a.resuming = "continue"
+		a.mu.Unlock()
 	}
-	a.mu.Unlock()
-	a.cl, a.sub, a.hubRuntime = cl, sub, id
-	if err := a.loadSymbols(); err != nil {
-		cl.Close()
-		a.cl, a.sub, a.hubRuntime = nil, nil, ""
-		return err
-	}
+	a.hubRuntime = id
 	go a.pump()
 	return nil
 }
@@ -332,9 +344,16 @@ func (a *Adapter) handleRequest(req *Message) {
 		// Hub: the request carries which runtime to debug, so the
 		// session is dialed here (bindHub) and the now-known
 		// capabilities are re-announced before initialized.
+		// Arguments that do not decode fail the request before anything
+		// is dialed or registered: json.Unmarshal fills the fields it
+		// can, so a partial decode would launch a runtime the editor
+		// never asked for (a mistyped kind defaults to a live sim).
 		var args AttachArguments
 		if len(req.Arguments) > 0 {
-			json.Unmarshal(req.Arguments, &args)
+			if err = json.Unmarshal(req.Arguments, &args); err != nil {
+				err = fmt.Errorf("bad %s arguments: %v", req.Command, err)
+				break
+			}
 		}
 		if args.Address != "" && args.Address != a.opts.Addr {
 			err = fmt.Errorf("adapter is attached to %s; restart hgdb-dap with -attach %s", a.opts.Addr, args.Address)

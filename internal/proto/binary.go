@@ -62,9 +62,9 @@ const (
 	maxBinVars    = 1 << 20
 	maxBinWatch   = 1 << 16
 	maxBinString  = 1 << 20
-	// maxBinWords caps one value's high-word planes: 2^16 bits (the
-	// expression language's literal ceiling) is 1024 words.
-	maxBinWords = 1 << 10
+	// maxBinWords caps one value's high-word planes at the widest
+	// signal a trace store accepts: 2^20 bits is 16384 words.
+	maxBinWords = 1 << 14
 )
 
 // --- encode primitives ---

@@ -50,6 +50,38 @@ func TestBinaryRoundTripStop(t *testing.T) {
 	}
 }
 
+// TestBinaryRoundTripWidestSignal sends a stop holding a four-state
+// variable as wide as a trace store accepts, 2^20 bits: the decoder's
+// plane cap must admit every value the replay backend can return, or a
+// binary session drops the frame and never sees the stop. A plane one
+// word past the cap is still refused.
+func TestBinaryRoundTripWidestSignal(t *testing.T) {
+	const width = 1 << 20
+	hi := make([]uint64, width/64-1)
+	xhi := make([]uint64, len(hi))
+	for i := range hi {
+		hi[i] = uint64(i) * 0x9E3779B97F4A7C15
+		xhi[i] = uint64(i%3) << 62
+	}
+	bus := core.Variable{Name: "bus", RTL: "Top.bus", Value: 1, X: 2, Hi: hi, XHi: xhi, Width: width}
+	ev := &Event{Type: "stop", Seq: 1, Stop: &core.StopEvent{
+		Time: 7, File: "a.go", Line: 3,
+		Threads: []core.Thread{{BreakpointID: 1, Instance: "Top", Locals: []core.Variable{bus}}},
+	}}
+	dec, err := DecodeBinaryFrame(EncodeBinaryEvent(ev))
+	if err != nil {
+		t.Fatalf("decode of a %d-bit variable: %v", width, err)
+	}
+	if want, got := binNormalize(t, ev), binNormalize(t, dec); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%d-bit variable did not round-trip", width)
+	}
+
+	ev.Stop.Threads[0].Locals[0].Hi = make([]uint64, maxBinWords+1)
+	if _, err := DecodeBinaryFrame(EncodeBinaryEvent(ev)); err == nil {
+		t.Fatalf("decode accepted a plane of %d words, past the %d-word cap", maxBinWords+1, maxBinWords)
+	}
+}
+
 func TestBinaryRoundTripDelta(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 100; i++ {
