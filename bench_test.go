@@ -87,8 +87,9 @@ func BenchmarkFig5(b *testing.B) {
 //   - idle-core: a two-core SoC where hart 1 halts immediately (its
 //     registers are clock-gated from then on) while hart 0 spins
 //     forever; breakpoints are armed on the idle core only. With
-//     delta scheduling their per-edge cost collapses to the dirty-set
-//     poll; exhaustive evaluation re-runs every condition each edge.
+//     delta scheduling their per-edge cost collapses to one batched
+//     read of the dependency union diffed against the cache;
+//     exhaustive evaluation re-runs every condition each edge.
 //   - bursty: a counter whose enable pulses one cycle in 64, with an
 //     armed never-true condition — sparse bursty traffic where almost
 //     every edge leaves the dependency set untouched.

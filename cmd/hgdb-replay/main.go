@@ -22,10 +22,9 @@
 // restores periodic value-snapshot checkpoints (-checkpoint sets their
 // spacing, 0 = adaptive) instead of rescanning the trace.
 //
-// If -vcd points at a pre-indexed store file (written by hgdb-index or
-// hgdb-replay -index), it is opened in O(header) with no text scan —
-// blocks load lazily from disk, bounded by -block-cache. With -index
-// the tool writes the store file next to the trace and exits.
+// If -vcd points at a pre-indexed store file (written by hgdb-index),
+// it is opened in O(header) with no text scan — blocks load lazily from
+// disk, bounded by -block-cache.
 package main
 
 import (
@@ -52,24 +51,8 @@ func main() {
 	holdFor := flag.Duration("hold", 60*time.Second, "how long to serve before exiting")
 	block := flag.Uint64("block", vcd.DefaultBlockSize, "trace index time-block size (trace timestamp units)")
 	checkpoint := flag.Uint64("checkpoint", 0, "reverse-execution checkpoint interval (trace timestamp units, 0 = adaptive)")
-	index := flag.String("index", "", "write a pre-indexed store file for -vcd to this path and exit")
 	blockCache := flag.Int("block-cache", vcd.DefaultBlockCacheBytes, "resident block byte bound for pre-indexed stores")
 	flag.Parse()
-	if *index != "" {
-		if *vcdPath == "" {
-			flag.Usage()
-			os.Exit(2)
-		}
-		stats, err := vcd.IndexFile(*vcdPath, *index, vcd.StoreOptions{BlockSize: *block})
-		if err != nil {
-			log.Fatalf("hgdb-replay: index: %v", err)
-		}
-		log.Printf("indexed %s -> %s (%d cycles, %d signals, %d changes in %d blocks, %s)",
-			*vcdPath, *index, stats.MaxTime, stats.Signals, stats.Changes,
-			stats.Blocks, fmtBytes(int(stats.Bytes)))
-		logFourState(stats.Parse)
-		return
-	}
 	if *vcdPath == "" || *symtabPath == "" {
 		flag.Usage()
 		os.Exit(2)

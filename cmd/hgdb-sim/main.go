@@ -103,11 +103,11 @@ func main() {
 	drive(s, *cycles)
 	elapsed := time.Since(start)
 	evals, stops := rt.Stats()
-	skipped, evaluated, partial := rt.ActivityStats()
+	skipped, evaluated, _ := rt.ActivityStats()
 	log.Printf("simulated %d cycles in %s (%d bp evaluations, %d stops)",
 		s.Time(), elapsed.Round(time.Millisecond), evals, stops)
-	log.Printf("activity scheduling: %d groups skipped clean, %d evaluated, %d delta-bounded refreshes",
-		skipped, evaluated, partial)
+	log.Printf("activity scheduling: %d groups skipped clean, %d evaluated",
+		skipped, evaluated)
 	if rec != nil {
 		if err := rec.Flush(); err != nil {
 			log.Fatalf("hgdb-sim: vcd: %v", err)

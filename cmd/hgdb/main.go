@@ -76,8 +76,11 @@ func main() {
 	if fs.NArg() != 1 {
 		usage()
 	}
-	cl, err := client.DialOpts(fs.Arg(0), client.Options{Runtime: *runtimeID})
-	if err != nil {
+	cl := client.NewOpts(fs.Arg(0), client.Options{Runtime: *runtimeID})
+	// Subscribe before connecting, so the welcome and a stop replayed
+	// to a late attacher are printed too.
+	events := cl.Subscribe(16)
+	if err := cl.Connect(); err != nil {
 		fmt.Fprintf(os.Stderr, "hgdb: %v\n", err)
 		os.Exit(1)
 	}
@@ -85,7 +88,7 @@ func main() {
 
 	// Print events as they arrive.
 	go func() {
-		for ev := range cl.Events {
+		for ev := range events.C {
 			if ev.Type == "disconnect" {
 				fmt.Println("\nconnection closed")
 				os.Exit(0)

@@ -267,3 +267,91 @@ func TestReverseContinueMatchesReverseStepsRISCV(t *testing.T) {
 		}
 	}
 }
+
+// rewindWarm is how many forward continue stops a rewind case takes
+// before its first reverse-continue, so that misses have parked.
+const rewindWarm = 3
+
+// rewindScript answers the stops after the warm-up: runs of one to
+// three reverse-continues alternate with runs of continues, so that
+// walks cross more than one hit in each direction and forward runs
+// pass back over hits the rewinds crossed.
+var rewindScript = []core.Command{
+	core.CmdReverseContinue, core.CmdContinue,
+	core.CmdReverseContinue, core.CmdReverseContinue, core.CmdContinue, core.CmdContinue,
+	core.CmdReverseContinue, core.CmdReverseContinue, core.CmdReverseContinue, core.CmdContinue, core.CmdContinue, core.CmdContinue,
+	core.CmdContinue, core.CmdContinue, core.CmdReverseContinue, core.CmdReverseContinue, core.CmdReverseContinue, core.CmdContinue, core.CmdContinue, core.CmdContinue,
+}
+
+// rewindRun replays the trace with the choices armed, on the default
+// scheduler or the exhaustive reference, answers rewindWarm stops with
+// continue and the next ones from rewindScript, and returns every stop
+// rendered plus the runtime (for activity stats).
+func rewindRun(t *testing.T, st *vcd.Store, table *symtab.Table, choices []bpChoice, exhaustive bool) ([]string, *core.Runtime) {
+	t.Helper()
+	eng, rt, armed := replayRuntime(t, st, table, choices)
+	rt.SetExhaustiveEval(exhaustive)
+	var sigs []string
+	rt.SetHandler(func(ev *core.StopEvent) core.Command {
+		sigs = append(sigs, reverseSig(ev, armed))
+		switch n := len(sigs) - rewindWarm; {
+		case n < 0:
+			return core.CmdContinue
+		case n < len(rewindScript):
+			return rewindScript[n]
+		default:
+			return core.CmdDetach
+		}
+	})
+	for eng.StepForward() {
+	}
+	return sigs, rt
+}
+
+// TestReplayRewindMatchesExhaustiveRISCV: on a replay, conditions that
+// parked as misses before a reverse-continue stay parked across the
+// backward seek only while their operands read the same values, so
+// the stops after each rewind equal the exhaustive reference's, stop
+// by stop. The live stop differentials never seek backwards.
+func TestReplayRewindMatchesExhaustiveRISCV(t *testing.T) {
+	if testing.Short() {
+		t.Skip("records RISC-V workload traces")
+	}
+	var parked uint64
+	for _, tc := range stopWorkloads {
+		m, st := recordWorkload(t, tc.name)
+		rnd := xorshift(tc.seed ^ 0xD6E8FEB86659FD93)
+		for s := 0; s < 8; s++ {
+			// Odd sets are all conditional; even sets keep
+			// chooseBreakpoints' unconditional picks, whose enables
+			// hold over runs of cycles, so consecutive hits straddle
+			// the rewinds. A set is redrawn until the trace holds
+			// enough hits to continue past the warm-up.
+			var choices []bpChoice
+			for len(hitTimes(t, st, m.Table, choices)) <= rewindWarm+1 {
+				choices = chooseBreakpoints(m, rnd, 3, modCond)
+				if s%2 == 1 {
+					choices = allConditional(m, rnd, choices, modCond)
+				}
+			}
+			t.Run(fmt.Sprintf("%s/set%d", tc.name, s), func(t *testing.T) {
+				ref, _ := rewindRun(t, st, m.Table, choices, true)
+				got, rt := rewindRun(t, st, m.Table, choices, false)
+				if len(got) != len(ref) {
+					t.Fatalf("default gave %d stops, reference %d:\ndefault:   %q\nreference: %q", len(got), len(ref), got, ref)
+				}
+				for i := range got {
+					if got[i] != ref[i] {
+						t.Fatalf("stop %d differs:\ndefault:   %s\nreference: %s", i, got[i], ref[i])
+					}
+				}
+				skipped, _, _ := rt.ActivityStats()
+				parked += skipped
+				t.Logf("%d stops, %d groups skipped clean", len(got), skipped)
+			})
+		}
+	}
+	if parked == 0 {
+		t.Fatal("nothing parked: the rewinds crossed no parked condition")
+	}
+}

@@ -22,8 +22,8 @@ import (
 // typedQueueDepth is the buffer of each per-type event queue behind
 // WaitEvent/WaitStop. Queues are created at delivery time (so an event
 // arriving before its first WaitEvent call is never lost), which means
-// an Events-only consumer pays this buffer per event type seen — keep
-// it as small as the legacy Events buffer.
+// a consumer that never waits pays this buffer per event type seen, so
+// it stays small.
 const typedQueueDepth = 16
 
 // stopCacheDepth is how many applied stop snapshots the client retains
@@ -70,22 +70,15 @@ type Client struct {
 	stopRing  []uint64
 	resyncs   uint64
 
-	// Event demultiplexing. Every inbound event is delivered to three
-	// kinds of consumer: the legacy catch-all Events channel, a
-	// per-type queue (auto-created at delivery, so an event arriving
-	// before its first WaitEvent call is never lost), and every
-	// matching Subscription. Waiting for one event type therefore no
-	// longer consumes — and silently drops — interleaved events of
-	// other types.
+	// Event demultiplexing. Every inbound event is delivered to two
+	// kinds of consumer: a per-type queue (auto-created at delivery, so
+	// an event arriving before its first WaitEvent call is never lost)
+	// and every matching Subscription. Waiting for one event type
+	// therefore never consumes — and silently drops — interleaved
+	// events of other types.
 	subs    map[int]*Subscription
 	nextSub int
 	typed   map[string]*Subscription
-
-	// Events delivers stop, welcome, attach, goodbye and control
-	// events. When the connection dies the client synthesizes a final
-	// {Type: "disconnect"} event; the channel itself stays open so the
-	// client can Reconnect.
-	Events chan *proto.Event
 }
 
 // New creates a client without connecting, so consumers can Subscribe
@@ -104,7 +97,6 @@ func NewOpts(addr string, opts Options) *Client {
 		waiting: map[string]chan *proto.Response{},
 		subs:    map[int]*Subscription{},
 		typed:   map[string]*Subscription{},
-		Events:  make(chan *proto.Event, 16),
 	}
 }
 
@@ -212,7 +204,6 @@ func (c *Client) deliverLocked(ev *proto.Event) {
 		default:
 		}
 	}
-	push(c.Events)
 	push(c.typedLocked(ev.Type).C)
 	for _, sub := range c.subs {
 		// The sentinel bypasses type filters: every subscription is
@@ -262,7 +253,7 @@ func (c *Client) connect() error {
 // Reconnect re-attaches to the same endpoint after a connection loss.
 // The server assigns a fresh session id and role (broadcast state such
 // as armed breakpoints lives in the runtime and survives). Safe to
-// call after the Events channel delivered a "disconnect" event.
+// call after a subscription delivered a "disconnect" event.
 func (c *Client) Reconnect() error {
 	// Detach the old connection first: once c.conn no longer points at
 	// it, its read loop's teardown knows it is stale and will neither
@@ -287,7 +278,6 @@ func (c *Client) Reconnect() error {
 	// same lock the sentinel push takes, so a teardown racing this
 	// reconnect can never land its sentinel after the drain.
 	c.mu.Lock()
-	drainChan(c.Events)
 	for _, sub := range c.typed {
 		drainChan(sub.C)
 	}

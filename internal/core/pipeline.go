@@ -129,9 +129,6 @@ func (rt *Runtime) rebuildDeps() {
 	rt.prefetchOK = make([]bool, len(rt.depUnion))
 	rt.prefetchValid = false
 	rt.diffBase = false
-	if cap(rt.changedBuf) < len(rt.depUnion) {
-		rt.changedBuf = make([]bool, len(rt.depUnion))
-	}
 	if cap(rt.incoming) < len(rt.depUnion) {
 		rt.incoming = make([]eval.Value, len(rt.depUnion))
 	}
@@ -141,12 +138,6 @@ func (rt *Runtime) rebuildDeps() {
 	// state mid-schedule.
 	if p, ok := rt.backend.(vpi.Prefetcher); ok && len(rt.depUnion) > 0 {
 		p.Prefetch(rt.depUnion)
-	}
-	// Register the union as the backend's dirty-set watch list. Always
-	// re-registered (even empty) so a stale list cannot linger; the
-	// first poll after registration reports everything changed.
-	if rt.reporter != nil {
-		rt.reporter.TrackChanges(rt.depUnion)
 	}
 	// Recompile the whole-schedule fused program against the fresh slot
 	// assignment (fused.go); its skip bitmap resets with the union, so
@@ -158,11 +149,9 @@ func (rt *Runtime) rebuildDeps() {
 // a batched backend read of the dependency union, instead of one
 // GetValue per signal per breakpoint per edge. Values are cached per
 // (cycle, signal); re-entry at the same time (further groups, the
-// watch pass) hits the cache. When the backend reports per-edge signal
-// activity (vpi.ChangeReporter), only the reported-dirty slots are
-// re-read; every refreshed slot is diffed against its previous value
-// and actual changes un-park the fused conditions and watches depending
-// on it. Runs on the simulation goroutine.
+// watch pass) hits the cache. Every refreshed slot is diffed against
+// its previous value, and actual changes un-park the fused conditions
+// and watches depending on it. Runs on the simulation goroutine.
 func (rt *Runtime) ensurePrefetch(t uint64) {
 	rt.mu.Lock()
 	dirty := rt.depsDirty
@@ -174,47 +163,26 @@ func (rt *Runtime) ensurePrefetch(t uint64) {
 	if rt.prefetchValid && rt.prefetchTime == t {
 		return
 	}
-	// hadValues: the cache holds an earlier value snapshot of this
-	// union generation (only a dependency rebuild discards it), so a
-	// delta report can bound what to re-read and value diffs against it
-	// are meaningful. A mid-edge invalidation (stop handler returned,
-	// SetTime rewound) clears only prefetchValid — the snapshot is
-	// still the set of values every parked condition was last evaluated
-	// against, exactly the baseline the diff must use: handler pokes
-	// and rewinds surface as value differences (or a reporter dirt /
-	// cannot-bound verdict) and un-park precisely the affected
-	// conditions.
-	hadValues := rt.diffBase
 	rt.prefetchTime = t
 	rt.prefetchValid = true
-	if len(rt.depUnion) == 0 {
-		return
+	if len(rt.depUnion) > 0 {
+		rt.refreshAll()
 	}
-	if rt.reporter != nil {
-		// Poll once per refresh. The report window spans since the
-		// previous poll, which is never later than the cache's last
-		// refresh, so a clean verdict always covers the cached value's
-		// lifetime.
-		changed := rt.changedBuf[:len(rt.depUnion)]
-		if rt.reporter.ChangedInto(changed) && hadValues {
-			rt.dirtySlots = rt.dirtySlots[:0]
-			for i := range changed {
-				if changed[i] || !rt.prefetchOK[i] {
-					rt.dirtySlots = append(rt.dirtySlots, i)
-				}
-			}
-			rt.statPartial.Add(1)
-			rt.refreshSlots(rt.dirtySlots)
-			return
-		}
-	}
-	rt.refreshAll(hadValues)
 }
 
 // refreshAll re-reads the whole dependency union, diffing each slot
 // against the previous snapshot (when one exists) to un-park only what
 // depends on dependencies that actually moved.
-func (rt *Runtime) refreshAll(hadValues bool) {
+func (rt *Runtime) refreshAll() {
+	// The cache holds an earlier value snapshot of this union
+	// generation (only a dependency rebuild discards it), so value
+	// diffs against it are meaningful. A mid-edge invalidation (stop
+	// handler returned, SetTime rewound) clears only prefetchValid —
+	// the snapshot is still the set of values every parked condition
+	// was last evaluated against, exactly the baseline the diff must
+	// use: handler pokes and rewinds surface as value differences and
+	// un-park precisely the affected conditions.
+	hadValues := rt.diffBase
 	in := rt.incoming[:len(rt.depUnion)]
 	if err := vpi.ReadBatchInto(rt.backend, rt.depUnion, in); err == nil {
 		for i := range in {
@@ -233,33 +201,6 @@ func (rt *Runtime) refreshAll(hadValues bool) {
 		rt.commitSlot(i, v, err == nil, hadValues)
 	}
 	rt.diffBase = true
-}
-
-// refreshSlots re-reads only the given union slots (the delta-bounded
-// dirty set plus previously failed reads); clean slots keep their
-// cached values, which the reporter contract guarantees are current.
-func (rt *Runtime) refreshSlots(slots []int) {
-	if len(slots) == 0 {
-		return
-	}
-	if cap(rt.pathBuf) < len(slots) {
-		rt.pathBuf = make([]string, len(slots))
-		rt.valBuf = make([]eval.Value, len(slots))
-	}
-	paths, vals := rt.pathBuf[:len(slots)], rt.valBuf[:len(slots)]
-	for k, s := range slots {
-		paths[k] = rt.depUnion[s]
-	}
-	if err := vpi.ReadBatchInto(rt.backend, paths, vals); err == nil {
-		for k, s := range slots {
-			rt.commitSlot(s, vals[k], true, true)
-		}
-		return
-	}
-	for k, s := range slots {
-		v, err := rt.backend.GetValue(paths[k])
-		rt.commitSlot(s, v, err == nil, true)
-	}
 }
 
 // commitSlot stores one refreshed union value. A slot whose value

@@ -329,18 +329,12 @@ type Runtime struct {
 	// Activity-driven scheduling state (simulation goroutine only,
 	// except the atomics). The fused walk skips any condition whose last
 	// evaluation was a sound miss and whose dependency slots have been
-	// clean at every cache refresh since; dirt arrives either from the
-	// backend's vpi.ChangeReporter poll (which also lets the refresh
-	// re-read only the dirty slots) or from value diffing on a full
-	// refresh. See DESIGN.md "Activity-driven scheduling".
-	reporter   vpi.ChangeReporter // backend capability; nil if absent
-	exhaustive atomic.Bool        // SetExhaustiveEval: the EvalBits reference
-	changedBuf []bool             // reporter poll scratch, aligned with depUnion
-	incoming   []eval.Value       // refresh scratch (read-then-diff)
-	dirtySlots []int              // slots to refresh this edge (partial path)
-	pathBuf    []string           // partial-refresh path gather scratch
-	valBuf     []eval.Value       // partial-refresh value scatter scratch
-	diffBase   bool               // prefetched holds values of this union generation
+	// clean at every cache refresh since; a slot is dirty when its
+	// refreshed value differs from the cached one (or either read
+	// failed). See DESIGN.md "Activity-driven scheduling".
+	exhaustive atomic.Bool  // SetExhaustiveEval: the EvalBits reference
+	incoming   []eval.Value // refresh scratch (read-then-diff)
+	diffBase   bool         // prefetched holds values of this union generation
 
 	// Per-group scheduling state: each statement's position in
 	// allGroups, plus — rebuilt with the dependency union — armed-member
@@ -352,7 +346,6 @@ type Runtime struct {
 	// Activity statistics (atomic: benchmarks read them cross-routine).
 	statSkipped   atomic.Uint64 // armed groups skipped as provably clean misses
 	statEvaluated atomic.Uint64 // groups evaluated with at least one member
-	statPartial   atomic.Uint64 // cache refreshes bounded by a delta report
 
 	// evaluateGroup scratch and buildEvent's frame layouts (simulation
 	// goroutine only).
@@ -390,9 +383,6 @@ func New(backend vpi.Interface, table *symtab.Table) (*Runtime, error) {
 	for i, g := range rt.allGroups {
 		rt.groupIdx[g.key()] = i
 	}
-	if cr, ok := backend.(vpi.ChangeReporter); ok {
-		rt.reporter = cr
-	}
 	// Build the (empty) dependency union and per-group scheduling
 	// arrays up front so the scheduler never sees them nil — stepping
 	// can run before any breakpoint is armed.
@@ -427,11 +417,13 @@ func (rt *Runtime) FuseInfo() (stats expr.FuseStats, ok bool) {
 func (rt *Runtime) FusedRuns() uint64 { return rt.statFusedRuns.Load() }
 
 // ActivityStats returns counters for the activity-driven scheduler:
-// armed groups skipped as provably-clean misses, groups actually
-// evaluated, and cache refreshes that a backend delta report bounded to
-// the dirty subset.
+// armed groups skipped as provably-clean misses and groups actually
+// evaluated. The third result is always 0: no backend narrows a cache
+// refresh (every refresh reads the whole dependency union and diffs it
+// against the cache), and the result stays only so existing callers
+// keep compiling.
 func (rt *Runtime) ActivityStats() (skipped, evaluated, partialRefreshes uint64) {
-	return rt.statSkipped.Load(), rt.statEvaluated.Load(), rt.statPartial.Load()
+	return rt.statSkipped.Load(), rt.statEvaluated.Load(), 0
 }
 
 // buildAllGroups precomputes the absolute ordering of every potential
@@ -709,13 +701,6 @@ func (rt *Runtime) Detach() {
 	if rt.attached {
 		rt.backend.RemoveCallback(rt.cbID)
 		rt.attached = false
-		// Release the backend's dirty-signal tracking: an empty
-		// registration disables reporting, so the free-running design
-		// stops paying the per-commit change compares for a debugger
-		// that is gone.
-		if rt.reporter != nil {
-			rt.reporter.TrackChanges(nil)
-		}
 	}
 	rt.detached = true
 }

@@ -18,7 +18,7 @@ import (
 // Frame layout:
 //
 //	byte 0: magic 0xB5
-//	byte 1: version (1 or 2)
+//	byte 1: version (3; the decoder also accepts 1 and 2)
 //	byte 2: kind — kindStop | kindDelta | kindGeneric
 //	...     kind-specific body (see encode/decode pairs below)
 //

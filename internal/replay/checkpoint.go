@@ -68,78 +68,6 @@ func (e *Engine) resetToZero() {
 	e.stateTime = 0
 }
 
-// TrackChanges implements vpi.ChangeReporter: registers the dirty-set
-// watch list. Polls derive the per-edge change set from the store's
-// change-record streams via a resumable cursor.
-func (e *Engine) TrackChanges(paths []string) {
-	if e.trSlot == nil && len(paths) > 0 {
-		e.trSlot = make([]int32, e.st.NumSignals())
-		for i := range e.trSlot {
-			e.trSlot[i] = -1
-		}
-	}
-	// Clear the previous registration via its index list, not a sweep
-	// of every signal in the trace.
-	for _, idx := range e.trIdx {
-		if idx >= 0 {
-			e.trSlot[idx] = -1
-		}
-	}
-	e.trIdx = e.trIdx[:0]
-	e.trPending = make([]bool, len(paths))
-	e.trAlways = e.trAlways[:0]
-	for slot, p := range paths {
-		ts, ok := e.st.Signal(p)
-		if !ok {
-			e.trIdx = append(e.trIdx, -1)
-			e.trAlways = append(e.trAlways, slot)
-			continue
-		}
-		e.trIdx = append(e.trIdx, ts.Index())
-		e.trSlot[ts.Index()] = int32(slot)
-	}
-	e.trActive = len(paths) > 0
-	e.trFresh = true
-}
-
-// ChangedInto implements vpi.ChangeReporter at the current replay time.
-func (e *Engine) ChangedInto(dst []bool) bool {
-	if !e.trActive || len(dst) < len(e.trPending) {
-		return false
-	}
-	t := e.time.Load()
-	if e.trFresh || t < e.trLastT {
-		// First poll after a registration, or time moved backwards:
-		// nothing bounds the change set. Re-anchor the cursor at t so
-		// the next forward poll scans exactly (t, t'].
-		discontinuous := !e.trFresh
-		e.trFresh = false
-		e.trCur = e.st.SeekCursor(t)
-		e.trLastT = t
-		for i := range e.trPending {
-			e.trPending[i] = false
-			dst[i] = true
-		}
-		return !discontinuous
-	}
-	// Forward: every change record in (trLastT, t] names a signal whose
-	// value moved; mark the tracked ones.
-	e.trCur = e.st.ScanChanges(e.trCur, t, func(sig int) {
-		if slot := e.trSlot[sig]; slot >= 0 {
-			e.trPending[slot] = true
-		}
-	})
-	e.trLastT = t
-	for i, p := range e.trPending {
-		dst[i] = p
-		e.trPending[i] = false
-	}
-	for _, slot := range e.trAlways {
-		dst[slot] = true
-	}
-	return true
-}
-
 // bits returns the signal's recorded four-state value at time t —
 // traces are the one backend whose native value plane really is
 // four-state; GetValue lowers it onto the two-state vpi surface where

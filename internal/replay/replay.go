@@ -25,7 +25,10 @@ import (
 	"repro/internal/vpi"
 )
 
-// Engine replays a trace store behind the vpi.Interface.
+// Engine replays a trace store behind the vpi.Interface, with the
+// batched-read, prefetch and four-state-read capabilities. One cursor
+// walks the trace: the checkpointed replay state that serves reads of
+// signals outside the materialized set.
 type Engine struct {
 	st       *vcd.Store
 	interval uint64
@@ -56,31 +59,12 @@ type Engine struct {
 	// sorted ascending so restore can binary-search the nearest one.
 	cps     map[uint64]*snapshot
 	cpTimes []uint64
-
-	// Dirty-set tracking (vpi.ChangeReporter): trSlot maps signal index
-	// → tracked slot, trCur walks the store's change-record stream so a
-	// forward poll costs exactly the records since the last poll — the
-	// per-block change records the store already holds give the edge's
-	// change set for free. A backward or discontinuous move re-anchors
-	// the cursor with SeekCursor and reports "cannot bound" once.
-	// Tracking state is single-consumer (the debugger runtime polls
-	// from the simulation goroutine) and never touches mu-guarded
-	// replay state.
-	trSlot    []int32
-	trIdx     []int // tracked slot -> signal index, -1 unresolved
-	trPending []bool
-	trAlways  []int // tracked slots with unresolvable paths
-	trCur     vcd.Cursor
-	trLastT   uint64
-	trFresh   bool
-	trActive  bool
 }
 
 var (
 	_ vpi.Interface       = (*Engine)(nil)
 	_ vpi.BatchReaderInto = (*Engine)(nil)
 	_ vpi.Prefetcher      = (*Engine)(nil)
-	_ vpi.ChangeReporter  = (*Engine)(nil)
 	_ vpi.BitsReader      = (*Engine)(nil)
 )
 
@@ -191,15 +175,19 @@ func (e *Engine) OnClockEdge(cb func(time uint64)) int {
 	return id
 }
 
-// RemoveCallback implements vpi.Interface.
+// RemoveCallback implements vpi.Interface. It may run inside a
+// callback: cbOrder is rebuilt rather than edited in place, so the
+// edge being fired keeps ranging over its own snapshot (and skips the
+// removed id through the callbacks map).
 func (e *Engine) RemoveCallback(id int) {
 	delete(e.callbacks, id)
-	for i, v := range e.cbOrder {
-		if v == id {
-			e.cbOrder = append(e.cbOrder[:i], e.cbOrder[i+1:]...)
-			break
+	order := make([]int, 0, len(e.cbOrder))
+	for _, v := range e.cbOrder {
+		if v != id {
+			order = append(order, v)
 		}
 	}
+	e.cbOrder = order
 }
 
 // Time implements vpi.Interface.

@@ -3,6 +3,7 @@ package replay
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/generator"
@@ -118,6 +119,44 @@ func TestCallbacksFireOnSteps(t *testing.T) {
 	e.Run(1)
 	if len(times) != 4 {
 		t.Fatal("callback fired after removal")
+	}
+}
+
+// TestRemoveCallbackDuringDispatch removes a callback from inside the
+// edge being fired (what a debugger detaching from its own stop
+// handler does): every other callback registered for that edge fires
+// exactly once, and a removed one never fires again.
+func TestRemoveCallbackDuringDispatch(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		victim string // the callback a removes on its first edge
+		first  map[string]int
+		second map[string]int
+	}{
+		{"self", "a", map[string]int{"a": 1, "b": 1, "c": 1}, map[string]int{"a": 1, "b": 2, "c": 2}},
+		{"later", "b", map[string]int{"a": 1, "c": 1}, map[string]int{"a": 2, "c": 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := makeEngine(t)
+			fired := map[string]int{}
+			ids := map[string]int{}
+			for _, name := range []string{"a", "b", "c"} {
+				ids[name] = e.OnClockEdge(func(uint64) {
+					fired[name]++
+					if name == "a" && fired["a"] == 1 {
+						e.RemoveCallback(ids[tc.victim])
+					}
+				})
+			}
+			e.StepForward()
+			if fmt.Sprint(fired) != fmt.Sprint(tc.first) {
+				t.Fatalf("removal edge fired %v, want %v", fired, tc.first)
+			}
+			e.StepForward()
+			if fmt.Sprint(fired) != fmt.Sprint(tc.second) {
+				t.Fatalf("next edge fired %v, want %v", fired, tc.second)
+			}
+		})
 	}
 }
 

@@ -38,7 +38,8 @@ type Simulator struct {
 	regNext []eval.Value
 	// memCommits is reused across Steps to avoid per-cycle allocation.
 	memCommits []memCommit
-	// callbacks fire at every posedge; removal is by id.
+	// callbacks fire at every posedge in cbOrder; removal is by id and
+	// replaces cbOrder instead of editing it (see RemoveCallback).
 	callbacks map[int]EdgeCallback
 	cbOrder   []int
 	nextCB    int
@@ -52,21 +53,6 @@ type Simulator struct {
 	// before the edge callbacks read them, so a trace shows a poked
 	// value at the edge that saw it.
 	poked bool
-
-	// Dirty-signal tracking (the vpi.ChangeReporter capability): the
-	// debugger registers the signal paths it reads every cycle; every
-	// state-mutation site compares old vs new and, on an actual value
-	// change of a tracked signal, sets its pending bit. The whole
-	// mechanism costs nothing until TrackChanges registers a non-empty
-	// set (one branch per assignment), and after that one array read
-	// per changed signal — per-edge reporting cost is proportional to
-	// activity, not design size. Single consumer, simulation goroutine
-	// only, like the rest of the simulator.
-	dirtyTrack bool
-	trackSlot  []int32 // signal index -> tracked slot, -1 untracked
-	trackIdx   []int   // tracked slot -> signal index, -1 unresolved
-	pending    []bool  // tracked slot -> changed since last ChangedInto
-	trackFresh bool    // first ChangedInto after TrackChanges: all dirty
 
 	// gen is the state publication point: every mutating operation
 	// bumps it when done (release), every read loads it first
@@ -158,11 +144,7 @@ func (s *Simulator) Poke(name string, v uint64) error {
 	if !ok {
 		return fmt.Errorf("sim: unknown signal %q", name)
 	}
-	nv := eval.Make(v, sig.Width, sig.Signed)
-	if s.dirtyTrack && nv != s.state.Values[sig.Index] {
-		s.markChanged(sig.Index)
-	}
-	s.state.Values[sig.Index] = nv
+	s.state.Values[sig.Index] = eval.Make(v, sig.Width, sig.Signed)
 	s.poked = true
 	s.publish()
 	return nil
@@ -179,11 +161,7 @@ func (s *Simulator) PokeReg(name string, v uint64) error {
 	if sig.Kind != rtl.KindReg {
 		return fmt.Errorf("sim: %q is not a register", name)
 	}
-	nv := eval.Make(v, sig.Width, sig.Signed)
-	if s.dirtyTrack && nv != s.state.Values[sig.Index] {
-		s.markChanged(sig.Index)
-	}
-	s.state.Values[sig.Index] = nv
+	s.state.Values[sig.Index] = eval.Make(v, sig.Width, sig.Signed)
 	s.poked = true
 	s.publish()
 	return nil
@@ -217,75 +195,6 @@ func (s *Simulator) ReadMem(mem string, addr uint64) (uint64, error) {
 	return data[addr], nil
 }
 
-// TrackChanges registers the set of signal paths to report value
-// changes for (the vpi.ChangeReporter capability), replacing any
-// previous registration. Unresolvable paths stay registered and are
-// permanently reported changed.
-func (s *Simulator) TrackChanges(paths []string) {
-	if s.trackSlot == nil && len(paths) > 0 {
-		s.trackSlot = make([]int32, len(s.nl.Signals))
-		for i := range s.trackSlot {
-			s.trackSlot[i] = -1
-		}
-	}
-	// Clear the previous registration via its slot list, not a full
-	// sweep of the design.
-	for _, idx := range s.trackIdx {
-		if idx >= 0 {
-			s.trackSlot[idx] = -1
-		}
-	}
-	s.trackIdx = s.trackIdx[:0]
-	if cap(s.pending) < len(paths) {
-		s.pending = make([]bool, len(paths))
-	}
-	s.pending = s.pending[:len(paths)]
-	for slot, p := range paths {
-		s.pending[slot] = false
-		sig, ok := s.nl.Signal(p)
-		if !ok {
-			s.trackIdx = append(s.trackIdx, -1)
-			continue
-		}
-		s.trackIdx = append(s.trackIdx, sig.Index)
-		s.trackSlot[sig.Index] = int32(slot)
-	}
-	s.dirtyTrack = len(paths) > 0
-	s.trackFresh = true
-}
-
-// ChangedInto implements the vpi.ChangeReporter poll: dst[i] reports
-// whether tracked path i changed since the previous poll. The first
-// poll after a registration reports everything changed.
-func (s *Simulator) ChangedInto(dst []bool) bool {
-	if !s.dirtyTrack || len(dst) < len(s.pending) {
-		return false
-	}
-	if s.trackFresh {
-		s.trackFresh = false
-		for i := range s.pending {
-			s.pending[i] = false
-			dst[i] = true
-		}
-		return true
-	}
-	for i, p := range s.pending {
-		// Unresolved paths never get pending marks; report them changed
-		// every poll so the debugger stays conservative about them.
-		dst[i] = p || s.trackIdx[i] < 0
-		s.pending[i] = false
-	}
-	return true
-}
-
-// markChanged records an actual value change of signal idx for the
-// dirty-tracking poll. Callers gate on s.dirtyTrack.
-func (s *Simulator) markChanged(idx int) {
-	if slot := s.trackSlot[idx]; slot >= 0 {
-		s.pending[slot] = true
-	}
-}
-
 // OnClockEdge registers a callback invoked at every positive clock edge
 // with settled combinational state. It returns an id for removal.
 func (s *Simulator) OnClockEdge(cb EdgeCallback) int {
@@ -296,15 +205,19 @@ func (s *Simulator) OnClockEdge(cb EdgeCallback) int {
 	return id
 }
 
-// RemoveCallback deregisters a clock-edge callback.
+// RemoveCallback deregisters a clock-edge callback. It may run inside
+// a callback: cbOrder is rebuilt rather than edited in place, so the
+// edge being dispatched keeps ranging over its own snapshot (and skips
+// the removed id through the callbacks map).
 func (s *Simulator) RemoveCallback(id int) {
 	delete(s.callbacks, id)
-	for i, v := range s.cbOrder {
-		if v == id {
-			s.cbOrder = append(s.cbOrder[:i], s.cbOrder[i+1:]...)
-			break
+	order := make([]int, 0, len(s.cbOrder))
+	for _, v := range s.cbOrder {
+		if v != id {
+			order = append(order, v)
 		}
 	}
+	s.cbOrder = order
 }
 
 // OnChange registers a hook observing committed value changes; used by
@@ -339,9 +252,6 @@ func (s *Simulator) Settle() {
 		// invariant hard).
 		if v.Width != a.Dst.Width {
 			v = eval.Make(v.Bits, a.Dst.Width, a.Dst.Signed)
-		}
-		if s.dirtyTrack && v != s.state.Values[a.Dst.Index] {
-			s.markChanged(a.Dst.Index)
 		}
 		s.state.Values[a.Dst.Index] = v
 	}
@@ -394,11 +304,7 @@ func (s *Simulator) Step() {
 	}
 	// Commit.
 	for i := range s.nl.Regs {
-		idx := s.nl.Regs[i].Sig.Index
-		if s.dirtyTrack && s.regNext[i] != s.state.Values[idx] {
-			s.markChanged(idx)
-		}
-		s.state.Values[idx] = s.regNext[i]
+		s.state.Values[s.nl.Regs[i].Sig.Index] = s.regNext[i]
 	}
 	for _, c := range commits {
 		s.state.MemData[c.mem][c.addr] = c.data

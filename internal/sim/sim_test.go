@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -260,6 +261,44 @@ func TestClockEdgeCallbackObservesStableState(t *testing.T) {
 	s.Run(2)
 	if len(seen) != 4 {
 		t.Fatal("callback fired after removal")
+	}
+}
+
+// TestRemoveCallbackDuringDispatch removes a callback from inside the
+// edge being dispatched (what a debugger detaching from its own stop
+// handler does): every other callback registered for that edge fires
+// exactly once, and a removed one never fires again.
+func TestRemoveCallbackDuringDispatch(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		victim string // the callback a removes on its first edge
+		first  map[string]int
+		second map[string]int
+	}{
+		{"self", "a", map[string]int{"a": 1, "b": 1, "c": 1}, map[string]int{"a": 1, "b": 2, "c": 2}},
+		{"later", "b", map[string]int{"a": 1, "c": 1}, map[string]int{"a": 2, "c": 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(elaborate(t, buildCounter(), false))
+			fired := map[string]int{}
+			ids := map[string]int{}
+			for _, name := range []string{"a", "b", "c"} {
+				ids[name] = s.OnClockEdge(func(uint64) {
+					fired[name]++
+					if name == "a" && fired["a"] == 1 {
+						s.RemoveCallback(ids[tc.victim])
+					}
+				})
+			}
+			s.Step()
+			if fmt.Sprint(fired) != fmt.Sprint(tc.first) {
+				t.Fatalf("removal edge fired %v, want %v", fired, tc.first)
+			}
+			s.Step()
+			if fmt.Sprint(fired) != fmt.Sprint(tc.second) {
+				t.Fatalf("next edge fired %v, want %v", fired, tc.second)
+			}
+		})
 	}
 }
 

@@ -128,9 +128,6 @@ func diffStores(t *testing.T, mem, disk *Store, label string) {
 					diskState.V[i], diskState.X[i], memState.V[i], memState.X[i])
 			}
 		}
-		if sm, sd := mem.SeekCursor(tm), disk.SeekCursor(tm); sm != sd {
-			t.Fatalf("%s: SeekCursor(%d) disk %+v, mem %+v", label, tm, sd, sm)
-		}
 	}
 	// Materialized answers must also match.
 	disk.Materialize(names...)
@@ -577,7 +574,6 @@ func FuzzOpenStore(f *testing.F) {
 				continue
 			}
 			cur = st.ApplyUpTo(cur, tm, state)
-			st.SeekCursor(tm)
 			st.NextChangeTime(cur)
 		}
 		st.Materialize(names...)

@@ -795,13 +795,20 @@ type Cursor struct {
 	Time uint64
 }
 
-// walkUpTo is the one cursor-advancing record walk: it visits every
-// change record with time <= t starting at cursor c and returns the
-// advanced cursor. Both replay state sync (ApplyUpTo) and dirty-set
-// derivation (ScanChanges) run on it, so the cursor conventions —
-// where a partially consumed block leaves Off/Time, when a block is
-// abandoned for the next slot — cannot desynchronize between them.
-func (s *Store) walkUpTo(c Cursor, t uint64, visit func(rec record)) Cursor {
+// ApplyUpTo replays every change with time <= t, starting at cursor c,
+// into the packed state planes (build with NewState, read with
+// StateBits), and returns the advanced cursor. Replaying from the zero
+// cursor over a zero state reconstructs exact signal values at t;
+// resuming from a saved cursor/state pair costs only the records in
+// (cursor, t] — the primitive replay checkpointing is built on. It is
+// the store's one cursor-advancing walk, so it alone decides where a
+// partially consumed block leaves Off/Time and when a block is left
+// for the next slot.
+func (s *Store) ApplyUpTo(c Cursor, t uint64, state *State) Cursor {
+	if len(state.V) < s.stateWords || len(state.X) < s.stateWords {
+		panic(fmt.Sprintf("vcd: ApplyUpTo state too short: %d/%d words < %d",
+			len(state.V), len(state.X), s.stateWords))
+	}
 	for c.Block < len(s.blocks) {
 		blockStart := s.blocks[c.Block].win * s.blockSize
 		if blockStart > t {
@@ -821,7 +828,25 @@ func (s *Store) walkUpTo(c Cursor, t uint64, visit func(rec record)) Cursor {
 				return c
 			}
 			r.commit(rec)
-			visit(rec)
+			// rec.sig is validated against the signal list before a block
+			// is published (validateBlockStream / trusted parse), so the
+			// offset lookup is in range; word counts are clamped to the
+			// declared width so a record can never spill into a
+			// neighbor's span.
+			off, nw := int(s.wordOff[rec.sig]), s.list[rec.sig].nw()
+			state.V[off] = rec.v0
+			state.X[off] = rec.x0
+			for i := 1; i < nw; i++ {
+				var v, x uint64
+				if i-1 < len(rec.vh) {
+					v = rec.vh[i-1]
+				}
+				if i-1 < len(rec.xh) {
+					x = rec.xh[i-1]
+				}
+				state.V[off+i] = v
+				state.X[off+i] = x
+			}
 		}
 		if r.err != nil {
 			// Corrupt stream: poison the store and stop the walk where
@@ -842,67 +867,6 @@ func (s *Store) walkUpTo(c Cursor, t uint64, visit func(rec record)) Cursor {
 		c.Off = 0
 	}
 	return c
-}
-
-// ApplyUpTo replays every change with time <= t, starting at cursor c,
-// into the packed state planes (build with NewState, read with
-// StateBits), and returns the advanced cursor. Replaying from the zero
-// cursor over a zero state reconstructs exact signal values at t;
-// resuming from a saved cursor/state pair costs only the records in
-// (cursor, t] — the primitive replay checkpointing is built on.
-func (s *Store) ApplyUpTo(c Cursor, t uint64, state *State) Cursor {
-	if len(state.V) < s.stateWords || len(state.X) < s.stateWords {
-		panic(fmt.Sprintf("vcd: ApplyUpTo state too short: %d/%d words < %d",
-			len(state.V), len(state.X), s.stateWords))
-	}
-	return s.walkUpTo(c, t, func(rec record) {
-		// rec.sig is validated against the signal list before a block is
-		// published (validateBlockStream / trusted parse), so the offset
-		// lookup is in range; word counts are clamped to the declared
-		// width so a record can never spill into a neighbor's span.
-		off, nw := int(s.wordOff[rec.sig]), s.list[rec.sig].nw()
-		state.V[off] = rec.v0
-		state.X[off] = rec.x0
-		for i := 1; i < nw; i++ {
-			var v, x uint64
-			if i-1 < len(rec.vh) {
-				v = rec.vh[i-1]
-			}
-			if i-1 < len(rec.xh) {
-				x = rec.xh[i-1]
-			}
-			state.V[off+i] = v
-			state.X[off+i] = x
-		}
-	})
-}
-
-// ScanChanges invokes fn with the signal index of every change record
-// with time in (cursor, t] and returns the advanced cursor. It is
-// ApplyUpTo without the state writes: the replay backend uses it to
-// derive per-edge dirty-signal sets directly from the block record
-// streams — the cost of one forward edge is the records inside it,
-// near zero on idle stretches.
-func (s *Store) ScanChanges(c Cursor, t uint64, fn func(sig int)) Cursor {
-	return s.walkUpTo(c, t, func(rec record) { fn(rec.sig) })
-}
-
-// SeekCursor returns a cursor positioned just past every change record
-// with time <= t, without replaying state: a binary search over the
-// sparse block index plus at most one block decode. The replay
-// backend's dirty-set cursor re-anchors here after a backward time
-// seek.
-func (s *Store) SeekCursor(t uint64) Cursor {
-	// First block whose window starts after t; everything before it is
-	// at least partially covered.
-	i := sort.Search(len(s.blocks), func(i int) bool { return s.blocks[i].win*s.blockSize > t })
-	if i == 0 {
-		return Cursor{}
-	}
-	// Consume records <= t inside the last covered block, reusing the
-	// exact cursor conventions of ScanChanges/ApplyUpTo.
-	c := Cursor{Block: i - 1}
-	return s.ScanChanges(c, t, func(int) {})
 }
 
 // NextChangeTime returns the time of the first change record at or

@@ -212,12 +212,11 @@ func TestStoreHierarchy(t *testing.T) {
 	}
 }
 
-// TestCursorWindowBoundaries pins the cursor conventions of the shared
-// walk (walkUpTo) at exact block-window edges — the times where an
+// TestCursorWindowBoundaries pins the cursor conventions of the record
+// walk (ApplyUpTo) at exact block-window edges — the times where an
 // off-by-one between "partially covered" and "exhausted" block
 // handling would corrupt resumed sweeps. For every boundary-adjacent
-// time: SeekCursor must equal the cursor a from-zero ScanChanges walk
-// produces, resumed ApplyUpTo sweeps must match fresh ones and the live
+// time: resumed ApplyUpTo sweeps must match fresh ones and the live
 // run, and NextChangeTime must report the first record past the cursor.
 func TestCursorWindowBoundaries(t *testing.T) {
 	data, live := recordDesign(t, 120)
@@ -266,10 +265,6 @@ func TestCursorWindowBoundaries(t *testing.T) {
 				t.Fatalf("sweep @%d %s: resumed %d, fresh %d, live %d",
 					tm, name, st.StateBits(state, ss).V0, st.StateBits(fresh, ss).V0, want)
 			}
-		}
-		// SeekCursor must land exactly where the walks landed.
-		if sk := st.SeekCursor(tm); sk != freshCur {
-			t.Fatalf("SeekCursor(%d) = %+v, walk cursor %+v", tm, sk, freshCur)
 		}
 		if cur != freshCur {
 			t.Fatalf("resumed cursor @%d = %+v, fresh %+v", tm, cur, freshCur)

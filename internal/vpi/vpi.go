@@ -62,9 +62,11 @@ type Interface interface {
 // of one GetValue round trip per signal per breakpoint is what keeps
 // the per-cycle overhead flat as breakpoints accumulate (§4.3). On a
 // real VPI transport each GetValue is an IPC round trip, so the
-// capability matters even more there. The prefetch runs every cycle for
-// the simulation's lifetime, so the destination is reused and the read
-// must not allocate.
+// capability matters even more there. The same read is the whole input
+// of activity-driven scheduling: the debugger diffs it against the
+// previous edge's values, so backends never report changes themselves.
+// The prefetch runs every cycle for the simulation's lifetime, so the
+// destination is reused and the read must not allocate.
 type BatchReaderInto interface {
 	// GetValuesInto writes the current value of each path into dst
 	// (which must be at least len(paths) long).
@@ -82,41 +84,6 @@ type Prefetcher interface {
 	// Prefetch advises the per-cycle read set. The slice is owned by
 	// the caller; implementations must not retain it.
 	Prefetch(paths []string)
-}
-
-// ChangeReporter is an optional backend capability: per-edge signal
-// activity reporting, the foundation of activity-driven scheduling.
-// The debugger registers the signal paths it reads every cycle (the
-// union of every armed condition's dependencies); at each clock edge it
-// asks which of them may have changed since the previous poll, and
-// skips re-evaluating condition groups whose dependencies are all
-// clean. Hardware signals are mostly idle, so this turns the per-edge
-// breakpoint cost from O(armed conditions) into O(signal activity).
-//
-// The contract is conservative in one direction only: implementations
-// may over-report (a signal marked changed that did not change costs a
-// wasted re-evaluation) but must never under-report — a tracked path
-// whose value differs between two ChangedInto calls must be reported
-// changed, or the debugger would miss stops. The capability assumes a
-// single consumer: TrackChanges replaces any previous registration, and
-// each ChangedInto consumes the pending report.
-type ChangeReporter interface {
-	// TrackChanges registers the paths to report on, replacing any
-	// previous set. The slice is owned by the caller; implementations
-	// must copy what they need. Paths the backend cannot resolve are
-	// permanently reported as changed (the caller treats them
-	// conservatively anyway).
-	TrackChanges(paths []string)
-
-	// ChangedInto fills dst[i] (aligned with the registered path slice,
-	// which must be at least as long) with whether tracked path i may
-	// have changed since the previous ChangedInto call — or since
-	// TrackChanges for the first call, which reports every path
-	// changed. The return value says whether the backend could bound
-	// the change set at all: false means the caller must assume every
-	// signal changed (nothing is registered, or time moved backwards
-	// or discontinuously since the last poll).
-	ChangedInto(dst []bool) bool
 }
 
 // ReadBatchInto reads many signals into a caller-owned buffer through
@@ -149,7 +116,6 @@ type SimBackend struct {
 var (
 	_ Interface       = (*SimBackend)(nil)
 	_ BatchReaderInto = (*SimBackend)(nil)
-	_ ChangeReporter  = (*SimBackend)(nil)
 )
 
 // NewSimBackend wraps a live simulator.
@@ -165,13 +131,6 @@ func (b *SimBackend) GetValue(path string) (eval.Value, error) {
 func (b *SimBackend) GetValuesInto(paths []string, dst []eval.Value) error {
 	return b.Sim.PeekBatch(paths, dst)
 }
-
-// TrackChanges implements ChangeReporter with the simulator's native
-// dirty-signal tracking.
-func (b *SimBackend) TrackChanges(paths []string) { b.Sim.TrackChanges(paths) }
-
-// ChangedInto implements ChangeReporter.
-func (b *SimBackend) ChangedInto(dst []bool) bool { return b.Sim.ChangedInto(dst) }
 
 // Hierarchy implements Interface.
 func (b *SimBackend) Hierarchy() *rtl.InstanceNode { return b.Sim.Netlist().Hierarchy }
