@@ -363,6 +363,16 @@ func drainChan(ch chan *proto.Event) {
 	}
 }
 
+// inbound is the one decode target of a text frame: every event field
+// plus the fields only a response carries (Reason is shared). The read
+// loop decodes each frame once and routes it on Type.
+type inbound struct {
+	proto.Event
+	Token  string          `json:"token"`
+	Status string          `json:"status"`
+	Data   json.RawMessage `json:"data"`
+}
+
 func (c *Client) readLoop(conn *ws.Conn, closed chan struct{}) {
 	defer func() {
 		// Tear down only if this is still the live generation — a
@@ -388,51 +398,40 @@ func (c *Client) readLoop(conn *ws.Conn, closed chan struct{}) {
 		if err != nil {
 			return
 		}
-		var ev proto.Event
+		var ev *proto.Event
 		if op == ws.BinaryMessage {
 			// Events on a binary-negotiated session; responses stay
 			// JSON text and never arrive as binary frames.
-			pev, err := proto.DecodeBinaryFrame(raw)
-			if err != nil {
+			if ev, err = proto.DecodeBinaryFrame(raw); err != nil {
 				continue
 			}
-			ev = *pev
 		} else {
-			// Peek at the type.
-			var head struct {
-				Type  string `json:"type"`
-				Token string `json:"token"`
-			}
-			if err := json.Unmarshal(raw, &head); err != nil {
+			in := new(inbound)
+			if err := json.Unmarshal(raw, in); err != nil {
 				continue
 			}
-			if head.Type == "response" {
-				var resp proto.Response
-				if err := json.Unmarshal(raw, &resp); err != nil {
-					continue
-				}
+			if in.Type == "response" {
 				c.mu.Lock()
-				ch := c.waiting[resp.Token]
-				delete(c.waiting, resp.Token)
+				ch := c.waiting[in.Token]
+				delete(c.waiting, in.Token)
 				c.mu.Unlock()
 				if ch != nil {
-					ch <- &resp
+					ch <- &proto.Response{Type: in.Type, Token: in.Token,
+						Status: in.Status, Reason: in.Reason, Data: in.Data}
 				}
 				continue
 			}
-			if err := json.Unmarshal(raw, &ev); err != nil {
-				continue
-			}
+			ev = &in.Event
 		}
 		if ev.Type == "stop" && c.opts.Delta {
-			if !c.resolveStop(conn, &ev) {
+			if !c.resolveStop(conn, ev) {
 				continue
 			}
 		}
-		c.observeEvent(&ev)
+		c.observeEvent(ev)
 		c.mu.Lock()
 		if c.conn == conn {
-			c.deliverLocked(&ev)
+			c.deliverLocked(ev)
 		}
 		c.mu.Unlock()
 	}

@@ -54,10 +54,9 @@ func (rt *Runtime) markDepsDirty() {
 
 // syncDeps runs a dependency-union rebuild scheduled since the last
 // one (breakpoints or watches changed), so the armed-member counts are
-// current. Runs on the simulation goroutine, when a reverse-continue
-// walk starts and at each cycle it rewinds. ensurePrefetch makes the
-// same check inline: it runs once per group on every forward edge,
-// where a second call per group would add to every armed edge.
+// current. Runs on the simulation goroutine: whenever the cycle cache
+// is refreshed, when a reverse-continue walk starts, and at each cycle
+// it rewinds.
 func (rt *Runtime) syncDeps() {
 	rt.mu.Lock()
 	dirty := rt.depsDirty
@@ -149,20 +148,21 @@ func (rt *Runtime) rebuildDeps() {
 // a batched backend read of the dependency union, instead of one
 // GetValue per signal per breakpoint per edge. Values are cached per
 // (cycle, signal); re-entry at the same time (further groups, the
-// watch pass) hits the cache. Every refreshed slot is diffed against
-// its previous value, and actual changes un-park the fused conditions
-// and watches depending on it. Runs on the simulation goroutine.
+// watch pass) hits the cache and returns at once. Every refreshed slot
+// is diffed against its previous value, and actual changes un-park the
+// fused conditions and watches depending on it. Runs on the simulation
+// goroutine.
+//
+// A pending union rebuild runs only when the cache is stale: at the
+// first consumer of an edge, after a stop dropped the cache, and after
+// a rewind. A breakpoint or watch armed or removed from another
+// goroutine mid-walk therefore takes effect at the next edge or stop,
+// not at the next statement group of the walk in progress.
 func (rt *Runtime) ensurePrefetch(t uint64) {
-	rt.mu.Lock()
-	dirty := rt.depsDirty
-	rt.depsDirty = false
-	rt.mu.Unlock()
-	if dirty {
-		rt.rebuildDeps()
-	}
 	if rt.prefetchValid && rt.prefetchTime == t {
 		return
 	}
+	rt.syncDeps()
 	rt.prefetchTime = t
 	rt.prefetchValid = true
 	if len(rt.depUnion) > 0 {

@@ -159,9 +159,10 @@ func (rt *Runtime) checkWatches(time uint64) *StopEvent {
 	fast := !rt.exhaustive.Load()
 	var fs *fusedState
 	if fast {
-		// Prefetch (and any pending union rebuild) before snapshotting,
-		// so a concurrent RemoveWatch can never leave a snapshotted watch
-		// with slots indexing rebuilt arrays.
+		// Prefetch before snapshotting: the watch pass is an edge's
+		// first consumer of the cache, so any pending union rebuild runs
+		// here, and a concurrent RemoveWatch can never leave a
+		// snapshotted watch with slots indexing rebuilt arrays.
 		rt.ensurePrefetch(time)
 		fs = rt.fusedReady(time)
 	}

@@ -96,9 +96,9 @@ func TestBroadcastEncodeOnceAllocs(t *testing.T) {
 		s.broadcastStopLocked(ev)
 		s.mu.Unlock()
 		// Drain so queues stay flat (coalescing keeps them at one
-		// entry anyway; popping allocates nothing).
+		// entry anyway; taking allocates nothing).
 		for _, id := range s.order {
-			s.sessions[id].pop()
+			s.sessions[id].take()
 		}
 	}
 	full := &proto.Event{Type: "stop", Seq: 1, Emit: 1, Stop: ev}
@@ -159,7 +159,7 @@ func TestBroadcastDeltaSharing(t *testing.T) {
 		if got := sess.fullFrames.Load(); got != 1 {
 			t.Fatalf("session %d fullFrames = %d after first stop", sess.ID, got)
 		}
-		sess.pop()
+		sess.take()
 		// Delta sessions ack the stop (normally the client does this).
 		if sess.delta {
 			sess.lastAck.Store(baseSeq)
@@ -217,7 +217,7 @@ func TestBroadcastAckGapResync(t *testing.T) {
 	s.broadcastStopLocked(fanoutStop(1))
 	firstSeq := s.seq
 	s.mu.Unlock()
-	sess.pop()
+	sess.take()
 
 	// An ack for a seq the server never retained (gap) forces a full
 	// frame.

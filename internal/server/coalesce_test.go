@@ -10,10 +10,12 @@ import (
 )
 
 // Coalescing-semantics tests: the queue policy must collapse any
-// interleaving of stop/resume/goodbye traffic to a state equivalent to
-// delivering every event — the delivered stream is a subsequence of
-// the enqueued stream, responses all survive in order, and the final
-// sim-state event delivered is the final one enqueued.
+// interleaving of stop/resume/goodbye traffic and writer takes to a
+// state equivalent to delivering every event — the delivered stream is
+// a subsequence of the enqueued stream, responses all survive in
+// order, and the final sim-state event delivered is the final one
+// enqueued. The harness drains through Session.take, the writer's own
+// step: each take hands over the whole queue as one batch.
 
 // tagMsg encodes (class, id) into a frame payload the tests can parse
 // back out of delivered entries.
@@ -44,7 +46,7 @@ type coalesceHarness struct {
 	nextID   int
 	enqByCls map[eventClass][]int // ids enqueued per class, in order
 	accepted map[int]bool         // enqueue returned true
-	deliver  []int                // ids popped, in pop order
+	deliver  []int                // ids taken, in delivery order
 	delivCls map[int]eventClass
 }
 
@@ -66,17 +68,19 @@ func (h *coalesceHarness) enqueue(cls eventClass) int {
 	return id
 }
 
-func (h *coalesceHarness) popOne(t *testing.T) bool {
-	e, ok := h.sess.pop()
-	if !ok {
-		return false
+// take runs one writer drain step: the whole queue, in order, as the
+// batch the writer would put on the wire. It reports whether anything
+// was queued.
+func (h *coalesceHarness) take(t *testing.T) bool {
+	batch := h.sess.take()
+	for _, e := range batch {
+		h.deliver = append(h.deliver, tagID(t, e.msg))
 	}
-	h.deliver = append(h.deliver, tagID(t, e.msg))
-	return true
+	return len(batch) > 0
 }
 
 func (h *coalesceHarness) drainAll(t *testing.T) {
-	for h.popOne(t) {
+	for h.take(t) {
 	}
 }
 
@@ -152,13 +156,13 @@ func (h *coalesceHarness) check(t *testing.T, label string) {
 }
 
 // TestCoalesceInterleavingsExhaustive enumerates every schedule of
-// length 6 over {stop, resume, goodbye, drain-one} — 4096 interleavings
-// — and pins that each collapses to the full-delivery state. No queue
+// length 6 over {stop, resume, goodbye, take} — 4096 interleavings —
+// and pins that each collapses to the full-delivery state. No queue
 // pressure here (depth 64 vs ≤6 events), so every goodbye must also
 // survive verbatim.
 func TestCoalesceInterleavingsExhaustive(t *testing.T) {
 	const length = 6
-	ops := []byte{'S', 'C', 'G', 'D'} // stop, resume (continue), goodbye, drain one
+	ops := []byte{'S', 'C', 'G', 'T'} // stop, resume (continue), goodbye, writer take
 	total := 1
 	for i := 0; i < length; i++ {
 		total *= len(ops)
@@ -175,8 +179,8 @@ func TestCoalesceInterleavingsExhaustive(t *testing.T) {
 				h.enqueue(classState)
 			case 'G':
 				h.enqueue(classPeer)
-			case 'D':
-				h.popOne(t)
+			case 'T':
+				h.take(t)
 			}
 		}
 		h.drainAll(t)
@@ -198,9 +202,9 @@ func TestCoalesceInterleavingsExhaustive(t *testing.T) {
 }
 
 // TestCoalesceRandomSchedules is the property-style half: 150
-// randomized schedules mixing all four classes with interleaved
-// partial drains, run against a tiny queue so the pressure paths
-// (in-class coalesce, shed-with-nothing-to-supersede) are exercised.
+// randomized schedules mixing all four classes with interleaved writer
+// takes, run against a tiny queue so the pressure paths (in-class
+// coalesce, shed-with-nothing-to-supersede) are exercised.
 func TestCoalesceRandomSchedules(t *testing.T) {
 	oldDepth := outQueueDepth
 	outQueueDepth = 8
@@ -215,12 +219,10 @@ func TestCoalesceRandomSchedules(t *testing.T) {
 		h := newCoalesceHarness()
 		steps := 50 + rng.Intn(200)
 		for i := 0; i < steps; i++ {
-			if rng.Intn(4) == 0 {
-				for j := rng.Intn(5); j > 0; j-- {
-					if !h.popOne(t) {
-						break
-					}
-				}
+			// A take empties the whole queue, so takes come rarely
+			// enough (one step in eight) that the queue still fills.
+			if rng.Intn(8) == 0 {
+				h.take(t)
 				continue
 			}
 			h.enqueue(classes[rng.Intn(len(classes))])

@@ -21,7 +21,8 @@ var (
 	// a session that pipelines requests faster than its link drains
 	// replies is declared dead rather than growing without bound.
 	responseQueueHardCap = 1024
-	// sessionWriteTimeout bounds every frame write to a session.
+	// sessionWriteTimeout bounds every write call to a session: one
+	// drained batch of frames, or a keepalive ping.
 	sessionWriteTimeout = 10 * time.Second
 	// pingInterval is the keepalive cadence on idle session links.
 	pingInterval = 15 * time.Second
@@ -88,6 +89,11 @@ type Session struct {
 	qmu    sync.Mutex
 	q      []outEntry
 	notify chan struct{}
+	// spare is the batch the writer last took, and frames its ws view:
+	// writer-goroutine scratch, reused so a steady stream allocates
+	// nothing.
+	spare  []outEntry
+	frames []ws.Frame
 
 	// quit closes (once) when the session is dropped; the writer
 	// flushes what is already queued and closes the connection.
@@ -203,49 +209,50 @@ func (sess *Session) enqueueResponse(msg []byte) {
 	}
 }
 
-// pop removes the queue head. ok=false means empty.
-func (sess *Session) pop() (outEntry, bool) {
+// take removes the whole queue under qmu and returns it in queue
+// order; its entries are in flight from then on, so coalescing no
+// longer reaches them. The batch the previous take returned, written
+// by now, is emptied and becomes the new queue: the writer alternates
+// two backing arrays, and written frames do not stay pinned. Only the
+// writer calls take.
+func (sess *Session) take() []outEntry {
+	clear(sess.spare)
 	sess.qmu.Lock()
-	defer sess.qmu.Unlock()
-	if len(sess.q) == 0 {
-		return outEntry{}, false
-	}
-	e := sess.q[0]
-	// Slide rather than reslice so the backing array is reused and old
-	// frames do not pin memory via a marching slice head.
-	copy(sess.q, sess.q[1:])
-	sess.q[len(sess.q)-1] = outEntry{}
-	sess.q = sess.q[:len(sess.q)-1]
-	return e, true
+	batch := sess.q
+	sess.q = sess.spare[:0]
+	sess.qmu.Unlock()
+	sess.spare = batch
+	return batch
 }
 
-// write sends one frame, marking the session dead (and dropping it)
-// on I/O failure. The conn's write deadline guarantees the call
-// returns even against a wedged peer.
-func (sess *Session) write(e outEntry) {
-	if sess.dead.Load() {
-		return
-	}
-	var err error
-	if e.binary {
-		err = sess.conn.WriteBinary(e.msg)
-	} else {
-		err = sess.conn.WriteText(e.msg)
-	}
-	if err != nil {
-		sess.dead.Store(true)
-		sess.srv.dropSession(sess.ID, "write: "+err.Error())
-	}
-}
-
-// drain writes queued frames until the queue is empty.
+// drain writes the queue until it is empty, each batch it takes with
+// one ws write call under one write deadline, which returns even
+// against a wedged peer. An I/O failure marks the session dead (and
+// drops it); a dead session's batches are discarded.
 func (sess *Session) drain() {
 	for {
-		e, ok := sess.pop()
-		if !ok {
+		batch := sess.take()
+		if len(batch) == 0 {
 			return
 		}
-		sess.write(e)
+		if sess.dead.Load() {
+			continue
+		}
+		frames := sess.frames[:0]
+		for _, e := range batch {
+			op := byte(ws.TextMessage)
+			if e.binary {
+				op = ws.BinaryMessage
+			}
+			frames = append(frames, ws.Frame{Op: op, Payload: e.msg})
+		}
+		err := sess.conn.WriteFrames(frames)
+		clear(frames)
+		sess.frames = frames
+		if err != nil {
+			sess.dead.Store(true)
+			sess.srv.dropSession(sess.ID, "write: "+err.Error())
+		}
 	}
 }
 

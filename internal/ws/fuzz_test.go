@@ -65,13 +65,13 @@ func FuzzReadFrame(f *testing.F) {
 			c.Ping([]byte("keepalive"))
 			c.WriteText(bytes.Repeat([]byte("x"), 200))    // 16-bit length
 			c.WriteText(bytes.Repeat([]byte("y"), 70_000)) // 64-bit length
-			c.writeFrame(opClose, nil)
+			c.write(Frame{Op: opClose})
 		}),
 		captureFrames(false, func(c *Conn) { // unmasked server traffic
 			c.WriteText([]byte(`{"type":"welcome","session":1,"role":"controller","top":"Counter"}`))
 			c.WriteText([]byte(`{"type":"stop","stop":{"time":3,"file":"adder.go","line":41}}`))
-			c.writeFrame(opPong, []byte("keepalive"))
-			c.writeFrame(opClose, nil)
+			c.write(Frame{opPong, []byte("keepalive")})
+			c.write(Frame{Op: opClose})
 		}),
 		{0x81},                         // torn header
 		{0x81, 0xFE, 0xFF},             // torn 16-bit length

@@ -3,11 +3,19 @@
 // handshake, ping/pong. The paper's debuggers connect to the runtime
 // over WebSocket, "similar to the gdb remote protocol" (§3.5).
 //
-// Connections are hardened for the multi-session server: every frame
-// write carries a deadline, the close handshake is bounded (a peer
-// that never answers cannot block Close forever), and Ping lets a
-// writer goroutine keep the link alive. One goroutine may read while
-// another writes; reads themselves must stay on a single goroutine.
+// Connections are hardened for the multi-session server: every write
+// call carries a deadline, the close handshake is bounded (a peer that
+// never answers cannot block Close forever), and Ping lets a writer
+// goroutine keep the link alive. One goroutine may read while another
+// writes; reads themselves must stay on a single goroutine.
+//
+// WriteFrames is the one writer: it puts a batch of frames on the
+// socket with one write call under one deadline, and WriteText,
+// WriteBinary, Ping and the pong and close answers are its one-frame
+// case. Server frames go out as a vectored write of header scratch and
+// the callers' payloads (one writev on TCP; payloads are not copied, so
+// a broadcast frame stays one slice shared by every session); client
+// frames are masked into one buffer with their headers.
 //
 // Limitations (by design, documented): no fragmentation (FIN must be
 // set), no extensions, text/binary and control frames only, payloads
@@ -25,6 +33,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -39,6 +48,10 @@ const maxPayload = 16 << 20
 
 // maxControlPayload is the RFC 6455 §5.5 limit for control frames.
 const maxControlPayload = 125
+
+// maxHeader is the longest unmasked frame header: 2 bytes plus a 64-bit
+// extended length.
+const maxHeader = 10
 
 // payloadChunk bounds the allocation made before any payload byte has
 // arrived, so a malicious header claiming a 16 MiB frame cannot force
@@ -74,10 +87,17 @@ type Conn struct {
 	conn   net.Conn
 	br     *bufio.Reader
 	client bool // clients mask outgoing frames
+
+	// wmu serializes writes and guards closed and the write scratch:
+	// hdr holds an unmasked batch's frame headers and bufs the vectored
+	// write's slices. The writer goroutine and the reader's pong and
+	// close answers share them.
 	wmu    sync.Mutex
 	closed bool
+	hdr    []byte
+	bufs   [][]byte
 
-	// writeTimeout is applied as a deadline to every frame write
+	// writeTimeout is applied as a deadline to every write call
 	// (0 = none); closeTimeout bounds the close handshake. Set both
 	// before the connection is shared across goroutines.
 	writeTimeout time.Duration
@@ -119,10 +139,10 @@ func newConn(nc net.Conn, br *bufio.Reader, client bool) *Conn {
 	}
 }
 
-// SetWriteTimeout bounds every subsequent frame write (including
-// pings and broadcast events): a peer that stopped reading makes the
-// write fail with a timeout instead of blocking the writer forever.
-// Call before sharing the connection across goroutines.
+// SetWriteTimeout bounds every subsequent write call (a WriteFrames
+// batch as a whole, a ping, a single message): a peer that stopped
+// reading makes the write fail with a timeout instead of blocking the
+// writer forever. Call before sharing the connection across goroutines.
 func (c *Conn) SetWriteTimeout(d time.Duration) { c.writeTimeout = d }
 
 // SetCloseTimeout bounds the close handshake performed by Close. Call
@@ -214,14 +234,34 @@ func Dial(url string) (*Conn, error) {
 	return newConn(conn, br, true), nil
 }
 
+// Frame is one message for WriteFrames.
+type Frame struct {
+	// Op is TextMessage or BinaryMessage.
+	Op      byte
+	Payload []byte
+}
+
+// WriteFrames sends frames in order with one write call on the socket,
+// under one write deadline. Unmasked frames are written straight from
+// the callers' payload slices, so a payload must not change until
+// WriteFrames returns.
+func (c *Conn) WriteFrames(frames []Frame) error {
+	for _, f := range frames {
+		if f.Op != TextMessage && f.Op != BinaryMessage {
+			return fmt.Errorf("ws: opcode %#x is not a data frame", f.Op)
+		}
+	}
+	return c.write(frames...)
+}
+
 // WriteText sends one text message.
 func (c *Conn) WriteText(payload []byte) error {
-	return c.writeFrame(opText, payload)
+	return c.write(Frame{opText, payload})
 }
 
 // WriteBinary sends one binary message.
 func (c *Conn) WriteBinary(payload []byte) error {
-	return c.writeFrame(opBinary, payload)
+	return c.write(Frame{opBinary, payload})
 }
 
 // Ping sends a ping control frame (payload ≤ 125 bytes). The peer's
@@ -230,60 +270,100 @@ func (c *Conn) Ping(payload []byte) error {
 	if len(payload) > maxControlPayload {
 		return fmt.Errorf("ws: ping payload of %d bytes exceeds %d", len(payload), maxControlPayload)
 	}
-	return c.writeFrame(opPing, payload)
+	return c.write(Frame{opPing, payload})
 }
 
-func (c *Conn) writeFrame(op byte, payload []byte) error {
+// write sends frames unless the close handshake has begun.
+func (c *Conn) write(frames ...Frame) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if c.closed && op != opClose {
+	if c.closed {
 		return ErrClosed
 	}
-	return c.writeFrameLocked(op, payload)
+	return c.writeLocked(c.writeTimeout, frames)
 }
 
-// writeFrameLocked encodes and writes one frame. Callers hold wmu.
-func (c *Conn) writeFrameLocked(op byte, payload []byte) error {
-	if c.writeTimeout > 0 {
-		c.conn.SetWriteDeadline(time.Now().Add(c.writeTimeout))
+// writeLocked encodes frames and writes them with one call, under a
+// deadline timeout from now (0 = keep the current deadline). Callers
+// hold wmu.
+func (c *Conn) writeLocked(timeout time.Duration, frames []Frame) error {
+	if timeout > 0 {
+		c.conn.SetWriteDeadline(time.Now().Add(timeout))
 	}
-	var hdr [14]byte
-	hdr[0] = 0x80 | op // FIN set
-	n := 2
-	switch {
-	case len(payload) < 126:
-		hdr[1] = byte(len(payload))
-	case len(payload) <= 0xFFFF:
-		hdr[1] = 126
-		binary.BigEndian.PutUint16(hdr[2:4], uint16(len(payload)))
-		n = 4
-	default:
-		hdr[1] = 127
-		binary.BigEndian.PutUint64(hdr[2:10], uint64(len(payload)))
-		n = 10
-	}
+	var n int64
+	var err error
 	if c.client {
-		hdr[1] |= 0x80
+		n, err = c.writeMasked(frames)
+	} else {
+		n, err = c.writeVectored(frames)
+	}
+	c.bytesWritten.Add(uint64(n))
+	return err
+}
+
+// writeVectored writes unmasked frames as one net.Buffers: each frame's
+// header from the hdr scratch, then its payload slice as given.
+func (c *Conn) writeVectored(frames []Frame) (int64, error) {
+	// Grown up front, so appending never moves the headers already
+	// sliced into bufs.
+	hdr := slices.Grow(c.hdr[:0], maxHeader*len(frames))
+	bufs := c.bufs[:0]
+	for _, f := range frames {
+		start := len(hdr)
+		hdr = appendHeader(hdr, f.Op, len(f.Payload), false)
+		bufs = append(bufs, hdr[start:])
+		if len(f.Payload) > 0 {
+			bufs = append(bufs, f.Payload)
+		}
+	}
+	c.hdr, c.bufs = hdr, bufs
+	nb := net.Buffers(bufs)
+	releaseIO()
+	n, err := nb.WriteTo(c.conn)
+	clear(bufs) // written payloads must not stay pinned by the scratch
+	return n, err
+}
+
+// writeMasked writes client frames from one buffer holding each
+// frame's header, masking key and masked payload.
+func (c *Conn) writeMasked(frames []Frame) (int64, error) {
+	size := 0
+	for _, f := range frames {
+		size += maxHeader + 4 + len(f.Payload)
+	}
+	buf := make([]byte, 0, size)
+	for _, f := range frames {
 		var mask [4]byte
 		if _, err := rand.Read(mask[:]); err != nil {
-			return err
+			return 0, err
 		}
-		copy(hdr[n:n+4], mask[:])
-		n += 4
-		masked := make([]byte, len(payload))
-		for i, b := range payload {
-			masked[i] = b ^ mask[i%4]
+		buf = appendHeader(buf, f.Op, len(f.Payload), true)
+		buf = append(buf, mask[:]...)
+		start := len(buf)
+		buf = append(buf, f.Payload...)
+		for i := range buf[start:] {
+			buf[start+i] ^= mask[i%4]
 		}
-		payload = masked
 	}
-	if _, err := c.conn.Write(hdr[:n]); err != nil {
-		return err
+	n, err := c.conn.Write(buf)
+	return int64(n), err
+}
+
+// appendHeader appends the header of a final frame carrying n payload
+// bytes; masked sets the mask bit (the caller appends the key).
+func appendHeader(b []byte, op byte, n int, masked bool) []byte {
+	var m byte
+	if masked {
+		m = 0x80
 	}
-	if _, err := c.conn.Write(payload); err != nil {
-		return err
+	switch {
+	case n < 126:
+		return append(b, 0x80|op, m|byte(n))
+	case n <= 0xFFFF:
+		return binary.BigEndian.AppendUint16(append(b, 0x80|op, m|126), uint16(n))
+	default:
+		return binary.BigEndian.AppendUint64(append(b, 0x80|op, m|127), uint64(n))
 	}
-	c.bytesWritten.Add(uint64(n + len(payload)))
-	return nil
 }
 
 // ReadText reads the next text message, transparently answering pings
@@ -309,6 +389,7 @@ func (c *Conn) ReadMessage() (byte, []byte, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
 	op, msg, err := c.readMessageLocked()
+	acquireIO()
 	if err != nil {
 		// The stream is finished (close handshake or terminal error):
 		// release anyone waiting in Close immediately.
@@ -327,7 +408,7 @@ func (c *Conn) readMessageLocked() (byte, []byte, error) {
 		case opText, opBinary:
 			return op, payload, nil
 		case opPing:
-			if err := c.writeFrame(opPong, payload); err != nil && !errors.Is(err, ErrClosed) {
+			if err := c.write(Frame{opPong, payload}); err != nil && !errors.Is(err, ErrClosed) {
 				return 0, nil, err
 			}
 		case opPong:
@@ -337,8 +418,7 @@ func (c *Conn) readMessageLocked() (byte, []byte, error) {
 			if !c.closed {
 				c.closed = true
 				// Answer the peer's close; best-effort and bounded.
-				c.conn.SetWriteDeadline(time.Now().Add(c.closeTimeout))
-				c.writeFrameLocked(opClose, payload)
+				c.writeLocked(c.closeTimeout, []Frame{{opClose, payload}})
 			}
 			c.wmu.Unlock()
 			c.conn.Close()
@@ -458,11 +538,10 @@ func (c *Conn) Close() error {
 		return nil
 	}
 	c.closed = true
-	// The close frame write is bounded even when no write timeout is
-	// configured: a wedged peer must not stall the handshake's first
-	// half either.
-	c.conn.SetWriteDeadline(time.Now().Add(c.closeTimeout))
-	c.writeFrameLocked(opClose, nil)
+	// The close frame write is bounded by the close timeout, even when
+	// no write timeout is configured: a wedged peer must not stall the
+	// handshake's first half either.
+	c.writeLocked(c.closeTimeout, []Frame{{Op: opClose}})
 	c.wmu.Unlock()
 
 	deadline := time.Now().Add(c.closeTimeout)

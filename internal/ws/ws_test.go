@@ -2,6 +2,8 @@ package ws
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -292,7 +294,7 @@ func TestPingPong(t *testing.T) {
 	defer conn.Close()
 	// Send a ping directly; the peer must answer with a pong, and our
 	// next ReadText must skip it transparently after an echo.
-	if err := conn.writeFrame(opPing, []byte("hi")); err != nil {
+	if err := conn.write(Frame{opPing, []byte("hi")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := conn.WriteText([]byte("data")); err != nil {
@@ -426,5 +428,124 @@ func TestWireByteCounters(t *testing.T) {
 	// Server echo: 2 header + 10 payload (unmasked).
 	if got := conn.BytesRead(); got != 12 {
 		t.Fatalf("BytesRead = %d, want 12", got)
+	}
+}
+
+// startPair connects a client Conn to a server Conn over loopback TCP
+// and returns both ends.
+func startPair(t *testing.T) (srv, cl *Conn) {
+	t.Helper()
+	conns := make(chan *Conn, 1)
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		conn, err := Upgrade(w, r)
+		if err != nil {
+			t.Errorf("upgrade: %v", err)
+			return
+		}
+		conns <- conn
+	}))
+	t.Cleanup(hs.Close)
+	cl, err := Dial("ws://" + strings.TrimPrefix(hs.URL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv = <-conns
+	t.Cleanup(func() { cl.Close(); srv.Close() })
+	return srv, cl
+}
+
+// wireLen is one frame's size on the wire: header, masking key when
+// masked, payload.
+func wireLen(n int, masked bool) uint64 {
+	h := 2
+	switch {
+	case n > 0xFFFF:
+		h = 10
+	case n >= 126:
+		h = 4
+	}
+	if masked {
+		h += 4
+	}
+	return uint64(h + n)
+}
+
+func TestWriteFramesRoundTrip(t *testing.T) {
+	srv, cl := startPair(t)
+	// Every length encoding at its boundaries, text and binary mixed,
+	// in two batches whose opcode patterns differ.
+	sizes := []int{0, 125, 126, 65535, 65536}
+	var batches [2][]Frame
+	for b := range batches {
+		for i, n := range sizes {
+			p := make([]byte, n)
+			for j := range p {
+				p[j] = byte(b*31 + i*7 + j)
+			}
+			op := byte(TextMessage)
+			if (i+b)%2 == 1 {
+				op = BinaryMessage
+			}
+			batches[b] = append(batches[b], Frame{Op: op, Payload: p})
+		}
+	}
+	for _, side := range []struct {
+		name   string
+		w, r   *Conn
+		masked bool
+	}{{"server", srv, cl, false}, {"client", cl, srv, true}} {
+		wBefore, rBefore := side.w.BytesWritten(), side.r.BytesRead()
+		errs := make(chan error, 1)
+		go func() {
+			for _, b := range batches {
+				if err := side.w.WriteFrames(b); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+		var wire uint64
+		for _, b := range batches {
+			for i, f := range b {
+				op, got, err := side.r.ReadMessage()
+				if err != nil {
+					t.Fatalf("%s: read frame %d: %v", side.name, i, err)
+				}
+				if op != f.Op || !bytes.Equal(got, f.Payload) {
+					t.Fatalf("%s: frame %d = op %#x, %d bytes; want op %#x, %d bytes",
+						side.name, i, op, len(got), f.Op, len(f.Payload))
+				}
+				wire += wireLen(len(f.Payload), side.masked)
+			}
+		}
+		if err := <-errs; err != nil {
+			t.Fatalf("%s: WriteFrames: %v", side.name, err)
+		}
+		if got := side.w.BytesWritten() - wBefore; got != wire {
+			t.Fatalf("%s: BytesWritten grew by %d, want %d", side.name, got, wire)
+		}
+		if got := side.r.BytesRead() - rBefore; got != wire {
+			t.Fatalf("%s: BytesRead grew by %d, want %d", side.name, got, wire)
+		}
+	}
+	if err := cl.WriteFrames([]Frame{{Op: opPing}}); err == nil {
+		t.Fatal("WriteFrames sent a control frame")
+	}
+	// The server reads on, so it answers the close handshake.
+	go func() {
+		for {
+			if _, _, err := srv.ReadMessage(); err != nil {
+				return
+			}
+		}
+	}()
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*Conn{cl, srv} {
+		if err := c.WriteFrames(batches[0]); !errors.Is(err, ErrClosed) {
+			t.Fatalf("WriteFrames after close = %v, want ErrClosed", err)
+		}
 	}
 }
