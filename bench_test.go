@@ -29,6 +29,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -423,6 +424,102 @@ func BenchmarkCallbackOverhead(b *testing.B) {
 	})
 }
 
+// scaleDesign builds a synthetic design of n source statements whose
+// simulation cost does not grow with n: statement k (line k of
+// scale.go) connects the input x to the output, and under last-connect
+// semantics the netlist keeps one assignment while the symbol table
+// keeps n breakable statements. The statements' locators are built
+// directly: generator locators come from runtime.Callers, so a
+// generator loop would give every statement the same line.
+func scaleDesign(tb testing.TB, n int) (*sim.Simulator, *symtab.Table) {
+	tb.Helper()
+	body := make([]ir.Stmt, n)
+	for k := range body {
+		body[k] = &ir.Connect{
+			Loc:   ir.Ref{Name: "out"},
+			Value: ir.Ref{Name: "x"},
+			Info:  ir.Info{File: "scale.go", Line: k + 1},
+		}
+	}
+	circ := &ir.Circuit{Main: "Scale", Modules: []*ir.Module{{
+		Name: "Scale",
+		Ports: []ir.Port{
+			{Name: "clock", Dir: ir.Input, Tpe: ir.ClockType()},
+			{Name: "reset", Dir: ir.Input, Tpe: ir.ResetType()},
+			{Name: "x", Dir: ir.Input, Tpe: ir.UIntType(16)},
+			{Name: "out", Dir: ir.Output, Tpe: ir.UIntType(16)},
+		},
+		Body: body,
+	}}}
+	comp, err := passes.Compile(circ, false)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	table, err := symtab.Build(comp)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if got := len(table.AllBreakpoints()); got != n {
+		tb.Fatalf("scale design has %d statements, want %d", got, n)
+	}
+	nl, err := rtl.Elaborate(comp.Circuit)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sim.New(nl), table
+}
+
+// BenchmarkArmedScale measures what an armed edge costs the debugger as
+// the design grows: synthetic designs of 100, 1,000 and 10,000
+// statements (scaleDesign) with one never-true breakpoint armed on the
+// last one. In
+// the busy leg its input changes at every edge, so the condition
+// re-evaluates; in the parked leg the input is frozen, so the
+// condition parks. debugger-ns/edge is the cost with hgdb attached
+// minus the same design's edge without hgdb; ns/op is the attached
+// edge.
+func BenchmarkArmedScale(b *testing.B) {
+	for _, n := range []int{100, 1000, 10000} {
+		for _, leg := range []struct {
+			name string
+			busy bool
+		}{{"busy", true}, {"parked", false}} {
+			b.Run(fmt.Sprintf("%d/%s", n, leg.name), func(b *testing.B) {
+				drive := func(s *sim.Simulator, edges int) time.Duration {
+					start := time.Now()
+					for i := 0; i < edges; i++ {
+						if leg.busy {
+							s.Poke("Scale.x", uint64(i&0x7fff))
+						}
+						s.Step()
+					}
+					return time.Since(start)
+				}
+				bare, _ := scaleDesign(b, n)
+				s, table := scaleDesign(b, n)
+				rt, err := core.New(vpi.NewSimBackend(s), table)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rt.SetHandler(func(*core.StopEvent) core.Command { return core.CmdContinue })
+				if _, err := rt.AddBreakpoint("scale.go", n, "x == 65535"); err != nil {
+					b.Fatal(err)
+				}
+				drive(bare, 64) // warm both: the first edges evaluate
+				drive(s, 64)
+				bareNS := float64(drive(bare, b.N).Nanoseconds()) / float64(b.N)
+				b.ResetTimer()
+				attached := drive(s, b.N)
+				b.StopTimer()
+				if _, stops := rt.Stats(); stops != 0 {
+					b.Fatalf("%d stops on a never-true condition", stops)
+				}
+				b.ReportMetric(float64(attached.Nanoseconds())/float64(b.N)-bareNS, "debugger-ns/edge")
+			})
+		}
+	}
+}
+
 // BenchmarkSymtabSize reports the §4.1 statistic as metrics.
 func BenchmarkSymtabSize(b *testing.B) {
 	b.Run("soc", func(b *testing.B) {
@@ -793,6 +890,40 @@ func BenchmarkReplayReverseStep(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkReplaySeek measures random seeks on the vvadd store: one op
+// is a SetTime to a random cycle plus a read of a signal outside any
+// dependency union, which syncs the full replay state. One warm sweep
+// to the trace end first takes every checkpoint, so a seek in either
+// direction restores the latest checkpoint at or before its target and
+// replays at most one interval of records.
+func BenchmarkReplaySeek(b *testing.B) {
+	data := riscvTraceVCD(b)
+	st, err := vcd.ParseStore(bytes.NewReader(data), vcd.StoreOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := replay.NewStore(st)
+	const probe = "SoC.core0.pc"
+	maxT := eng.MaxTime()
+	eng.SetTime(maxT)
+	if _, err := eng.GetValue(probe); err != nil {
+		b.Fatal(err)
+	}
+	// xorshift keeps seek targets deterministic without pulling in rand.
+	next := uint64(0x9E3779B97F4A7C15)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		next ^= next << 13
+		next ^= next >> 7
+		next ^= next << 17
+		eng.SetTime(next % (maxT + 1))
+		if _, err := eng.GetValue(probe); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

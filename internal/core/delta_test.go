@@ -250,8 +250,9 @@ func TestReverseRewindInvalidatesPrefetch(t *testing.T) {
 
 // flakyBackend wraps a backend and fails reads of selected paths —
 // the transient replay gap scenario. Embedding the interface (not the
-// concrete type) deliberately hides batch/prefetch capabilities, so
-// the runtime's conservative fallbacks are exercised too.
+// concrete type) deliberately hides the prefetch and four-state read
+// capabilities, so the frame's ReadBits fallback goes through the
+// failing GetValue; reads by handle pass through unharmed.
 type flakyBackend struct {
 	vpi.Interface
 	fail map[string]bool

@@ -45,9 +45,11 @@ type fusedState struct {
 
 	// groupConds / groupExtra partition each group's armed members into
 	// fused condition ids and unfusable members (evaluated by evalBP
-	// during consumption), indexed like rt.allGroups.
+	// during consumption), indexed like rt.allGroups; extras counts the
+	// unfusable members across all groups.
 	groupConds [][]int32
 	groupExtra [][]*insertedBP
+	extras     int
 
 	// slotConds inverts each condition's operand closure onto the
 	// dependency union: commitSlot un-parks every condition that could
@@ -72,6 +74,14 @@ type fusedState struct {
 
 	valid bool
 	time  uint64
+}
+
+// idle reports an idle edge: every fused breakpoint condition is parked
+// (so no watch rides the program — watch values never park) and no
+// armed member sits outside the program. No armed group can hit, so
+// the forward walk has nothing to visit.
+func (fs *fusedState) idle() bool {
+	return fs.parked == len(fs.resOK) && fs.extras == 0
 }
 
 // skipped reports whether condition ci is parked.
@@ -130,6 +140,7 @@ func (rt *Runtime) buildFused(fuse bool) *fusedState {
 				fs.conds = append(fs.conds, armed)
 			} else {
 				fs.groupExtra[gi] = append(fs.groupExtra[gi], armed)
+				fs.extras++
 			}
 		}
 	}
@@ -187,8 +198,8 @@ func (rt *Runtime) runFused(fs *fusedState, t uint64) {
 	fs.valid, fs.time = true, t
 	if fs.parked == len(fs.resOK) {
 		// Every breakpoint condition is a parked provable miss and no
-		// watch rides the program (or nothing fused): the idle edge
-		// needs no execution at all.
+		// watch rides the program (or nothing fused): nothing needs
+		// executing.
 		return
 	}
 	sched := fs.sched

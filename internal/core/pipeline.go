@@ -10,9 +10,10 @@ import (
 // This file is the runtime half of the compiled condition pipeline. At
 // insertion time every breakpoint/watch condition is parsed and folded
 // once (expr.ParseCompile) and its signal dependencies are resolved to
-// simulator paths. At each clock edge the scheduler makes one batched
-// backend read covering the union of every armed condition's
-// dependencies (vpi.ReadBatchInto), caches the values for the cycle,
+// simulator paths; the union of every armed condition's dependencies
+// is resolved to backend handles once per rebuild (vpi Resolve). At
+// each clock edge the scheduler makes one batched backend read of
+// those handles (ReadValues), caches the values for the cycle,
 // and runs the whole schedule's fused program against the cache in one
 // pass on the simulation goroutine (fused.go) — replacing the seed's
 // tree-walk + one GetValue per signal per breakpoint + one goroutine
@@ -86,8 +87,9 @@ func (rt *Runtime) rebuildDeps() {
 		return s
 	}
 	// verified == nil means every path was confirmed at arm time; an
-	// unverified path gets slot -1 (kept out of the union, probed per
-	// evaluation) so it cannot fail the batched read for everyone else.
+	// unverified path gets slot -1: it stays out of the union, its
+	// condition stays off the fused program, and the general evaluator
+	// probes it per evaluation.
 	assign := func(paths []string, verified []bool) []int {
 		if len(paths) == 0 {
 			return nil
@@ -102,14 +104,21 @@ func (rt *Runtime) rebuildDeps() {
 		}
 		return slots
 	}
-	// Armed-member counts let the forward walk pass over groups that
-	// can never hit.
+	// Armed-member counts let a reverse-continue walk pass over groups
+	// that can never hit; the armed list is all a forward, non-stepping
+	// walk visits.
 	rt.groupArmed = make([]int, len(rt.allGroups))
 	for _, ibp := range rt.inserted {
 		ibp.enableSlots = assign(ibp.enablePaths, ibp.enableVerified)
 		ibp.condSlots = assign(ibp.condPaths, ibp.condVerified)
 		if gi, ok := rt.groupIdx[ibp.key()]; ok {
 			rt.groupArmed[gi]++
+		}
+	}
+	rt.armed = rt.armed[:0]
+	for gi, n := range rt.groupArmed {
+		if n > 0 {
+			rt.armed = append(rt.armed, gi)
 		}
 	}
 	for _, w := range rt.watches {
@@ -124,12 +133,24 @@ func (rt *Runtime) rebuildDeps() {
 			rt.slotWatches[s] = append(rt.slotWatches[s], w)
 		}
 	}
+	// Resolve the union once: the per-edge read goes by handle, with no
+	// name lookup. A path that does not resolve keeps NoHandle and reads
+	// as a failed slot at every edge.
+	rt.depHandles = make([]vpi.Handle, len(rt.depUnion))
+	for i, p := range rt.depUnion {
+		if h, err := rt.backend.Resolve(p); err == nil {
+			rt.depHandles[i] = h
+		} else {
+			rt.depHandles[i] = vpi.NoHandle
+		}
+	}
 	rt.prefetched = make([]eval.Value, len(rt.depUnion))
 	rt.prefetchOK = make([]bool, len(rt.depUnion))
 	rt.prefetchValid = false
 	rt.diffBase = false
 	if cap(rt.incoming) < len(rt.depUnion) {
 		rt.incoming = make([]eval.Value, len(rt.depUnion))
+		rt.incomingOK = make([]bool, len(rt.depUnion))
 	}
 	// Advise capable backends of the per-cycle read set: a replay block
 	// store materializes exactly these signals' timelines, so the
@@ -147,8 +168,8 @@ func (rt *Runtime) rebuildDeps() {
 // ensurePrefetch makes the per-cycle value cache current for time t:
 // a batched backend read of the dependency union, instead of one
 // GetValue per signal per breakpoint per edge. Values are cached per
-// (cycle, signal); re-entry at the same time (further groups, the
-// watch pass) hits the cache and returns at once. Every refreshed slot
+// (cycle, signal); re-entry at the same time (the walk after the watch
+// pass) hits the cache and returns at once. Every refreshed slot
 // is diffed against its previous value, and actual changes un-park the
 // fused conditions and watches depending on it. Runs on the simulation
 // goroutine.
@@ -157,7 +178,8 @@ func (rt *Runtime) rebuildDeps() {
 // first consumer of an edge, after a stop dropped the cache, and after
 // a rewind. A breakpoint or watch armed or removed from another
 // goroutine mid-walk therefore takes effect at the next edge or stop,
-// not at the next statement group of the walk in progress.
+// not at the next statement group of the walk in progress; the forward
+// walk positions itself in the armed list only after this call.
 func (rt *Runtime) ensurePrefetch(t uint64) {
 	if rt.prefetchValid && rt.prefetchTime == t {
 		return
@@ -170,9 +192,9 @@ func (rt *Runtime) ensurePrefetch(t uint64) {
 	}
 }
 
-// refreshAll re-reads the whole dependency union, diffing each slot
-// against the previous snapshot (when one exists) to un-park only what
-// depends on dependencies that actually moved.
+// refreshAll re-reads the whole dependency union through its handles,
+// diffing each slot against the previous snapshot (when one exists) to
+// un-park only what depends on dependencies that actually moved.
 func (rt *Runtime) refreshAll() {
 	// The cache holds an earlier value snapshot of this union
 	// generation (only a dependency rebuild discards it), so value
@@ -183,22 +205,15 @@ func (rt *Runtime) refreshAll() {
 	// use: handler pokes and rewinds surface as value differences and
 	// un-park precisely the affected conditions.
 	hadValues := rt.diffBase
-	in := rt.incoming[:len(rt.depUnion)]
-	if err := vpi.ReadBatchInto(rt.backend, rt.depUnion, in); err == nil {
-		for i := range in {
-			rt.commitSlot(i, in[i], true, hadValues)
-		}
-		rt.diffBase = true
-		return
-	}
-	// A path in the union failed (e.g. a condition naming a signal that
-	// only resolves as an absolute path, or not at all). Fall back to
-	// per-path reads so one bad name cannot starve every other
-	// breakpoint; fused conditions reading the missing slot come back
-	// poisoned and fall to the general evaluator.
-	for i, p := range rt.depUnion {
-		v, err := rt.backend.GetValue(p)
-		rt.commitSlot(i, v, err == nil, hadValues)
+	n := len(rt.depUnion)
+	in, ok := rt.incoming[:n], rt.incomingOK[:n]
+	// A slot that fails (x/z or wide on a trace, a path that did not
+	// resolve) fails alone: fused conditions reading it come back
+	// poisoned and fall to the general evaluator, and every other
+	// breakpoint keeps its value.
+	rt.backend.ReadValues(rt.depHandles, in, ok)
+	for i := range in {
+		rt.commitSlot(i, in[i], ok[i], hadValues)
 	}
 	rt.diffBase = true
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,9 +15,9 @@ import (
 )
 
 // pauseOnRead pauses the runtime from inside the scheduler's walk: the
-// first read of path at or after time `after` calls InterruptNext, the
-// way an editor's pause lands while the simulation goroutine is busy
-// evaluating conditions.
+// first batched read of path's handle at or after time `after` calls
+// InterruptNext, the way an editor's pause lands while the simulation
+// goroutine is busy evaluating conditions.
 type pauseOnRead struct {
 	vpi.Interface
 	rt    *Runtime
@@ -25,12 +26,14 @@ type pauseOnRead struct {
 	fired bool
 }
 
-func (p *pauseOnRead) GetValue(path string) (eval.Value, error) {
-	if !p.fired && p.rt != nil && path == p.path && p.Interface.Time() >= p.after {
-		p.fired = true
-		p.rt.InterruptNext()
+func (p *pauseOnRead) ReadValues(hs []vpi.Handle, dst []eval.Value, ok []bool) {
+	if !p.fired && p.rt != nil && p.Interface.Time() >= p.after {
+		if h, err := p.Resolve(p.path); err == nil && slices.Contains(hs, h) {
+			p.fired = true
+			p.rt.InterruptNext()
+		}
 	}
-	return p.Interface.GetValue(path)
+	p.Interface.ReadValues(hs, dst, ok)
 }
 
 // TestInterruptDuringWalk: a pause requested while the scheduler walks

@@ -244,8 +244,8 @@ type insertedBP struct {
 	condSlots   []int
 	// The verified flags mark dependencies whose path resolution was
 	// confirmed against the backend at arm time; unverified names stay
-	// out of the batched prefetch union so one bad name cannot fail
-	// the whole batch, and are probed per evaluation instead.
+	// out of the batched prefetch union and are probed per evaluation
+	// instead.
 	enableVerified []bool
 	condVerified   []bool
 }
@@ -317,10 +317,13 @@ type Runtime struct {
 
 	// Per-cycle prefetch cache (simulation-goroutine state, except
 	// depsDirty which rt.mu guards): the union of every armed
-	// condition's dependency paths, their batched values for the
-	// current cycle, and per-slot fetch success.
+	// condition's dependency paths, their handles (resolved once per
+	// union rebuild; vpi.NoHandle for a path that did not resolve),
+	// their batched values for the current cycle, and per-slot fetch
+	// success.
 	depsDirty     bool
 	depUnion      []string
+	depHandles    []vpi.Handle
 	prefetched    []eval.Value
 	prefetchOK    []bool
 	prefetchTime  uint64
@@ -334,13 +337,17 @@ type Runtime struct {
 	// failed). See DESIGN.md "Activity-driven scheduling".
 	exhaustive atomic.Bool  // SetExhaustiveEval: the EvalBits reference
 	incoming   []eval.Value // refresh scratch (read-then-diff)
+	incomingOK []bool       // refresh scratch: per-slot read success
 	diffBase   bool         // prefetched holds values of this union generation
 
 	// Per-group scheduling state: each statement's position in
 	// allGroups, plus — rebuilt with the dependency union — armed-member
-	// counts and the slot→watches inverted index (dirt propagation).
+	// counts, the armed groups' indices in schedule order (all a
+	// forward, non-stepping walk visits) and the slot→watches inverted
+	// index (dirt propagation).
 	groupIdx    map[groupKey]int
 	groupArmed  []int
+	armed       []int
 	slotWatches [][]*Watchpoint
 
 	// Activity statistics (atomic: benchmarks read them cross-routine).

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sort"
+
 	"repro/internal/expr"
 	"repro/internal/val"
 )
@@ -106,11 +108,40 @@ func (rt *Runtime) reverseContinue(t uint64) (stepping, reverse bool) {
 // stepping stops at the next enabled statement; reverse walks
 // backwards. A reverse, non-stepping walk is a reverse-continue: it
 // evaluates only armed members, stops at the first hit, and keeps
-// rewinding until one is found or cycle 0 begins.
+// rewinding until one is found or cycle 0 begins. A forward,
+// non-stepping walk visits only the armed groups (rt.armed), and none
+// at all on an idle edge: its cost is what can hit, not the size of
+// the design.
 func (rt *Runtime) schedule(time uint64, start int, stepping, reverse bool, handler Handler) {
 	t := time
 	i := start
+	// k is a forward, non-stepping walk's position in rt.armed. seek
+	// marks it stale: at the walk's start, and after every stop, whose
+	// handler may have changed the armed set or the walk's direction.
+	k, seek := 0, true
 	for {
+		exhaustive := rt.exhaustive.Load()
+		armedOnly := !stepping && !reverse && !exhaustive
+		if armedOnly {
+			if seek {
+				// The refresh rebuilds a changed armed set, so the walk
+				// positions itself after it: at the first armed group at
+				// or past i.
+				rt.ensurePrefetch(t)
+				k = sort.SearchInts(rt.armed, i)
+				seek = false
+				if rt.fused.idle() {
+					// Every armed condition is a parked miss: the rest
+					// of the walk would skip each group it visits.
+					rt.statSkipped.Add(uint64(len(rt.armed) - k))
+					k = len(rt.armed)
+				}
+			}
+			i = len(rt.allGroups)
+			if k < len(rt.armed) {
+				i = rt.armed[k]
+			}
+		}
 		if i < 0 || i >= len(rt.allGroups) {
 			// Fetch-next-breakpoints returned "done" for this cycle.
 			if reverse && i < 0 && t > 0 {
@@ -149,29 +180,27 @@ func (rt *Runtime) schedule(time uint64, start int, stepping, reverse bool, hand
 		g := rt.allGroups[i]
 		var hits []*insertedBP
 		switch {
-		case stepping || rt.exhaustive.Load():
+		case armedOnly:
+			// Forward, non-stepping edge at an armed group: the whole
+			// schedule's conditions run as one fused program over this
+			// edge's cache (fused.go); the walk consumes per-condition
+			// results.
+			hits = rt.fusedGroupEval(rt.fusedReady(t), i)
+		case stepping || exhaustive:
 			// Stepping (forward and reverse) and the exhaustive reference
 			// evaluate every member with the general evaluator.
 			hits = rt.evaluateGroup(g, stepping)
-		case reverse:
+		default:
 			// A reverse-continue walk: the fused program runs forward
 			// edges only, so armed members go through the general
 			// evaluator. A group with no armed member can never hit.
 			if rt.groupArmed[i] > 0 {
 				hits = rt.evaluateGroup(g, false)
 			}
-		default:
-			// Forward, non-stepping edge: the whole schedule's conditions
-			// ran as one fused program when this edge's cache was
-			// refreshed (fused.go); the walk consumes per-condition
-			// results. A group with no armed member can never hit.
-			rt.ensurePrefetch(t)
-			if rt.groupArmed[i] > 0 {
-				hits = rt.fusedGroupEval(rt.fusedReady(t), i)
-			}
 		}
 		if len(hits) == 0 {
 			i = next(i, reverse)
+			k++
 			continue
 		}
 		switch rt.stop(handler, rt.buildEvent(g, hits, t, reverse, stepping)) {
@@ -189,6 +218,7 @@ func (rt *Runtime) schedule(time uint64, start int, stepping, reverse bool, hand
 			stepping, reverse = false, false
 		}
 		i = next(i, reverse)
+		seek = true
 		rt.mu.Lock()
 		hasBPs := len(rt.inserted) > 0
 		rt.mu.Unlock()

@@ -18,12 +18,14 @@ import (
 //     any shared state and stays allocation-free.
 //   - Everything else (frame reconstruction at a stop, raw get_value
 //     requests) reads from a full signal-state array that is synced to
-//     the query time by replaying change records. Forward syncs are
-//     incremental; backward syncs restore the nearest value-snapshot
-//     checkpoint at or before t and replay forward from there, so a
-//     reverse step costs O(checkpoint interval) records instead of
-//     O(t) — the difference between usable and unusable reverse
-//     debugging on long traces.
+//     the query time by replaying change records. A sync first
+//     restores the latest value-snapshot checkpoint at or before t
+//     whenever one lies past the current state or the state is past t,
+//     then replays forward from there. A reverse step therefore costs
+//     O(checkpoint interval) records instead of O(t) — the difference
+//     between usable and unusable reverse debugging on long traces —
+//     and so does a forward jump over time an earlier sweep already
+//     crossed.
 //
 // Checkpoints are created lazily: whenever a forward sync crosses a
 // checkpoint boundary for the first time, the state array and stream
@@ -77,6 +79,11 @@ func (e *Engine) bits(path string, t uint64) (val.Bits, error) {
 	if !ok {
 		return val.Bits{}, fmt.Errorf("replay: unknown signal %q", path)
 	}
+	return e.bitsOf(ts, t)
+}
+
+// bitsOf is bits for a signal already looked up.
+func (e *Engine) bitsOf(ts *vcd.StoreSignal, t uint64) (val.Bits, error) {
 	if ts.Materialized() {
 		// Lazy fast path: the decoded timeline answers any time without
 		// touching the shared state array — lock-free.
@@ -99,9 +106,7 @@ func (e *Engine) sync(t uint64) {
 	if t == e.stateTime {
 		return
 	}
-	if t < e.stateTime {
-		e.restore(t)
-	}
+	e.restore(t)
 	// Forward apply, snapshotting checkpoint boundaries as the sweep
 	// crosses them. Record-free stretches (timestamps count timescale
 	// units, so real dumps have huge gaps) are jumped in one step with
@@ -147,17 +152,21 @@ func (e *Engine) sync(t uint64) {
 	}
 }
 
-// restore rewinds the state to the nearest checkpoint at or before t
-// (the time-0 state when none exists yet).
+// restore moves the state to the latest checkpoint at or before t when
+// the state is past t (a backward seek) or that checkpoint lies past
+// the state (a forward jump over already-swept time); otherwise it
+// leaves the state where it is. A backward seek with no checkpoint at
+// or before t restarts from the time-0 state.
 func (e *Engine) restore(t uint64) {
 	i := sort.Search(len(e.cpTimes), func(i int) bool { return e.cpTimes[i] > t }) - 1
-	if i < 0 {
+	switch {
+	case i >= 0 && (t < e.stateTime || e.cpTimes[i] > e.stateTime):
+		ck := e.cpTimes[i]
+		sn := e.cps[ck]
+		e.state.CopyFrom(sn.state)
+		e.cur = sn.cur
+		e.stateTime = ck
+	case t < e.stateTime:
 		e.resetToZero()
-		return
 	}
-	ck := e.cpTimes[i]
-	sn := e.cps[ck]
-	e.state.CopyFrom(sn.state)
-	e.cur = sn.cur
-	e.stateTime = ck
 }

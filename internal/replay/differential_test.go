@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
 	"repro/internal/eval"
 	"repro/internal/vcd"
+	"repro/internal/vpi"
 )
 
 // storeEngine parses the raw VCD into a block store and wraps it in a
@@ -191,22 +193,37 @@ func TestStoreEngineStepsMatchLive(t *testing.T) {
 	}
 }
 
-// TestStoreEngineBatchZeroAlloc pins the BatchReaderInto contract on
-// the store backend: once the dependency union is prefetched
+// TestStoreEngineBatchZeroAlloc pins the handle read's contract on the
+// store backend: once the dependency union is prefetched
 // (materialized), the per-cycle batched read allocates nothing.
 func TestStoreEngineBatchZeroAlloc(t *testing.T) {
 	eng := storeEngine(t, makeVCD(t), 4)
 	paths := []string{"Counter.count", "Counter.out", "Counter.en"}
 	eng.Prefetch(paths)
-	dst := make([]eval.Value, len(paths))
-	eng.SetTime(5)
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := eng.GetValuesInto(paths, dst); err != nil {
+	hs := make([]vpi.Handle, len(paths))
+	for i, p := range paths {
+		h, err := eng.Resolve(p)
+		if err != nil {
 			t.Fatal(err)
 		}
+		hs[i] = h
+	}
+	dst := make([]eval.Value, len(paths))
+	ok := make([]bool, len(paths))
+	eng.SetTime(5)
+	allocs := testing.AllocsPerRun(100, func() {
+		eng.ReadValues(hs, dst, ok)
 	})
 	if allocs != 0 {
-		t.Fatalf("GetValuesInto allocated %.1f per call, want 0", allocs)
+		t.Fatalf("ReadValues allocated %.1f per call, want 0", allocs)
+	}
+	for i, p := range paths {
+		if !ok[i] {
+			t.Fatalf("%s not read", p)
+		}
+		if want, _ := eng.GetValue(p); dst[i] != want {
+			t.Fatalf("%s = %v by handle, %v by path", p, dst[i], want)
+		}
 	}
 }
 
@@ -421,5 +438,97 @@ func TestStoreEngineReverseUsesCheckpoints(t *testing.T) {
 		if want := ref.ValueAt(uint64(tm)); got.Bits != want {
 			t.Fatalf("reverse read@%d = %d, want %d", tm, got.Bits, want)
 		}
+	}
+}
+
+// gappedVCD writes a random trace over signals of several widths, one
+// of them carrying x/z bits: records at times 0..79, none in 80..499,
+// then records again at 500..579.
+func gappedVCD(rng *rand.Rand) []byte {
+	widths := []int{1, 8, 16, 33, 72, 4}
+	var b bytes.Buffer
+	b.WriteString("$scope module Top $end\n")
+	for i, w := range widths {
+		fmt.Fprintf(&b, "$var wire %d %c s%d $end\n", w, '!'+i, i)
+	}
+	b.WriteString("$upscope $end\n$enddefinitions $end\n")
+	digits := "01xz"
+	emit := func(tm int, all bool) {
+		fmt.Fprintf(&b, "#%d\n", tm)
+		for i, w := range widths {
+			if !all && rng.Intn(3) != 0 {
+				continue
+			}
+			known := i != len(widths)-1 || rng.Intn(2) == 0
+			var v []byte
+			for k := 0; k < w; k++ {
+				if known {
+					v = append(v, digits[rng.Intn(2)])
+				} else {
+					v = append(v, digits[rng.Intn(4)])
+				}
+			}
+			if w == 1 {
+				fmt.Fprintf(&b, "%s%c\n", v, '!'+i)
+			} else {
+				fmt.Fprintf(&b, "b%s %c\n", v, '!'+i)
+			}
+		}
+	}
+	for tm := 0; tm < 80; tm++ {
+		emit(tm, tm == 0)
+	}
+	for tm := 500; tm < 580; tm++ {
+		emit(tm, false)
+	}
+	return b.Bytes()
+}
+
+// TestStoreEngineSeekDifferential is the seek contract after a warm
+// sweep: random forward and backward seeks, seeks that land exactly on
+// a checkpoint and seeks into the record-free gap read every signal
+// bit-identically to a fully materialized reference store. A forward
+// seek over swept time starts from the latest checkpoint at or before
+// its target instead of replaying every record in between.
+func TestStoreEngineSeekDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	data := gappedVCD(rng)
+	ref := referenceStore(t, data)
+	eng := storeEngine(t, data, 8)
+	names := ref.SignalNames()
+	// Warm: one sweep with a full-state read at every cycle takes every
+	// checkpoint.
+	for tm := uint64(0); tm <= eng.MaxTime(); tm++ {
+		eng.SetTime(tm)
+		if _, err := eng.GetBits(names[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cps := append([]uint64(nil), eng.cpTimes...)
+	if len(cps) < 10 {
+		t.Fatalf("warm sweep took %d checkpoints", len(cps))
+	}
+	// A forward seek from time 0 restores the latest checkpoint at or
+	// before its target.
+	target := eng.MaxTime() - 3
+	latest := cps[sort.Search(len(cps), func(i int) bool { return cps[i] > target })-1]
+	eng.sync(0)
+	eng.restore(target)
+	if eng.stateTime != latest {
+		t.Fatalf("forward restore toward %d landed at %d, want checkpoint %d (checkpoints %v)", target, eng.stateTime, latest, cps)
+	}
+
+	var seeks []uint64
+	for i := 0; i < 200; i++ {
+		seeks = append(seeks, uint64(rng.Int63n(int64(eng.MaxTime()+1))))
+	}
+	seeks = append(seeks, cps...)
+	seeks = append(seeks, 80, 81, 250, 498, 499, 500)
+	rng.Shuffle(len(seeks), func(i, j int) { seeks[i], seeks[j] = seeks[j], seeks[i] })
+	for i, tm := range seeks {
+		if err := eng.SetTime(tm); err != nil {
+			t.Fatal(err)
+		}
+		checkAgainst(t, eng, ref, fmt.Sprintf("seek %d to %d", i, tm))
 	}
 }

@@ -7,10 +7,11 @@
 //
 // The trace is a vcd.Store block index, parsed from VCD text or opened
 // from an indexed store file. Signal timelines decode lazily (Prefetch
-// materializes the debugger's dependency union), and backward SetTime
-// restores the nearest periodic value-snapshot checkpoint then replays
-// forward deltas, making a reverse step O(checkpoint interval) instead
-// of O(t) on undecoded state.
+// materializes the debugger's dependency union), and a read after
+// SetTime restores the nearest periodic value-snapshot checkpoint then
+// replays forward deltas, making a reverse step — or a forward jump
+// over time already swept — O(checkpoint interval) instead of O(t) on
+// undecoded state.
 package replay
 
 import (
@@ -26,7 +27,7 @@ import (
 )
 
 // Engine replays a trace store behind the vpi.Interface, with the
-// batched-read, prefetch and four-state-read capabilities. One cursor
+// prefetch and four-state-read capabilities. One cursor
 // walks the trace: the checkpointed replay state that serves reads of
 // signals outside the materialized set.
 type Engine struct {
@@ -62,10 +63,9 @@ type Engine struct {
 }
 
 var (
-	_ vpi.Interface       = (*Engine)(nil)
-	_ vpi.BatchReaderInto = (*Engine)(nil)
-	_ vpi.Prefetcher      = (*Engine)(nil)
-	_ vpi.BitsReader      = (*Engine)(nil)
+	_ vpi.Interface  = (*Engine)(nil)
+	_ vpi.Prefetcher = (*Engine)(nil)
+	_ vpi.BitsReader = (*Engine)(nil)
 )
 
 // NewStore wraps a trace store with checkpointed state reconstruction;
@@ -131,26 +131,34 @@ func (e *Engine) GetBits(path string) (val.Bits, error) {
 	return e.bits(path, e.time.Load())
 }
 
-// GetValuesInto implements vpi.BatchReaderInto: one trace lookup pass
-// for the whole dependency set at the current replay time, without
-// allocating.
-func (e *Engine) GetValuesInto(paths []string, dst []eval.Value) error {
-	if len(dst) < len(paths) {
-		return fmt.Errorf("replay: batch destination too short: %d < %d", len(dst), len(paths))
+// Resolve implements vpi.Interface: a replay handle is the signal's
+// dense store index.
+func (e *Engine) Resolve(path string) (vpi.Handle, error) {
+	ts, ok := e.st.Signal(path)
+	if !ok {
+		return vpi.NoHandle, fmt.Errorf("replay: unknown signal %q", path)
 	}
+	return vpi.Handle(ts.Index()), nil
+}
+
+// ReadValues implements vpi.Interface: every slot at one replay
+// instant, without a name lookup and without allocating. A slot holding
+// x/z bits or more than 64 bits, or one a poisoned store cannot read,
+// comes back not ok.
+func (e *Engine) ReadValues(hs []vpi.Handle, dst []eval.Value, ok []bool) {
 	t := e.time.Load()
-	for i, p := range paths {
-		b, err := e.bits(p, t)
-		if err != nil {
-			return err
+	for i, h := range hs {
+		dst[i], ok[i] = eval.Value{}, false
+		ts, found := e.st.SignalByIndex(int(h))
+		if !found || ts.Width > 64 {
+			// A wide signal never lowers; skipping the read keeps its
+			// planes from being copied out of the replay state.
+			continue
 		}
-		v, ok := eval.FromBits(b)
-		if !ok {
-			return fmt.Errorf("%w: %s = %s", vpi.ErrFourState, p, b.String())
+		if b, err := e.bitsOf(ts, t); err == nil {
+			dst[i], ok[i] = eval.FromBits(b)
 		}
-		dst[i] = v
 	}
-	return nil
 }
 
 // Hierarchy implements vpi.Interface with the scope tree reconstructed
@@ -195,8 +203,9 @@ func (e *Engine) Time() uint64 { return e.time.Load() }
 
 // SetTime implements vpi.Interface — the primitive that unlocks reverse
 // debugging. Seeking does not fire edge callbacks; use StepForward and
-// StepBackward to emulate clock edges. A backward seek costs
-// O(checkpoint interval) trace records, not O(t).
+// StepBackward to emulate clock edges. A backward seek, and a forward
+// one over time already swept, costs O(checkpoint interval) trace
+// records, not O(t).
 func (e *Engine) SetTime(t uint64) error {
 	if t > e.st.MaxTime {
 		return fmt.Errorf("replay: time %d beyond end of trace (%d)", t, e.st.MaxTime)

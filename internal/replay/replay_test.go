@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/eval"
 	"repro/internal/generator"
 	"repro/internal/ir"
 	"repro/internal/passes"
@@ -182,5 +183,88 @@ func TestHierarchyAndClock(t *testing.T) {
 	}
 	if e.ClockName() != "Counter.clock" {
 		t.Fatalf("clock = %s", e.ClockName())
+	}
+}
+
+// fourStateTrace holds a known bit, a known byte, a 72-bit bus and a
+// nibble that carries x/z bits at t=0 and t=4 only.
+const fourStateTrace = `$scope module Top $end
+$var wire 1 ! a $end
+$var wire 8 " b $end
+$var wire 72 # w $end
+$var wire 4 $ q $end
+$upscope $end
+$enddefinitions $end
+#0
+0!
+b101 "
+b1 #
+b1x0z $
+#2
+1!
+b110 "
+b100000000000000000000000000000000000000000000000000000000000000000000011 #
+b1010 $
+#4
+b1z $
+#6
+b11 $
+`
+
+// TestEngineHandles pins the handle surface on the replay backend: an
+// unknown path does not resolve; the batched read fills every slot,
+// and only the x/z nibble (at the times it holds x/z) and the 72-bit
+// bus come back not ok; known slots match GetValue; and the read
+// allocates nothing, over materialized timelines and over the
+// checkpointed replay state alike.
+func TestEngineHandles(t *testing.T) {
+	paths := []string{"Top.a", "Top.b", "Top.w", "Top.q"}
+	for _, materialize := range []bool{false, true} {
+		eng := storeEngine(t, []byte(fourStateTrace), 2)
+		if _, err := eng.Resolve("Top.nope"); err == nil {
+			t.Fatal("unknown signal resolved")
+		}
+		if materialize {
+			eng.Prefetch(paths)
+		}
+		hs := make([]vpi.Handle, len(paths)+1)
+		for i, p := range paths {
+			h, err := eng.Resolve(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs[i] = h
+		}
+		hs[len(paths)] = vpi.NoHandle
+		dst := make([]eval.Value, len(hs))
+		ok := make([]bool, len(hs))
+		for tm := uint64(0); tm <= eng.MaxTime(); tm++ {
+			eng.SetTime(tm)
+			eng.ReadValues(hs, dst, ok)
+			for i, p := range paths {
+				want, err := eng.GetValue(p)
+				fourState := errors.Is(err, vpi.ErrFourState)
+				if err != nil && !fourState {
+					t.Fatal(err)
+				}
+				if ok[i] == fourState || (ok[i] && dst[i] != want) {
+					t.Fatalf("materialized=%v %s@%d by handle = %v (ok %v), by path %v (%v)",
+						materialize, p, tm, dst[i], ok[i], want, err)
+				}
+			}
+			if ok[2] {
+				t.Fatalf("the 72-bit bus read as ok at %d", tm)
+			}
+			if xz := tm < 2 || tm == 4 || tm == 5; ok[3] == xz {
+				t.Fatalf("Top.q@%d ok = %v", tm, ok[3])
+			}
+			if ok[len(paths)] {
+				t.Fatal("NoHandle read as ok")
+			}
+		}
+		eng.SetTime(3)
+		if allocs := testing.AllocsPerRun(100, func() { eng.ReadValues(hs, dst, ok) }); allocs != 0 {
+			t.Fatalf("materialized=%v: ReadValues allocated %.1f per call, want 0", materialize, allocs)
+		}
 	}
 }

@@ -117,24 +117,16 @@ func (s *Simulator) Peek(name string) (eval.Value, error) {
 	return s.state.Values[sig.Index], nil
 }
 
-// PeekBatch reads many signals in one call, writing values into out
-// (which must be at least as long as paths). It is the native batched
-// read behind the vpi.BatchReaderInto capability: one call resolves and
-// reads the whole dependency set of the debugger's inserted
-// breakpoints, instead of one Peek round trip per signal.
-func (s *Simulator) PeekBatch(paths []string, out []eval.Value) error {
-	if len(out) < len(paths) {
-		return fmt.Errorf("sim: PeekBatch output too short: %d < %d", len(out), len(paths))
-	}
+// PeekIndex returns the current value of the signal with netlist index
+// i: Peek without the name lookup, for callers that resolved the name
+// once (vpi.SimBackend's handles). ok is false for an index outside the
+// netlist.
+func (s *Simulator) PeekIndex(i int) (v eval.Value, ok bool) {
 	s.syncPoint()
-	for i, p := range paths {
-		sig, ok := s.nl.Signal(p)
-		if !ok {
-			return fmt.Errorf("sim: unknown signal %q", p)
-		}
-		out[i] = s.state.Values[sig.Index]
+	if uint(i) >= uint(len(s.state.Values)) {
+		return eval.Value{}, false
 	}
-	return nil
+	return s.state.Values[i], true
 }
 
 // Poke sets a top-level input (or forces any signal, which the next

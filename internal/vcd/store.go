@@ -459,6 +459,15 @@ func (s *Store) Signal(path string) (*StoreSignal, bool) {
 	return ts, ok
 }
 
+// SignalByIndex returns the signal whose dense index (StoreSignal.Index)
+// is i.
+func (s *Store) SignalByIndex(i int) (*StoreSignal, bool) {
+	if uint(i) >= uint(len(s.list)) {
+		return nil, false
+	}
+	return s.list[i], true
+}
+
 // SignalNames returns all signal paths, sorted.
 func (s *Store) SignalNames() []string {
 	names := make([]string, 0, len(s.sigs))

@@ -6,13 +6,13 @@ import (
 	"repro/internal/val"
 )
 
-// ErrFourState is returned by GetValue (and the batch readers) when a
-// signal's current value cannot be lowered onto the two-state fast
-// path — it has x/z bits or is wider than 64 bits. Callers that can
-// handle the general representation read the signal again through
-// ReadBits; the debugger's compiled condition pipeline instead treats
-// the slot as unreadable, which routes the affected conditions to the
-// four-state tree-walk evaluator.
+// ErrFourState is returned by GetValue when a signal's current value
+// cannot be lowered onto the two-state fast path — it has x/z bits or
+// is wider than 64 bits; ReadValues reports such a slot as not read.
+// Callers that can handle the general representation read the signal
+// again through ReadBits; the debugger's compiled condition pipeline
+// instead treats the slot as unreadable, which routes the affected
+// conditions to the four-state tree-walk evaluator.
 var ErrFourState = errors.New("vpi: value has unknown bits or exceeds 64 bits")
 
 // BitsReader is an optional backend capability: read a signal's full

@@ -53,25 +53,32 @@ type Interface interface {
 	// SetValue deposits a value into the design (optional; live
 	// simulation only).
 	SetValue(path string, v uint64) error
+
+	// Resolve looks a signal up by full hierarchical name once and
+	// returns a handle to read it through — the interface's
+	// vpi_handle_by_name. An unknown path is an error.
+	Resolve(path string) (Handle, error)
+
+	// ReadValues reads the current value of every handle in hs into
+	// dst, in one call, on the two-state fast path. ok[i] reports
+	// whether slot i was read: a value with x/z bits or wider than 64
+	// bits, an unreadable signal and NoHandle leave ok[i] false. dst
+	// and ok must be at least len(hs) long. The debugger reads its
+	// whole armed dependency union through one call at every clock
+	// edge and diffs it against the previous edge, so the call must
+	// not allocate; on a real VPI transport it is one round trip
+	// instead of one per signal (§4.3).
+	ReadValues(hs []Handle, dst []eval.Value, ok []bool)
 }
 
-// BatchReaderInto is an optional backend capability: fetch many signal
-// values in one call, into a caller-owned buffer. The debugger's
-// clock-edge callback reads the union of every inserted breakpoint's
-// dependencies each cycle; doing that through one batched call instead
-// of one GetValue round trip per signal per breakpoint is what keeps
-// the per-cycle overhead flat as breakpoints accumulate (§4.3). On a
-// real VPI transport each GetValue is an IPC round trip, so the
-// capability matters even more there. The same read is the whole input
-// of activity-driven scheduling: the debugger diffs it against the
-// previous edge's values, so backends never report changes themselves.
-// The prefetch runs every cycle for the simulation's lifetime, so the
-// destination is reused and the read must not allocate.
-type BatchReaderInto interface {
-	// GetValuesInto writes the current value of each path into dst
-	// (which must be at least len(paths) long).
-	GetValuesInto(paths []string, dst []eval.Value) error
-}
+// Handle is a resolved signal: what Resolve returns and ReadValues
+// reads through, so a per-cycle read pays no name lookup. Its value is
+// private to the backend that returned it.
+type Handle int32
+
+// NoHandle stands in for a path that did not resolve. Every read
+// through it fails.
+const NoHandle Handle = -1
 
 // Prefetcher is an optional backend capability: the debugger advises
 // the backend which signal paths it will read every cycle (the union of
@@ -86,37 +93,12 @@ type Prefetcher interface {
 	Prefetch(paths []string)
 }
 
-// ReadBatchInto reads many signals into a caller-owned buffer through
-// the backend's native BatchReaderInto primitive when it has one,
-// falling back to one GetValue call per path otherwise. Any unknown
-// path fails the whole batch; callers that tolerate partial results
-// must probe individually.
-func ReadBatchInto(b Interface, paths []string, dst []eval.Value) error {
-	if len(dst) < len(paths) {
-		return fmt.Errorf("vpi: batch destination too short: %d < %d", len(dst), len(paths))
-	}
-	if bi, ok := b.(BatchReaderInto); ok {
-		return bi.GetValuesInto(paths, dst)
-	}
-	for i, p := range paths {
-		v, err := b.GetValue(p)
-		if err != nil {
-			return err
-		}
-		dst[i] = v
-	}
-	return nil
-}
-
 // SimBackend adapts the live simulator to the unified interface.
 type SimBackend struct {
 	Sim *sim.Simulator
 }
 
-var (
-	_ Interface       = (*SimBackend)(nil)
-	_ BatchReaderInto = (*SimBackend)(nil)
-)
+var _ Interface = (*SimBackend)(nil)
 
 // NewSimBackend wraps a live simulator.
 func NewSimBackend(s *sim.Simulator) *SimBackend { return &SimBackend{Sim: s} }
@@ -126,10 +108,22 @@ func (b *SimBackend) GetValue(path string) (eval.Value, error) {
 	return b.Sim.Peek(path)
 }
 
-// GetValuesInto implements BatchReaderInto with the simulator's native
-// batched peek, without allocating.
-func (b *SimBackend) GetValuesInto(paths []string, dst []eval.Value) error {
-	return b.Sim.PeekBatch(paths, dst)
+// Resolve implements Interface: a live handle is the signal's netlist
+// index.
+func (b *SimBackend) Resolve(path string) (Handle, error) {
+	sig, ok := b.Sim.Netlist().Signal(path)
+	if !ok {
+		return NoHandle, fmt.Errorf("vpi: unknown signal %q", path)
+	}
+	return Handle(sig.Index), nil
+}
+
+// ReadValues implements Interface by netlist index, without allocating.
+// The simulator is two-state, so every resolved slot reads.
+func (b *SimBackend) ReadValues(hs []Handle, dst []eval.Value, ok []bool) {
+	for i, h := range hs {
+		dst[i], ok[i] = b.Sim.PeekIndex(int(h))
+	}
 }
 
 // Hierarchy implements Interface.

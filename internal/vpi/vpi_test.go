@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/eval"
 	"repro/internal/generator"
 	"repro/internal/ir"
 	"repro/internal/passes"
@@ -94,5 +95,51 @@ func TestFivePrimitives(t *testing.T) {
 	}
 	if err := b.SetValue("Counter.ghost", 1); err == nil {
 		t.Fatal("unknown signal poked")
+	}
+}
+
+// TestHandles pins the handle surface on the live backend: an unknown
+// path does not resolve, the batched read fills every resolved slot
+// (the simulator is two-state, so every one reads) with what GetValue
+// returns, NoHandle reads as a failed slot, and the read allocates
+// nothing.
+func TestHandles(t *testing.T) {
+	b := makeBackend(t)
+	if _, err := b.Resolve("Counter.nope"); err == nil {
+		t.Fatal("unknown signal resolved")
+	}
+	if err := b.SetValue("Counter.en", 1); err != nil {
+		t.Fatal(err)
+	}
+	b.Sim.Run(3)
+	paths := []string{"Counter.count", "Counter.en", "Counter.out", "Counter.reset"}
+	hs := make([]Handle, len(paths)+1)
+	for i, p := range paths {
+		h, err := b.Resolve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs[i] = h
+	}
+	hs[len(paths)] = NoHandle
+	dst := make([]eval.Value, len(hs))
+	ok := make([]bool, len(hs))
+	for i := range ok {
+		ok[i] = true
+	}
+	if allocs := testing.AllocsPerRun(100, func() { b.ReadValues(hs, dst, ok) }); allocs != 0 {
+		t.Fatalf("ReadValues allocated %.1f per call, want 0", allocs)
+	}
+	for i, p := range paths {
+		want, err := b.GetValue(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok[i] || dst[i] != want {
+			t.Fatalf("%s by handle = %v (ok %v), by path %v", p, dst[i], ok[i], want)
+		}
+	}
+	if ok[len(paths)] {
+		t.Fatal("NoHandle read as ok")
 	}
 }
