@@ -9,6 +9,8 @@
 //     per-edge debugger cost with armed breakpoints on low-activity
 //     scenarios (a clock-gated idle core, sparse bursty traffic),
 //     delta-scheduled vs exhaustive re-evaluation.
+//   - BenchmarkSimStep: the simulator alone — one clock edge of a bare
+//     two-core SoC, the denominator of every Figure 5 overhead.
 //   - BenchmarkCallbackOverhead: the §4.3 mechanism — cost of the
 //     clock-edge callback with no breakpoints inserted.
 //   - BenchmarkSymtabSize: the §4.1 statistic (reported as custom
@@ -105,20 +107,7 @@ func BenchmarkFig5Activity(b *testing.B) {
 	}{{"delta", false}, {"exhaustive", true}}
 
 	b.Run("idle-core", func(b *testing.B) {
-		// hart 1 parks immediately; hart 0 keeps toggling registers so
-		// the design as a whole stays active.
-		prog := riscv.MustAssemble(`
-.text
-    li sp, 0x20000
-    csrrs t0, 0xF14, x0
-    bnez t0, park
-busy:
-    addi t1, t1, 1
-    addi t2, t2, 2
-    j busy
-park:
-    ecall
-`)
+		prog := parkHart1Prog()
 		for _, mode := range schedModes {
 			mode := mode
 			b.Run(mode.name, func(b *testing.B) {
@@ -210,6 +199,85 @@ park:
 			})
 		}
 	})
+}
+
+// parkHart1Prog is the idle-core program: hart 1 parks immediately
+// (its registers are clock-gated from then on) while hart 0 keeps
+// toggling registers, so the design as a whole stays active.
+func parkHart1Prog() *riscv.Program {
+	return riscv.MustAssemble(`
+.text
+    li sp, 0x20000
+    csrrs t0, 0xF14, x0
+    bnez t0, park
+busy:
+    addi t1, t1, 1
+    addi t2, t2, 2
+    j busy
+park:
+    ecall
+`)
+}
+
+// parkedSoC is a two-core SoC running parkHart1Prog, out of reset
+// and past hart 1's ecall.
+func parkedSoC(tb testing.TB, debug bool) *riscv.Machine {
+	tb.Helper()
+	m, err := riscv.NewMachine(2, debug)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prog := parkHart1Prog()
+	for i := range m.Cores {
+		if err := m.Load(i, prog); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := m.Reset(); err != nil {
+		tb.Fatal(err)
+	}
+	m.Sim.Run(50)
+	return m
+}
+
+// BenchmarkSimStep measures the simulator alone, the ceiling every
+// live-simulation throughput sits under: one clock edge of a bare
+// two-core SoC (no debugger) with hart 1 parked and hart 0 spinning,
+// in the optimized and debug builds. An edge is one pass of the
+// netlist's flat program (rtl.Program): settle, register next-values,
+// memory writes and commits.
+func BenchmarkSimStep(b *testing.B) {
+	for _, build := range []struct {
+		name  string
+		debug bool
+	}{{"optimized", false}, {"debug", true}} {
+		b.Run(build.name, func(b *testing.B) {
+			m := parkedSoC(b, build.debug)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Sim.Step()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/edge")
+		})
+	}
+}
+
+// TestSimStepAllocs: a warm two-core SoC edge with an attach-only
+// runtime installed (a live handler, nothing armed) allocates nothing.
+func TestSimStepAllocs(t *testing.T) {
+	m := parkedSoC(t, false)
+	rt, err := core.New(vpi.NewSimBackend(m.Sim), m.Table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Detach()
+	rt.SetHandler(func(*core.StopEvent) core.Command { return core.CmdContinue })
+	m.Sim.Run(10)
+	if allocs := testing.AllocsPerRun(1000, m.Sim.Step); allocs != 0 {
+		t.Fatalf("a warm Step allocates %.1f times, want 0", allocs)
+	}
 }
 
 // BenchmarkFig5Fused measures the armed-breakpoint per-edge cost that

@@ -91,26 +91,23 @@ type RunResult struct {
 	CPIMilli []uint64 // CPI per core ×1000 (integer-friendly)
 }
 
-// Run steps until all cores halt or maxCycles elapse.
+// Run steps until all cores halt or maxCycles elapse. The halt flag is
+// resolved once and read by netlist index after every cycle.
 func (m *Machine) Run(maxCycles int) (*RunResult, error) {
 	start := m.Sim.Time()
-	haltSig := m.Top + ".all_halted"
+	haltSig, ok := m.Sim.Netlist().Signal(m.Top + ".all_halted")
+	if !ok {
+		return nil, fmt.Errorf("riscv: no signal %s.all_halted", m.Top)
+	}
 	for i := 0; i < maxCycles; i++ {
 		m.Sim.Step()
-		v, err := m.Sim.Peek(haltSig)
-		if err != nil {
-			return nil, err
-		}
-		if v.IsTrue() {
+		if v, _ := m.Sim.PeekIndex(haltSig.Index); v.IsTrue() {
 			break
 		}
 	}
 	m.Sim.Settle()
 	res := &RunResult{Cycles: m.Sim.Time() - start}
-	halted, err := m.Sim.Peek(haltSig)
-	if err != nil {
-		return nil, err
-	}
+	halted, _ := m.Sim.PeekIndex(haltSig.Index)
 	res.Halted = halted.IsTrue()
 	for i := range m.Cores {
 		r, err := m.Sim.Peek(fmt.Sprintf("%s.retired%d", m.Top, i))

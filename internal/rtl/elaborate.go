@@ -4,14 +4,17 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/eval"
 	"repro/internal/ir"
 )
 
 // Elaborate flattens a Low-form circuit into a Netlist: instances are
 // inlined with dot-separated path prefixes, combinational assignments
 // are topologically sorted (combinational loops are reported as
-// errors), and all expressions are compiled against dense signal
-// indices.
+// errors), and every assign, register next-value and memory write port
+// is lowered into the netlist's flat Program. Lowering types each
+// expression through eval.Prim, so an operation eval.Prim rejects (a
+// shl or cat result wider than 64 bits) is an error naming the signal.
 func Elaborate(c *ir.Circuit) (*Netlist, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -143,8 +146,9 @@ func (el *elaborator) instantiate(prefix string, m *ir.Module, node *InstanceNod
 	return nil
 }
 
-// finish topologically sorts the combinational assignments, compiles
-// all expressions, and wires memory write ports.
+// finish topologically sorts the combinational assignments and lowers
+// them, the register next-values and the memory write ports into the
+// netlist's Program.
 func (el *elaborator) finish() error {
 	// Split reg-next assigns from combinational assigns.
 	combByDst := map[string]*pendingAssign{}
@@ -200,63 +204,64 @@ func (el *elaborator) finish() error {
 		}
 	}
 
+	lw := newLowerer(el.nl)
+	prog := &Program{}
 	for _, dst := range sorted {
 		pa := combByDst[dst]
 		sig, ok := el.nl.byName[dst]
 		if !ok {
 			return fmt.Errorf("rtl: assignment to unknown signal %q", dst)
 		}
-		ec := &exprCompiler{nl: el.nl, prefix: pa.prefix}
-		compiled, err := ec.compile(pa.expr)
-		if err != nil {
-			return err
+		if err := lw.assign(&prog.Settle, pa.prefix, pa.expr, int32(sig.Index), sig.Width); err != nil {
+			return fmt.Errorf("rtl: %s %s: %w", sig.Kind, dst, err)
 		}
-		el.nl.Assigns = append(el.nl.Assigns, Assign{Dst: sig, Expr: compiled})
 	}
 
-	// Register next-values.
+	// Register next-values in name order, each into a temporary so the
+	// registers commit atomically; the write-port operands; then the
+	// memory writes and the register commits.
+	var regs []*pendingAssign
 	for i := range el.assigns {
-		pa := &el.assigns[i]
-		if !pa.isReg {
-			continue
+		if el.assigns[i].isReg {
+			regs = append(regs, &el.assigns[i])
 		}
+	}
+	sort.SliceStable(regs, func(i, j int) bool { return regs[i].dst < regs[j].dst })
+	var commits []Instr
+	for _, pa := range regs {
 		sig, ok := el.nl.byName[pa.dst]
 		if !ok {
 			return fmt.Errorf("rtl: next-value for unknown register %q", pa.dst)
 		}
-		ec := &exprCompiler{nl: el.nl, prefix: pa.prefix}
-		compiled, err := ec.compile(pa.expr)
-		if err != nil {
-			return err
+		el.nl.Regs = append(el.nl.Regs, sig)
+		next := lw.slot(0)
+		if err := lw.assign(&prog.Edge, pa.prefix, pa.expr, next, sig.Width); err != nil {
+			return fmt.Errorf("rtl: register %s: %w", sig.Name, err)
 		}
-		el.nl.Regs = append(el.nl.Regs, RegSpec{Sig: sig, Next: compiled})
-	}
-	sort.Slice(el.nl.Regs, func(i, j int) bool { return el.nl.Regs[i].Sig.Name < el.nl.Regs[j].Sig.Name })
-
-	// Memory write ports.
-	memByName := map[string]*MemSpec{}
-	for _, mem := range el.nl.Mems {
-		memByName[mem.Name] = mem
+		commits = append(commits, Instr{Op: OpMask, Dst: int32(sig.Index), A: next, Mask: eval.Mask(sig.Width)})
 	}
 	for _, pw := range el.memWr {
-		mem, ok := memByName[pw.mem]
-		if !ok {
+		if _, ok := lw.mems[pw.mem]; !ok {
 			return fmt.Errorf("rtl: write to unknown memory %q", pw.mem)
 		}
-		ec := &exprCompiler{nl: el.nl, prefix: pw.prefix}
-		addr, err := ec.compile(pw.w.Addr)
-		if err != nil {
-			return err
-		}
-		data, err := ec.compile(pw.w.Data)
-		if err != nil {
-			return err
-		}
-		en, err := ec.compile(pw.w.En)
-		if err != nil {
-			return err
-		}
-		mem.Writes = append(mem.Writes, MemWritePort{Addr: addr, Data: data, En: en})
 	}
+	sort.SliceStable(el.memWr, func(i, j int) bool { return lw.mems[el.memWr[i].mem] < lw.mems[el.memWr[j].mem] })
+	var writes []Instr
+	for _, pw := range el.memWr {
+		var port [3]int32
+		for i, e := range [3]ir.Expr{pw.w.En, pw.w.Addr, pw.w.Data} {
+			op, err := lw.lower(&prog.Edge, pw.prefix, e, -1, 0)
+			if err != nil {
+				return fmt.Errorf("rtl: write port of memory %s: %w", pw.mem, err)
+			}
+			port[i] = op.slot
+		}
+		mi := lw.mems[pw.mem]
+		writes = append(writes, Instr{Op: OpMemWrite, A: port[0], B: port[1], C: port[2],
+			Imm: uint32(mi), Mask: eval.Mask(el.nl.Mems[mi].Width)})
+	}
+	prog.Edge = append(append(prog.Edge, writes...), commits...)
+	prog.Init = lw.init
+	el.nl.Program = prog
 	return nil
 }

@@ -43,37 +43,16 @@ type Signal struct {
 	Width  int
 	Signed bool
 	Kind   SignalKind
-	// Index is the dense index into the simulator's value array.
+	// Index is the signal's slot in the Program's value plane.
 	Index int
 }
 
-// RegSpec couples a register signal with its compiled next-value
-// expression (reset behavior is already folded into Next by the SSA
-// pass).
-type RegSpec struct {
-	Sig  *Signal
-	Next Compiled
-}
-
-// MemWritePort is one synchronous write port of a memory.
-type MemWritePort struct {
-	Addr Compiled
-	Data Compiled
-	En   Compiled
-}
-
-// MemSpec is one behavioral memory.
+// MemSpec is one behavioral memory. Its read and write ports live in
+// the netlist's Program, which addresses it by its index in Mems.
 type MemSpec struct {
-	Name   string
-	Width  int
-	Depth  int
-	Writes []MemWritePort
-}
-
-// Assign is one combinational assignment, stored in topological order.
-type Assign struct {
-	Dst  *Signal
-	Expr Compiled
+	Name  string
+	Width int
+	Depth int
 }
 
 // InstanceNode is one node of the preserved design hierarchy.
@@ -118,10 +97,13 @@ type Netlist struct {
 	Inputs []*Signal
 	// Outputs lists top-level outputs.
 	Outputs []*Signal
-	// Assigns are combinational assignments in topological order.
-	Assigns []Assign
-	Regs    []RegSpec
-	Mems    []*MemSpec
+	// Regs lists the registers that have a next value, sorted by name.
+	Regs []*Signal
+	Mems []*MemSpec
+	// Program is the design lowered for simulation: every combinational
+	// assign, register next-value and memory write port as flat
+	// instructions over one value plane.
+	Program *Program
 	// Hierarchy is the preserved instance tree rooted at the top module.
 	Hierarchy *InstanceNode
 }
@@ -147,8 +129,9 @@ func (nl *Netlist) NumSignals() int { return len(nl.Signals) }
 
 // Stats summarizes the netlist for reports.
 func (nl *Netlist) Stats() string {
-	return fmt.Sprintf("signals=%d assigns=%d regs=%d mems=%d",
-		len(nl.Signals), len(nl.Assigns), len(nl.Regs), len(nl.Mems))
+	p := nl.Program
+	return fmt.Sprintf("signals=%d instrs=%d regs=%d mems=%d",
+		len(nl.Signals), len(p.Settle)+len(p.Edge), len(nl.Regs), len(nl.Mems))
 }
 
 func (nl *Netlist) addSignal(name string, width int, signed bool, kind SignalKind) *Signal {

@@ -173,3 +173,45 @@ func TestWalkHierarchy(t *testing.T) {
 		t.Fatal("empty stats")
 	}
 }
+
+// TestElaborateRejectsWideResults: a shl or cat whose result is wider
+// than 64 bits passes passes.Compile, but eval.Prim cannot compute it,
+// so Elaborate rejects the design and names the signal instead of the
+// simulator panicking at its first settle. The wide results eval.Prim
+// does compute (mul, add, dshl) still elaborate.
+func TestElaborateRejectsWideResults(t *testing.T) {
+	build := func(debug bool, wide func(m *generator.ModuleBuilder, a *generator.Signal) *generator.Signal) (*Netlist, error) {
+		c := generator.NewCircuit("Top")
+		m := c.NewModule("Top")
+		a := m.Input("a", ir.UIntType(10))
+		n := m.Node("wide", wide(m, a))
+		m.Output("out", ir.UIntType(n.Width())).Set(n)
+		comp, err := passes.Compile(c.MustBuild(), debug)
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+		return Elaborate(comp.Circuit)
+	}
+	for _, debug := range []bool{false, true} {
+		for name, wide := range map[string]func(*generator.ModuleBuilder, *generator.Signal) *generator.Signal{
+			"shl": func(_ *generator.ModuleBuilder, a *generator.Signal) *generator.Signal { return a.Shl(60) },
+			"cat": func(m *generator.ModuleBuilder, a *generator.Signal) *generator.Signal {
+				return a.Cat(m.Input("b", ir.UIntType(60)))
+			},
+		} {
+			_, err := build(debug, wide)
+			if err == nil || !strings.Contains(err.Error(), "Top.wide") || !strings.Contains(err.Error(), "exceeds 64") {
+				t.Fatalf("%s (debug=%v): Elaborate error = %v, want one naming Top.wide", name, debug, err)
+			}
+		}
+		nl, err := build(debug, func(m *generator.ModuleBuilder, a *generator.Signal) *generator.Signal {
+			return a.Pad(64).Mul(a)
+		})
+		if err != nil {
+			t.Fatalf("74-bit mul (debug=%v): %v", debug, err)
+		}
+		if sig, _ := nl.Signal("Top.out"); sig.Width != 74 {
+			t.Fatalf("mul width = %d, want 74", sig.Width)
+		}
+	}
+}

@@ -15,37 +15,36 @@ import (
 	"repro/internal/rtl"
 )
 
-// memCommit is one pending synchronous memory write.
-type memCommit struct {
-	mem  string
-	addr uint64
-	data uint64
-}
-
 // EdgeCallback is invoked once per positive clock edge after
 // combinational logic settles and before registers commit. The paper's
 // hgdb runtime does all breakpoint work inside this callback.
 type EdgeCallback func(time uint64)
 
-// Simulator advances an elaborated netlist cycle by cycle.
+// Simulator advances an elaborated netlist cycle by cycle by running
+// its flat Program (rtl.Program) over one value plane.
 type Simulator struct {
-	nl    *rtl.Netlist
-	state *rtl.EvalState
-	mems  map[string]*rtl.MemSpec
-	time  uint64
-	// pending register values are computed before commit so registers
-	// update atomically.
-	regNext []eval.Value
-	// memCommits is reused across Steps to avoid per-cycle allocation.
-	memCommits []memCommit
+	nl   *rtl.Netlist
+	prog *rtl.Program
+	// plane is the program's value plane: slot i is signal i, then the
+	// program's temporaries and constants.
+	plane []uint64
+	// types holds each signal's declared type (a zero value), which is
+	// its slot's type for good.
+	types []eval.Value
+	// mems are the memories' words, indexed like nl.Mems; memIndex
+	// maps a memory's name to its index.
+	mems     [][]uint64
+	memIndex map[string]int
+	time     uint64
 	// callbacks fire at every posedge in cbOrder; removal is by id and
 	// replaces cbOrder instead of editing it (see RemoveCallback).
 	callbacks map[int]EdgeCallback
 	cbOrder   []int
 	nextCB    int
-	// changeHooks observe committed value changes (used by VCD dumping).
+	// changeHooks observe committed value changes (used by VCD dumping);
+	// prev holds each signal's last reported bits.
 	changeHooks []func(sig *rtl.Signal, v eval.Value)
-	prev        []eval.Value
+	prev        []uint64
 	trackChange bool
 	// poked records a Poke, PokeReg or WriteMem since the last edge
 	// (or an initial report taken before any settle): the next Step
@@ -75,27 +74,30 @@ func (s *Simulator) syncPoint() { s.gen.Load() }
 // New builds a simulator. All signals start at zero and memories are
 // zero-filled.
 func New(nl *rtl.Netlist) *Simulator {
-	st := &rtl.EvalState{
-		Values:   make([]eval.Value, len(nl.Signals)),
-		MemData:  map[string][]uint64{},
-		MemWidth: map[string]int{},
-	}
-	for _, sig := range nl.Signals {
-		st.Values[sig.Index] = eval.Make(0, sig.Width, sig.Signed)
-	}
-	mems := map[string]*rtl.MemSpec{}
-	for _, m := range nl.Mems {
-		st.MemData[m.Name] = make([]uint64, m.Depth)
-		st.MemWidth[m.Name] = m.Width
-		mems[m.Name] = m
-	}
-	return &Simulator{
+	s := &Simulator{
 		nl:        nl,
-		state:     st,
-		mems:      mems,
-		regNext:   make([]eval.Value, len(nl.Regs)),
+		prog:      nl.Program,
+		plane:     append([]uint64(nil), nl.Program.Init...),
+		types:     make([]eval.Value, len(nl.Signals)),
+		mems:      make([][]uint64, len(nl.Mems)),
+		memIndex:  make(map[string]int, len(nl.Mems)),
 		callbacks: map[int]EdgeCallback{},
 	}
+	for i, sig := range nl.Signals {
+		s.types[i] = eval.Make(0, sig.Width, sig.Signed)
+	}
+	for i, m := range nl.Mems {
+		s.mems[i] = make([]uint64, m.Depth)
+		s.memIndex[m.Name] = i
+	}
+	return s
+}
+
+// value is signal i's current value.
+func (s *Simulator) value(i int) eval.Value {
+	v := s.types[i]
+	v.Bits = s.plane[i]
+	return v
 }
 
 // Netlist returns the design under simulation.
@@ -114,7 +116,7 @@ func (s *Simulator) Peek(name string) (eval.Value, error) {
 	if !ok {
 		return eval.Value{}, fmt.Errorf("sim: unknown signal %q", name)
 	}
-	return s.state.Values[sig.Index], nil
+	return s.value(sig.Index), nil
 }
 
 // PeekIndex returns the current value of the signal with netlist index
@@ -123,10 +125,10 @@ func (s *Simulator) Peek(name string) (eval.Value, error) {
 // netlist.
 func (s *Simulator) PeekIndex(i int) (v eval.Value, ok bool) {
 	s.syncPoint()
-	if uint(i) >= uint(len(s.state.Values)) {
+	if uint(i) >= uint(len(s.types)) {
 		return eval.Value{}, false
 	}
-	return s.state.Values[i], true
+	return s.value(i), true
 }
 
 // Poke sets a top-level input (or forces any signal, which the next
@@ -136,7 +138,7 @@ func (s *Simulator) Poke(name string, v uint64) error {
 	if !ok {
 		return fmt.Errorf("sim: unknown signal %q", name)
 	}
-	s.state.Values[sig.Index] = eval.Make(v, sig.Width, sig.Signed)
+	s.plane[sig.Index] = v & eval.Mask(sig.Width)
 	s.poked = true
 	s.publish()
 	return nil
@@ -153,7 +155,7 @@ func (s *Simulator) PokeReg(name string, v uint64) error {
 	if sig.Kind != rtl.KindReg {
 		return fmt.Errorf("sim: %q is not a register", name)
 	}
-	s.state.Values[sig.Index] = eval.Make(v, sig.Width, sig.Signed)
+	s.plane[sig.Index] = v & eval.Mask(sig.Width)
 	s.poked = true
 	s.publish()
 	return nil
@@ -161,14 +163,15 @@ func (s *Simulator) PokeReg(name string, v uint64) error {
 
 // WriteMem deposits a word into a memory (testbench program loading).
 func (s *Simulator) WriteMem(mem string, addr uint64, v uint64) error {
-	data, ok := s.state.MemData[mem]
+	i, ok := s.memIndex[mem]
 	if !ok {
 		return fmt.Errorf("sim: unknown memory %q", mem)
 	}
+	data := s.mems[i]
 	if addr >= uint64(len(data)) {
 		return fmt.Errorf("sim: address %d out of range for %q (depth %d)", addr, mem, len(data))
 	}
-	data[addr] = v & eval.Mask(s.state.MemWidth[mem])
+	data[addr] = v & eval.Mask(s.nl.Mems[i].Width)
 	s.poked = true
 	s.publish()
 	return nil
@@ -176,10 +179,11 @@ func (s *Simulator) WriteMem(mem string, addr uint64, v uint64) error {
 
 // ReadMem reads a word from a memory.
 func (s *Simulator) ReadMem(mem string, addr uint64) (uint64, error) {
-	data, ok := s.state.MemData[mem]
+	i, ok := s.memIndex[mem]
 	if !ok {
 		return 0, fmt.Errorf("sim: unknown memory %q", mem)
 	}
+	data := s.mems[i]
 	if addr >= uint64(len(data)) {
 		return 0, fmt.Errorf("sim: address %d out of range for %q", addr, mem)
 	}
@@ -219,34 +223,24 @@ func (s *Simulator) OnChange(hook func(sig *rtl.Signal, v eval.Value)) {
 	s.changeHooks = append(s.changeHooks, hook)
 	if !s.trackChange {
 		s.trackChange = true
-		s.prev = make([]eval.Value, len(s.state.Values))
-		copy(s.prev, s.state.Values)
+		s.prev = make([]uint64, len(s.types))
+		copy(s.prev, s.plane)
 		// Report initial values; the next Step reports what settling
 		// them changes at the current time.
-		for _, sig := range s.nl.Signals {
+		for i, sig := range s.nl.Signals {
 			for _, h := range s.changeHooks {
-				h(sig, s.state.Values[sig.Index])
+				h(sig, s.value(i))
 			}
 		}
 		s.poked = true
 	}
 }
 
-// Settle evaluates all combinational logic in topological order. It is
-// called automatically by Step; testbenches call it directly after
-// poking inputs mid-cycle.
+// Settle evaluates all combinational logic in topological order: one
+// pass of the program's Settle code. It is called automatically by
+// Step; testbenches call it directly after poking inputs mid-cycle.
 func (s *Simulator) Settle() {
-	for i := range s.nl.Assigns {
-		a := &s.nl.Assigns[i]
-		v := a.Expr.Eval(s.state)
-		// Clamp to declared width (expression widths can exceed the
-		// declared node width only via compiler bugs, but keep the
-		// invariant hard).
-		if v.Width != a.Dst.Width {
-			v = eval.Make(v.Bits, a.Dst.Width, a.Dst.Signed)
-		}
-		s.state.Values[a.Dst.Index] = v
-	}
+	rtl.Exec(s.prog.Settle, s.plane, s.mems)
 	s.publish()
 }
 
@@ -269,39 +263,7 @@ func (s *Simulator) Step() {
 			cb(s.time)
 		}
 	}
-	// Compute all register next-values against pre-edge state…
-	for i := range s.nl.Regs {
-		r := &s.nl.Regs[i]
-		v := r.Next.Eval(s.state)
-		if v.Width != r.Sig.Width {
-			v = eval.Make(v.Bits, r.Sig.Width, r.Sig.Signed)
-		}
-		s.regNext[i] = v
-	}
-	// …and memory writes too (read-before-write port semantics).
-	commits := s.memCommits[:0]
-	for _, m := range s.nl.Mems {
-		for _, wp := range m.Writes {
-			if wp.En.Eval(s.state).IsTrue() {
-				addr := wp.Addr.Eval(s.state).Bits
-				if addr < uint64(m.Depth) {
-					commits = append(commits, memCommit{
-						mem:  m.Name,
-						addr: addr,
-						data: wp.Data.Eval(s.state).Bits & eval.Mask(m.Width),
-					})
-				}
-			}
-		}
-	}
-	// Commit.
-	for i := range s.nl.Regs {
-		s.state.Values[s.nl.Regs[i].Sig.Index] = s.regNext[i]
-	}
-	for _, c := range commits {
-		s.state.MemData[c.mem][c.addr] = c.data
-	}
-	s.memCommits = commits[:0]
+	rtl.Exec(s.prog.Edge, s.plane, s.mems)
 	s.time++
 	if s.trackChange {
 		s.Settle() // make post-edge combinational state visible to hooks
@@ -313,13 +275,13 @@ func (s *Simulator) Step() {
 // reportChanges hands every signal whose value differs from the last
 // report to the change hooks, at the current time.
 func (s *Simulator) reportChanges() {
-	for _, sig := range s.nl.Signals {
-		cur := s.state.Values[sig.Index]
-		if cur != s.prev[sig.Index] {
+	for i, sig := range s.nl.Signals {
+		if cur := s.plane[i]; cur != s.prev[i] {
+			v := s.value(i)
 			for _, h := range s.changeHooks {
-				h(sig, cur)
+				h(sig, v)
 			}
-			s.prev[sig.Index] = cur
+			s.prev[i] = cur
 		}
 	}
 }
