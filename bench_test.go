@@ -292,8 +292,9 @@ func TestSimStepAllocs(t *testing.T) {
 // prefetch, no fusion, no skipping). Stop sequences are pinned
 // bit-identical by TestFusedStopEquivalenceRISCV and the internal/core
 // fused differentials; this benchmark only reports cost. The fused
-// shape (conditions, CSE segments, shared reads, deduplicated operands)
-// is reported as metrics on the /fused run.
+// shape (conditions, prelude instructions, the instruction runs the
+// prelude saves, union slots read, instructions per full run) is
+// reported as metrics on the /fused run.
 func BenchmarkFig5Fused(b *testing.B) {
 	for _, mode := range []struct {
 		name      string
@@ -321,6 +322,7 @@ func BenchmarkFig5Fused(b *testing.B) {
 				b.ReportMetric(float64(stats.SharedSegs), "cse-segs")
 				b.ReportMetric(float64(stats.SharedReads), "cse-reads")
 				b.ReportMetric(float64(stats.Operands), "operands")
+				b.ReportMetric(float64(stats.Instrs), "instrs")
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/replay"
@@ -206,6 +207,82 @@ func TestFusedReverseMatchesExhaustive(t *testing.T) {
 	for i := range exhaustive {
 		if fused[i] != exhaustive[i] {
 			t.Fatalf("stop %d differs:\nfused:      %+v\nexhaustive: %+v", i, fused[i], exhaustive[i])
+		}
+	}
+}
+
+// failingReads fails the batched read of one path at odd times and
+// hands back bits that would hit if the fused program used them; reads
+// by path pass through, so the general evaluator sees the true value.
+type failingReads struct {
+	vpi.Interface
+	path    string
+	garbage uint64
+}
+
+func (f *failingReads) ReadValues(hs []vpi.Handle, dst []uint64, ok []bool) {
+	f.Interface.ReadValues(hs, dst, ok)
+	if f.Interface.Time()%2 == 0 {
+		return
+	}
+	if h, _, err := f.Interface.Resolve(f.path); err == nil {
+		for i := range hs {
+			if hs[i] == h {
+				dst[i], ok[i] = f.garbage, false
+			}
+		}
+	}
+}
+
+// TestFusedFailedReadPoisonsItsSlotOnly: a union read that fails
+// poisons exactly the fused conditions whose slots include it, and
+// those fall back to the general evaluator. count's read fails on odd
+// edges with bits that satisfy its condition, out's never fails; both
+// breakpoints must stop exactly where the exhaustive reference does,
+// and on a failing edge only the count condition may be poisoned.
+func TestFusedFailedReadPoisonsItsSlotOnly(t *testing.T) {
+	conds := map[bool]string{true: "count % 4 == 1", false: "out % 4 == 2"}
+	run := func(reference bool) ([]string, *Runtime) {
+		d := buildCounterDesign(t, false)
+		rt, err := New(&failingReads{Interface: vpi.NewSimBackend(d.sim), path: "Counter.count", garbage: 1}, d.table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.SetExhaustiveEval(reference)
+		for _, onInc := range []bool{true, false} {
+			line := d.defLine
+			if onInc {
+				line = d.incLine
+			}
+			if _, err := rt.AddBreakpoint("core_test.go", line, conds[onInc]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var stops []string
+		rt.SetHandler(func(ev *StopEvent) Command {
+			stops = append(stops, fmt.Sprintf("t%d:L%d", ev.Time, ev.Line))
+			return CmdContinue
+		})
+		d.sim.Poke("Counter.en", 1)
+		d.sim.Run(14) // edges at times 0 to 13: the last one's read fails
+		return stops, rt
+	}
+	ref, _ := run(true)
+	got, rt := run(false)
+	if len(ref) < 4 {
+		t.Fatalf("reference stopped only at %v; test is vacuous", ref)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(ref) {
+		t.Fatalf("fused stops %v, reference %v", got, ref)
+	}
+	fs := rt.fused
+	if fs.n != 2 || !fs.poisoned {
+		t.Fatalf("%d conditions fused, poisoned %v: want both fused and the last edge's read failed", fs.n, fs.poisoned)
+	}
+	for ci, ibp := range fs.conds {
+		readsCount := ibp.condPaths[0] == "Counter.count"
+		if fs.sound(int32(ci)) == readsCount {
+			t.Fatalf("condition %d (%v) sound %v on a failing edge", ci, ibp.condPaths, fs.sound(int32(ci)))
 		}
 	}
 }

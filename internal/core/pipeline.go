@@ -11,10 +11,11 @@ import (
 // insertion time every breakpoint/watch condition is parsed and folded
 // once (expr.ParseCompile) and its signal dependencies are resolved to
 // simulator paths; the union of every armed condition's dependencies
-// is resolved to backend handles once per rebuild (vpi Resolve). At
-// each clock edge the scheduler makes one batched backend read of
-// those handles (ReadValues), caches the values for the cycle,
-// and runs the whole schedule's fused program against the cache in one
+// is resolved to backend handles and their types once per rebuild (vpi
+// Resolve). At each clock edge the scheduler makes one batched backend
+// read of those handles (ReadValues), diffs the words into the cache
+// for the cycle — the first slots of the fused program's value plane —
+// and runs the whole schedule's fused program over that plane in one
 // pass on the simulation goroutine (fused.go) — replacing the seed's
 // tree-walk + one GetValue per signal per breakpoint + one goroutine
 // spawned per group member per edge.
@@ -134,22 +135,23 @@ func (rt *Runtime) rebuildDeps() {
 		}
 	}
 	// Resolve the union once: the per-edge read goes by handle, with no
-	// name lookup. A path that does not resolve keeps NoHandle and reads
-	// as a failed slot at every edge.
+	// name lookup, and each slot's type is fixed for the fuser. A path
+	// that does not resolve keeps NoHandle and no type: it reads as a
+	// failed slot at every edge, and no fused condition reads it.
 	rt.depHandles = make([]vpi.Handle, len(rt.depUnion))
+	rt.depTypes = make([]eval.Value, len(rt.depUnion))
 	for i, p := range rt.depUnion {
-		if h, err := rt.backend.Resolve(p); err == nil {
-			rt.depHandles[i] = h
+		if h, t, err := rt.backend.Resolve(p); err == nil {
+			rt.depHandles[i], rt.depTypes[i] = h, t
 		} else {
 			rt.depHandles[i] = vpi.NoHandle
 		}
 	}
-	rt.prefetched = make([]eval.Value, len(rt.depUnion))
 	rt.prefetchOK = make([]bool, len(rt.depUnion))
 	rt.prefetchValid = false
 	rt.diffBase = false
 	if cap(rt.incoming) < len(rt.depUnion) {
-		rt.incoming = make([]eval.Value, len(rt.depUnion))
+		rt.incoming = make([]uint64, len(rt.depUnion))
 		rt.incomingOK = make([]bool, len(rt.depUnion))
 	}
 	// Advise capable backends of the per-cycle read set: a replay block
@@ -160,8 +162,9 @@ func (rt *Runtime) rebuildDeps() {
 		p.Prefetch(rt.depUnion)
 	}
 	// Recompile the whole-schedule fused program against the fresh slot
-	// assignment (fused.go); its skip bitmap resets with the union, so
-	// the first edge after any breakpoint change evaluates everything.
+	// assignment (fused.go), whose plane now holds the union cache; its
+	// skip bitmap resets with the union, so the first edge after any
+	// breakpoint change evaluates everything.
 	rt.rebuildFused()
 }
 
@@ -207,27 +210,30 @@ func (rt *Runtime) refreshAll() {
 	hadValues := rt.diffBase
 	n := len(rt.depUnion)
 	in, ok := rt.incoming[:n], rt.incomingOK[:n]
-	// A slot that fails (x/z or wide on a trace, a path that did not
-	// resolve) fails alone: fused conditions reading it come back
-	// poisoned and fall to the general evaluator, and every other
-	// breakpoint keeps its value.
+	// A slot that fails (x/z on a trace; a wide or unresolved slot,
+	// which no fused condition reads) fails alone: fused conditions
+	// reading it come back poisoned and fall to the general evaluator,
+	// and every other breakpoint keeps its value.
 	rt.backend.ReadValues(rt.depHandles, in, ok)
+	rt.readFailed = false
 	for i := range in {
 		rt.commitSlot(i, in[i], ok[i], hadValues)
 	}
 	rt.diffBase = true
 }
 
-// commitSlot stores one refreshed union value. A slot whose value
+// commitSlot stores one refreshed union word. A slot whose value
 // actually differs from the cached one (or whose read failed, or that
 // has no valid baseline) dirties every condition and watch depending on
-// it: their last-miss verdicts no longer provably hold.
-func (rt *Runtime) commitSlot(i int, v eval.Value, ok, hadValues bool) {
+// it: their last-miss verdicts no longer provably hold. A slot's type
+// is fixed by its handle, so the bits are the whole value.
+func (rt *Runtime) commitSlot(i int, v uint64, ok, hadValues bool) {
 	if !hadValues || !ok || !rt.prefetchOK[i] || v != rt.prefetched[i] {
 		rt.markSlotDirty(i)
 	}
 	rt.prefetched[i] = v
 	rt.prefetchOK[i] = ok
+	rt.readFailed = rt.readFailed || !ok
 }
 
 // markSlotDirty un-parks everything depending on union slot i: the

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/eval"
 	"repro/internal/replay"
 	"repro/internal/vcd"
 	"repro/internal/vpi"
@@ -26,9 +25,9 @@ type pauseOnRead struct {
 	fired bool
 }
 
-func (p *pauseOnRead) ReadValues(hs []vpi.Handle, dst []eval.Value, ok []bool) {
+func (p *pauseOnRead) ReadValues(hs []vpi.Handle, dst []uint64, ok []bool) {
 	if !p.fired && p.rt != nil && p.Interface.Time() >= p.after {
-		if h, err := p.Resolve(p.path); err == nil && slices.Contains(hs, h) {
+		if h, _, err := p.Resolve(p.path); err == nil && slices.Contains(hs, h) {
 			p.fired = true
 			p.rt.InterruptNext()
 		}

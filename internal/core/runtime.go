@@ -8,12 +8,12 @@
 // intra-cycle plus (on replay backends) full reverse debugging (§3.2).
 //
 // A condition has two evaluators. The whole armed set compiles into one
-// fused register program (expr.Fuse → eval.MultiProg) that runs once
-// per forward clock edge over one batched read of the armed dependency
-// union; everything else — stepping, reverse walks, conditions the
-// fuser cannot take, poisoned fused results, and the SetExhaustiveEval
-// reference — runs through the general four-state evaluator
-// (expr.EvalBits). On backends implementing vpi.Prefetcher (the replay
+// fused word program (expr.Fuse → eval.MultiProg, on the simulator's own
+// instruction set) that runs once per forward clock edge over one
+// batched read of the armed dependency union; everything else —
+// stepping, reverse walks, conditions the fuser cannot take, poisoned
+// fused results, and the SetExhaustiveEval reference — runs through the
+// general four-state evaluator (expr.EvalBits). On backends implementing vpi.Prefetcher (the replay
 // block store) the union is advised ahead of time so per-cycle reads
 // stay off cold trace state. See DESIGN.md.
 //
@@ -317,15 +317,18 @@ type Runtime struct {
 
 	// Per-cycle prefetch cache (simulation-goroutine state, except
 	// depsDirty which rt.mu guards): the union of every armed
-	// condition's dependency paths, their handles (resolved once per
-	// union rebuild; vpi.NoHandle for a path that did not resolve),
-	// their batched values for the current cycle, and per-slot fetch
-	// success.
+	// condition's dependency paths, their handles and types (resolved
+	// once per union rebuild; vpi.NoHandle and no type for a path that
+	// did not resolve), their batched words for the current cycle (the
+	// first slots of the fused program's plane), per-slot fetch success,
+	// and whether any fetch of the last refresh failed.
 	depsDirty     bool
 	depUnion      []string
 	depHandles    []vpi.Handle
-	prefetched    []eval.Value
+	depTypes      []eval.Value
+	prefetched    []uint64
 	prefetchOK    []bool
+	readFailed    bool
 	prefetchTime  uint64
 	prefetchValid bool
 
@@ -335,10 +338,10 @@ type Runtime struct {
 	// clean at every cache refresh since; a slot is dirty when its
 	// refreshed value differs from the cached one (or either read
 	// failed). See DESIGN.md "Activity-driven scheduling".
-	exhaustive atomic.Bool  // SetExhaustiveEval: the EvalBits reference
-	incoming   []eval.Value // refresh scratch (read-then-diff)
-	incomingOK []bool       // refresh scratch: per-slot read success
-	diffBase   bool         // prefetched holds values of this union generation
+	exhaustive atomic.Bool // SetExhaustiveEval: the EvalBits reference
+	incoming   []uint64    // refresh scratch (read-then-diff)
+	incomingOK []bool      // refresh scratch: per-slot read success
+	diffBase   bool        // prefetched holds values of this union generation
 
 	// Per-group scheduling state: each statement's position in
 	// allGroups, plus — rebuilt with the dependency union — armed-member
@@ -406,10 +409,11 @@ func New(backend vpi.Interface, table *symtab.Table) (*Runtime, error) {
 // driving the simulation.
 func (rt *Runtime) SetExhaustiveEval(on bool) { rt.exhaustive.Store(on) }
 
-// FuseInfo reports the current fused schedule's shape: fused condition
-// count, CSE shared segments, shared-register reads those segments
-// replaced, and deduplicated operand count. ok is false when nothing
-// fused (no armed fusable condition, or a schedule the fuser rejected).
+// FuseInfo reports the current fused schedule's shape (expr.FuseStats:
+// fused conditions, prelude instructions, the instruction runs the
+// prelude saves, union slots read, instructions per full run). ok is
+// false when nothing fused: no armed condition, or none the fuser
+// took.
 func (rt *Runtime) FuseInfo() (stats expr.FuseStats, ok bool) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()

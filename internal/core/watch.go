@@ -179,8 +179,8 @@ func (rt *Runtime) checkWatches(time uint64) *StopEvent {
 		}
 		var b val.Bits
 		var err error
-		if fast && w.fusedID >= 0 && fs.resOK[w.fusedID] {
-			b = fs.results[w.fusedID].ToBits()
+		if fast && w.fusedID >= 0 && fs.sound(int32(w.fusedID)) {
+			b = fs.value(int32(w.fusedID)).ToBits()
 		} else {
 			b, err = w.eval(rt)
 		}

@@ -1,7 +1,9 @@
 // Package eval implements bit-accurate evaluation of IR primitive
-// operations on up-to-64-bit values. It is shared by the constant
-// propagation pass, the RTL simulator, and the debugger's expression
-// evaluator, so all three agree exactly on arithmetic semantics.
+// operations on up-to-64-bit values, and the word instruction set both
+// the RTL simulator's netlist program and the debugger's fused
+// condition program run on. It is shared by the constant propagation
+// pass, the RTL simulator, and the debugger's expression evaluators, so
+// all of them agree exactly on arithmetic semantics.
 package eval
 
 import (
@@ -10,8 +12,14 @@ import (
 	"repro/internal/ir"
 )
 
-// Value is a fixed-width two's-complement bit vector (width 1..64).
-// Bits above Width are always zero.
+// Value is a fixed-width two's-complement bit vector of 1 to 64 bits.
+// Bits above Width are always zero. Prim also returns result types
+// wider than 64 bits: + and - of a 64-bit operand, * of operands whose
+// widths sum past 64, signed / and Neg of a 64-bit operand. Such a
+// Value keeps only the low 64 bits of the result, so it is exact as a
+// type but not as a number: the condition fuser rejects a node of such
+// a type, and the general evaluator (expr.EvalBits) computes its value
+// at full width instead.
 type Value struct {
 	Bits   uint64
 	Width  int

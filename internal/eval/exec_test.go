@@ -6,92 +6,83 @@ import (
 	"repro/internal/ir"
 )
 
-// runSegment executes code as a one-condition fused program whose single
-// segment reads the listed operand slots, returning the result and its
-// soundness.
-func runSegment(m *FusedMachine, code []Instr, numRegs int, ops []uint16, operands []Value, opsOK []bool) (Value, bool) {
-	p := &MultiProg{
-		Code:        code,
-		NumRegs:     numRegs,
-		NumOperands: len(operands),
-		Conds:       []Segment{{Start: 0, End: len(code), Result: 0, Ops: ops}},
+// builder lowers hand-written word programs for the tests: a plane of
+// inputs, then constants and temporaries.
+type builder struct {
+	init []uint64
+	code []Instr
+}
+
+func newBuilder(inputs int) *builder { return &builder{init: make([]uint64, inputs)} }
+
+func (b *builder) constant(bits uint64) int32 {
+	b.init = append(b.init, bits)
+	return int32(len(b.init) - 1)
+}
+
+// input is plane slot i, of type t.
+func (b *builder) input(i int, t Value) Operand { return Operand{Slot: int32(i), T: t} }
+
+func (b *builder) lit(v Value) Operand {
+	return Operand{Slot: b.constant(v.Bits), T: Make(0, v.Width, v.Signed)}
+}
+
+func (b *builder) emit(in Instr, res Value) Operand {
+	in.Dst = b.constant(0)
+	b.code = append(b.code, in)
+	return Operand{Slot: in.Dst, T: res}
+}
+
+func (b *builder) prim(t *testing.T, op ir.PrimOp, args ...Operand) Operand {
+	t.Helper()
+	in, res, err := LowerPrim(op, nil, args, b.constant)
+	if err != nil {
+		t.Fatalf("LowerPrim(%s): %v", op, err)
 	}
-	results := make([]Value, 1)
-	ok := make([]bool, 1)
-	m.Exec(p, operands, opsOK, nil, results, ok)
-	return results[0], ok[0]
+	return b.emit(in, res)
+}
+
+// run executes the program over a fresh plane with the given inputs.
+func (b *builder) run(inputs ...uint64) []uint64 {
+	plane := append([]uint64(nil), b.init...)
+	copy(plane, inputs)
+	Exec(b.code, plane, nil)
+	return plane
 }
 
 func TestMachineBasicProgram(t *testing.T) {
-	// (op0 + op1) == 12
-	code := []Instr{
-		{Kind: ISig, Dst: 0, A: 0},
-		{Kind: ISig, Dst: 1, A: 1},
-		{Kind: IPrim2, Op: ir.OpAdd, Dst: 0, A: 0, B: 1},
-		{Kind: IConst, Dst: 1, Const: Make(12, 4, false)},
-		{Kind: IPrim2, Op: ir.OpEq, Dst: 0, A: 0, B: 1},
+	// (op0 + op1) == 12 over two 8-bit inputs.
+	u8 := Make(0, 8, false)
+	b := newBuilder(2)
+	sum := b.prim(t, ir.OpAdd, b.input(0, u8), b.input(1, u8))
+	if sum.T != Make(0, 9, false) {
+		t.Fatalf("sum typed %+v, want 9-bit unsigned", sum.T)
 	}
-	var m FusedMachine
-	v, ok := runSegment(&m, code, 2, []uint16{0, 1},
-		[]Value{Make(5, 8, false), Make(7, 8, false)}, []bool{true, true})
-	if !ok {
-		t.Fatal("segment poisoned")
-	}
-	if !v.IsTrue() || v.Width != 1 {
-		t.Fatalf("got %#v, want true/1-bit", v)
-	}
-}
-
-func TestMachineJumps(t *testing.T) {
-	// op0 ? 3 : 5 via conditional jumps.
-	code := []Instr{
-		{Kind: ISig, Dst: 0, A: 0},
-		{Kind: IJumpIfFalse, A: 0, P0: 4},
-		{Kind: IConst, Dst: 0, Const: Make(3, 3, false)},
-		{Kind: IJump, P0: 5},
-		{Kind: IConst, Dst: 0, Const: Make(5, 3, false)},
-	}
-	var m FusedMachine
-	for _, c := range []struct {
-		in   Value
-		want uint64
-	}{{Make(1, 1, false), 3}, {Make(0, 1, false), 5}} {
-		v, ok := runSegment(&m, code, 1, []uint16{0}, []Value{c.in}, []bool{true})
-		if !ok {
-			t.Fatal("segment poisoned")
-		}
-		if v.Bits != c.want {
-			t.Fatalf("cond=%v: got %d, want %d", c.in.Bits, v.Bits, c.want)
+	eq := b.prim(t, ir.OpEq, sum, b.lit(Make(12, 4, false)))
+	for _, c := range []struct{ a, b, want uint64 }{{5, 7, 1}, {5, 8, 0}, {255, 13, 0}} {
+		plane := b.run(c.a, c.b)
+		if got := plane[eq.Slot]; got != c.want {
+			t.Fatalf("(%d + %d) == 12: got %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
-}
-
-// TestMachineShortOperands: an operand whose fetch failed is never
-// read — the segment reports unsound and its result is left as it was.
-func TestMachineShortOperands(t *testing.T) {
-	code := []Instr{{Kind: ISig, Dst: 0, A: 0}}
-	var m FusedMachine
-	if v, ok := runSegment(&m, code, 1, []uint16{0}, []Value{Make(9, 4, false)}, []bool{false}); ok || v != (Value{}) {
-		t.Fatalf("unfetched operand read: %#v ok=%v", v, ok)
+	// 255 + 13 keeps its carry at 9 bits.
+	if plane := b.run(255, 13); plane[sum.Slot] != 268 {
+		t.Fatalf("255 + 13 = %d at 9 bits", plane[sum.Slot])
 	}
 }
 
-// TestMachineReuseGrowsRegisters checks a machine can execute programs
-// of different register pressure back to back.
-func TestMachineReuseGrowsRegisters(t *testing.T) {
-	small := []Instr{{Kind: IConst, Dst: 0, Const: Make(1, 1, false)}}
-	big := []Instr{
-		{Kind: IConst, Dst: 7, Const: Make(9, 4, false)},
-		{Kind: IMov, Dst: 0, A: 7},
+// TestMachineMux: a select is one OpMux over both arms, with no branch.
+func TestMachineMux(t *testing.T) {
+	// op0 ? 3 : 5, both arms 3-bit unsigned.
+	b := newBuilder(1)
+	in, res := LowerMux(b.input(0, Make(0, 1, false)), b.lit(Make(3, 3, false)), b.lit(Make(5, 3, false)))
+	sel := b.emit(in, res)
+	if res != Make(0, 3, false) {
+		t.Fatalf("mux typed %+v", res)
 	}
-	var m FusedMachine
-	if v, ok := runSegment(&m, small, 1, nil, nil, nil); !ok || v.Bits != 1 {
-		t.Fatalf("small: %v %#v", ok, v)
-	}
-	if v, ok := runSegment(&m, big, 8, nil, nil, nil); !ok || v.Bits != 9 {
-		t.Fatalf("big: %v %#v", ok, v)
-	}
-	if v, ok := runSegment(&m, small, 1, nil, nil, nil); !ok || v.Bits != 1 {
-		t.Fatalf("small again: %v %#v", ok, v)
+	for _, c := range []struct{ cond, want uint64 }{{1, 3}, {0, 5}} {
+		if got := b.run(c.cond)[sel.Slot]; got != c.want {
+			t.Fatalf("cond=%d: got %d, want %d", c.cond, got, c.want)
+		}
 	}
 }

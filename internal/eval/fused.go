@@ -1,126 +1,65 @@
 package eval
 
-// This file implements the execution half of whole-schedule fused
-// condition compilation: every armed breakpoint/watch condition of a
-// debug session compiled into ONE register program (a MultiProg), run
-// once per clock edge instead of once per condition group. The fuser
-// (internal/expr) performs cross-condition CSE — subexpressions shared
-// between conditions (same structure over the same operand slots) are
-// hoisted into shared prelude segments computed once — and one
-// FusedMachine runs the prelude and then every condition segment, in a
-// single pass on the caller's goroutine.
+// This file is the shape of a fused condition program: every armed
+// breakpoint and watch condition of a debug session lowered into ONE
+// word program (exec.go) over one value plane, run once per clock edge
+// instead of once per condition. The fuser (internal/expr) hash-conses
+// instructions across conditions, so what two or more conditions reach
+// forms a prelude computed once per run; every other instruction
+// belongs to one condition's private range, which the scheduler skips
+// while that condition is a parked miss.
 //
-// Error isolation is per segment: the segments of a fused program share
-// one register file but are otherwise independent, so an evaluation
-// error (a width-overflow prim, a failed operand read) poisons only the
-// segment it occurs in plus the conditions that read the poisoned
-// shared register — those conditions report !ok and the scheduler falls
-// back to the general evaluator (expr.EvalBits), keeping fused
-// scheduling bit-identical to evaluating each condition alone.
+// A run cannot fail: the fuser types every instruction at fuse time,
+// and no word instruction can fail once its types check. The one
+// failure left is a read of the plane's inputs, which the caller
+// handles by slot (a failed slot poisons the conditions that read it).
 
-// Segment is one independently executable slice of a fused program:
-// Code[Start:End) computes one value into the Result register. Ops
-// lists the operand slots the segment reads directly (ISig), Deps the
-// shared-segment indexes it reads (IMov from a register below
-// NumShared); both are the executor's poisoning inputs — a segment
-// whose operand failed to fetch or whose shared dependency is poisoned
-// must not run.
+// Segment is one condition's private range of a MultiProg:
+// Code[Start:End) runs after the prelude, and leaves the condition's
+// value in plane slot Result, of type Type (a zero Value).
 type Segment struct {
 	Start, End int
-	Result     uint16
-	Ops        []uint16
-	Deps       []uint16
+	Result     int32
+	Type       Value
 }
 
-// MultiProg is a fused multi-condition program. Registers
-// [0, NumShared) hold the results of the shared (CSE) segments, in
-// segment order — Shared[i] writes register i; the remaining registers
-// are per-segment scratch. Shared segments must be dependency-ordered:
-// a segment may only read shared registers of earlier segments.
+// MultiProg is a fused multi-condition word program. Code[:Prelude] is
+// the prelude; the conditions' private ranges follow in condition
+// order, so they are contiguous (Conds[i].End == Conds[i+1].Start) and
+// the last ends the code.
 type MultiProg struct {
-	Code        []Instr
-	NumRegs     int
-	NumShared   int
-	NumOperands int
-	// Shared are the CSE prelude segments, run once per edge before any
-	// condition executes.
-	Shared []Segment
-	// Conds are the per-condition segments; Conds[i] computes condition
-	// i's value.
+	Code    []Instr
+	Prelude int
+	// Init is the value plane's initial contents, constants filled in;
+	// its length is the plane's size.
+	Init  []uint64
 	Conds []Segment
 }
 
-// FusedMachine executes fused programs. It owns a reusable register
-// file and the shared segments' soundness flags, so steady-state
-// execution allocates nothing; it is not safe for concurrent use.
-type FusedMachine struct {
-	regs     []Value
-	sharedOK []bool
-	args     [2]Value
-}
-
-func (m *FusedMachine) ensure(p *MultiProg) []Value {
-	if cap(m.regs) < p.NumRegs {
-		m.regs = make([]Value, p.NumRegs)
+// Exec runs the program once over plane: the prelude, then every
+// condition whose bit in the packed bitmap skip is clear (nil skips
+// none), each stretch of consecutive unskipped ranges in one call. A
+// skipped condition's private instructions do not run, so they leave
+// their slots as they were. Exec allocates nothing.
+func (p *MultiProg) Exec(plane []uint64, skip []uint64) {
+	if skip == nil {
+		Exec(p.Code, plane, nil)
+		return
 	}
-	if cap(m.sharedOK) < p.NumShared {
-		m.sharedOK = make([]bool, p.NumShared)
-	}
-	m.sharedOK = m.sharedOK[:p.NumShared]
-	return m.regs[:p.NumRegs]
-}
-
-// segOK reports whether a segment's inputs are all sound: every operand
-// it reads fetched successfully and every shared register it reads was
-// computed by an unpoisoned segment.
-func segOK(seg *Segment, opsOK, sharedOK []bool) bool {
-	for _, o := range seg.Ops {
-		if !opsOK[o] {
-			return false
-		}
-	}
-	for _, d := range seg.Deps {
-		if !sharedOK[d] {
-			return false
-		}
-	}
-	return true
-}
-
-// Exec runs the whole program once: the shared prelude segments in
-// order, each leaving its value in its own register, then every
-// condition segment, writing results[i] and resultOK[i] for each
-// condition i. A poisoned shared segment — failed operand, failed
-// dependency, or an execution error — is recorded unsound, and the
-// segments reading it are poisoned transitively; independent segments
-// still run. skip is an optional packed bitmap over condition ids (bit
-// i set = condition i is provably unchanged since its last miss):
-// skipped conditions are not executed and their result entries are
-// left untouched — the scheduler's own skip state decides what a
-// masked condition means. A condition with a failed operand, a poisoned
-// shared dependency, or an execution error reports resultOK false; the
-// caller must then evaluate it with the general evaluator.
-func (m *FusedMachine) Exec(p *MultiProg, operands []Value, opsOK []bool, skip []uint64, results []Value, resultOK []bool) {
-	regs := m.ensure(p)
-	for i := range p.Shared {
-		seg := &p.Shared[i]
-		m.sharedOK[i] = segOK(seg, opsOK, m.sharedOK) &&
-			runCode(p.Code, seg.Start, seg.End, regs, operands, &m.args) == nil
-	}
+	Exec(p.Code[:p.Prelude], plane, nil)
+	start := -1
 	for ci := range p.Conds {
-		if skip != nil && skip[ci>>6]&(1<<(uint(ci)&63)) != 0 {
-			continue
+		switch c := &p.Conds[ci]; {
+		case skip[ci>>6]&(1<<(uint(ci)&63)) != 0:
+			if start >= 0 {
+				Exec(p.Code[start:c.Start], plane, nil)
+				start = -1
+			}
+		case start < 0:
+			start = c.Start
 		}
-		seg := &p.Conds[ci]
-		if !segOK(seg, opsOK, m.sharedOK) {
-			resultOK[ci] = false
-			continue
-		}
-		if err := runCode(p.Code, seg.Start, seg.End, regs, operands, &m.args); err != nil {
-			resultOK[ci] = false
-			continue
-		}
-		results[ci] = regs[seg.Result]
-		resultOK[ci] = true
+	}
+	if start >= 0 {
+		Exec(p.Code[start:], plane, nil)
 	}
 }

@@ -7,127 +7,84 @@ import (
 )
 
 // fusedFixture hand-builds a small fused program, independent of the
-// expr fuser:
+// expr fuser, over three 8-bit inputs:
 //
-//	shared 0: s = op0 + op1
-//	cond 0:   s == 12
-//	cond 1:   s != op2
-//	cond 2:   op2 == 3   (independent of the shared segment)
-func fusedFixture() *MultiProg {
-	return &MultiProg{
-		Code: []Instr{
-			// shared segment 0 at scratch register 1, moved into shared
-			// register 0
-			{Kind: ISig, Dst: 1, A: 0},
-			{Kind: ISig, Dst: 2, A: 1},
-			{Kind: IPrim2, Op: ir.OpAdd, Dst: 1, A: 1, B: 2},
-			{Kind: IMov, Dst: 0, A: 1},
-			// cond 0
-			{Kind: IConst, Dst: 1, Const: Make(12, 8, false)},
-			{Kind: IPrim2, Op: ir.OpEq, Dst: 1, A: 0, B: 1},
-			// cond 1
-			{Kind: ISig, Dst: 1, A: 2},
-			{Kind: IPrim2, Op: ir.OpNeq, Dst: 1, A: 0, B: 1},
-			// cond 2
-			{Kind: ISig, Dst: 1, A: 2},
-			{Kind: IConst, Dst: 2, Const: Make(3, 8, false)},
-			{Kind: IPrim2, Op: ir.OpEq, Dst: 1, A: 1, B: 2},
-		},
-		NumRegs:     3,
-		NumShared:   1,
-		NumOperands: 3,
-		Shared: []Segment{
-			{Start: 0, End: 4, Result: 0, Ops: []uint16{0, 1}},
-		},
-		Conds: []Segment{
-			{Start: 4, End: 6, Result: 1, Deps: []uint16{0}},
-			{Start: 6, End: 8, Result: 1, Ops: []uint16{2}, Deps: []uint16{0}},
-			{Start: 8, End: 11, Result: 1, Ops: []uint16{2}},
-		},
+//	prelude: s = op0 + op1
+//	cond 0:  s == 12
+//	cond 1:  s != op2
+//	cond 2:  op2 == 3   (independent of the prelude)
+func fusedFixture(t *testing.T) *MultiProg {
+	u8 := Make(0, 8, false)
+	b := newBuilder(3)
+	s := b.prim(t, ir.OpAdd, b.input(0, u8), b.input(1, u8))
+	p := &MultiProg{Prelude: len(b.code)}
+	for _, cond := range []func() Operand{
+		func() Operand { return b.prim(t, ir.OpEq, s, b.lit(Make(12, 8, false))) },
+		func() Operand { return b.prim(t, ir.OpNeq, s, b.input(2, u8)) },
+		func() Operand { return b.prim(t, ir.OpEq, b.input(2, u8), b.lit(Make(3, 8, false))) },
+	} {
+		start := len(b.code)
+		r := cond()
+		p.Conds = append(p.Conds, Segment{Start: start, End: len(b.code), Result: r.Slot, Type: r.T})
 	}
+	p.Code, p.Init = b.code, b.init
+	return p
 }
 
-func runFixture(m *FusedMachine, p *MultiProg, operands []Value, opsOK []bool, skip []uint64) ([]Value, []bool) {
-	results := make([]Value, len(p.Conds))
-	resultOK := make([]bool, len(p.Conds))
-	m.Exec(p, operands, opsOK, skip, results, resultOK)
-	return results, resultOK
+func fixturePlane(p *MultiProg, inputs ...uint64) []uint64 {
+	plane := append([]uint64(nil), p.Init...)
+	copy(plane, inputs)
+	return plane
 }
 
 func TestFusedProgramValues(t *testing.T) {
-	p := fusedFixture()
-	ops := []Value{Make(5, 8, false), Make(7, 8, false), Make(3, 8, false)}
-	var m FusedMachine
-	results, ok := runFixture(&m, p, ops, []bool{true, true, true}, nil)
-	want := []bool{true, true, true} // 12==12, 12!=3, 3==3
-	for i := range want {
-		if !ok[i] {
-			t.Fatalf("cond %d not ok", i)
+	p := fusedFixture(t)
+	plane := fixturePlane(p, 5, 7, 3)
+	p.Exec(plane, nil)
+	for ci, want := range []uint64{1, 1, 1} {
+		if got := plane[p.Conds[ci].Result]; got != want {
+			t.Fatalf("cond %d = %d, want %d", ci, got, want)
 		}
-		if results[i].IsTrue() != want[i] {
-			t.Fatalf("cond %d = %v, want %v", i, results[i].IsTrue(), want[i])
+	}
+	plane = fixturePlane(p, 5, 8, 13)
+	p.Exec(plane, nil)
+	for ci, want := range []uint64{0, 0, 0} {
+		if got := plane[p.Conds[ci].Result]; got != want {
+			t.Fatalf("second run: cond %d = %d, want %d", ci, got, want)
 		}
 	}
 }
 
-// TestFusedPoisonIsolation: a failed operand poisons the shared segment
-// reading it and, transitively, the conditions depending on that shared
-// register — while an independent condition stays sound. The poisoned
-// run follows a sound one on the same machine: the shared register
-// still holds the earlier edge's value, so the machine must not carry
-// that edge's soundness over either.
-func TestFusedPoisonIsolation(t *testing.T) {
-	p := fusedFixture()
-	var m FusedMachine
-	sound := []Value{Make(5, 8, false), Make(7, 8, false), Make(3, 8, false)}
-	if _, ok := runFixture(&m, p, sound, []bool{true, true, true}, nil); !ok[0] || !ok[1] || !ok[2] {
-		t.Fatalf("sound run reported poison: %v", ok)
-	}
-	ops := []Value{{}, Make(7, 8, false), Make(3, 8, false)}
-	_, ok := runFixture(&m, p, ops, []bool{false, true, true}, nil)
-	if ok[0] || ok[1] {
-		t.Fatalf("conds reading the poisoned shared segment reported ok: %v", ok)
-	}
-	if !ok[2] {
-		t.Fatal("independent cond poisoned")
-	}
-}
-
-// TestFusedSkipBitmapUntouched: a masked condition must not execute and
-// must leave its result entries exactly as the caller set them.
+// TestFusedSkipBitmapUntouched: a skipped condition's private range does
+// not run, so its result slot keeps what it held; the prelude and the
+// other conditions still run, on both sides of it.
 func TestFusedSkipBitmapUntouched(t *testing.T) {
-	p := fusedFixture()
-	ops := []Value{Make(5, 8, false), Make(7, 8, false), Make(3, 8, false)}
-	var m FusedMachine
-	results, ok := runFixture(&m, p, ops, []bool{true, true, true}, []uint64{0b010})
-	if ok[1] {
-		t.Fatal("masked cond executed")
-	}
-	if (results[1] != Value{}) {
-		t.Fatalf("masked cond wrote a result: %#v", results[1])
-	}
-	if !ok[0] || !ok[2] {
-		t.Fatalf("unmasked conds not evaluated: %v", ok)
+	p := fusedFixture(t)
+	const sentinel = 0xdead
+	for skipped := range p.Conds {
+		plane := fixturePlane(p, 5, 7, 3)
+		plane[p.Conds[skipped].Result] = sentinel
+		p.Exec(plane, []uint64{1 << uint(skipped)})
+		for ci, c := range p.Conds {
+			want := uint64(1)
+			if ci == skipped {
+				want = sentinel
+			}
+			if got := plane[c.Result]; got != want {
+				t.Fatalf("skip %d: cond %d = %#x, want %#x", skipped, ci, got, want)
+			}
+		}
 	}
 }
 
-// TestFusedExecZeroAllocs is the hot-loop guard: steady-state fused
-// execution — prelude plus every condition segment, with a skip bitmap
-// present — must not allocate.
 func TestFusedExecZeroAllocs(t *testing.T) {
-	p := fusedFixture()
-	ops := []Value{Make(5, 8, false), Make(7, 8, false), Make(3, 8, false)}
-	opsOK := []bool{true, true, true}
-	skip := []uint64{0b100}
-	var m FusedMachine
-	results := make([]Value, len(p.Conds))
-	resultOK := make([]bool, len(p.Conds))
-	// Warm the register file outside the measured runs.
-	m.Exec(p, ops, opsOK, skip, results, resultOK)
-	allocs := testing.AllocsPerRun(200, func() {
-		m.Exec(p, ops, opsOK, skip, results, resultOK)
-	})
-	if allocs != 0 {
-		t.Fatalf("fused execution allocates %.1f per edge, want 0", allocs)
+	p := fusedFixture(t)
+	plane := fixturePlane(p, 5, 7, 3)
+	skip := []uint64{0b010}
+	if allocs := testing.AllocsPerRun(100, func() { p.Exec(plane, skip) }); allocs != 0 {
+		t.Fatalf("fused exec allocates %.1f objects per run, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Exec(p.Code, plane, nil) }); allocs != 0 {
+		t.Fatalf("Exec allocates %.1f objects per run, want 0", allocs)
 	}
 }

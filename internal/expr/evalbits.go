@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"math/big"
 	"math/bits"
 
 	"repro/internal/eval"
@@ -16,17 +17,22 @@ import (
 //
 // Bit-identity with the fused program is by construction, not by
 // testing alone: every node evaluates its children first, and when all
-// of them are fully known and at most 64 bits wide the node applies
-// the exact same two-state operator body (applyBin / unaryNode.apply /
-// bitsNode.apply, all over eval.Prim) the fuser lowers into
-// instructions. Only subtrees that actually see an X bit or a wide
-// value run the val.Bits operators, which follow Verilog
-// X-propagation: bitwise ops are per-bit (known 0 dominates &, known 1
-// dominates |), arithmetic and ordered comparisons go whole-result x
-// on any unknown input bit, == is three-valued, and === / !== compare
-// all four states bit-for-bit and always produce a known 0/1. Signals
-// keep their sign across the lowering (val.Bits.Signed), so signed
-// comparisons, shifts and arithmetic match too.
+// of them are fully known and at most 64 bits wide, and so is the
+// node's result type, the node applies the exact same two-state
+// operator body (applyBin / unaryNode.apply / bitsNode.apply, all over
+// eval.Prim) whose type the fuser checks and whose instruction it
+// emits. A two-state node whose result type is wider than 64 bits (+,
+// - and * of wide enough operands, signed /, unary - of a 64-bit
+// value, a slice wider than 64 bits) computes its exact value in the
+// general domain instead; the fuser never fuses such a node. Subtrees
+// that see an X bit or a wide value run the val.Bits operators, which
+// follow Verilog X-propagation: bitwise ops are per-bit (known 0
+// dominates &, known 1 dominates |), arithmetic and ordered
+// comparisons go whole-result x on any unknown input bit, == is
+// three-valued, and === / !== compare all four states bit-for-bit and
+// always produce a known 0/1. Signals keep their sign across the
+// lowering (val.Bits.Signed), so signed comparisons, shifts and
+// arithmetic match too.
 
 // BitsResolver maps a (possibly dotted) name to its current four-state
 // value.
@@ -123,6 +129,11 @@ func (n unaryNode) evalBits(r BitsResolver) (bval, error) {
 		if err != nil {
 			return bval{}, err
 		}
+		if v.Width > 64 {
+			// -x of a 64-bit x: its sign needs bit 64.
+			z := intOf(x.v, x.v.Signed)
+			return gen(truncBits(z.Neg(z), v)), nil
+		}
 		return two(v), nil
 	}
 	switch n.op {
@@ -137,13 +148,9 @@ func (n unaryNode) evalBits(r BitsResolver) (bval, error) {
 }
 
 // negBits is arithmetic negation in the general domain: whole-result x
-// on any unknown bit, otherwise two's complement at width+1 (capped to
-// the operand width once at or past 64, matching val's width rules).
+// on any unknown bit, otherwise two's complement at width+1.
 func negBits(b val.Bits) val.Bits {
-	w := b.Width
-	if w < 64 {
-		w++
-	}
+	w := b.Width + 1
 	if b.HasX() {
 		return val.Unknown(w)
 	}
@@ -210,9 +217,61 @@ func (n binNode) evalBits(r BitsResolver) (bval, error) {
 		if err != nil {
 			return bval{}, err
 		}
+		if v.Width > 64 {
+			return gen(wideArith(n.op, a.v, b.v, v)), nil
+		}
 		return two(v), nil
 	}
 	return applyBinBits(n.op, a.bits(), b.bits())
+}
+
+// wideArith computes exactly a two-state +, -, * or / whose result type
+// res (eval.Prim's) is wider than 64 bits: on the integer values
+// eval.Prim computes on, unbounded — a signed operand by its sign when
+// the operation is signed (when the first operand is), any other as it
+// stands — then truncated to res's width in two's complement.
+func wideArith(op string, a, b, res eval.Value) val.Bits {
+	x, y := intOf(a, a.Signed), intOf(b, a.Signed)
+	switch op {
+	case "+":
+		x.Add(x, y)
+	case "-":
+		x.Sub(x, y)
+	case "*":
+		x.Mul(x, y)
+	case "/":
+		// Only a signed quotient widens; a zero divisor yields zero,
+		// as in eval.Prim.
+		if y.Sign() == 0 {
+			x.SetInt64(0)
+		} else {
+			x.Quo(x, y)
+		}
+	}
+	return truncBits(x, res)
+}
+
+// intOf is v's integer value: by its sign when signed and v is signed,
+// else its bits as they stand.
+func intOf(v eval.Value, signed bool) *big.Int {
+	if signed && v.Signed {
+		return big.NewInt(v.Int())
+	}
+	return new(big.Int).SetUint64(v.Bits)
+}
+
+// truncBits is z in two's complement at res's width, signed like res.
+func truncBits(z *big.Int, res eval.Value) val.Bits {
+	z.Mod(z, new(big.Int).Lsh(big.NewInt(1), uint(res.Width)))
+	words := make([]uint64, (res.Width+63)/64)
+	mask := new(big.Int).SetUint64(^uint64(0))
+	for i := range words {
+		words[i] = new(big.Int).And(z, mask).Uint64()
+		z.Rsh(z, 64)
+	}
+	b := val.FromWords(words, res.Width)
+	b.Signed = res.Signed
+	return b
 }
 
 // applyBinBits applies a non-short-circuit binary operator in the
@@ -230,7 +289,7 @@ func applyBinBits(op string, a, b val.Bits) (bval, error) {
 	case "%":
 		return gen(remBits(a, b)), nil
 	case "<", "<=", ">", ">=":
-		c, known := a.Cmp(b)
+		c, known := cmpBits(a, b)
 		if !known {
 			return triVal(val.Undef), nil
 		}
@@ -274,6 +333,29 @@ func applyBinBits(op string, a, b val.Bits) (bval, error) {
 		return gen(a.Shr(sh)), nil
 	}
 	return bval{}, fmt.Errorf("expr: unknown operator %q", op)
+}
+
+// cmpBits orders two general-domain values the way eval.Prim orders
+// two-state ones: as signed integers when the first is signed (each
+// operand by its own sign), else unsigned. Any x bit leaves the order
+// unknown.
+func cmpBits(a, b val.Bits) (int, bool) {
+	if !a.Signed || a.HasX() || b.HasX() {
+		return a.Cmp(b)
+	}
+	return bitsInt(a).Cmp(bitsInt(b)), true
+}
+
+// bitsInt is a known value's integer value, by its sign when signed.
+func bitsInt(b val.Bits) *big.Int {
+	z := new(big.Int)
+	for i := b.Words() - 1; i >= 0; i-- {
+		z.Lsh(z, 64).Or(z, new(big.Int).SetUint64(b.Word(i)))
+	}
+	if b.Signed && b.Width > 0 && z.Bit(b.Width-1) == 1 {
+		z.Sub(z, new(big.Int).Lsh(big.NewInt(1), uint(b.Width)))
+	}
+	return z
 }
 
 func boolTri(t bool) val.Tri {
@@ -367,12 +449,12 @@ func (n bitsNode) evalBits(r BitsResolver) (bval, error) {
 	if err != nil {
 		return bval{}, err
 	}
-	if !x.gen {
+	if !x.gen && n.hi-n.lo+1 <= 64 {
 		v, err := n.apply(x.v)
 		if err != nil {
 			return bval{}, err
 		}
 		return two(v), nil
 	}
-	return gen(x.b.Slice(n.hi, n.lo)), nil
+	return gen(x.bits().Slice(n.hi, n.lo)), nil
 }

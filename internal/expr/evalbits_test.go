@@ -166,3 +166,57 @@ func TestSizedLiterals(t *testing.T) {
 		}
 	}
 }
+
+// TestEvalBitsWideResults pins known operands whose two-state result
+// type is wider than 64 bits: the node computes its exact value at the
+// language's result width (max+1 for + and -, the sum for *, one more
+// for signed / and unary -, hi-lo+1 for a slice) instead of losing the
+// bits past 63, and signed results order by their sign.
+func TestEvalBitsWideResults(t *testing.T) {
+	signed := func(v uint64) val.Bits {
+		b := val.FromUint64(v, 64)
+		b.Signed = true
+		return b
+	}
+	env := bitsEnv(map[string]val.Bits{
+		"x":   val.FromUint64(^uint64(0), 64), // 2^64-1
+		"y":   val.FromUint64(1<<63, 64),      // 2^63
+		"min": signed(1 << 63),                // -2^63
+		"m1":  signed(^uint64(0)),             // -1
+	})
+	cases := []struct {
+		src  string
+		want uint64
+	}{
+		{"x + 1 == 0", 0},
+		{"x + 1 == 65'h10000000000000000", 1},
+		{"y * 2 == 0", 0},
+		{"y * 2 == 66'h10000000000000000", 1},
+		{"0 - x == 65'h00000000000000001", 0},
+		{"0 - x == 65'h10000000000000001", 1},
+		{"-x == 65'h10000000000000001", 1},
+		{"x[69:0] + 1 == 71'h10000000000000000", 1},
+		{"x[69:4] == 66'h0fffffffffffffff", 1},
+		// Signed: the sign extends, and the order is signed.
+		{"m1 + 1 == 0", 1},
+		{"min - 1 < 0", 1},
+		{"-min > 0", 1},
+		{"min / m1 > 0", 1},
+		{"min * m1 > 0", 1},
+	}
+	for _, tc := range cases {
+		got := evalBitsStr(t, tc.src, env)
+		if !got.CaseEq(val.FromUint64(tc.want, 1)) {
+			t.Errorf("%s = %s, want %d", tc.src, got, tc.want)
+		}
+	}
+	widths := []struct {
+		src   string
+		width int
+	}{{"x + 1", 65}, {"x - 1", 65}, {"y * 2", 66}, {"-x", 65}, {"min / m1", 65}, {"x[69:0]", 70}}
+	for _, tc := range widths {
+		if got := evalBitsStr(t, tc.src, env); got.Width != tc.width {
+			t.Errorf("%s is %d bits wide, want %d", tc.src, got.Width, tc.width)
+		}
+	}
+}

@@ -84,8 +84,8 @@ func (n unaryNode) names(m map[string]bool) { n.x.names(m) }
 func (n unaryNode) String() string          { return "(" + n.op + n.x.String() + ")" }
 
 // apply is the two-state operator body: the four-state evaluator's
-// known-operand specialization, matching the fused program's IPrim1 /
-// ILogNot instructions.
+// known-operand specialization, computing what the fuser's OpNot /
+// OpNeg / compare-with-zero instructions compute.
 func (n unaryNode) apply(v eval.Value) (eval.Value, error) {
 	switch n.op {
 	case "~":
@@ -125,8 +125,9 @@ var binOps = map[string]ir.PrimOp{
 
 // applyBin applies a non-short-circuit binary operator to two-state
 // values: the four-state evaluator's known-operand specialization,
-// matching the fused program's ICapW / IPrim2 lowering so the two stay
-// bit-identical.
+// matching the fuser's lowering (for <<, a mask of the amount to 6
+// bits, then the word instruction eval.LowerPrim selects) so the two
+// stay bit-identical.
 func applyBin(opText string, a, b eval.Value) (eval.Value, error) {
 	op, ok := binOps[opText]
 	if !ok {
@@ -163,7 +164,7 @@ func (n bitsNode) String() string {
 }
 
 // apply is the two-state bit-select body: the four-state evaluator's
-// known-operand specialization, matching the fused program's IBits.
+// known-operand specialization, matching the fuser's OpShr-and-mask.
 func (n bitsNode) apply(v eval.Value) (eval.Value, error) {
 	if n.hi >= v.Width {
 		// Be forgiving about widths the resolver reports: extract what

@@ -95,23 +95,21 @@ func TestCompileDepsDeduplicated(t *testing.T) {
 	}
 }
 
-// TestCompileShortCircuitSkipsDeadSide verifies the fused && / || / ?:
-// agree with EvalBits, which never evaluates the skipped side.
+// TestCompileShortCircuitSkipsDeadSide verifies the fused && / || / ?:,
+// which compute both sides, agree with EvalBits, which never evaluates
+// the skipped side.
 func TestCompileShortCircuitSkipsDeadSide(t *testing.T) {
 	slots := map[string]int{"a": 0, "b": 1}
 	env := []eval.Value{eval.Make(0, 8, false), eval.Make(5, 8, false)}
-	for _, src := range []string{"a == 0 && b > 1", "a != 0 || b > 1", "a ? b : 3"} {
+	for _, src := range []string{"a == 0 && b > 1", "a != 0 || b > 1", "a ? b : 8'd3"} {
 		n := MustParse(src)
-		fs, err := Fuse([]FusedCondition{compileCond(t, n, nil, slots)})
-		if err != nil {
-			t.Fatalf("%q: %v", src, err)
-		}
-		results, ok := fuseExec(fs, env)
+		fs := Fuse([]FusedCondition{compileCond(t, n, nil, slots)}, slotTypes(env))
+		results, fused := fuseRun(fs, env, nil)
 		want, errW := refCond(n, nil, slotEnv(slots, env))
-		if errW != nil || !ok[0] {
-			t.Fatalf("%q: EvalBits err %v, fused sound %v", src, errW, ok[0])
+		if errW != nil || !fused[0] {
+			t.Fatalf("%q: EvalBits err %v, fused %v", src, errW, fused[0])
 		}
-		if err := checkFused(results[0], ok[0], want, errW); err != nil {
+		if err := checkFused(results[0], want, errW, false); err != nil {
 			t.Fatalf("%q: %v", src, err)
 		}
 	}

@@ -1,48 +1,54 @@
 package expr
 
 import (
-	"fmt"
 	"sort"
-	"strconv"
 
 	"repro/internal/eval"
 	"repro/internal/ir"
 )
 
 // This file implements the schedule fuser: it lowers the folded
-// conditions of EVERY armed breakpoint and watchpoint into one fused
-// eval.MultiProg the debugger executes once per clock edge — the only
-// compiled form a condition has. Two things make the fused form cheaper
-// than evaluating the conditions one by one:
+// conditions of every armed breakpoint and watchpoint into one program
+// of word instructions (eval.MultiProg over eval.Instr, the simulator's
+// own instruction set), which the debugger runs once per clock edge. It
+// is the only compiled form a condition has.
 //
-//   - Cross-condition CSE. Subexpressions are canonicalized with their
-//     signal names replaced by the caller's operand slot ids (the
-//     prefetch-union slots), so two conditions computing the same
-//     structure over the same signals — N breakpoints on one statement
-//     share the enable prefix of their nested scopes, a user condition
-//     repeats part of an enable — value-number to the same key. Keys
-//     reached unconditionally by at least two evaluations are hoisted
-//     into shared prelude segments computed once per edge.
+// Types come from handles. The program's value plane starts with the
+// caller's dependency union, one slot per signal, each of the static
+// type its backend reported when the signal was resolved. Every node
+// is typed from there at fuse time the way elaboration types a
+// netlist: by eval.Prim or eval.Mux on zero values of its operands'
+// types (eval.LowerPrim, eval.LowerMux).
 //
-//   - One operand table. Operands are keyed by prefetch slot, so the
-//     scheduler gathers each union signal once for the whole schedule
-//     rather than once per condition referencing it.
+// Lowering is branch-free, and exact. Once its types check, no word
+// instruction can fail and none has a side effect, so computing both
+// sides of && and || and both arms of ?: yields what EvalBits'
+// short-circuit order yields: && and || combine the truths (compare
+// against zero) of their sides with OpAnd and OpOr, ?: is OpMux, and a
+// condition with both an enable and a user condition is the AND of
+// their truths. The one thing a skipped side could do is read a slot
+// whose read failed; the caller poisons every condition whose closure
+// (FusedSchedule.Slots) holds a failed slot and evaluates it with
+// EvalBits instead.
 //
-// Short-circuit semantics stay bit-exact by construction: only
-// subtrees the original evaluation order reaches unconditionally (not
-// under an && / || right side or a ternary arm — "unguarded") register
-// CSE candidates, guarded occurrences merely read an already-hoisted
-// register, and any evaluation error poisons exactly the segments that
-// observed it (eval.Segment.Ops/Deps), whose conditions the scheduler
-// then re-evaluates with EvalBits. Correctness never depends on the CSE
-// heuristic; the heuristic only decides how much work is shared.
+// A condition whose types do not check is not fused (its IDs entry is
+// -1) and runs on EvalBits: an operand that did not resolve or is wider
+// than 64 bits, a node whose result type is wider than 64 bits, or a ?:
+// whose arms differ in type (EvalBits' result type would then depend
+// on the selector).
+//
+// Instructions are hash-consed across all conditions on their opcode,
+// operands and immediates, so a subexpression two conditions share is
+// computed once, whatever guards it. The instructions two or more
+// conditions reach form the prelude, run first at every edge; the rest
+// form one private range per condition, laid out in condition order,
+// which the caller skips while the condition is parked.
 
 // FusedCondition is one armed condition handed to the fuser: the
 // folded enable and user-condition programs (either may be nil; both
 // nil means "always hits when evaluated") plus, aligned with each
-// program's Deps order, the caller's operand slot ids. Every slot must
-// be >= 0 — conditions with unresolved dependencies are not fusable and
-// are evaluated with EvalBits instead.
+// program's Deps order, the caller's dependency-union slots. A
+// condition with a slot below zero is not fused.
 type FusedCondition struct {
 	Enable      *Program
 	Cond        *Program
@@ -50,461 +56,361 @@ type FusedCondition struct {
 	CondSlots   []int
 }
 
-// FuseStats reports what the fuser shared.
+// FuseStats reports the fused program's shape.
 type FuseStats struct {
 	// Conds is the number of fused conditions.
 	Conds int
-	// SharedSegs is the number of CSE segments hoisted into the prelude.
+	// SharedSegs is the number of prelude instructions: instructions
+	// two or more fused conditions reach, run once for all of them.
 	SharedSegs int
-	// SharedReads is the number of subexpression evaluations replaced by
-	// a shared-register read (the CSE hit count).
+	// SharedReads is the number of instruction runs the prelude saves:
+	// over the prelude instructions, the conditions reaching each, less
+	// one.
 	SharedReads int
-	// Operands is the size of the fused operand table (deduplicated
-	// across all conditions by prefetch slot).
+	// Operands is the number of distinct dependency-union slots the
+	// program reads.
 	Operands int
+	// Instrs is the number of word instructions a full run executes
+	// (the prelude plus every private range).
+	Instrs int
 }
 
-// FusedSchedule is the fuser's output: the fused program, the operand
-// table as caller slot ids (operand i reads the caller's Slots[i]), and
-// per-condition operand closures — every operand a condition's fused
-// evaluation can observe, directly or through shared segments — which
-// the scheduler uses for activity masking and poison checks.
+// FusedSchedule is the fuser's output.
 type FusedSchedule struct {
-	Prog       eval.MultiProg
-	Slots      []int
-	OpClosures [][]uint16
-	Stats      FuseStats
+	// Prog is the program; its plane's first slots are the caller's
+	// dependency union, which the caller fills before a run.
+	Prog eval.MultiProg
+	// IDs maps each input condition to its fused id (its index in
+	// Prog.Conds), or -1 when it was not fused. Fused ids keep the
+	// input order.
+	IDs []int32
+	// Slots lists, by fused id, the dependency-union slots the
+	// condition reads, directly or through the prelude: what can
+	// change its value and what can poison it.
+	Slots [][]int32
+	Stats FuseStats
 }
 
-// Fuse compiles the conditions into one fused program. Condition i of
-// the result is conds[i]; its fused value is truthy exactly when the
-// enable condition holds and the user condition holds (each treated as
-// true when absent).
-func Fuse(conds []FusedCondition) (*FusedSchedule, error) {
-	f := &fuser{
-		opIdx:   map[int]uint16{},
-		count:   map[string]int{},
-		reps:    map[string]fuseRep{},
-		emitted: map[string]uint16{},
-	}
-	// Resolve each condition's name → operand-index maps up front; this
-	// also populates the shared operand table.
-	type condIR struct {
-		enable, cond   Node
-		enOps, condOps map[string]uint16
-	}
-	irs := make([]condIR, len(conds))
-	for i, c := range conds {
-		var ir condIR
-		var err error
-		if c.Enable != nil {
-			ir.enable = c.Enable.Folded
-			if ir.enOps, err = f.nameOps(c.Enable, c.EnableSlots); err != nil {
-				return nil, fmt.Errorf("expr: fuse cond %d enable: %w", i, err)
-			}
-		}
-		if c.Cond != nil {
-			ir.cond = c.Cond.Folded
-			if ir.condOps, err = f.nameOps(c.Cond, c.CondSlots); err != nil {
-				return nil, fmt.Errorf("expr: fuse cond %d: %w", i, err)
-			}
-		}
-		irs[i] = ir
-	}
-	// Pass 1: count unguarded occurrences of every non-leaf key. A user
-	// condition only evaluates once the enable holds, so its subtrees are
-	// guarded whenever an enable exists.
-	for _, ir := range irs {
-		if ir.enable != nil {
-			f.scan(ir.enable, ir.enOps, false)
-		}
-		if ir.cond != nil {
-			f.scan(ir.cond, ir.condOps, ir.enable != nil)
-		}
-	}
-	// Pass 2: select keys worth hoisting (>=2 unconditional evaluations)
-	// and order them inner-first so nested shared subexpressions are
-	// emitted before the segments that read them.
-	type sel struct {
-		key   string
-		depth int
-	}
-	var selected []sel
-	for key, n := range f.count {
-		if n >= 2 {
-			selected = append(selected, sel{key, f.reps[key].depth})
-		}
-	}
-	sort.Slice(selected, func(i, j int) bool {
-		if selected[i].depth != selected[j].depth {
-			return selected[i].depth < selected[j].depth
-		}
-		return selected[i].key < selected[j].key
-	})
-	f.numShared = len(selected)
-	scratch := f.numShared
-	prog := eval.MultiProg{}
-	// Pass 3: emit shared prelude segments.
-	for i, s := range selected {
-		rep := f.reps[s.key]
-		seg := eval.Segment{Start: len(f.code), Result: uint16(i)}
-		f.reg(i)
-		if err := f.fcompile(rep.node, scratch, rep.nameOp); err != nil {
-			return nil, err
-		}
-		f.emit(eval.Instr{Kind: eval.IMov, Dst: uint16(i), A: uint16(f.reg(scratch))})
-		seg.End = len(f.code)
-		seg.Ops, seg.Deps = f.takeSeg()
-		prog.Shared = append(prog.Shared, seg)
-		f.emitted[s.key] = uint16(i)
-	}
-	// Pass 4: emit one segment per condition: enable short-circuits the
-	// user condition exactly like EvalBits does (a falsy enable value is
-	// itself the — falsy — result).
-	for i, ir := range irs {
-		seg := eval.Segment{Start: len(f.code), Result: uint16(f.reg(scratch))}
-		switch {
-		case ir.enable != nil && ir.cond != nil:
-			if err := f.fcompile(ir.enable, scratch, irs[i].enOps); err != nil {
-				return nil, err
-			}
-			j := f.emit(eval.Instr{Kind: eval.IJumpIfFalse, A: uint16(scratch)})
-			if err := f.fcompile(ir.cond, scratch, irs[i].condOps); err != nil {
-				return nil, err
-			}
-			f.patch(j)
-		case ir.enable != nil:
-			if err := f.fcompile(ir.enable, scratch, irs[i].enOps); err != nil {
-				return nil, err
-			}
-		case ir.cond != nil:
-			if err := f.fcompile(ir.cond, scratch, irs[i].condOps); err != nil {
-				return nil, err
-			}
-		default:
-			f.emit(eval.Instr{Kind: eval.IConst, Dst: uint16(scratch), Const: eval.Make(1, 1, false)})
-		}
-		seg.End = len(f.code)
-		seg.Ops, seg.Deps = f.takeSeg()
-		prog.Conds = append(prog.Conds, seg)
-	}
-	if f.maxReg >= 1<<16-1 || len(f.slots) >= 1<<16 {
-		return nil, fmt.Errorf("expr: fused program exceeds register file (%d regs, %d operands)", f.maxReg+1, len(f.slots))
-	}
-	prog.Code = f.code
-	prog.NumRegs = f.maxReg + 1
-	prog.NumShared = f.numShared
-	prog.NumOperands = len(f.slots)
-	// Per-condition operand closures: what each condition observes
-	// through its own reads plus its (transitive) shared dependencies.
-	sharedClo := make([][]uint16, len(prog.Shared))
-	for i, seg := range prog.Shared {
-		sharedClo[i] = closure(seg, sharedClo)
-	}
-	closures := make([][]uint16, len(prog.Conds))
-	for i, seg := range prog.Conds {
-		closures[i] = closure(seg, sharedClo)
-	}
-	f.stats.Conds = len(conds)
-	f.stats.SharedSegs = len(prog.Shared)
-	f.stats.Operands = len(f.slots)
-	return &FusedSchedule{Prog: prog, Slots: f.slots, OpClosures: closures, Stats: f.stats}, nil
-}
-
-// closure unions a segment's direct operand reads with the operand
-// closures of the shared segments it depends on. Shared segments only
-// reference earlier segments, so one forward pass suffices.
-func closure(seg eval.Segment, sharedClo [][]uint16) []uint16 {
-	out := make([]uint16, len(seg.Ops))
-	copy(out, seg.Ops)
-	for _, d := range seg.Deps {
-		for _, o := range sharedClo[d] {
-			out = addU16(out, o)
-		}
-	}
-	return out
-}
-
-type fuseRep struct {
-	node   Node
-	nameOp map[string]uint16
-	depth  int
+// fnode is one emitted instruction: reach counts the fused conditions
+// reaching it, owner is the first of them, last the most recent (the
+// reach walk's visited mark).
+type fnode struct {
+	in          eval.Instr
+	reach       int32
+	owner, last int32
 }
 
 type fuser struct {
-	opIdx map[int]uint16 // caller slot -> operand index
-	slots []int          // operand index -> caller slot
-
-	count map[string]int
-	reps  map[string]fuseRep
-
-	code      []eval.Instr
-	maxReg    int
-	numShared int
-	emitted   map[string]uint16
-
-	segOps  []uint16
-	segDeps []uint16
-
-	stats FuseStats
+	types  []eval.Value // union slot -> type
+	init   []uint64     // the plane so far
+	nodeOf []int32      // plane slot -> node computing it, or -1
+	consts map[uint64]int32
+	cache  map[eval.Instr]int32 // instruction with Dst 0 -> node
+	nodes  []fnode
 }
 
-// nameOps maps a program's dependency names to fused operand indexes,
-// assigning operand-table entries keyed by the caller's slot ids.
-func (f *fuser) nameOps(p *Program, slots []int) (map[string]uint16, error) {
-	if len(slots) != len(p.Deps) {
-		return nil, fmt.Errorf("%d deps but %d slots", len(p.Deps), len(slots))
+var bit = eval.Make(0, 1, false)
+
+// Fuse compiles the conditions into one program over a plane whose
+// first len(types) slots are the caller's dependency union; types[s] is
+// slot s's type, a zero Value (width 0 for a slot that did not
+// resolve). Fused condition i's value is truthy exactly when its enable
+// holds and its user condition holds (each taken as true when absent).
+func Fuse(conds []FusedCondition, types []eval.Value) *FusedSchedule {
+	f := &fuser{
+		types:  types,
+		init:   make([]uint64, len(types)),
+		nodeOf: make([]int32, len(types)),
+		consts: map[uint64]int32{},
+		cache:  map[eval.Instr]int32{},
 	}
-	m := make(map[string]uint16, len(p.Deps))
-	for i, name := range p.Deps {
-		s := slots[i]
-		if s < 0 {
-			return nil, fmt.Errorf("dependency %q has no slot", name)
-		}
-		idx, ok := f.opIdx[s]
+	for i := range f.nodeOf {
+		f.nodeOf[i] = -1
+	}
+	sched := &FusedSchedule{IDs: make([]int32, len(conds))}
+	for k, c := range conds {
+		res, ok := f.condition(c)
 		if !ok {
-			idx = uint16(len(f.slots))
-			f.opIdx[s] = idx
-			f.slots = append(f.slots, s)
+			sched.IDs[k] = -1
+			continue
 		}
-		m[name] = idx
+		ci := int32(len(sched.Prog.Conds))
+		sched.IDs[k] = ci
+		sched.Prog.Conds = append(sched.Prog.Conds, eval.Segment{Result: res.Slot, Type: res.T})
+		var slots []int32
+		f.reach(res.Slot, ci, &slots)
+		sched.Slots = append(sched.Slots, slots)
 	}
-	return m, nil
-}
-
-// canonKey builds the canonical value-numbering key of a subtree:
-// structure plus operand slots, so identical computations over the same
-// signals collide across conditions while sibling instances (same
-// structure, different signals) stay distinct.
-func canonKey(n Node, nameOp map[string]uint16) string {
-	switch t := n.(type) {
-	case numNode:
-		sg := "u"
-		if t.v.Signed {
-			sg = "s"
-		}
-		return "#" + strconv.FormatUint(t.v.Bits, 16) + ":" + strconv.Itoa(t.v.Width) + sg
-	case nameNode:
-		return "s" + strconv.FormatUint(uint64(nameOp[t.name]), 10)
-	case unaryNode:
-		return "(" + t.op + canonKey(t.x, nameOp) + ")"
-	case binNode:
-		return "(" + canonKey(t.a, nameOp) + t.op + canonKey(t.b, nameOp) + ")"
-	case ternaryNode:
-		return "(" + canonKey(t.cond, nameOp) + "?" + canonKey(t.t, nameOp) + ":" + canonKey(t.f, nameOp) + ")"
-	case bitsNode:
-		return "(" + canonKey(t.x, nameOp) + "[" + strconv.Itoa(t.hi) + ":" + strconv.Itoa(t.lo) + "])"
-	}
-	return fmt.Sprintf("?%T", n)
-}
-
-func nodeDepth(n Node) int {
-	switch t := n.(type) {
-	case unaryNode:
-		return nodeDepth(t.x) + 1
-	case binNode:
-		return maxInt2(nodeDepth(t.a), nodeDepth(t.b)) + 1
-	case ternaryNode:
-		return maxInt2(nodeDepth(t.cond), maxInt2(nodeDepth(t.t), nodeDepth(t.f))) + 1
-	case bitsNode:
-		return nodeDepth(t.x) + 1
-	}
-	return 0
-}
-
-func maxInt2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// scan counts unguarded evaluations of every non-leaf subtree. guarded
-// means the subtree may be skipped by the original short-circuit
-// evaluation order (&&/|| right sides, ternary arms) — such positions
-// may read shared registers but must not force a hoist by themselves.
-func (f *fuser) scan(n Node, nameOp map[string]uint16, guarded bool) {
-	switch t := n.(type) {
-	case numNode, nameNode:
-		return
-	case unaryNode:
-		f.scan(t.x, nameOp, guarded)
-	case binNode:
-		f.scan(t.a, nameOp, guarded)
-		f.scan(t.b, nameOp, guarded || t.op == "&&" || t.op == "||")
-	case ternaryNode:
-		f.scan(t.cond, nameOp, guarded)
-		f.scan(t.t, nameOp, true)
-		f.scan(t.f, nameOp, true)
-	case bitsNode:
-		f.scan(t.x, nameOp, guarded)
-	}
-	if guarded {
-		return
-	}
-	key := canonKey(n, nameOp)
-	f.count[key]++
-	if _, ok := f.reps[key]; !ok {
-		f.reps[key] = fuseRep{node: n, nameOp: nameOp, depth: nodeDepth(n)}
-	}
-}
-
-func (f *fuser) emit(in eval.Instr) int {
-	f.code = append(f.code, in)
-	return len(f.code) - 1
-}
-
-func (f *fuser) reg(r int) int {
-	if r > f.maxReg {
-		f.maxReg = r
-	}
-	return r
-}
-
-func (f *fuser) patch(pc int) {
-	f.code[pc].P0 = len(f.code)
-}
-
-// takeSeg returns and resets the current segment's operand/dependency
-// accumulators.
-func (f *fuser) takeSeg() (ops, deps []uint16) {
-	if len(f.segOps) > 0 {
-		ops = append([]uint16{}, f.segOps...)
-	}
-	if len(f.segDeps) > 0 {
-		deps = append([]uint16{}, f.segDeps...)
-	}
-	f.segOps, f.segDeps = f.segOps[:0], f.segDeps[:0]
-	return ops, deps
-}
-
-func addU16(list []uint16, v uint16) []uint16 {
-	for _, x := range list {
-		if x == v {
-			return list
-		}
-	}
-	return append(list, v)
-}
-
-// fcompile emits code leaving the node's value in register dst, using
-// registers > dst as scratch (stack-style allocation). Names resolve
-// through the fused operand table, and any subtree whose key has
-// already been hoisted compiles to a single shared-register read —
-// guarded occurrences included, since reading a register cannot fault
-// and a poisoned source is caught through the segment's Deps. The
-// short-circuit forms (&&, ||, ?:) compile to branches so the skipped
-// side is never executed, exactly like EvalBits.
-func (f *fuser) fcompile(n Node, dst int, nameOp map[string]uint16) error {
-	switch n.(type) {
-	case numNode, nameNode:
-	default:
-		if len(f.emitted) > 0 {
-			if si, ok := f.emitted[canonKey(n, nameOp)]; ok {
-				f.emit(eval.Instr{Kind: eval.IMov, Dst: uint16(f.reg(dst)), A: si})
-				f.segDeps = addU16(f.segDeps, si)
-				f.stats.SharedReads++
-				return nil
+	f.layout(&sched.Prog, &sched.Stats)
+	sched.Prog.Init = f.init
+	sched.Stats.Conds = len(sched.Prog.Conds)
+	sched.Stats.Instrs = len(sched.Prog.Code)
+	seen := make([]bool, len(types))
+	for _, slots := range sched.Slots {
+		for _, s := range slots {
+			if !seen[s] {
+				seen[s] = true
+				sched.Stats.Operands++
 			}
 		}
 	}
+	return sched
+}
+
+// layout places every reached instruction: those two or more
+// conditions reach into the prelude, the rest into their one
+// condition's private range, each in emission order (operands are
+// emitted before their users, so emission order is a topological one).
+func (f *fuser) layout(p *eval.MultiProg, st *FuseStats) {
+	private := make([]int, len(p.Conds)+1)
+	for i := range f.nodes {
+		switch n := &f.nodes[i]; {
+		case n.reach >= 2:
+			p.Prelude++
+			st.SharedSegs++
+			st.SharedReads += int(n.reach) - 1
+		case n.reach == 1:
+			private[n.owner+1]++
+		}
+	}
+	private[0] = p.Prelude
+	for ci := range p.Conds {
+		private[ci+1] += private[ci]
+		p.Conds[ci].Start, p.Conds[ci].End = private[ci], private[ci+1]
+	}
+	p.Code = make([]eval.Instr, private[len(p.Conds)])
+	pre := 0
+	for i := range f.nodes {
+		switch n := &f.nodes[i]; {
+		case n.reach >= 2:
+			p.Code[pre] = n.in
+			pre++
+		case n.reach == 1:
+			p.Code[private[n.owner]] = n.in
+			private[n.owner]++
+		}
+	}
+}
+
+// reach marks every instruction the value in slot s depends on as
+// reached by condition ci, and collects the union slots it reads.
+func (f *fuser) reach(s, ci int32, slots *[]int32) {
+	if int(s) < len(f.types) {
+		for _, x := range *slots {
+			if x == s {
+				return
+			}
+		}
+		*slots = append(*slots, s)
+		return
+	}
+	ni := f.nodeOf[s]
+	if ni < 0 {
+		return // a constant
+	}
+	n := &f.nodes[ni]
+	if n.reach > 0 && n.last == ci {
+		return
+	}
+	if n.reach == 0 {
+		n.owner = ci
+	}
+	n.reach++
+	n.last = ci
+	in := n.in
+	f.reach(in.A, ci, slots)
+	switch reads(in.Op) {
+	case 3:
+		f.reach(in.C, ci, slots)
+		fallthrough
+	case 2:
+		f.reach(in.B, ci, slots)
+	}
+}
+
+// reads is how many of an instruction's operand slots (A, B, C) the
+// fuser's opcodes read.
+func reads(op eval.Op) int {
+	switch op {
+	case eval.OpMux:
+		return 3
+	case eval.OpMask, eval.OpNot, eval.OpNeg, eval.OpShr:
+		return 1
+	}
+	return 2
+}
+
+// condition lowers one condition; ok is false when its types do not
+// check.
+func (f *fuser) condition(c FusedCondition) (eval.Operand, bool) {
+	var en, cond eval.Operand
+	if c.Enable != nil {
+		var ok bool
+		if en, ok = f.lower(c.Enable.Folded, c.Enable.Deps, c.EnableSlots); !ok {
+			return en, false
+		}
+	}
+	if c.Cond != nil {
+		var ok bool
+		if cond, ok = f.lower(c.Cond.Folded, c.Cond.Deps, c.CondSlots); !ok {
+			return cond, false
+		}
+	}
+	switch {
+	case c.Enable != nil && c.Cond != nil:
+		return f.logic(eval.OpAnd, en, cond), true
+	case c.Enable != nil:
+		return en, true
+	case c.Cond != nil:
+		return cond, true
+	}
+	return eval.Operand{Slot: f.constant(1), T: bit}, true
+}
+
+// lower lowers n, whose names are deps (sorted) at the union slots
+// slots; ok is false when the types do not check.
+func (f *fuser) lower(n Node, deps []string, slots []int) (eval.Operand, bool) {
 	switch t := n.(type) {
 	case numNode:
-		f.emit(eval.Instr{Kind: eval.IConst, Dst: uint16(f.reg(dst)), Const: t.v})
+		return eval.Operand{Slot: f.constant(t.v.Bits), T: eval.Make(0, t.v.Width, t.v.Signed)}, true
 	case nameNode:
-		idx, ok := nameOp[t.name]
-		if !ok {
-			return fmt.Errorf("expr: fuse: unknown dependency %q", t.name)
+		i := sort.SearchStrings(deps, t.name)
+		if i == len(deps) || deps[i] != t.name || len(slots) != len(deps) {
+			return eval.Operand{}, false
 		}
-		f.emit(eval.Instr{Kind: eval.ISig, Dst: uint16(f.reg(dst)), A: idx})
-		f.segOps = addU16(f.segOps, idx)
+		s := slots[i]
+		if s < 0 || s >= len(f.types) {
+			return eval.Operand{}, false
+		}
+		ty := f.types[s]
+		if ty.Width < 1 || ty.Width > 64 {
+			return eval.Operand{}, false
+		}
+		return eval.Operand{Slot: int32(s), T: eval.Make(0, ty.Width, ty.Signed)}, true
 	case unaryNode:
-		if err := f.fcompile(t.x, dst, nameOp); err != nil {
-			return err
+		x, ok := f.lower(t.x, deps, slots)
+		if !ok {
+			return x, false
 		}
 		switch t.op {
 		case "~":
-			f.emit(eval.Instr{Kind: eval.IPrim1, Op: ir.OpNot, Dst: uint16(f.reg(dst)), A: uint16(dst)})
-		case "!":
-			f.emit(eval.Instr{Kind: eval.ILogNot, Dst: uint16(f.reg(dst)), A: uint16(dst)})
+			return f.prim(ir.OpNot, x)
 		case "-":
-			f.emit(eval.Instr{Kind: eval.IPrim1, Op: ir.OpNeg, Dst: uint16(f.reg(dst)), A: uint16(dst)})
-		default:
-			return fmt.Errorf("expr: fuse: unknown unary %q", t.op)
+			return f.prim(ir.OpNeg, x)
+		case "!":
+			return f.emit(eval.Instr{Op: eval.OpEq, A: x.Slot, B: f.constant(0), Mask: 1}, bit), true
 		}
 	case binNode:
-		return f.fcompileBin(t, dst, nameOp)
+		a, ok := f.lower(t.a, deps, slots)
+		if !ok {
+			return a, false
+		}
+		b, ok := f.lower(t.b, deps, slots)
+		if !ok {
+			return b, false
+		}
+		switch t.op {
+		case "&&":
+			return f.logic(eval.OpAnd, a, b), true
+		case "||":
+			return f.logic(eval.OpOr, a, b), true
+		}
+		op, known := binOps[t.op]
+		if !known {
+			return eval.Operand{}, false
+		}
+		if op == ir.OpDshl {
+			// The language caps a dynamic shift amount at 6 bits of
+			// magnitude, as applyBin does.
+			if b.T.Width > 6 {
+				b = f.emit(eval.Instr{Op: eval.OpMask, A: b.Slot, Mask: eval.Mask(6)}, eval.Make(0, 6, false))
+			}
+			b.T.Signed = false
+		}
+		return f.prim(op, a, b)
 	case ternaryNode:
-		if err := f.fcompile(t.cond, dst, nameOp); err != nil {
-			return err
+		c, ok := f.lower(t.cond, deps, slots)
+		if !ok {
+			return c, false
 		}
-		jElse := f.emit(eval.Instr{Kind: eval.IJumpIfFalse, A: uint16(dst)})
-		if err := f.fcompile(t.t, dst, nameOp); err != nil {
-			return err
+		x, ok := f.lower(t.t, deps, slots)
+		if !ok {
+			return x, false
 		}
-		jEnd := f.emit(eval.Instr{Kind: eval.IJump})
-		f.patch(jElse)
-		if err := f.fcompile(t.f, dst, nameOp); err != nil {
-			return err
+		y, ok := f.lower(t.f, deps, slots)
+		if !ok || x.T != y.T {
+			return y, false
 		}
-		f.patch(jEnd)
+		in, res := eval.LowerMux(c, x, y)
+		return f.emit(in, res), true
 	case bitsNode:
-		if err := f.fcompile(t.x, dst, nameOp); err != nil {
-			return err
+		x, ok := f.lower(t.x, deps, slots)
+		w := t.hi - t.lo + 1
+		if !ok || w > 64 {
+			return x, false
 		}
-		f.emit(eval.Instr{Kind: eval.IBits, Dst: uint16(f.reg(dst)), A: uint16(dst), P0: t.hi, P1: t.lo})
-	default:
-		return fmt.Errorf("expr: fuse: unknown node type %T", n)
+		// The slice zero-extends past the operand's width, as
+		// bitsNode.apply does.
+		in := eval.Instr{Op: eval.OpShr, A: x.Slot, Imm: uint32(min(t.lo, 64)), Mask: eval.Mask(w)}
+		return f.emit(in, eval.Make(0, w, false)), true
 	}
-	return nil
+	return eval.Operand{}, false
 }
 
-func (f *fuser) fcompileBin(t binNode, dst int, nameOp map[string]uint16) error {
-	switch t.op {
-	case "&&":
-		if err := f.fcompile(t.a, dst, nameOp); err != nil {
-			return err
-		}
-		jFalse := f.emit(eval.Instr{Kind: eval.IJumpIfFalse, A: uint16(dst)})
-		if err := f.fcompile(t.b, dst, nameOp); err != nil {
-			return err
-		}
-		f.emit(eval.Instr{Kind: eval.IBool, Dst: uint16(f.reg(dst)), A: uint16(dst)})
-		jEnd := f.emit(eval.Instr{Kind: eval.IJump})
-		f.patch(jFalse)
-		f.emit(eval.Instr{Kind: eval.IConst, Dst: uint16(f.reg(dst)), Const: eval.Make(0, 1, false)})
-		f.patch(jEnd)
-		return nil
-	case "||":
-		if err := f.fcompile(t.a, dst, nameOp); err != nil {
-			return err
-		}
-		jTrue := f.emit(eval.Instr{Kind: eval.IJumpIfTrue, A: uint16(dst)})
-		if err := f.fcompile(t.b, dst, nameOp); err != nil {
-			return err
-		}
-		f.emit(eval.Instr{Kind: eval.IBool, Dst: uint16(f.reg(dst)), A: uint16(dst)})
-		jEnd := f.emit(eval.Instr{Kind: eval.IJump})
-		f.patch(jTrue)
-		f.emit(eval.Instr{Kind: eval.IConst, Dst: uint16(f.reg(dst)), Const: eval.Make(1, 1, false)})
-		f.patch(jEnd)
-		return nil
+// prim emits a primitive over args; ok is false when its result type is
+// wider than 64 bits.
+func (f *fuser) prim(op ir.PrimOp, args ...eval.Operand) (eval.Operand, bool) {
+	in, res, err := eval.LowerPrim(op, nil, args, f.constant)
+	if err != nil || res.Width > 64 {
+		return eval.Operand{}, false
 	}
-	op, ok := binOps[t.op]
+	return f.emit(in, res), true
+}
+
+// logic combines the truths of a and b with OpAnd or OpOr.
+func (f *fuser) logic(op eval.Op, a, b eval.Operand) eval.Operand {
+	a, b = f.truth(a), f.truth(b)
+	return f.emit(eval.Instr{Op: op, A: a.Slot, B: b.Slot, Mask: 1}, bit)
+}
+
+// truth is x != 0; a 1-bit value is its own truth.
+func (f *fuser) truth(x eval.Operand) eval.Operand {
+	if x.T.Width == 1 {
+		return eval.Operand{Slot: x.Slot, T: bit}
+	}
+	return f.emit(eval.Instr{Op: eval.OpNeq, A: x.Slot, B: f.constant(0), Mask: 1}, bit)
+}
+
+// emit returns the slot of an instruction computing in (whose Dst is
+// unset), of type t: an equal instruction already emitted, or a new one
+// with a fresh slot.
+func (f *fuser) emit(in eval.Instr, t eval.Value) eval.Operand {
+	ni, ok := f.cache[in]
 	if !ok {
-		return fmt.Errorf("expr: fuse: unknown operator %q", t.op)
+		ni = int32(len(f.nodes))
+		f.cache[in] = ni
+		in.Dst = f.slot(0, ni)
+		f.nodes = append(f.nodes, fnode{in: in})
 	}
-	if err := f.fcompile(t.a, dst, nameOp); err != nil {
-		return err
+	return eval.Operand{Slot: f.nodes[ni].in.Dst, T: t}
+}
+
+// slot appends a plane slot initialised to bits, computed by node ni
+// (-1 for a constant).
+func (f *fuser) slot(bits uint64, ni int32) int32 {
+	f.init = append(f.init, bits)
+	f.nodeOf = append(f.nodeOf, ni)
+	return int32(len(f.init) - 1)
+}
+
+// constant returns the slot pre-filled with bits, shared by every
+// constant with those bits (an operand's type travels with the
+// operand, not the slot).
+func (f *fuser) constant(bits uint64) int32 {
+	s, ok := f.consts[bits]
+	if !ok {
+		s = f.slot(bits, -1)
+		f.consts[bits] = s
 	}
-	if err := f.fcompile(t.b, dst+1, nameOp); err != nil {
-		return err
-	}
-	if op == ir.OpDshl {
-		// Mirror applyBin: the dynamic-shift amount is capped to 6 bits
-		// of magnitude to satisfy eval's width model.
-		f.emit(eval.Instr{Kind: eval.ICapW, Dst: uint16(f.reg(dst + 1)), A: uint16(dst + 1), P0: 6})
-	}
-	f.emit(eval.Instr{Kind: eval.IPrim2, Op: op, Dst: uint16(f.reg(dst)), A: uint16(dst), B: uint16(dst + 1)})
-	return nil
+	return s
 }

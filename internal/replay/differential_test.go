@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/eval"
 	"repro/internal/vcd"
 	"repro/internal/vpi"
 )
@@ -202,13 +201,13 @@ func TestStoreEngineBatchZeroAlloc(t *testing.T) {
 	eng.Prefetch(paths)
 	hs := make([]vpi.Handle, len(paths))
 	for i, p := range paths {
-		h, err := eng.Resolve(p)
+		h, _, err := eng.Resolve(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		hs[i] = h
 	}
-	dst := make([]eval.Value, len(paths))
+	dst := make([]uint64, len(paths))
 	ok := make([]bool, len(paths))
 	eng.SetTime(5)
 	allocs := testing.AllocsPerRun(100, func() {
@@ -221,7 +220,7 @@ func TestStoreEngineBatchZeroAlloc(t *testing.T) {
 		if !ok[i] {
 			t.Fatalf("%s not read", p)
 		}
-		if want, _ := eng.GetValue(p); dst[i] != want {
+		if want, _ := eng.GetValue(p); dst[i] != want.Bits {
 			t.Fatalf("%s = %v by handle, %v by path", p, dst[i], want)
 		}
 	}

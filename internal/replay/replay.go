@@ -132,23 +132,24 @@ func (e *Engine) GetBits(path string) (val.Bits, error) {
 }
 
 // Resolve implements vpi.Interface: a replay handle is the signal's
-// dense store index.
-func (e *Engine) Resolve(path string) (vpi.Handle, error) {
+// dense store index, its type the trace's declared width, unsigned (a
+// trace records no signedness).
+func (e *Engine) Resolve(path string) (vpi.Handle, eval.Value, error) {
 	ts, ok := e.st.Signal(path)
 	if !ok {
-		return vpi.NoHandle, fmt.Errorf("replay: unknown signal %q", path)
+		return vpi.NoHandle, eval.Value{}, fmt.Errorf("replay: unknown signal %q", path)
 	}
-	return vpi.Handle(ts.Index()), nil
+	return vpi.Handle(ts.Index()), eval.Value{Width: ts.Width}, nil
 }
 
 // ReadValues implements vpi.Interface: every slot at one replay
 // instant, without a name lookup and without allocating. A slot holding
 // x/z bits or more than 64 bits, or one a poisoned store cannot read,
 // comes back not ok.
-func (e *Engine) ReadValues(hs []vpi.Handle, dst []eval.Value, ok []bool) {
+func (e *Engine) ReadValues(hs []vpi.Handle, dst []uint64, ok []bool) {
 	t := e.time.Load()
 	for i, h := range hs {
-		dst[i], ok[i] = eval.Value{}, false
+		dst[i], ok[i] = 0, false
 		ts, found := e.st.SignalByIndex(int(h))
 		if !found || ts.Width > 64 {
 			// A wide signal never lowers; skipping the read keeps its
@@ -156,7 +157,7 @@ func (e *Engine) ReadValues(hs []vpi.Handle, dst []eval.Value, ok []bool) {
 			continue
 		}
 		if b, err := e.bitsOf(ts, t); err == nil {
-			dst[i], ok[i] = eval.FromBits(b)
+			dst[i], ok[i] = b.AsUint64()
 		}
 	}
 }

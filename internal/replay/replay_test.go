@@ -212,16 +212,18 @@ b11 $
 `
 
 // TestEngineHandles pins the handle surface on the replay backend: an
-// unknown path does not resolve; the batched read fills every slot,
-// and only the x/z nibble (at the times it holds x/z) and the 72-bit
-// bus come back not ok; known slots match GetValue; and the read
-// allocates nothing, over materialized timelines and over the
-// checkpointed replay state alike.
+// unknown path does not resolve; a handle's type is the trace's
+// declared width, the 72-bit bus included, and unsigned; the batched
+// read fills every slot, and only the x/z nibble (at the times it
+// holds x/z) and the 72-bit bus come back not ok; known slots match
+// GetValue's bits; and the read allocates nothing, over materialized
+// timelines and over the checkpointed replay state alike.
 func TestEngineHandles(t *testing.T) {
 	paths := []string{"Top.a", "Top.b", "Top.w", "Top.q"}
+	widths := []int{1, 8, 72, 4}
 	for _, materialize := range []bool{false, true} {
 		eng := storeEngine(t, []byte(fourStateTrace), 2)
-		if _, err := eng.Resolve("Top.nope"); err == nil {
+		if _, _, err := eng.Resolve("Top.nope"); err == nil {
 			t.Fatal("unknown signal resolved")
 		}
 		if materialize {
@@ -229,14 +231,17 @@ func TestEngineHandles(t *testing.T) {
 		}
 		hs := make([]vpi.Handle, len(paths)+1)
 		for i, p := range paths {
-			h, err := eng.Resolve(p)
+			h, typ, err := eng.Resolve(p)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if typ != (eval.Value{Width: widths[i]}) {
+				t.Fatalf("%s resolved with type %+v, want %d bits unsigned", p, typ, widths[i])
 			}
 			hs[i] = h
 		}
 		hs[len(paths)] = vpi.NoHandle
-		dst := make([]eval.Value, len(hs))
+		dst := make([]uint64, len(hs))
 		ok := make([]bool, len(hs))
 		for tm := uint64(0); tm <= eng.MaxTime(); tm++ {
 			eng.SetTime(tm)
@@ -247,7 +252,7 @@ func TestEngineHandles(t *testing.T) {
 				if err != nil && !fourState {
 					t.Fatal(err)
 				}
-				if ok[i] == fourState || (ok[i] && dst[i] != want) {
+				if ok[i] == fourState || (ok[i] && (dst[i] != want.Bits || want.Width != widths[i])) {
 					t.Fatalf("materialized=%v %s@%d by handle = %v (ok %v), by path %v (%v)",
 						materialize, p, tm, dst[i], ok[i], want, err)
 				}

@@ -227,7 +227,7 @@ func (el *elaborator) finish() error {
 		}
 	}
 	sort.SliceStable(regs, func(i, j int) bool { return regs[i].dst < regs[j].dst })
-	var commits []Instr
+	var commits []eval.Instr
 	for _, pa := range regs {
 		sig, ok := el.nl.byName[pa.dst]
 		if !ok {
@@ -238,7 +238,7 @@ func (el *elaborator) finish() error {
 		if err := lw.assign(&prog.Edge, pa.prefix, pa.expr, next, sig.Width); err != nil {
 			return fmt.Errorf("rtl: register %s: %w", sig.Name, err)
 		}
-		commits = append(commits, Instr{Op: OpMask, Dst: int32(sig.Index), A: next, Mask: eval.Mask(sig.Width)})
+		commits = append(commits, eval.Instr{Op: eval.OpMask, Dst: int32(sig.Index), A: next, Mask: eval.Mask(sig.Width)})
 	}
 	for _, pw := range el.memWr {
 		if _, ok := lw.mems[pw.mem]; !ok {
@@ -246,7 +246,7 @@ func (el *elaborator) finish() error {
 		}
 	}
 	sort.SliceStable(el.memWr, func(i, j int) bool { return lw.mems[el.memWr[i].mem] < lw.mems[el.memWr[j].mem] })
-	var writes []Instr
+	var writes []eval.Instr
 	for _, pw := range el.memWr {
 		var port [3]int32
 		for i, e := range [3]ir.Expr{pw.w.En, pw.w.Addr, pw.w.Data} {
@@ -254,10 +254,10 @@ func (el *elaborator) finish() error {
 			if err != nil {
 				return fmt.Errorf("rtl: write port of memory %s: %w", pw.mem, err)
 			}
-			port[i] = op.slot
+			port[i] = op.Slot
 		}
 		mi := lw.mems[pw.mem]
-		writes = append(writes, Instr{Op: OpMemWrite, A: port[0], B: port[1], C: port[2],
+		writes = append(writes, eval.Instr{Op: eval.OpMemWrite, A: port[0], B: port[1], C: port[2],
 			Imm: uint32(mi), Mask: eval.Mask(el.nl.Mems[mi].Width)})
 	}
 	prog.Edge = append(append(prog.Edge, writes...), commits...)

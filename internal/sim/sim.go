@@ -240,7 +240,7 @@ func (s *Simulator) OnChange(hook func(sig *rtl.Signal, v eval.Value)) {
 // pass of the program's Settle code. It is called automatically by
 // Step; testbenches call it directly after poking inputs mid-cycle.
 func (s *Simulator) Settle() {
-	rtl.Exec(s.prog.Settle, s.plane, s.mems)
+	eval.Exec(s.prog.Settle, s.plane, s.mems)
 	s.publish()
 }
 
@@ -263,7 +263,7 @@ func (s *Simulator) Step() {
 			cb(s.time)
 		}
 	}
-	rtl.Exec(s.prog.Edge, s.plane, s.mems)
+	eval.Exec(s.prog.Edge, s.plane, s.mems)
 	s.time++
 	if s.trackChange {
 		s.Settle() // make post-edge combinational state visible to hooks

@@ -450,13 +450,7 @@ func (b Bits) Not() Bits {
 // Add returns b + o at width max(widths)+1, whole-result x if either
 // operand has any unknown bit (Verilog arithmetic X-propagation).
 func (b Bits) Add(o Bits) Bits {
-	w := b.Width
-	if o.Width > w {
-		w = o.Width
-	}
-	if w < 64 {
-		w++
-	}
+	w := max(b.Width, o.Width) + 1
 	if b.HasX() || o.HasX() {
 		return Unknown(w)
 	}
@@ -479,13 +473,7 @@ func (b Bits) Add(o Bits) Bits {
 // Sub returns b - o at width max(widths)+1 (two's-complement wrap),
 // whole-result x on any unknown input bit.
 func (b Bits) Sub(o Bits) Bits {
-	w := b.Width
-	if o.Width > w {
-		w = o.Width
-	}
-	if w < 64 {
-		w++
-	}
+	w := max(b.Width, o.Width) + 1
 	if b.HasX() || o.HasX() {
 		return Unknown(w)
 	}

@@ -56,19 +56,23 @@ type Interface interface {
 
 	// Resolve looks a signal up by full hierarchical name once and
 	// returns a handle to read it through — the interface's
-	// vpi_handle_by_name. An unknown path is an error.
-	Resolve(path string) (Handle, error)
+	// vpi_handle_by_name — and the signal's two-state type: a zero
+	// eval.Value of its declared width and signedness, fixed for the
+	// handle's life. An unknown path is an error.
+	Resolve(path string) (Handle, eval.Value, error)
 
 	// ReadValues reads the current value of every handle in hs into
-	// dst, in one call, on the two-state fast path. ok[i] reports
+	// dst, in one call, as words: each value's bits, zero-extended
+	// above the width of the type Resolve reported. ok[i] reports
 	// whether slot i was read: a value with x/z bits or wider than 64
 	// bits, an unreadable signal and NoHandle leave ok[i] false. dst
 	// and ok must be at least len(hs) long. The debugger reads its
 	// whole armed dependency union through one call at every clock
-	// edge and diffs it against the previous edge, so the call must
-	// not allocate; on a real VPI transport it is one round trip
-	// instead of one per signal (§4.3).
-	ReadValues(hs []Handle, dst []eval.Value, ok []bool)
+	// edge and diffs the words into the first slots of its fused
+	// condition program's value plane, so the call must not allocate;
+	// on a real VPI transport it is one round trip instead of one per
+	// signal (§4.3).
+	ReadValues(hs []Handle, dst []uint64, ok []bool)
 }
 
 // Handle is a resolved signal: what Resolve returns and ReadValues
@@ -109,20 +113,21 @@ func (b *SimBackend) GetValue(path string) (eval.Value, error) {
 }
 
 // Resolve implements Interface: a live handle is the signal's netlist
-// index.
-func (b *SimBackend) Resolve(path string) (Handle, error) {
+// index, its type the signal's declared type.
+func (b *SimBackend) Resolve(path string) (Handle, eval.Value, error) {
 	sig, ok := b.Sim.Netlist().Signal(path)
 	if !ok {
-		return NoHandle, fmt.Errorf("vpi: unknown signal %q", path)
+		return NoHandle, eval.Value{}, fmt.Errorf("vpi: unknown signal %q", path)
 	}
-	return Handle(sig.Index), nil
+	return Handle(sig.Index), eval.Make(0, sig.Width, sig.Signed), nil
 }
 
 // ReadValues implements Interface by netlist index, without allocating.
 // The simulator is two-state, so every resolved slot reads.
-func (b *SimBackend) ReadValues(hs []Handle, dst []eval.Value, ok []bool) {
+func (b *SimBackend) ReadValues(hs []Handle, dst []uint64, ok []bool) {
 	for i, h := range hs {
-		dst[i], ok[i] = b.Sim.PeekIndex(int(h))
+		v, read := b.Sim.PeekIndex(int(h))
+		dst[i], ok[i] = v.Bits, read
 	}
 }
 

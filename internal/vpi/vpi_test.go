@@ -23,6 +23,8 @@ func makeBackend(t *testing.T) *SimBackend {
 		count.Set(count.AddMod(m.Lit(1, 8)))
 	})
 	out.Set(count)
+	// A signed view of the count, for the handle types.
+	m.Output("signed", ir.SIntType(8)).Set(count.AsSInt())
 	comp, err := passes.Compile(c.MustBuild(), false)
 	if err != nil {
 		t.Fatal(err)
@@ -99,30 +101,38 @@ func TestFivePrimitives(t *testing.T) {
 }
 
 // TestHandles pins the handle surface on the live backend: an unknown
-// path does not resolve, the batched read fills every resolved slot
-// (the simulator is two-state, so every one reads) with what GetValue
-// returns, NoHandle reads as a failed slot, and the read allocates
+// path does not resolve; a handle's type is the signal's declared
+// width and sign; the batched read fills every resolved slot (the
+// simulator is two-state, so every one reads) with the bits GetValue
+// returns; NoHandle reads as a failed slot; and the read allocates
 // nothing.
 func TestHandles(t *testing.T) {
 	b := makeBackend(t)
-	if _, err := b.Resolve("Counter.nope"); err == nil {
+	if _, _, err := b.Resolve("Counter.nope"); err == nil {
 		t.Fatal("unknown signal resolved")
 	}
 	if err := b.SetValue("Counter.en", 1); err != nil {
 		t.Fatal(err)
 	}
 	b.Sim.Run(3)
-	paths := []string{"Counter.count", "Counter.en", "Counter.out", "Counter.reset"}
+	paths := []string{"Counter.count", "Counter.en", "Counter.out", "Counter.reset", "Counter.signed"}
+	types := []eval.Value{
+		eval.Make(0, 8, false), eval.Make(0, 1, false), eval.Make(0, 8, false),
+		eval.Make(0, 1, false), eval.Make(0, 8, true),
+	}
 	hs := make([]Handle, len(paths)+1)
 	for i, p := range paths {
-		h, err := b.Resolve(p)
+		h, typ, err := b.Resolve(p)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if typ != types[i] {
+			t.Fatalf("%s resolved with type %+v, want %+v", p, typ, types[i])
 		}
 		hs[i] = h
 	}
 	hs[len(paths)] = NoHandle
-	dst := make([]eval.Value, len(hs))
+	dst := make([]uint64, len(hs))
 	ok := make([]bool, len(hs))
 	for i := range ok {
 		ok[i] = true
@@ -135,8 +145,8 @@ func TestHandles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok[i] || dst[i] != want {
-			t.Fatalf("%s by handle = %v (ok %v), by path %v", p, dst[i], ok[i], want)
+		if !ok[i] || dst[i] != want.Bits || want.Width != types[i].Width || want.Signed != types[i].Signed {
+			t.Fatalf("%s by handle = %#x (ok %v), by path %+v", p, dst[i], ok[i], want)
 		}
 	}
 	if ok[len(paths)] {
