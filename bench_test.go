@@ -298,14 +298,19 @@ func TestSimStepAllocs(t *testing.T) {
 func BenchmarkFig5Fused(b *testing.B) {
 	for _, mode := range []struct {
 		name      string
+		cond      string
 		configure func(*core.Runtime)
 	}{
-		{"fused", func(*core.Runtime) {}},
-		{"exhaustive", func(rt *core.Runtime) { rt.SetExhaustiveEval(true) }},
+		{"fused", fig5FusedCond, func(*core.Runtime) {}},
+		{"exhaustive", fig5FusedCond, func(rt *core.Runtime) { rt.SetExhaustiveEval(true) }},
+		// The same cost with a literal-arm ?: (arms of different types)
+		// as each user condition, which fuses because a breakpoint
+		// reads only its truth.
+		{"fused-ternary", "acc %% 13 == 77 ? acc ^ %d : 0", func(*core.Runtime) {}},
 	} {
 		mode := mode
 		b.Run(mode.name, func(b *testing.B) {
-			s, rt := buildFig5FusedBench(b)
+			s, rt := buildFig5FusedBench(b, mode.cond)
 			mode.configure(rt)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -317,7 +322,7 @@ func BenchmarkFig5Fused(b *testing.B) {
 			b.StopTimer()
 			evals, _ := rt.Stats()
 			b.ReportMetric(float64(evals)/float64(b.N), "evals/edge")
-			if stats, ok := rt.FuseInfo(); ok && mode.name == "fused" {
+			if stats, ok := rt.FuseInfo(); ok && mode.name != "exhaustive" {
 				b.ReportMetric(float64(stats.Conds), "fused-conds")
 				b.ReportMetric(float64(stats.SharedSegs), "cse-segs")
 				b.ReportMetric(float64(stats.SharedReads), "cse-reads")
@@ -328,10 +333,19 @@ func BenchmarkFig5Fused(b *testing.B) {
 	}
 }
 
+// fig5FusedCond is the BenchmarkFig5Fused workload's user condition, a
+// format taking the statement's number. The first clause is identical
+// across an instance's 8 statements and reads the same acc slot, so
+// the fuser hoists it once per instance; the second clause keeps each
+// condition distinct. mod-13 can never equal 77, so no stop fires and
+// the runs measure pure armed cost.
+const fig5FusedCond = "acc %% 13 == 77 && acc[3:0] != %d"
+
 // buildFig5FusedBench builds the BenchmarkFig5Fused workload: the
-// 16-instance design with 128 armed never-true conditional
-// breakpoints. Shared with TestFig5FusedRef, the CI cost gate.
-func buildFig5FusedBench(tb testing.TB) (*sim.Simulator, *core.Runtime) {
+// 16-instance design with 128 armed breakpoints, each conditioned on
+// cond (a format taking the statement's number) that must never hold.
+// Shared with TestFig5FusedRef, the CI cost gate.
+func buildFig5FusedBench(tb testing.TB, cond string) (*sim.Simulator, *core.Runtime) {
 	const nInst = 16
 	const nStmts = 8
 	c := generator.NewCircuit("Top")
@@ -395,13 +409,7 @@ func buildFig5FusedBench(tb testing.TB) (*sim.Simulator, *core.Runtime) {
 			if len(bps) == 0 || bps[0].Enable == "" {
 				continue
 			}
-			// The first clause is identical across the instance's 8
-			// statements and reads the same acc slot, so the fuser
-			// hoists it once per instance; the second clause keeps
-			// each condition distinct. mod-13 can never equal 77, so
-			// no stop fires and the runs measure pure armed cost.
-			cond := fmt.Sprintf("acc %% 13 == 77 && acc[3:0] != %d", stmt)
-			ids, err := rt.AddBreakpoint(f, l, cond)
+			ids, err := rt.AddBreakpoint(f, l, fmt.Sprintf(cond, stmt))
 			if err != nil {
 				tb.Fatal(err)
 			}

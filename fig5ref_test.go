@@ -43,7 +43,7 @@ func TestFig5FusedRef(t *testing.T) {
 		t.Fatalf("reference ns_per_edge must be positive, got %v", ref.NsPerEdge)
 	}
 	res := testing.Benchmark(func(b *testing.B) {
-		s, rt := buildFig5FusedBench(b)
+		s, rt := buildFig5FusedBench(b, fig5FusedCond)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -21,8 +21,8 @@ import (
 // Everything it does not cover runs through the general evaluator
 // (evalBP / Watchpoint.eval over expr.EvalBits): conditions it does not
 // fuse (an unverified or unresolved dependency, an operand or a result
-// wider than 64 bits, ?: arms of different types, a literal only
-// EvalBits accepts), results a failed union read poisons, stepping,
+// wider than 64 bits, ?: arms of different types whose value is read,
+// a literal only EvalBits accepts), results a failed union read poisons, stepping,
 // reverse walks (reverse steps and reverse-continue), and the
 // SetExhaustiveEval reference the fused walk is pinned against.
 //
@@ -124,9 +124,10 @@ func (rt *Runtime) rebuildFused() {
 // buildFused hands every armed member with a folded program, and every
 // watch with one, to the fuser. What the fuser does not fuse (an
 // unverified or unresolved dependency, an operand or a result wider
-// than 64 bits, ?: arms of different types) and members only EvalBits
-// accepts (a four-state or wide literal) are extras, evaluated by the
-// general evaluator during the walk.
+// than 64 bits, ?: arms of different types whose value is read) and
+// members only EvalBits accepts (a four-state or wide literal) are
+// extras, evaluated by the general evaluator during the walk. A
+// breakpoint's result is read as a truth, a watch's as a value.
 func (rt *Runtime) buildFused() *fusedState {
 	fs := &fusedState{
 		groupConds: make([][]int32, len(rt.allGroups)),
@@ -155,6 +156,7 @@ func (rt *Runtime) buildFused() *fusedState {
 				Cond:        armed.condProg,
 				EnableSlots: armed.enableSlots,
 				CondSlots:   armed.condSlots,
+				Truth:       true,
 			})
 		}
 	}

@@ -286,3 +286,40 @@ func TestFusedFailedReadPoisonsItsSlotOnly(t *testing.T) {
 		}
 	}
 }
+
+// TestFusedTernaryTruthBreakpoint: a breakpoint's condition is read
+// only as a truth, so a ?: whose arms differ in type fuses (and parks)
+// there and stops where the exhaustive reference stops; the same ?: as
+// a watch value, whose width is observed, stays with EvalBits.
+func TestFusedTernaryTruthBreakpoint(t *testing.T) {
+	conds := [2]string{"count == 3 ? count : 0", "count[2:0] == 5 ? count[2:0] : 2'd0"}
+	exhaustive, _ := runCounterScenario(t, true, conds)
+	fused, rt := runCounterScenario(t, false, conds)
+	if len(exhaustive) == 0 {
+		t.Fatal("scenario produced no stops; test is vacuous")
+	}
+	if fmt.Sprint(fused) != fmt.Sprint(exhaustive) {
+		t.Fatalf("fused stops %+v, exhaustive %+v", fused, exhaustive)
+	}
+	if fs := rt.fused; fs.watchBase != 2 || fs.extras != 0 {
+		t.Fatalf("%d breakpoint conditions fused, %d extras: want both fused", fs.watchBase, fs.extras)
+	}
+	if skipped, _, _ := rt.ActivityStats(); skipped == 0 {
+		t.Fatal("fused run skipped nothing on the idle stretches")
+	}
+	d := buildCounterDesign(t, false)
+	rt, err := New(vpi.NewSimBackend(d.sim), d.table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{"en ? count : 0", "en ? count : count"} {
+		if _, err := rt.AddWatch("Counter", src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rt.SetHandler(func(*StopEvent) Command { return CmdContinue })
+	d.sim.Run(2)
+	if w := rt.Watches(); w[0].fusedID >= 0 || w[1].fusedID < 0 {
+		t.Fatalf("watch fused ids %d, %d: want only the second (arms of one type) fused", w[0].fusedID, w[1].fusedID)
+	}
+}

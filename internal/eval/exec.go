@@ -62,6 +62,18 @@ const (
 	OpMemWrite           // if A != 0, memory Imm's word B = C & Mask (none past its depth)
 )
 
+// Reads is how many of an instruction's operand slots the opcode reads:
+// A, then B, then C.
+func (op Op) Reads() int {
+	switch op {
+	case OpMux, OpMemWrite:
+		return 3
+	case OpMask, OpSext, OpNot, OpNeg, OpShl, OpShr, OpShrS, OpXorR, OpMemRead:
+		return 1
+	}
+	return 2
+}
+
 // Instr is one word instruction: 32 bytes, no pointers.
 type Instr struct {
 	Op Op

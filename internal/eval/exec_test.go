@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/ir"
@@ -83,6 +84,52 @@ func TestMachineMux(t *testing.T) {
 	for _, c := range []struct{ cond, want uint64 }{{1, 3}, {0, 5}} {
 		if got := b.run(c.cond)[sel.Slot]; got != c.want {
 			t.Fatalf("cond=%d: got %d, want %d", c.cond, got, c.want)
+		}
+	}
+}
+
+// TestOpReads pins Op.Reads against Exec: an operand slot past an
+// opcode's count never changes its result, and each slot within it
+// does for some plane.
+func TestOpReads(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	draw := func() uint64 {
+		if r.Intn(2) == 0 {
+			return uint64(r.Intn(4))
+		}
+		return r.Uint64() >> uint(r.Intn(64))
+	}
+	mems := [][]uint64{{10, 11, 12, 13}}
+	for op := OpMask; op <= OpMemRead; op++ {
+		in := Instr{Op: op, Imm: 3, Dst: 0, A: 1, B: 2, C: 3, Mask: ^uint64(0)}
+		if op == OpMemRead {
+			in.Imm = 0
+		}
+		run := func(plane []uint64) uint64 {
+			p := append([]uint64(nil), plane...)
+			Exec([]Instr{in}, p, mems)
+			return p[0]
+		}
+		var moved [3]bool
+		for trial := 0; trial < 500; trial++ {
+			plane := []uint64{0, draw(), draw(), draw()}
+			base := run(plane)
+			for k := 0; k < 3; k++ {
+				p := append([]uint64(nil), plane...)
+				p[1+k] = draw()
+				if run(p) == base {
+					continue
+				}
+				if k >= op.Reads() {
+					t.Fatalf("op %d: slot %c moves the result but Reads is %d", op, 'A'+k, op.Reads())
+				}
+				moved[k] = true
+			}
+		}
+		for k := 0; k < op.Reads(); k++ {
+			if !moved[k] {
+				t.Errorf("op %d: Reads is %d but slot %c never moved the result", op, op.Reads(), 'A'+k)
+			}
 		}
 	}
 }

@@ -2,8 +2,6 @@ package expr
 
 import (
 	"fmt"
-	"math/big"
-	"math/bits"
 
 	"repro/internal/eval"
 	"repro/internal/val"
@@ -30,9 +28,11 @@ import (
 // dominates &, known 1 dominates |), arithmetic and ordered
 // comparisons go whole-result x on any unknown input bit, == is
 // three-valued, and === / !== compare all four states bit-for-bit and
-// always produce a known 0/1. Signals keep their sign across the
-// lowering (val.Bits.Signed), so signed comparisons, shifts and
-// arithmetic match too.
+// always produce a known 0/1. On known values the general domain
+// computes what eval.Prim computes, at any width: its arithmetic,
+// ordering and >> follow val.Bits.Signed the way Prim follows
+// Value.Signed, and signals keep their sign across the lowering, so a
+// signed chain whose intermediate crosses 64 bits keeps its sign.
 
 // BitsResolver maps a (possibly dotted) name to its current four-state
 // value.
@@ -129,12 +129,11 @@ func (n unaryNode) evalBits(r BitsResolver) (bval, error) {
 		if err != nil {
 			return bval{}, err
 		}
-		if v.Width > 64 {
-			// -x of a 64-bit x: its sign needs bit 64.
-			z := intOf(x.v, x.v.Signed)
-			return gen(truncBits(z.Neg(z), v)), nil
+		if v.Width <= 64 {
+			return two(v), nil
 		}
-		return two(v), nil
+		// -x of a 64-bit x: its sign needs bit 64.
+		x = gen(x.bits())
 	}
 	switch n.op {
 	case "~":
@@ -142,19 +141,9 @@ func (n unaryNode) evalBits(r BitsResolver) (bval, error) {
 	case "!":
 		return triVal(triNot(x.b.Truth())), nil
 	case "-":
-		return gen(negBits(x.b)), nil
+		return gen(x.b.Neg()), nil
 	}
 	return bval{}, fmt.Errorf("expr: unknown unary %q", n.op)
-}
-
-// negBits is arithmetic negation in the general domain: whole-result x
-// on any unknown bit, otherwise two's complement at width+1.
-func negBits(b val.Bits) val.Bits {
-	w := b.Width + 1
-	if b.HasX() {
-		return val.Unknown(w)
-	}
-	return val.FromUint64(0, w).Sub(b).Resize(w)
 }
 
 func (n binNode) evalBits(r BitsResolver) (bval, error) {
@@ -217,61 +206,11 @@ func (n binNode) evalBits(r BitsResolver) (bval, error) {
 		if err != nil {
 			return bval{}, err
 		}
-		if v.Width > 64 {
-			return gen(wideArith(n.op, a.v, b.v, v)), nil
+		if v.Width <= 64 {
+			return two(v), nil
 		}
-		return two(v), nil
 	}
 	return applyBinBits(n.op, a.bits(), b.bits())
-}
-
-// wideArith computes exactly a two-state +, -, * or / whose result type
-// res (eval.Prim's) is wider than 64 bits: on the integer values
-// eval.Prim computes on, unbounded — a signed operand by its sign when
-// the operation is signed (when the first operand is), any other as it
-// stands — then truncated to res's width in two's complement.
-func wideArith(op string, a, b, res eval.Value) val.Bits {
-	x, y := intOf(a, a.Signed), intOf(b, a.Signed)
-	switch op {
-	case "+":
-		x.Add(x, y)
-	case "-":
-		x.Sub(x, y)
-	case "*":
-		x.Mul(x, y)
-	case "/":
-		// Only a signed quotient widens; a zero divisor yields zero,
-		// as in eval.Prim.
-		if y.Sign() == 0 {
-			x.SetInt64(0)
-		} else {
-			x.Quo(x, y)
-		}
-	}
-	return truncBits(x, res)
-}
-
-// intOf is v's integer value: by its sign when signed and v is signed,
-// else its bits as they stand.
-func intOf(v eval.Value, signed bool) *big.Int {
-	if signed && v.Signed {
-		return big.NewInt(v.Int())
-	}
-	return new(big.Int).SetUint64(v.Bits)
-}
-
-// truncBits is z in two's complement at res's width, signed like res.
-func truncBits(z *big.Int, res eval.Value) val.Bits {
-	z.Mod(z, new(big.Int).Lsh(big.NewInt(1), uint(res.Width)))
-	words := make([]uint64, (res.Width+63)/64)
-	mask := new(big.Int).SetUint64(^uint64(0))
-	for i := range words {
-		words[i] = new(big.Int).And(z, mask).Uint64()
-		z.Rsh(z, 64)
-	}
-	b := val.FromWords(words, res.Width)
-	b.Signed = res.Signed
-	return b
 }
 
 // applyBinBits applies a non-short-circuit binary operator in the
@@ -283,13 +222,13 @@ func applyBinBits(op string, a, b val.Bits) (bval, error) {
 	case "-":
 		return gen(a.Sub(b)), nil
 	case "*":
-		return gen(mulBits(a, b)), nil
+		return gen(a.Mul(b)), nil
 	case "/":
-		return gen(divBits(a, b)), nil
+		return gen(a.Div(b)), nil
 	case "%":
-		return gen(remBits(a, b)), nil
+		return gen(a.Rem(b)), nil
 	case "<", "<=", ">", ">=":
-		c, known := cmpBits(a, b)
+		c, known := a.Cmp(b)
 		if !known {
 			return triVal(val.Undef), nil
 		}
@@ -324,38 +263,20 @@ func applyBinBits(op string, a, b val.Bits) (bval, error) {
 		if !known {
 			return gen(val.Unknown(a.Width)), nil
 		}
-		return gen(a.Shl(sh)), nil
+		r := a.Shl(sh)
+		r.Signed = a.Signed
+		return gen(r), nil
 	case ">>":
 		sh, known := shiftAmount(b)
-		if !known {
+		switch {
+		case !known:
 			return gen(val.Unknown(a.Width)), nil
+		case a.Signed:
+			return gen(a.Sar(sh)), nil
 		}
 		return gen(a.Shr(sh)), nil
 	}
 	return bval{}, fmt.Errorf("expr: unknown operator %q", op)
-}
-
-// cmpBits orders two general-domain values the way eval.Prim orders
-// two-state ones: as signed integers when the first is signed (each
-// operand by its own sign), else unsigned. Any x bit leaves the order
-// unknown.
-func cmpBits(a, b val.Bits) (int, bool) {
-	if !a.Signed || a.HasX() || b.HasX() {
-		return a.Cmp(b)
-	}
-	return bitsInt(a).Cmp(bitsInt(b)), true
-}
-
-// bitsInt is a known value's integer value, by its sign when signed.
-func bitsInt(b val.Bits) *big.Int {
-	z := new(big.Int)
-	for i := b.Words() - 1; i >= 0; i-- {
-		z.Lsh(z, 64).Or(z, new(big.Int).SetUint64(b.Word(i)))
-	}
-	if b.Signed && b.Width > 0 && z.Bit(b.Width-1) == 1 {
-		z.Sub(z, new(big.Int).Lsh(big.NewInt(1), uint(b.Width)))
-	}
-	return z
 }
 
 func boolTri(t bool) val.Tri {
@@ -377,47 +298,6 @@ func shiftAmount(b val.Bits) (int, bool) {
 		return maxLiteralWidth + 1, true
 	}
 	return int(v), true
-}
-
-// mulBits multiplies in the general domain: whole-result x on any
-// unknown bit, exact when both magnitudes fit 64 bits (the product is
-// computed at 128 bits), all-x otherwise — true >64-bit magnitudes
-// are beyond what the debugger's condition language evaluates.
-func mulBits(a, b val.Bits) val.Bits {
-	w := a.Width + b.Width
-	if w > maxLiteralWidth {
-		w = maxLiteralWidth
-	}
-	av, aok := a.AsUint64()
-	bv, bok := b.AsUint64()
-	if !aok || !bok {
-		return val.Unknown(w)
-	}
-	hi, lo := bits.Mul64(av, bv)
-	return val.FromWords([]uint64{lo, hi}, w)
-}
-
-// divBits divides in the general domain: division by zero is x per
-// Verilog, as is any unknown or true-wide operand.
-func divBits(a, b val.Bits) val.Bits {
-	av, aok := a.AsUint64()
-	bv, bok := b.AsUint64()
-	if !aok || !bok || bv == 0 {
-		return val.Unknown(a.Width)
-	}
-	return val.FromUint64(av/bv, a.Width)
-}
-
-// remBits is the remainder in the general domain, at eval's
-// min(widths) result width.
-func remBits(a, b val.Bits) val.Bits {
-	w := minInt(a.Width, b.Width)
-	av, aok := a.AsUint64()
-	bv, bok := b.AsUint64()
-	if !aok || !bok || bv == 0 {
-		return val.Unknown(w)
-	}
-	return val.FromUint64(av%bv, w)
 }
 
 func (n ternaryNode) evalBits(r BitsResolver) (bval, error) {

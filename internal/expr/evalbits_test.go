@@ -2,9 +2,12 @@ package expr
 
 import (
 	"fmt"
+	"math/big"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/eval"
 	"repro/internal/val"
 )
 
@@ -116,10 +119,12 @@ func TestEvalBitsWideValues(t *testing.T) {
 	if got := evalBitsStr(t, "bus == 1", env); !got.CaseEq(val.FromUint64(0, 1)) {
 		t.Fatalf("bus == 1 = %s", got)
 	}
-	// True >64-bit magnitudes degrade to x for * and / rather than
-	// silently truncating.
-	if got := evalBitsStr(t, "bus * 2", env); !got.HasX() {
-		t.Fatalf("wide multiply should be unknown, got %s", got)
+	// True >64-bit magnitudes stay exact, at the product's full width.
+	if got := evalBitsStr(t, "bus * 2", env); !got.CaseEq(val.FromWords([]uint64{2, 0, 1 << 32}, 162)) || got.Width != 162 {
+		t.Fatalf("bus * 2 = %s", got)
+	}
+	if got := evalBitsStr(t, "bus / 2 == "+"159'h4"+strings.Repeat("0", 39), env); !got.CaseEq(val.FromUint64(1, 1)) {
+		t.Fatalf("bus / 2 = %s", got)
 	}
 }
 
@@ -178,11 +183,21 @@ func TestEvalBitsWideResults(t *testing.T) {
 		b.Signed = true
 		return b
 	}
+	s40 := func(v int64) val.Bits {
+		b := val.FromUint64(uint64(v), 40)
+		b.Signed = true
+		return b
+	}
 	env := bitsEnv(map[string]val.Bits{
 		"x":   val.FromUint64(^uint64(0), 64), // 2^64-1
 		"y":   val.FromUint64(1<<63, 64),      // 2^63
 		"min": signed(1 << 63),                // -2^63
 		"m1":  signed(^uint64(0)),             // -1
+		"p1":  signed(1),
+		"z":   signed(0),
+		"a40": s40(-1),
+		"b40": s40(1),
+		"c40": s40(0),
 	})
 	cases := []struct {
 		src  string
@@ -203,6 +218,20 @@ func TestEvalBitsWideResults(t *testing.T) {
 		{"-min > 0", 1},
 		{"min / m1 > 0", 1},
 		{"min * m1 > 0", 1},
+		// Chains keep the sign of a wide intermediate.
+		{"m1 - p1 - z < 0", 1},
+		{"a40 * b40 + c40 < 0", 1},
+		{"-(m1 - p1) > 0", 1},
+		{"(m1 - p1) * p1 < 0", 1},
+		{"(m1 - p1) / p1 < 0", 1},
+		{"(m1 - p1) % p1 == 0", 1},
+		{"(m1 - p1) >> 1 < 0", 1},
+		{"(m1 - p1) << 1 < 0", 1},
+		{"(x + 1) * 1 != 0", 1},
+		{"(x + 1) / 1 != 0", 1},
+		// Known operands divide as eval.Prim does: by zero gives 0.
+		{"(min / z) == 0", 1},
+		{"(x + 1) / 0 == 0", 1},
 	}
 	for _, tc := range cases {
 		got := evalBitsStr(t, tc.src, env)
@@ -217,6 +246,177 @@ func TestEvalBitsWideResults(t *testing.T) {
 	for _, tc := range widths {
 		if got := evalBitsStr(t, tc.src, env); got.Width != tc.width {
 			t.Errorf("%s is %d bits wide, want %d", tc.src, got.Width, tc.width)
+		}
+	}
+}
+
+// exact is TestEvalBitsMatchesExactIntegers' reference value: the
+// integer a node denotes, read by its own sign, and the node's type.
+type exact struct {
+	z      *big.Int
+	width  int
+	signed bool
+}
+
+// wrap is z in two's complement at width, read by the given sign.
+func wrap(z *big.Int, width int, signed bool) exact {
+	m := new(big.Int).Lsh(big.NewInt(1), uint(width))
+	z = new(big.Int).Mod(z, m)
+	if signed && z.Bit(width-1) == 1 {
+		z.Sub(z, m)
+	}
+	return exact{z, width, signed}
+}
+
+// bits renders the reference value as EvalBits would.
+func (e exact) bits() val.Bits {
+	m := new(big.Int).Lsh(big.NewInt(1), uint(e.width))
+	z := new(big.Int).Mod(e.z, m)
+	words := make([]uint64, (e.width+63)/64)
+	for i := range words {
+		words[i] = new(big.Int).Rsh(z, uint(64*i)).Uint64()
+	}
+	b := val.FromWords(words, e.width)
+	b.Signed = e.signed
+	return b
+}
+
+// exactGen draws arithmetic trees over typed names and evaluates them on
+// exact integers with the language's typing: the operation is signed
+// when its first operand is, + and - widen by one bit, * to the sum of
+// the widths, a signed / by one bit, % narrows to the smaller width,
+// unary - widens by one bit and is signed, >> keeps the width (floor
+// division by a power of two), and a zero divisor gives 0. A signed
+// operation's second operand is signed, or an unsigned name narrower
+// than 64 bits: eval.Prim reads an unsigned operand of a signed
+// operation through Value.Int, exact only below 64 bits.
+type exactGen struct {
+	r           *rand.Rand
+	names       map[string]exact
+	signed, uns []string
+}
+
+func (g *exactGen) leaf(signed bool) (Node, exact) {
+	pool := g.uns
+	if signed {
+		pool = g.signed
+	}
+	n := pool[g.r.Intn(len(pool))]
+	return nameNode{name: n}, g.names[n]
+}
+
+func (g *exactGen) tree(signed bool, depth int) (Node, exact) {
+	if depth == 0 || g.r.Intn(4) == 0 {
+		return g.leaf(signed)
+	}
+	if signed && g.r.Intn(6) == 0 {
+		// Unary minus of either sign is signed.
+		x, e := g.tree(g.r.Intn(2) == 0, depth-1)
+		return unaryNode{op: "-", x: x}, wrap(new(big.Int).Neg(e.z), e.width+1, true)
+	}
+	ops := []string{"+", "-", "*", "/", "%", ">>"}
+	op := ops[g.r.Intn(len(ops))]
+	a, ea := g.tree(signed, depth-1)
+	if op == ">>" {
+		sh := g.r.Intn(ea.width + 2)
+		z := new(big.Int).Rsh(ea.z, uint(sh))
+		return binNode{op: op, a: a, b: numNode{v: eval.Make(uint64(sh), 16, false)}}, wrap(z, ea.width, ea.signed)
+	}
+	var b Node
+	var eb exact
+	if signed && g.r.Intn(4) == 0 {
+		b, eb = g.leaf(false)
+		for eb.width == 64 {
+			b, eb = g.leaf(false)
+		}
+	} else {
+		b, eb = g.tree(signed, depth-1)
+	}
+	z := new(big.Int)
+	var w int
+	switch op {
+	case "+":
+		z.Add(ea.z, eb.z)
+		w = max(ea.width, eb.width) + 1
+	case "-":
+		z.Sub(ea.z, eb.z)
+		w = max(ea.width, eb.width) + 1
+	case "*":
+		z.Mul(ea.z, eb.z)
+		w = ea.width + eb.width
+	case "/":
+		if eb.z.Sign() != 0 {
+			z.Quo(ea.z, eb.z)
+		}
+		w = ea.width
+		if signed {
+			w++
+		}
+	case "%":
+		if eb.z.Sign() != 0 {
+			z.Rem(ea.z, eb.z)
+		}
+		w = min(ea.width, eb.width)
+	}
+	return binNode{op: op, a: a, b: b}, wrap(z, w, signed)
+}
+
+// TestEvalBitsMatchesExactIntegers pins EvalBits' arithmetic against
+// exact integers over random signed and unsigned trees whose operands
+// are up to 64 bits wide and whose intermediates reach past 64 bits,
+// so values cross between the two-state domain and the general one
+// mid-tree. It also orders each tree against zero and another tree of
+// its sign.
+func TestEvalBitsMatchesExactIntegers(t *testing.T) {
+	r := rand.New(rand.NewSource(20261019))
+	widths := []int{1, 2, 7, 32, 40, 63, 64}
+	for trial := 0; trial < 300; trial++ {
+		g := &exactGen{r: r, names: map[string]exact{}}
+		env := map[string]val.Bits{}
+		for i := 0; i < 6; i++ {
+			signed := i%2 == 0
+			w := widths[r.Intn(len(widths))]
+			if !signed && w == 64 && i == 1 {
+				w = 63 // keep one unsigned name a signed operation may take
+			}
+			n := fmt.Sprintf("n%d", i)
+			e := wrap(new(big.Int).SetUint64(r.Uint64()>>uint(r.Intn(64))), w, signed)
+			g.names[n], env[n] = e, e.bits()
+			if signed {
+				g.signed = append(g.signed, n)
+			} else {
+				g.uns = append(g.uns, n)
+			}
+		}
+		res := bitsEnv(env)
+		for k := 0; k < 10; k++ {
+			signed := r.Intn(2) == 0
+			n, want := g.tree(signed, 3)
+			got, err := EvalBits(n, res)
+			if err != nil {
+				t.Fatalf("%v: %v", n, err)
+			}
+			if w := want.bits(); !got.CaseEq(w) || got.Width != w.Width || got.Signed != w.Signed {
+				t.Fatalf("%v = %s (width %d, signed %v), want %s (width %d, signed %v)",
+					n, got, got.Width, got.Signed, w, w.Width, w.Signed)
+			}
+			m, other := g.tree(signed, 2)
+			for _, c := range []struct {
+				rhs  Node
+				want bool
+			}{
+				{numNode{v: eval.Make(0, 1, false)}, want.z.Sign() < 0},
+				{m, want.z.Cmp(other.z) < 0},
+			} {
+				lt := binNode{op: "<", a: n, b: c.rhs}
+				got, err := EvalBits(lt, res)
+				if err != nil {
+					t.Fatalf("%v: %v", lt, err)
+				}
+				if got.Truth() != boolTri(c.want) {
+					t.Fatalf("%v = %s, want %v", lt, got, c.want)
+				}
+			}
 		}
 	}
 }

@@ -101,16 +101,27 @@ func TestCompileDepsDeduplicated(t *testing.T) {
 func TestCompileShortCircuitSkipsDeadSide(t *testing.T) {
 	slots := map[string]int{"a": 0, "b": 1}
 	env := []eval.Value{eval.Make(0, 8, false), eval.Make(5, 8, false)}
-	for _, src := range []string{"a == 0 && b > 1", "a != 0 || b > 1", "a ? b : 8'd3"} {
-		n := MustParse(src)
-		fs := Fuse([]FusedCondition{compileCond(t, n, nil, slots)}, slotTypes(env))
+	for _, tc := range []struct {
+		src   string
+		truth bool
+	}{
+		{"a == 0 && b > 1", false},
+		{"a != 0 || b > 1", false},
+		{"a ? b : 8'd3", false},
+		// Arms of different types fuse where only the truth is read.
+		{"a ? b : 3", true},
+	} {
+		n := MustParse(tc.src)
+		fc := compileCond(t, n, nil, slots)
+		fc.Truth = tc.truth
+		fs := Fuse([]FusedCondition{fc}, slotTypes(env))
 		results, fused := fuseRun(fs, env, nil)
 		want, errW := refCond(n, nil, slotEnv(slots, env))
 		if errW != nil || !fused[0] {
-			t.Fatalf("%q: EvalBits err %v, fused %v", src, errW, fused[0])
+			t.Fatalf("%q: EvalBits err %v, fused %v", tc.src, errW, fused[0])
 		}
-		if err := checkFused(results[0], want, errW, false); err != nil {
-			t.Fatalf("%q: %v", src, err)
+		if err := checkFused(results[0], want, errW, tc.truth); err != nil {
+			t.Fatalf("%q: %v", tc.src, err)
 		}
 	}
 }

@@ -31,11 +31,19 @@ import (
 // (FusedSchedule.Slots) holds a failed slot and evaluates it with
 // EvalBits instead.
 //
+// A node sits in a truth place when only its truth is observed: the
+// root of a condition whose caller reads its truth alone
+// (FusedCondition.Truth, or both an enable and a user condition), a
+// side of && or ||, the operand of !, a ?: selector, or an arm of a ?:
+// in a truth place. A ?: in a truth place whose arms differ in type is
+// the OpMux of its arms' truths: EvalBits' result is the chosen arm,
+// whose truth that is whatever its width.
+//
 // A condition whose types do not check is not fused (its IDs entry is
 // -1) and runs on EvalBits: an operand that did not resolve or is wider
 // than 64 bits, a node whose result type is wider than 64 bits, or a ?:
-// whose arms differ in type (EvalBits' result type would then depend
-// on the selector).
+// whose arms differ in type outside a truth place (EvalBits' result
+// type would then depend on the selector).
 //
 // Instructions are hash-consed across all conditions on their opcode,
 // operands and immediates, so a subexpression two conditions share is
@@ -54,6 +62,11 @@ type FusedCondition struct {
 	Cond        *Program
 	EnableSlots []int
 	CondSlots   []int
+	// Truth says the caller reads only the result's truth (a
+	// breakpoint); the fused result is then that 1-bit truth. A
+	// condition with both an enable and a user condition is always read
+	// so.
+	Truth bool
 }
 
 // FuseStats reports the fused program's shape.
@@ -217,59 +230,50 @@ func (f *fuser) reach(s, ci int32, slots *[]int32) {
 	}
 	n.reach++
 	n.last = ci
-	in := n.in
-	f.reach(in.A, ci, slots)
-	switch reads(in.Op) {
-	case 3:
-		f.reach(in.C, ci, slots)
-		fallthrough
-	case 2:
-		f.reach(in.B, ci, slots)
+	operands := [3]int32{n.in.A, n.in.B, n.in.C}
+	for _, x := range operands[:n.in.Op.Reads()] {
+		f.reach(x, ci, slots)
 	}
-}
-
-// reads is how many of an instruction's operand slots (A, B, C) the
-// fuser's opcodes read.
-func reads(op eval.Op) int {
-	switch op {
-	case eval.OpMux:
-		return 3
-	case eval.OpMask, eval.OpNot, eval.OpNeg, eval.OpShr:
-		return 1
-	}
-	return 2
 }
 
 // condition lowers one condition; ok is false when its types do not
 // check.
 func (f *fuser) condition(c FusedCondition) (eval.Operand, bool) {
+	truth := c.Truth || (c.Enable != nil && c.Cond != nil)
 	var en, cond eval.Operand
 	if c.Enable != nil {
 		var ok bool
-		if en, ok = f.lower(c.Enable.Folded, c.Enable.Deps, c.EnableSlots); !ok {
+		if en, ok = f.lower(c.Enable.Folded, c.Enable.Deps, c.EnableSlots, truth); !ok {
 			return en, false
 		}
 	}
 	if c.Cond != nil {
 		var ok bool
-		if cond, ok = f.lower(c.Cond.Folded, c.Cond.Deps, c.CondSlots); !ok {
+		if cond, ok = f.lower(c.Cond.Folded, c.Cond.Deps, c.CondSlots, truth); !ok {
 			return cond, false
 		}
 	}
+	var res eval.Operand
 	switch {
 	case c.Enable != nil && c.Cond != nil:
 		return f.logic(eval.OpAnd, en, cond), true
 	case c.Enable != nil:
-		return en, true
+		res = en
 	case c.Cond != nil:
-		return cond, true
+		res = cond
+	default:
+		return eval.Operand{Slot: f.constant(1), T: bit}, true
 	}
-	return eval.Operand{Slot: f.constant(1), T: bit}, true
+	if truth {
+		return f.truth(res), true
+	}
+	return res, true
 }
 
 // lower lowers n, whose names are deps (sorted) at the union slots
-// slots; ok is false when the types do not check.
-func (f *fuser) lower(n Node, deps []string, slots []int) (eval.Operand, bool) {
+// slots; truth says n sits in a truth place. ok is false when the types
+// do not check.
+func (f *fuser) lower(n Node, deps []string, slots []int, truth bool) (eval.Operand, bool) {
 	switch t := n.(type) {
 	case numNode:
 		return eval.Operand{Slot: f.constant(t.v.Bits), T: eval.Make(0, t.v.Width, t.v.Signed)}, true
@@ -288,7 +292,7 @@ func (f *fuser) lower(n Node, deps []string, slots []int) (eval.Operand, bool) {
 		}
 		return eval.Operand{Slot: int32(s), T: eval.Make(0, ty.Width, ty.Signed)}, true
 	case unaryNode:
-		x, ok := f.lower(t.x, deps, slots)
+		x, ok := f.lower(t.x, deps, slots, t.op == "!")
 		if !ok {
 			return x, false
 		}
@@ -301,11 +305,12 @@ func (f *fuser) lower(n Node, deps []string, slots []int) (eval.Operand, bool) {
 			return f.emit(eval.Instr{Op: eval.OpEq, A: x.Slot, B: f.constant(0), Mask: 1}, bit), true
 		}
 	case binNode:
-		a, ok := f.lower(t.a, deps, slots)
+		logic := t.op == "&&" || t.op == "||"
+		a, ok := f.lower(t.a, deps, slots, logic)
 		if !ok {
 			return a, false
 		}
-		b, ok := f.lower(t.b, deps, slots)
+		b, ok := f.lower(t.b, deps, slots, logic)
 		if !ok {
 			return b, false
 		}
@@ -329,22 +334,25 @@ func (f *fuser) lower(n Node, deps []string, slots []int) (eval.Operand, bool) {
 		}
 		return f.prim(op, a, b)
 	case ternaryNode:
-		c, ok := f.lower(t.cond, deps, slots)
+		c, ok := f.lower(t.cond, deps, slots, true)
 		if !ok {
 			return c, false
 		}
-		x, ok := f.lower(t.t, deps, slots)
+		x, ok := f.lower(t.t, deps, slots, truth)
 		if !ok {
 			return x, false
 		}
-		y, ok := f.lower(t.f, deps, slots)
-		if !ok || x.T != y.T {
+		y, ok := f.lower(t.f, deps, slots, truth)
+		switch {
+		case !ok || (x.T != y.T && !truth):
 			return y, false
+		case x.T != y.T:
+			x, y = f.truth(x), f.truth(y)
 		}
 		in, res := eval.LowerMux(c, x, y)
 		return f.emit(in, res), true
 	case bitsNode:
-		x, ok := f.lower(t.x, deps, slots)
+		x, ok := f.lower(t.x, deps, slots, false)
 		w := t.hi - t.lo + 1
 		if !ok || w > 64 {
 			return x, false

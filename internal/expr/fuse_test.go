@@ -130,17 +130,15 @@ func folded(p *Program) Node {
 }
 
 // rejectShapes are condition shapes the fuser must route to EvalBits,
-// one per fuse-time rejection rule: ?: arms of different types, a
-// result wider than 64 bits (64-bit +, -, *, unary - and signed /), and
-// a slice wider than 64 bits.
+// one per fuse-time rejection rule: ?: arms of different types whose
+// value is observed, a result wider than 64 bits (64-bit +, -, *,
+// unary - and signed /), and a slice wider than 64 bits.
 var rejectShapes = []struct {
 	class string
 	gen   func(r *rand.Rand, names []string) Node
 }{
 	{"?: arm types", func(r *rand.Rand, names []string) Node {
-		return ternaryNode{cond: pickName(r, names),
-			t: bitsNode{x: pickName(r, names), hi: 4, lo: 0},
-			f: bitsNode{x: pickName(r, names), hi: 7, lo: 0}}
+		return unaryNode{op: "~", x: mixedTernary(r, names)}
 	}},
 	{"64-bit +", func(r *rand.Rand, names []string) Node {
 		return binNode{op: "+", a: wide64(r, names), b: randNode(r, names, 1)}
@@ -167,6 +165,30 @@ var rejectShapes = []struct {
 
 func pickName(r *rand.Rand, names []string) Node { return nameNode{name: names[r.Intn(len(names))]} }
 
+// mixedTernary is `sel ? x[4:0] : k`, k a literal 1 to 3 bits wide: a
+// ?: whose arms differ in type.
+func mixedTernary(r *rand.Rand, names []string) Node {
+	return ternaryNode{cond: pickName(r, names),
+		t: bitsNode{x: pickName(r, names), hi: 4, lo: 0},
+		f: numNode{v: eval.Make(r.Uint64(), 1+r.Intn(3), false)}}
+}
+
+// truthShape puts a mixedTernary in a truth place, where it must fuse:
+// the root of a condition read by truth (truth is then set), the
+// operand of !, or a side of && or ||.
+func truthShape(r *rand.Rand, names []string) (n Node, truth bool) {
+	m := mixedTernary(r, names)
+	switch r.Intn(4) {
+	case 0:
+		return m, true
+	case 1:
+		return unaryNode{op: "!", x: m}, false
+	case 2:
+		return binNode{op: "&&", a: m, b: pickName(r, names)}, false
+	}
+	return binNode{op: "||", a: pickName(r, names), b: m}, false
+}
+
 // wide64 is a 64-bit unsigned value: a name or'ed with a 64-bit
 // literal.
 func wide64(r *rand.Rand, names []string) Node {
@@ -179,19 +201,22 @@ func wide64(r *rand.Rand, names []string) Node {
 // then draws values per environment, and after the first environment
 // parks a random subset of the fused conditions. Every fused result
 // that runs must match EvalBits of the original trees (see
-// checkFused). Conditions of a rejectShapes class must be routed to
-// EvalBits, and the folded trees the debugger would then evaluate must
-// match the original ones.
+// checkFused); a condition is read by truth when it has both an
+// enable and a user condition, and at random otherwise. Conditions of
+// a rejectShapes class must be routed to EvalBits, and the folded
+// trees the debugger would then evaluate must match the original
+// ones; a truthShape condition must fuse.
 func TestFuseDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(20260808))
 	names := []string{"a", "b", "c", "d"}
 	const numSlots = 6
-	sharedTotal, fusedTotal := 0, 0
+	sharedTotal, fusedTotal, truthFused := 0, 0, 0
 	rejected := make([]int, len(rejectShapes))
 	type orig struct {
 		enable, cond Node
 		slotOf       map[string]int
-		shape        int // index into rejectShapes, or -1
+		shape        int  // index into rejectShapes, or -1
+		mustFuse     bool // a truthShape
 	}
 	for trial := 0; trial < 300; trial++ {
 		types := make([]eval.Value, numSlots)
@@ -215,20 +240,33 @@ func TestFuseDifferential(t *testing.T) {
 			if r.Intn(2) == 0 {
 				cond = randNode(r, names, 3)
 			}
-			shape := -1
-			if r.Intn(4) == 0 {
+			shape, truth, mustFuse := -1, r.Intn(2) == 0, false
+			switch r.Intn(6) {
+			case 0, 1:
 				shape = r.Intn(len(rejectShapes))
 				if forced := rejectShapes[shape].gen(r, names); cond == nil || r.Intn(2) == 0 {
 					cond = forced
 				} else {
 					enable = forced
 				}
+			case 2:
+				enable, mustFuse = nil, true
+				cond, truth = truthShape(r, names)
 			}
 			conds[i] = compileCond(t, enable, cond, slotOf)
-			origs[i] = orig{enable, cond, slotOf, shape}
+			conds[i].Truth = truth
+			origs[i] = orig{enable, cond, slotOf, shape, mustFuse}
 		}
 		fs := Fuse(conds, types)
 		sharedTotal += fs.Stats.SharedSegs
+		for ci, o := range origs {
+			if o.mustFuse {
+				if fs.IDs[ci] < 0 {
+					t.Fatalf("trial %d cond %d (%v): a ?: in a truth place was not fused", trial, ci, o.cond)
+				}
+				truthFused++
+			}
+		}
 		for env := 0; env < 3; env++ {
 			slotVals := make([]eval.Value, numSlots)
 			for s, ty := range types {
@@ -250,7 +288,7 @@ func TestFuseDifferential(t *testing.T) {
 				}
 				names := slotEnv(o.slotOf, slotVals)
 				want, errW := refCond(o.enable, o.cond, names)
-				byTruth := o.enable != nil && o.cond != nil
+				byTruth := conds[ci].Truth || (o.enable != nil && o.cond != nil)
 				if !fused[ci] {
 					// The debugger evaluates what the fuser routes away
 					// with EvalBits over the folded trees.
@@ -288,7 +326,10 @@ func TestFuseDifferential(t *testing.T) {
 			t.Errorf("no %q condition was generated", rejectShapes[i].class)
 		}
 	}
-	t.Logf("%d conditions fused", fusedTotal)
+	if truthFused == 0 {
+		t.Error("no ?: with arms of different types in a truth place was generated")
+	}
+	t.Logf("%d conditions fused, %d of them a ?: with arms of different types in a truth place", fusedTotal, truthFused)
 }
 
 // FuzzFuse is the coverage-guided version of TestFuseDifferential: two
@@ -308,9 +349,13 @@ func FuzzFuse(f *testing.F) {
 	f.Add("x === 16'hdead", "x !== 16'hbeef && x > 0", uint64(5))
 	f.Add("a === 8'b1x0z", "a == 130'h3deadbeefcafebabe0123456789abcdef0", uint64(6))
 	f.Add("-a < 0", "(a >> 1) + 1 == 0", uint64(7))
-	// Fuse-time rejections: ?: arms of different types, 64-bit
-	// arithmetic, a slice wider than 64 bits.
+	// Fuse-time rejections: ?: arms of different types whose value is
+	// observed, 64-bit arithmetic, a slice wider than 64 bits; the same
+	// ?: fuses where only its truth is read (an odd seed reads the
+	// second condition by truth).
 	f.Add("a ? b[3:0] : b[7:0]", "(a | 64'h0) + 1 == 0", uint64(8))
+	f.Add("~(a ? b : 3)", "a ? b : 3", uint64(11))
+	f.Add("!(a ? b[3:0] : 0) || c", "c && (a ? b[3:0] : 0)", uint64(13))
 	f.Add("-(a | 64'h0) < 0", "a[70:2] == b", uint64(9))
 	f.Fuzz(func(t *testing.T, src1, src2 string, seed uint64) {
 		if len(src1) > 256 || len(src2) > 256 {
@@ -336,7 +381,7 @@ func FuzzFuse(f *testing.F) {
 				}
 				slots[i] = slotOf[d]
 			}
-			conds = append(conds, FusedCondition{Enable: p, EnableSlots: slots})
+			conds = append(conds, FusedCondition{Enable: p, EnableSlots: slots, Truth: len(conds) == 1 && seed%2 == 1})
 			nodes = append(nodes, n)
 		}
 		rng := seed
@@ -362,7 +407,7 @@ func FuzzFuse(f *testing.F) {
 					continue
 				}
 				want, errW := refCond(n, nil, slotEnv(slotOf, slotVals))
-				if err := checkFused(results[ci], want, errW, false); err != nil {
+				if err := checkFused(results[ci], want, errW, conds[ci].Truth); err != nil {
 					t.Fatalf("cond %d (%q/%q): %v", ci, src1, src2, err)
 				}
 			}

@@ -13,7 +13,9 @@
 package val
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/big"
 	"math/bits"
 	"strings"
 )
@@ -33,11 +35,13 @@ import (
 //
 // The zero Bits is a known 0 of width 0; Normalize widths it to 1.
 //
-// Signed records that the value came from a signed (SInt) signal, so
-// lowering it back onto the two-state fast path (eval.FromBits) keeps
-// signed comparisons, shifts and arithmetic. Every operator in this
-// package ignores it and returns unsigned results, as do rendering and
-// the wire encoding.
+// Signed records that the value is signed: it came from a signed (SInt)
+// signal, or from signed arithmetic. Lowering it back onto the
+// two-state fast path (eval.FromBits) keeps signed comparisons, shifts
+// and arithmetic. The arithmetic operators and Cmp follow it the way
+// eval.Prim does (see Add), and Sar is the signed right shift; every
+// other operator ignores it and returns unsigned results, as do
+// rendering and the wire encoding.
 type Bits struct {
 	Width  int
 	V0, X0 uint64
@@ -355,11 +359,15 @@ func (b Bits) Eq(o Bits) Tri {
 	return True
 }
 
-// Cmp compares two values as unsigned integers: -1, 0, or +1, with
-// known=false when any X bit is present.
+// Cmp orders two values: -1, 0, or +1, with known=false when any X bit
+// is present. The order is signed when b is signed (each operand by
+// its own sign, as eval.Prim orders), unsigned otherwise.
 func (b Bits) Cmp(o Bits) (int, bool) {
 	if b.HasX() || o.HasX() {
 		return 0, false
+	}
+	if b.Signed {
+		return b.bigInt(true).Cmp(o.bigInt(true)), true
 	}
 	w := b.Width
 	if o.Width > w {
@@ -447,49 +455,100 @@ func (b Bits) Not() Bits {
 	return r
 }
 
-// Add returns b + o at width max(widths)+1, whole-result x if either
-// operand has any unknown bit (Verilog arithmetic X-propagation).
-func (b Bits) Add(o Bits) Bits {
-	w := max(b.Width, o.Width) + 1
+// The arithmetic operators follow eval.Prim's rules at any width: the
+// operation is signed when the receiver is, each operand then counts
+// by its own sign (otherwise every operand counts unsigned), and the
+// result, signed like the operation, is the exact value truncated to
+// Prim's result width in two's complement; a zero divisor yields 0, as
+// in Prim. Any unknown input bit makes the whole result x (Verilog
+// arithmetic X-propagation).
+
+// arith is one arithmetic operator at the given result width: op
+// computes over the integer values of b and o into its first argument.
+func (b Bits) arith(o Bits, width int, op func(x, y *big.Int)) Bits {
+	var r Bits
 	if b.HasX() || o.HasX() {
-		return Unknown(w)
+		r = Unknown(width)
+	} else {
+		x := b.bigInt(b.Signed)
+		op(x, o.bigInt(b.Signed))
+		r = fromBig(x, width)
 	}
-	a, c := b.Resize(w), o.Resize(w)
-	r := alloc(w)
-	var carry uint64
-	for i := 0; i < r.Words(); i++ {
-		v, cy := bits.Add64(a.Word(i), c.Word(i), carry)
-		carry = cy
-		if i == 0 {
-			r.V0 = v
-		} else {
-			r.VH[i-1] = v
-		}
-	}
-	r.maskTo()
+	r.Signed = b.Signed
 	return r
 }
 
-// Sub returns b - o at width max(widths)+1 (two's-complement wrap),
-// whole-result x on any unknown input bit.
+// Add returns b + o at width max(widths)+1.
+func (b Bits) Add(o Bits) Bits {
+	return b.arith(o, max(b.Width, o.Width)+1, func(x, y *big.Int) { x.Add(x, y) })
+}
+
+// Sub returns b - o at width max(widths)+1.
 func (b Bits) Sub(o Bits) Bits {
-	w := max(b.Width, o.Width) + 1
-	if b.HasX() || o.HasX() {
-		return Unknown(w)
+	return b.arith(o, max(b.Width, o.Width)+1, func(x, y *big.Int) { x.Sub(x, y) })
+}
+
+// Mul returns b * o at width b.Width+o.Width.
+func (b Bits) Mul(o Bits) Bits {
+	return b.arith(o, b.Width+o.Width, func(x, y *big.Int) { x.Mul(x, y) })
+}
+
+// Div returns b / o, truncated toward zero, at b's width (one more bit
+// when signed: the quotient of the most negative value by -1).
+func (b Bits) Div(o Bits) Bits {
+	w := b.Width
+	if b.Signed {
+		w++
 	}
-	a, c := b.Resize(w), o.Resize(w)
-	r := alloc(w)
-	var borrow uint64
-	for i := 0; i < r.Words(); i++ {
-		v, bo := bits.Sub64(a.Word(i), c.Word(i), borrow)
-		borrow = bo
-		if i == 0 {
-			r.V0 = v
-		} else {
-			r.VH[i-1] = v
+	return b.arith(o, w, func(x, y *big.Int) {
+		if y.Sign() == 0 {
+			x.SetInt64(0)
+			return
 		}
+		x.Quo(x, y)
+	})
+}
+
+// Rem returns b % o, signed like the dividend, at width min(widths).
+func (b Bits) Rem(o Bits) Bits {
+	return b.arith(o, min(b.Width, o.Width), func(x, y *big.Int) {
+		if y.Sign() == 0 {
+			x.SetInt64(0)
+			return
+		}
+		x.Rem(x, y)
+	})
+}
+
+// Neg returns -b, b counting by its own sign, at width b.Width+1,
+// signed.
+func (b Bits) Neg() Bits {
+	return Bits{Width: 1, Signed: true}.Sub(b)
+}
+
+// bigInt is a known value's integer value: by its sign when signed is
+// set and b is signed, else its bits as they stand.
+func (b Bits) bigInt(signed bool) *big.Int {
+	buf := make([]byte, 8*b.Words())
+	for i := 0; i < b.Words(); i++ {
+		binary.BigEndian.PutUint64(buf[len(buf)-8*(i+1):], b.Word(i))
 	}
-	r.maskTo()
+	z := new(big.Int).SetBytes(buf)
+	if signed && b.Signed && b.Width > 0 && z.Bit(b.Width-1) == 1 {
+		z.Sub(z, new(big.Int).Lsh(big.NewInt(1), uint(b.Width)))
+	}
+	return z
+}
+
+// fromBig is z in two's complement at the given width, a known value.
+func fromBig(z *big.Int, width int) Bits {
+	r := alloc(width)
+	z.Mod(z, new(big.Int).Lsh(big.NewInt(1), uint(r.Width)))
+	buf := z.FillBytes(make([]byte, 8*r.Words()))
+	r.V0 = binary.BigEndian.Uint64(buf[len(buf)-8:])
+	for i := range r.VH {
+		r.VH[i] = binary.BigEndian.Uint64(buf[len(buf)-8*(i+2):])
+	}
 	return r
 }
 
@@ -540,6 +599,20 @@ func (b Bits) Shr(n int) Bits {
 		}
 	}
 	r.maskTo()
+	return r
+}
+
+// Sar shifts right arithmetically by a known amount at b's width: the
+// vacated bits copy the top (sign) bit, whatever its state. The result
+// is signed.
+func (b Bits) Sar(n int) Bits {
+	r := b.Shr(n)
+	r.Signed = true
+	if sv, sx := b.Bit(b.Width - 1); sv || sx {
+		for i := max(b.Width-n, 0); i < b.Width; i++ {
+			r.setBit(i, sv, sx)
+		}
+	}
 	return r
 }
 

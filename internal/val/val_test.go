@@ -161,6 +161,15 @@ func TestAddSubWide(t *testing.T) {
 	if !FromUint64(1, 8).Add(Unknown(8)).HasX() {
 		t.Fatal("1 + x should be all-x")
 	}
+	// A signed receiver sign-extends: -1 + 1 and -1 - 1 at 9 bits.
+	m1 := FromUint64(0xff, 8)
+	m1.Signed = true
+	if got := m1.Add(FromUint64(1, 8)); got.V0 != 0 || got.Width != 9 || !got.Signed {
+		t.Fatalf("-1 + 1 = %s (width %d, signed %v)", got, got.Width, got.Signed)
+	}
+	if got := m1.Sub(FromUint64(1, 8)); got.V0 != 0x1fe || got.Width != 9 || !got.Signed {
+		t.Fatalf("-1 - 1 = %s (width %d, signed %v)", got, got.Width, got.Signed)
+	}
 }
 
 func TestCmpWide(t *testing.T) {
@@ -189,6 +198,28 @@ func TestShifts(t *testing.T) {
 		// Resize zero-extends, so x1 -> 00x1 -> shl1 -> 0x10.
 		if got != "4'b0x10" {
 			t.Fatalf("x shift: %q", got)
+		}
+	}
+}
+
+func TestSar(t *testing.T) {
+	for _, tc := range []struct {
+		lit  string
+		n    int
+		want string
+	}{
+		{"1x00", 2, "111x"}, // a known 1 sign fills
+		{"0x10", 1, "00x1"}, // a known 0 sign fills like Shr
+		{"x100", 1, "xx10"}, // an x sign fills x
+		{"1001", 9, "1111"}, // past the width: all sign
+	} {
+		b, err := ParseVCD(tc.lit, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := ParseVCD(tc.want, 4)
+		if got := b.Sar(tc.n); !got.CaseEq(want) || !got.Signed {
+			t.Fatalf("%s >>> %d = %s (signed %v), want %s", tc.lit, tc.n, got, got.Signed, want)
 		}
 	}
 }
