@@ -295,6 +295,11 @@ func TestSimStepAllocs(t *testing.T) {
 // shape (conditions, prelude instructions, the instruction runs the
 // prelude saves, union slots read, instructions per full run) is
 // reported as metrics on the /fused run.
+//
+// debugger-ns/edge is ns/op less the edge of a bare build of the same
+// design, stepped with the same inputs in batches interleaved with the
+// attached ones (off the timer), so host drift lands on both sides of
+// the difference.
 func BenchmarkFig5Fused(b *testing.B) {
 	for _, mode := range []struct {
 		name      string
@@ -312,14 +317,29 @@ func BenchmarkFig5Fused(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			s, rt := buildFig5FusedBench(b, mode.cond)
 			mode.configure(rt)
+			bare, _ := fig5FusedDesign(b)
+			drive := func(s *sim.Simulator, from, to int) {
+				for i := from; i < to; i++ {
+					// A fresh input every edge keeps every condition's
+					// dependency set dirty: no park, full armed cost.
+					s.Poke("Top.x", uint64(i%255)+1)
+					s.Step()
+				}
+			}
+			const batch = 4096
+			var bareTime time.Duration
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// A fresh input every edge keeps every condition's
-				// dependency set dirty: no park, full armed cost.
-				s.Poke("Top.x", uint64(i%255)+1)
-				s.Step()
+			for i := 0; i < b.N; i += batch {
+				to := min(i+batch, b.N)
+				drive(s, i, to)
+				b.StopTimer()
+				start := time.Now()
+				drive(bare, i, to)
+				bareTime += time.Since(start)
+				b.StartTimer()
 			}
 			b.StopTimer()
+			b.ReportMetric(float64((b.Elapsed()-bareTime).Nanoseconds())/float64(b.N), "debugger-ns/edge")
 			evals, _ := rt.Stats()
 			b.ReportMetric(float64(evals)/float64(b.N), "evals/edge")
 			if stats, ok := rt.FuseInfo(); ok && mode.name != "exhaustive" {
@@ -346,6 +366,41 @@ const fig5FusedCond = "acc %% 13 == 77 && acc[3:0] != %d"
 // cond (a format taking the statement's number) that must never hold.
 // Shared with TestFig5FusedRef, the CI cost gate.
 func buildFig5FusedBench(tb testing.TB, cond string) (*sim.Simulator, *core.Runtime) {
+	s, table := fig5FusedDesign(tb)
+	rt, err := core.New(vpi.NewSimBackend(s), table)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	// Arm every conditional Leaf statement across all instances, each
+	// with a never-true user condition sharing structure with its
+	// siblings (same source per statement across the 16 instances, a
+	// common "acc"-over-the-same-slot shape within each instance).
+	armed := 0
+	stmt := 0
+	for _, f := range table.Files() {
+		for _, l := range table.Lines(f) {
+			bps := table.BreakpointsAt(f, l)
+			if len(bps) == 0 || bps[0].Enable == "" {
+				continue
+			}
+			ids, err := rt.AddBreakpoint(f, l, fmt.Sprintf(cond, stmt))
+			if err != nil {
+				tb.Fatal(err)
+			}
+			armed += len(ids)
+			stmt++
+		}
+	}
+	if armed < 100 {
+		tb.Fatalf("armed %d breakpoints, want 100+", armed)
+	}
+	rt.SetHandler(func(*core.StopEvent) core.Command { return core.CmdContinue })
+	return s, rt
+}
+
+// fig5FusedDesign builds BenchmarkFig5Fused's design, with no debugger
+// attached: 16 instances of 8 nested conditional statements each.
+func fig5FusedDesign(tb testing.TB) (*sim.Simulator, *symtab.Table) {
 	const nInst = 16
 	const nStmts = 8
 	c := generator.NewCircuit("Top")
@@ -392,36 +447,7 @@ func buildFig5FusedBench(tb testing.TB, cond string) (*sim.Simulator, *core.Runt
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s := sim.New(nl)
-	rt, err := core.New(vpi.NewSimBackend(s), table)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	// Arm every conditional Leaf statement across all instances, each
-	// with a never-true user condition sharing structure with its
-	// siblings (same source per statement across the 16 instances, a
-	// common "acc"-over-the-same-slot shape within each instance).
-	armed := 0
-	stmt := 0
-	for _, f := range table.Files() {
-		for _, l := range table.Lines(f) {
-			bps := table.BreakpointsAt(f, l)
-			if len(bps) == 0 || bps[0].Enable == "" {
-				continue
-			}
-			ids, err := rt.AddBreakpoint(f, l, fmt.Sprintf(cond, stmt))
-			if err != nil {
-				tb.Fatal(err)
-			}
-			armed += len(ids)
-			stmt++
-		}
-	}
-	if armed < 100 {
-		tb.Fatalf("armed %d breakpoints, want 100+", armed)
-	}
-	rt.SetHandler(func(*core.StopEvent) core.Command { return core.CmdContinue })
-	return s, rt
+	return sim.New(nl), table
 }
 
 // buildCounterNetlist makes a small design for microbenchmarks.

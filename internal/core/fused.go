@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"repro/internal/eval"
 	"repro/internal/expr"
 )
@@ -22,14 +24,19 @@ import (
 // (evalBP / Watchpoint.eval over expr.EvalBits): conditions it does not
 // fuse (an unverified or unresolved dependency, an operand or a result
 // wider than 64 bits, ?: arms of different types whose value is read,
-// a literal only EvalBits accepts), results a failed union read poisons, stepping,
+// a signed operation on a 64-bit unsigned operand, a literal only
+// EvalBits accepts), results a failed union read poisons, stepping,
 // reverse walks (reverse steps and reverse-continue), and the
 // SetExhaustiveEval reference the fused walk is pinned against.
 //
-// Activity skipping is one packed bitmap over fused condition ids
-// (fusedState.skip). The group walk parks each sound miss it consumes;
-// commitSlot's dirt un-parks every condition whose slot closure holds
-// the changed slot (fusedUnpark).
+// Activity bookkeeping is word-parallel, over packed bitsets indexed by
+// fused condition id. Fused ids keep input order, which is group
+// order, so each group owns one contiguous id range. The refresh diffs
+// the union read into a dirty-slot bitset and clears the parked set
+// (skip) by the dirty slots' condition masks; a run gathers the
+// breakpoint truths into a hit bitset; the group walk consumes a group
+// as word operations over its range, parking its sound misses with one
+// OR and visiting only its hits and poisoned members.
 
 // fusedState is the per-union-generation fused schedule: the compiled
 // program, its membership maps, and its value plane. It is
@@ -46,18 +53,18 @@ type fusedState struct {
 	conds     []*insertedBP
 	watchBase int
 
-	// groupConds / groupExtra partition each group's armed members into
-	// fused condition ids and members the program does not cover
-	// (evaluated by evalBP during consumption), indexed like
-	// rt.allGroups; extras counts the latter across all groups.
-	groupConds [][]int32
+	// groupStart gives each group, indexed like rt.allGroups, its range
+	// of fused ids: [groupStart[gi], groupStart[gi+1]). groupExtra holds
+	// each group's armed members the program does not cover (evaluated
+	// by evalBP during consumption); extras counts them across groups.
+	groupStart []int32
 	groupExtra [][]*insertedBP
 	extras     int
 
-	// slotConds inverts each condition's slot closure onto the
-	// dependency union: a changed slot un-parks, and a failed read
-	// poisons, exactly the conditions listed for it.
-	slotConds [][]int32
+	// slotMask is, per dependency-union slot, the mask of the fused
+	// conditions whose slot closure holds the slot: a changed slot
+	// un-parks, and a failed read poisons, exactly those.
+	slotMask []condMask
 
 	// skip parks provable misses (breakpoint conditions only; watch
 	// values always recompute): bit ci set means condition ci evaluated
@@ -66,6 +73,11 @@ type fusedState struct {
 	// outright.
 	skip   []uint64
 	parked int
+	// hit holds, after each run, every breakpoint condition's truth,
+	// gathered from results, the conditions' result slots copied out of
+	// their 48-byte Segments so the gather streams through 4 bytes each.
+	hit     []uint64
+	results []int32
 
 	// plane is the program's value plane. Its first slots are the
 	// runtime's dependency-union cache (rt.prefetched), into which each
@@ -81,6 +93,29 @@ type fusedState struct {
 	time  uint64
 }
 
+// condMask is a set of fused condition ids stored over the words its
+// ids span: bit j of words[k] is condition (lo+k)*64 + j. A slot's
+// conditions usually sit in a few neighbouring groups, so a mask costs
+// what its conditions span, not the whole schedule.
+type condMask struct {
+	lo    int
+	words []uint64
+}
+
+// clearFrom clears the mask's conditions in set.
+func (m condMask) clearFrom(set []uint64) {
+	for k, w := range m.words {
+		set[m.lo+k] &^= w
+	}
+}
+
+// addTo sets the mask's conditions in set.
+func (m condMask) addTo(set []uint64) {
+	for k, w := range m.words {
+		set[m.lo+k] |= w
+	}
+}
+
 // idle reports an idle edge: every fused breakpoint condition is parked
 // (so no watch rides the program — watch values never park) and no
 // armed member sits outside the program. No armed group can hit, so
@@ -89,20 +124,10 @@ func (fs *fusedState) idle() bool {
 	return fs.parked == fs.n && fs.extras == 0
 }
 
-// skipped reports whether condition ci is parked.
-func (fs *fusedState) skipped(ci int32) bool {
-	return fs.skip[ci>>6]&(1<<(uint32(ci)&63)) != 0
-}
-
 // sound reports whether condition ci's result this run stands: no
 // slot in its closure failed to read.
 func (fs *fusedState) sound(ci int32) bool {
 	return !fs.poisoned || fs.poison[ci>>6]&(1<<(uint32(ci)&63)) == 0
-}
-
-// truth is condition ci's result as a truth.
-func (fs *fusedState) truth(ci int32) bool {
-	return fs.plane[fs.sched.Prog.Conds[ci].Result] != 0
 }
 
 // value is condition ci's result as a typed value.
@@ -124,13 +149,14 @@ func (rt *Runtime) rebuildFused() {
 // buildFused hands every armed member with a folded program, and every
 // watch with one, to the fuser. What the fuser does not fuse (an
 // unverified or unresolved dependency, an operand or a result wider
-// than 64 bits, ?: arms of different types whose value is read) and
-// members only EvalBits accepts (a four-state or wide literal) are
-// extras, evaluated by the general evaluator during the walk. A
-// breakpoint's result is read as a truth, a watch's as a value.
+// than 64 bits, ?: arms of different types whose value is read, a
+// signed operation on a 64-bit unsigned operand) and members only
+// EvalBits accepts (a four-state or wide literal) are extras, evaluated
+// by the general evaluator during the walk. A breakpoint's result is
+// read as a truth, a watch's as a value.
 func (rt *Runtime) buildFused() *fusedState {
 	fs := &fusedState{
-		groupConds: make([][]int32, len(rt.allGroups)),
+		groupStart: make([]int32, len(rt.allGroups)+1),
 		groupExtra: make([][]*insertedBP, len(rt.allGroups)),
 	}
 	type member struct {
@@ -175,14 +201,19 @@ func (rt *Runtime) buildFused() *fusedState {
 		return fs
 	}
 	sched := expr.Fuse(fconds, rt.depTypes)
+	// Members arrive in group order and fused ids keep it, so each
+	// group's fused members take one contiguous id range.
 	for k, m := range members {
 		if ci := sched.IDs[k]; ci >= 0 {
-			fs.groupConds[m.gi] = append(fs.groupConds[m.gi], ci)
+			fs.groupStart[m.gi+1]++
 			fs.conds = append(fs.conds, m.ibp)
 		} else {
 			fs.groupExtra[m.gi] = append(fs.groupExtra[m.gi], m.ibp)
 			fs.extras++
 		}
+	}
+	for gi := range rt.allGroups {
+		fs.groupStart[gi+1] += fs.groupStart[gi]
 	}
 	fs.watchBase = len(fs.conds)
 	for k, w := range watches {
@@ -194,15 +225,70 @@ func (rt *Runtime) buildFused() *fusedState {
 	}
 	fs.sched = sched
 	fs.plane = append([]uint64(nil), sched.Prog.Init...)
-	fs.skip = make([]uint64, (fs.n+63)/64)
-	fs.poison = make([]uint64, len(fs.skip))
-	fs.slotConds = make([][]int32, len(rt.depUnion))
-	for ci, slots := range sched.Slots {
-		for _, s := range slots {
-			fs.slotConds[s] = append(fs.slotConds[s], int32(ci))
+	words := (fs.n + 63) / 64
+	fs.skip = make([]uint64, words)
+	fs.hit = make([]uint64, words)
+	fs.poison = make([]uint64, words)
+	fs.results = make([]int32, fs.watchBase)
+	for ci := range fs.results {
+		fs.results[ci] = sched.Prog.Conds[ci].Result
+	}
+	fs.slotMask = slotMasks(sched.Slots, len(rt.depUnion))
+	return fs
+}
+
+// slotMasks inverts the conditions' slot closures (closures[ci] lists
+// condition ci's slots) into one condition mask per slot.
+func slotMasks(closures [][]int32, slots int) []condMask {
+	first := make([]int, slots)
+	last := make([]int, slots)
+	for s := range first {
+		first[s] = -1
+	}
+	for ci, closure := range closures {
+		for _, s := range closure {
+			if first[s] < 0 {
+				first[s] = ci
+			}
+			last[s] = ci
 		}
 	}
-	return fs
+	total := 0
+	for s, ci := range first {
+		if ci >= 0 {
+			total += last[s]>>6 - ci>>6 + 1
+		}
+	}
+	words := make([]uint64, total)
+	masks := make([]condMask, slots)
+	for s, ci := range first {
+		if ci >= 0 {
+			n := last[s]>>6 - ci>>6 + 1
+			masks[s] = condMask{lo: ci >> 6, words: words[:n:n]}
+			words = words[n:]
+		}
+	}
+	for ci, closure := range closures {
+		for _, s := range closure {
+			m := masks[s]
+			m.words[ci>>6-m.lo] |= 1 << (uint(ci) & 63)
+		}
+	}
+	return masks
+}
+
+// unpark clears the parked bits of every condition reading a slot set
+// in dirty, a bitset over union slots, and recounts what stays parked.
+func (fs *fusedState) unpark(dirty []uint64) {
+	for k, d := range dirty {
+		for ; d != 0; d &= d - 1 {
+			fs.slotMask[k<<6|bits.TrailingZeros64(d)].clearFrom(fs.skip)
+		}
+	}
+	fs.parked = 0
+	for _, w := range fs.skip {
+		fs.parked += bits.OnesCount64(w)
+	}
 }
 
 // fusedReady returns the fused state with results current for time t,
@@ -220,7 +306,8 @@ func (rt *Runtime) fusedReady(t uint64) *fusedState {
 // runFused executes the fused schedule once over the union the
 // prefetch just read into the plane: the prelude, then every unparked
 // condition's private range. On an edge where a read failed it first
-// poisons the conditions reading a failed slot.
+// poisons the conditions reading a failed slot; after the run it
+// gathers the breakpoint truths into the hit bitset.
 func (rt *Runtime) runFused(fs *fusedState, t uint64) {
 	fs.valid, fs.time = true, t
 	if fs.parked == fs.n {
@@ -234,9 +321,7 @@ func (rt *Runtime) runFused(fs *fusedState, t uint64) {
 		clear(fs.poison)
 		for s, ok := range rt.prefetchOK {
 			if !ok {
-				for _, ci := range fs.slotConds[s] {
-					fs.poison[ci>>6] |= 1 << (uint32(ci) & 63)
-				}
+				fs.slotMask[s].addTo(fs.poison)
 			}
 		}
 	}
@@ -245,42 +330,65 @@ func (rt *Runtime) runFused(fs *fusedState, t uint64) {
 		skip = nil
 	}
 	fs.sched.Prog.Exec(fs.plane, skip)
+	// Consumption reads the bits of live conditions only, so parked
+	// ones, whose ranges did not run, need no masking here.
+	for k := 0; k<<6 < len(fs.results); k++ {
+		var h uint64
+		for j, r := range fs.results[k<<6 : min(k<<6+64, len(fs.results))] {
+			v := fs.plane[r]
+			h |= (v | -v) >> 63 << uint(j)
+		}
+		fs.hit[k] = h
+	}
 	if evaluated := fs.watchBase - fs.parked; evaluated > 0 {
-		rt.mu.Lock()
-		rt.evalCount += uint64(evaluated)
-		rt.mu.Unlock()
+		rt.evalCount.Add(uint64(evaluated))
 	}
 	rt.statFusedRuns.Add(1)
 }
 
-// fusedGroupEval consumes one group's fused results: parked conditions
-// are provable misses, sound results decide directly (a sound miss
-// parks), and poisoned results and members outside the program fall
-// back to the general evaluator.
+// fusedGroupEval consumes one group's fused results, a word of its id
+// range at a time: parked conditions are provable misses, sound misses
+// park, sound hits hit, and poisoned results and members outside the
+// program fall back to the general evaluator. Hits come back in id
+// order, the extras last.
 func (rt *Runtime) fusedGroupEval(fs *fusedState, gi int) []*insertedBP {
 	var hits []*insertedBP
 	evaluated := 0
 	fallback := 0
-	for _, ci := range fs.groupConds[gi] {
-		if fs.skipped(ci) {
+	lo, hi := int(fs.groupStart[gi]), int(fs.groupStart[gi+1])
+	for k := lo >> 6; k<<6 < hi; k++ {
+		in := ^uint64(0)
+		if k == lo>>6 {
+			in <<= uint(lo) & 63
+		}
+		if hi < (k+1)<<6 {
+			in &= 1<<(uint(hi)&63) - 1
+		}
+		live := in &^ fs.skip[k]
+		if live == 0 {
 			continue
 		}
-		evaluated++
-		switch {
-		case !fs.sound(ci):
-			fallback++
-			if rt.evalBP(fs.conds[ci]) {
-				hits = append(hits, fs.conds[ci])
+		evaluated += bits.OnesCount64(live)
+		var bad uint64
+		if fs.poisoned {
+			bad = live & fs.poison[k]
+		}
+		// A sound miss provably holds until a slot in the condition's
+		// closure moves (unpark). A hit condition stays hot: it
+		// re-evaluates at every edge until a dependency moves or the
+		// user resumes past it.
+		miss := live &^ bad &^ fs.hit[k]
+		fs.skip[k] |= miss
+		fs.parked += bits.OnesCount64(miss)
+		for v := live &^ miss; v != 0; v &= v - 1 {
+			ibp := fs.conds[k<<6|bits.TrailingZeros64(v)]
+			if bad&(v&-v) != 0 {
+				fallback++
+				if !rt.evalBP(ibp) {
+					continue
+				}
 			}
-		case fs.truth(ci):
-			// A hit condition stays hot: it re-evaluates at every edge
-			// until a dependency moves or the user resumes past it.
-			hits = append(hits, fs.conds[ci])
-		default:
-			// The miss provably holds until a slot in the condition's
-			// closure moves (fusedUnpark).
-			fs.skip[ci>>6] |= 1 << (uint32(ci) & 63)
-			fs.parked++
+			hits = append(hits, ibp)
 		}
 	}
 	for _, ibp := range fs.groupExtra[gi] {
@@ -291,9 +399,7 @@ func (rt *Runtime) fusedGroupEval(fs *fusedState, gi int) []*insertedBP {
 		}
 	}
 	if fallback > 0 {
-		rt.mu.Lock()
-		rt.evalCount += uint64(fallback)
-		rt.mu.Unlock()
+		rt.evalCount.Add(uint64(fallback))
 	}
 	if evaluated > 0 {
 		rt.statEvaluated.Add(1)
@@ -301,18 +407,4 @@ func (rt *Runtime) fusedGroupEval(fs *fusedState, gi int) []*insertedBP {
 		rt.statSkipped.Add(1)
 	}
 	return hits
-}
-
-// fusedUnpark clears the skip bits of every fused condition whose
-// closure includes union slot i; called from markSlotDirty.
-func (fs *fusedState) fusedUnpark(i int) {
-	if i >= len(fs.slotConds) {
-		return
-	}
-	for _, ci := range fs.slotConds[i] {
-		if fs.skipped(ci) {
-			fs.skip[ci>>6] &^= 1 << (uint32(ci) & 63)
-			fs.parked--
-		}
-	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math/bits"
 
 	"repro/internal/eval"
 	"repro/internal/vpi"
@@ -129,9 +130,11 @@ func (rt *Runtime) rebuildDeps() {
 	// Invert only after every slot is assigned — watch assignment above
 	// still extends the union.
 	rt.slotWatches = make([][]*Watchpoint, len(rt.depUnion))
+	rt.watchedSlots = false
 	for _, w := range rt.watches {
 		for _, s := range w.slots {
 			rt.slotWatches[s] = append(rt.slotWatches[s], w)
+			rt.watchedSlots = true
 		}
 	}
 	// Resolve the union once: the per-edge read goes by handle, with no
@@ -147,9 +150,11 @@ func (rt *Runtime) rebuildDeps() {
 			rt.depHandles[i] = vpi.NoHandle
 		}
 	}
+	// No slot has a baseline yet: the first refresh finds every slot
+	// dirty.
 	rt.prefetchOK = make([]bool, len(rt.depUnion))
+	rt.dirtySlots = make([]uint64, (len(rt.depUnion)+63)/64)
 	rt.prefetchValid = false
-	rt.diffBase = false
 	if cap(rt.incoming) < len(rt.depUnion) {
 		rt.incoming = make([]uint64, len(rt.depUnion))
 		rt.incomingOK = make([]bool, len(rt.depUnion))
@@ -195,9 +200,14 @@ func (rt *Runtime) ensurePrefetch(t uint64) {
 	}
 }
 
-// refreshAll re-reads the whole dependency union through its handles,
-// diffing each slot against the previous snapshot (when one exists) to
-// un-park only what depends on dependencies that actually moved.
+// refreshAll re-reads the whole dependency union through its handles
+// and diffs it against the previous snapshot in one pass, into a
+// bitset of dirty slots: a slot whose value actually differs from the
+// cached one, or whose read failed now or last time (a failed read, or
+// a fresh union, leaves no baseline). Only
+// what depends on a dirty slot un-parks: the fused conditions in its
+// mask and the watches reading it. A slot's type is fixed by its
+// handle, so the bits are the whole value.
 func (rt *Runtime) refreshAll() {
 	// The cache holds an earlier value snapshot of this union
 	// generation (only a dependency rebuild discards it), so value
@@ -207,7 +217,6 @@ func (rt *Runtime) refreshAll() {
 	// was last evaluated against, exactly the baseline the diff must
 	// use: handler pokes and rewinds surface as value differences and
 	// un-park precisely the affected conditions.
-	hadValues := rt.diffBase
 	n := len(rt.depUnion)
 	in, ok := rt.incoming[:n], rt.incomingOK[:n]
 	// A slot that fails (x/z on a trace; a wide or unresolved slot,
@@ -215,35 +224,46 @@ func (rt *Runtime) refreshAll() {
 	// reading it come back poisoned and fall to the general evaluator,
 	// and every other breakpoint keeps its value.
 	rt.backend.ReadValues(rt.depHandles, in, ok)
-	rt.readFailed = false
-	for i := range in {
-		rt.commitSlot(i, in[i], ok[i], hadValues)
+	prev, prevOK := rt.prefetched[:n], rt.prefetchOK[:n]
+	var failed, dirty uint64
+	for k := range rt.dirtySlots {
+		lo, hi := k<<6, min(k<<6+64, n)
+		inK, okK, prevK, prevOKK := in[lo:hi], ok[lo:hi], prev[lo:hi], prevOK[lo:hi]
+		var d uint64
+		for j, v := range inK {
+			moved := v ^ prevK[j]
+			failed |= b2u(!okK[j])
+			d |= ((moved|-moved)>>63 | b2u(!okK[j]) | b2u(!prevOKK[j])) << uint(j)
+		}
+		rt.dirtySlots[k] = d
+		dirty |= d
 	}
-	rt.diffBase = true
+	copy(prev, in)
+	copy(prevOK, ok)
+	rt.readFailed = failed != 0
+	if dirty == 0 {
+		return
+	}
+	if rt.fused.parked > 0 {
+		rt.fused.unpark(rt.dirtySlots)
+	}
+	if rt.watchedSlots {
+		for k, d := range rt.dirtySlots {
+			for ; d != 0; d &= d - 1 {
+				for _, w := range rt.slotWatches[k<<6|bits.TrailingZeros64(d)] {
+					w.canSkip = false
+				}
+			}
+		}
+	}
 }
 
-// commitSlot stores one refreshed union word. A slot whose value
-// actually differs from the cached one (or whose read failed, or that
-// has no valid baseline) dirties every condition and watch depending on
-// it: their last-miss verdicts no longer provably hold. A slot's type
-// is fixed by its handle, so the bits are the whole value.
-func (rt *Runtime) commitSlot(i int, v uint64, ok, hadValues bool) {
-	if !hadValues || !ok || !rt.prefetchOK[i] || v != rt.prefetched[i] {
-		rt.markSlotDirty(i)
+// b2u is 1 for true and 0 for false, without a branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
 	}
-	rt.prefetched[i] = v
-	rt.prefetchOK[i] = ok
-	rt.readFailed = rt.readFailed || !ok
-}
-
-// markSlotDirty un-parks everything depending on union slot i: the
-// watches reading it and the fused conditions whose operand closure
-// includes it.
-func (rt *Runtime) markSlotDirty(i int) {
-	for _, w := range rt.slotWatches[i] {
-		w.canSkip = false
-	}
-	rt.fused.fusedUnpark(i)
+	return 0
 }
 
 // invalidatePrefetch drops the cycle cache; called after the stop

@@ -296,7 +296,6 @@ type Runtime struct {
 
 	cbID      int
 	attached  bool
-	evalCount uint64 // statistics: breakpoint condition evaluations
 	stopCount uint64
 	allGroups []*group // all symtab statements, for stepping
 
@@ -341,19 +340,22 @@ type Runtime struct {
 	exhaustive atomic.Bool // SetExhaustiveEval: the EvalBits reference
 	incoming   []uint64    // refresh scratch (read-then-diff)
 	incomingOK []bool      // refresh scratch: per-slot read success
-	diffBase   bool        // prefetched holds values of this union generation
+	dirtySlots []uint64    // the last refresh's dirty union slots, a bitset
 
 	// Per-group scheduling state: each statement's position in
 	// allGroups, plus — rebuilt with the dependency union — armed-member
 	// counts, the armed groups' indices in schedule order (all a
 	// forward, non-stepping walk visits) and the slot→watches inverted
-	// index (dirt propagation).
-	groupIdx    map[groupKey]int
-	groupArmed  []int
-	armed       []int
-	slotWatches [][]*Watchpoint
+	// index (dirt propagation; watchedSlots says any watch reads a
+	// slot).
+	groupIdx     map[groupKey]int
+	groupArmed   []int
+	armed        []int
+	slotWatches  [][]*Watchpoint
+	watchedSlots bool
 
-	// Activity statistics (atomic: benchmarks read them cross-routine).
+	// Statistics (atomic: benchmarks read them cross-routine).
+	evalCount     atomic.Uint64 // breakpoint condition evaluations
 	statSkipped   atomic.Uint64 // armed groups skipped as provably clean misses
 	statEvaluated atomic.Uint64 // groups evaluated with at least one member
 
@@ -720,7 +722,7 @@ func (rt *Runtime) Detach() {
 func (rt *Runtime) Stats() (evals, stops uint64) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return rt.evalCount, rt.stopCount
+	return rt.evalCount.Load(), rt.stopCount
 }
 
 // Backend exposes the underlying vpi interface (for value get/set

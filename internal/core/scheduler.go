@@ -266,8 +266,8 @@ func (rt *Runtime) evaluateGroup(g *group, stepping bool) []*insertedBP {
 		}
 	}
 	rt.memberBuf = members
-	rt.evalCount += uint64(len(members))
 	rt.mu.Unlock()
+	rt.evalCount.Add(uint64(len(members)))
 	if len(members) == 0 {
 		return nil
 	}

@@ -21,8 +21,9 @@ import (
 // eval.Prim) whose type the fuser checks and whose instruction it
 // emits. A two-state node whose result type is wider than 64 bits (+,
 // - and * of wide enough operands, signed /, unary - of a 64-bit
-// value, a slice wider than 64 bits) computes its exact value in the
-// general domain instead; the fuser never fuses such a node. Subtrees
+// value, a slice wider than 64 bits), and a signed operation reading a
+// 64-bit unsigned operand (signedReadsU64), compute their exact value
+// in the general domain instead; the fuser never fuses such a node. Subtrees
 // that see an X bit or a wide value run the val.Bits operators, which
 // follow Verilog X-propagation: bitwise ops are per-bit (known 0
 // dominates &, known 1 dominates |), arithmetic and ordered
@@ -201,7 +202,7 @@ func (n binNode) evalBits(r BitsResolver) (bval, error) {
 	if err != nil {
 		return bval{}, err
 	}
-	if !a.gen && !b.gen {
+	if !a.gen && !b.gen && !signedReadsU64(n.op, a.v, b.v) {
 		v, err := applyBin(n.op, a.v, b.v)
 		if err != nil {
 			return bval{}, err
@@ -259,11 +260,15 @@ func applyBinBits(op string, a, b val.Bits) (bval, error) {
 	case "^":
 		return gen(a.Xor(b)), nil
 	case "<<":
+		// eval.Prim's OpDshl width over the language's 6-bit amount: the
+		// operand's, widened by 2^min(amount width, 6) - 1, capped at 64
+		// bits and never narrower than the operand.
+		w := max(min(a.Width+1<<min(b.Width, 6)-1, 64), a.Width)
 		sh, known := shiftAmount(b)
 		if !known {
-			return gen(val.Unknown(a.Width)), nil
+			return gen(val.Unknown(w)), nil
 		}
-		r := a.Shl(sh)
+		r := a.Resize(w).Shl(sh)
 		r.Signed = a.Signed
 		return gen(r), nil
 	case ">>":

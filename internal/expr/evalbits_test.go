@@ -84,10 +84,11 @@ func TestEvalBitsXPropagation(t *testing.T) {
 		// Ordered comparison with any x is unknown.
 		{"x8 < k8", val.Unknown(1)},
 		{"zero < k8", val.FromUint64(1, 1)},
-		// Shifts: x bits ride along; x amounts poison the result.
-		{"x8 << 1", mustBits(t, "0001x0z0", 8)},
+		// Shifts: x bits ride along; x amounts poison the result. A <<
+		// widens as eval.Prim's dynamic shift does, by 2^(amount width)-1.
+		{"x8 << 1", mustBits(t, "00001x0z0", 9)},
 		{"x8 >> 3", mustBits(t, "00000001", 8)},
-		{"k8 << x8[2]", val.Unknown(8)},
+		{"k8 << x8[2]", val.Unknown(9)},
 	}
 	for _, tc := range cases {
 		got := evalBitsStr(t, tc.src, env)
@@ -188,6 +189,11 @@ func TestEvalBitsWideResults(t *testing.T) {
 		b.Signed = true
 		return b
 	}
+	s8 := func(v int64) val.Bits {
+		b := val.FromUint64(uint64(v), 8)
+		b.Signed = true
+		return b
+	}
 	env := bitsEnv(map[string]val.Bits{
 		"x":   val.FromUint64(^uint64(0), 64), // 2^64-1
 		"y":   val.FromUint64(1<<63, 64),      // 2^63
@@ -198,6 +204,9 @@ func TestEvalBitsWideResults(t *testing.T) {
 		"a40": s40(-1),
 		"b40": s40(1),
 		"c40": s40(0),
+		"s8":  s8(0),
+		"n8":  s8(-1),
+		"a8":  val.FromUint64(0x80, 8),
 	})
 	cases := []struct {
 		src  string
@@ -232,6 +241,17 @@ func TestEvalBitsWideResults(t *testing.T) {
 		// Known operands divide as eval.Prim does: by zero gives 0.
 		{"(min / z) == 0", 1},
 		{"(x + 1) / 0 == 0", 1},
+		// A signed operation reads a 64-bit unsigned operand by its
+		// value, bit 63 included.
+		{"s8 < x", 1},
+		{"x > s8", 1},
+		{"n8 < x", 1},
+		{"n8 / x == 0", 1},
+		{"n8 % x < 0", 1},
+		// << widens by 2^min(amount width, 6)-1, capped at 64 bits,
+		// whichever domain the amount is in.
+		{"a8 << 1 == 256", 1},
+		{"a8 << 70'd1 == 256", 1},
 	}
 	for _, tc := range cases {
 		got := evalBitsStr(t, tc.src, env)
@@ -242,7 +262,8 @@ func TestEvalBitsWideResults(t *testing.T) {
 	widths := []struct {
 		src   string
 		width int
-	}{{"x + 1", 65}, {"x - 1", 65}, {"y * 2", 66}, {"-x", 65}, {"min / m1", 65}, {"x[69:0]", 70}}
+	}{{"x + 1", 65}, {"x - 1", 65}, {"y * 2", 66}, {"-x", 65}, {"min / m1", 65}, {"x[69:0]", 70},
+		{"n8 / x", 9}, {"n8 % x", 8}, {"a8 << 1", 9}, {"a8 << 70'd1", 64}}
 	for _, tc := range widths {
 		if got := evalBitsStr(t, tc.src, env); got.Width != tc.width {
 			t.Errorf("%s is %d bits wide, want %d", tc.src, got.Width, tc.width)
@@ -287,9 +308,8 @@ func (e exact) bits() val.Bits {
 // the widths, a signed / by one bit, % narrows to the smaller width,
 // unary - widens by one bit and is signed, >> keeps the width (floor
 // division by a power of two), and a zero divisor gives 0. A signed
-// operation's second operand is signed, or an unsigned name narrower
-// than 64 bits: eval.Prim reads an unsigned operand of a signed
-// operation through Value.Int, exact only below 64 bits.
+// operation's second operand is signed, or an unsigned name of any
+// width up to 64 bits, read by its value.
 type exactGen struct {
 	r           *rand.Rand
 	names       map[string]exact
@@ -326,9 +346,6 @@ func (g *exactGen) tree(signed bool, depth int) (Node, exact) {
 	var eb exact
 	if signed && g.r.Intn(4) == 0 {
 		b, eb = g.leaf(false)
-		for eb.width == 64 {
-			b, eb = g.leaf(false)
-		}
 	} else {
 		b, eb = g.tree(signed, depth-1)
 	}
@@ -365,8 +382,8 @@ func (g *exactGen) tree(signed bool, depth int) (Node, exact) {
 // exact integers over random signed and unsigned trees whose operands
 // are up to 64 bits wide and whose intermediates reach past 64 bits,
 // so values cross between the two-state domain and the general one
-// mid-tree. It also orders each tree against zero and another tree of
-// its sign.
+// mid-tree. It also orders each tree against zero, another tree of its
+// sign and an unsigned name.
 func TestEvalBitsMatchesExactIntegers(t *testing.T) {
 	r := rand.New(rand.NewSource(20261019))
 	widths := []int{1, 2, 7, 32, 40, 63, 64}
@@ -376,11 +393,10 @@ func TestEvalBitsMatchesExactIntegers(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			signed := i%2 == 0
 			w := widths[r.Intn(len(widths))]
-			if !signed && w == 64 && i == 1 {
-				w = 63 // keep one unsigned name a signed operation may take
-			}
 			n := fmt.Sprintf("n%d", i)
-			e := wrap(new(big.Int).SetUint64(r.Uint64()>>uint(r.Intn(64))), w, signed)
+			// Every other value keeps its top bits, so a 64-bit unsigned
+			// name often has bit 63 set.
+			e := wrap(new(big.Int).SetUint64(r.Uint64()>>uint(r.Intn(2)*r.Intn(64))), w, signed)
 			g.names[n], env[n] = e, e.bits()
 			if signed {
 				g.signed = append(g.signed, n)
@@ -401,12 +417,14 @@ func TestEvalBitsMatchesExactIntegers(t *testing.T) {
 					n, got, got.Width, got.Signed, w, w.Width, w.Signed)
 			}
 			m, other := g.tree(signed, 2)
+			u, uz := g.leaf(false)
 			for _, c := range []struct {
 				rhs  Node
 				want bool
 			}{
 				{numNode{v: eval.Make(0, 1, false)}, want.z.Sign() < 0},
 				{m, want.z.Cmp(other.z) < 0},
+				{u, want.z.Cmp(uz.z) < 0},
 			} {
 				lt := binNode{op: "<", a: n, b: c.rhs}
 				got, err := EvalBits(lt, res)

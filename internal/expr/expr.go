@@ -141,6 +141,22 @@ func applyBin(opText string, a, b eval.Value) (eval.Value, error) {
 	return eval.Prim(op, nil, []eval.Value{a, b})
 }
 
+// signedReadsU64 reports a signed arithmetic or ordering operation
+// whose second operand is unsigned and 64 bits wide. eval.Prim, and the
+// word instruction set after it, read that operand through Value.Int,
+// where bit 63 counts as a sign: EvalBits computes such a node exactly
+// in the general domain, and the fuser does not fuse it.
+func signedReadsU64(op string, a, b eval.Value) bool {
+	if !a.Signed || b.Signed || b.Width != 64 {
+		return false
+	}
+	switch op {
+	case "+", "-", "*", "/", "%", "<", "<=", ">", ">=":
+		return true
+	}
+	return false
+}
+
 type ternaryNode struct {
 	cond, t, f Node
 }
@@ -302,19 +318,16 @@ func (p *parser) parsePostfix() (Node, error) {
 			return base, nil
 		}
 		p.lex.next()
-		hiTok := p.lex.next()
-		if hiTok.kind != tkNum {
-			return nil, fmt.Errorf("expr: expected bit index, got %q", hiTok.text)
+		hi, err := bitIndex(p.lex.next())
+		if err != nil {
+			return nil, err
 		}
-		hi, _ := strconv.Atoi(hiTok.text)
 		lo := hi
 		if p.lex.peek().kind == tkOp && p.lex.peek().text == ":" {
 			p.lex.next()
-			loTok := p.lex.next()
-			if loTok.kind != tkNum {
-				return nil, fmt.Errorf("expr: expected bit index, got %q", loTok.text)
+			if lo, err = bitIndex(p.lex.next()); err != nil {
+				return nil, err
 			}
-			lo, _ = strconv.Atoi(loTok.text)
 		}
 		if tok := p.lex.next(); tok.kind != tkOp || tok.text != "]" {
 			return nil, fmt.Errorf("expr: expected ']', got %q", tok.text)
@@ -324,6 +337,20 @@ func (p *parser) parsePostfix() (Node, error) {
 		}
 		base = bitsNode{x: base, hi: hi, lo: lo}
 	}
+}
+
+// bitIndex parses one bound of a bit select, a decimal below
+// maxLiteralWidth like a sized literal's width, so a slice cannot ask
+// for an unbounded plane.
+func bitIndex(tok token) (int, error) {
+	if tok.kind != tkNum {
+		return 0, fmt.Errorf("expr: expected bit index, got %q", tok.text)
+	}
+	i, err := strconv.Atoi(tok.text)
+	if err != nil || i >= maxLiteralWidth {
+		return 0, fmt.Errorf("expr: bit index %q out of range", tok.text)
+	}
+	return i, nil
 }
 
 func (p *parser) parsePrimary() (Node, error) {

@@ -170,6 +170,8 @@ func TestParseErrors(t *testing.T) {
 	bad := []string{
 		"", "1 +", "(1", "a[", "a[3:", "a[1:3]", "a ? 1", "@", "1 2", "a b",
 		"0xZZ", "? 1 : 2",
+		// Bit indices are bounded like a sized literal's width.
+		"a[65536]", "a[70:65536]", "0[222222222222222222:10]", "a[99999999999999999999]",
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {

@@ -41,9 +41,11 @@ import (
 //
 // A condition whose types do not check is not fused (its IDs entry is
 // -1) and runs on EvalBits: an operand that did not resolve or is wider
-// than 64 bits, a node whose result type is wider than 64 bits, or a ?:
-// whose arms differ in type outside a truth place (EvalBits' result
-// type would then depend on the selector).
+// than 64 bits, a node whose result type is wider than 64 bits, a
+// signed operation reading a 64-bit unsigned operand (the word ISA
+// would read its bit 63 as a sign), or a ?: whose arms differ in type
+// outside a truth place (EvalBits' result type would then depend on
+// the selector).
 //
 // Instructions are hash-consed across all conditions on their opcode,
 // operands and immediates, so a subexpression two conditions share is
@@ -321,7 +323,7 @@ func (f *fuser) lower(n Node, deps []string, slots []int, truth bool) (eval.Oper
 			return f.logic(eval.OpOr, a, b), true
 		}
 		op, known := binOps[t.op]
-		if !known {
+		if !known || signedReadsU64(t.op, a.T, b.T) {
 			return eval.Operand{}, false
 		}
 		if op == ir.OpDshl {

@@ -132,7 +132,9 @@ func folded(p *Program) Node {
 // rejectShapes are condition shapes the fuser must route to EvalBits,
 // one per fuse-time rejection rule: ?: arms of different types whose
 // value is observed, a result wider than 64 bits (64-bit +, -, *,
-// unary - and signed /), and a slice wider than 64 bits.
+// unary - and signed /), a slice wider than 64 bits, and a signed
+// division, remainder or ordering whose second operand is 64-bit
+// unsigned.
 var rejectShapes = []struct {
 	class string
 	gen   func(r *rand.Rand, names []string) Node
@@ -160,6 +162,12 @@ var rejectShapes = []struct {
 	{"slice > 64 bits", func(r *rand.Rand, names []string) Node {
 		lo := r.Intn(4)
 		return bitsNode{x: pickName(r, names), hi: lo + 64 + r.Intn(6), lo: lo}
+	}},
+	{"signed op, u64", func(r *rand.Rand, names []string) Node {
+		// -(x[k:0]) is signed and at most 9 bits wide.
+		ops := []string{"/", "%", "<", "<=", ">", ">="}
+		neg := unaryNode{op: "-", x: bitsNode{x: pickName(r, names), hi: r.Intn(8), lo: 0}}
+		return binNode{op: ops[r.Intn(len(ops))], a: neg, b: wide64(r, names)}
 	}},
 }
 
