@@ -174,7 +174,11 @@ func (m *bitsetModel) reset() {
 	m.closure = make([][]int, m.fs.watchBase)
 	m.groupIDs = map[int][]int{}
 	for ci, ibp := range m.fs.conds[:m.fs.watchBase] {
-		m.closure[ci] = append(append([]int(nil), ibp.enableSlots...), ibp.condSlots...)
+		for _, a := range []*armedExpr{ibp.enable, ibp.cond} {
+			if a != nil {
+				m.closure[ci] = append(m.closure[ci], a.slots...)
+			}
+		}
 		gi := rt.groupIdx[ibp.key()]
 		m.groupIDs[gi] = append(m.groupIDs[gi], ci)
 	}
@@ -284,16 +288,17 @@ func (m *bitsetModel) consume(last int) {
 // words.
 func (m *bitsetModel) truth(ci int) bool {
 	ibp := m.fs.conds[ci]
-	res := expr.BitsResolverFunc(func(name string) (val.Bits, error) {
-		s := m.slotOf[ibp.paths[name]]
-		ty := m.rt.depTypes[s]
-		return eval.Make(m.vals[s], ty.Width, ty.Signed).ToBits(), nil
-	})
-	for _, n := range []expr.Node{ibp.enable, ibp.cond} {
-		if n == nil {
+	for _, a := range []*armedExpr{ibp.enable, ibp.cond} {
+		if a == nil {
 			continue
 		}
-		if b, err := expr.EvalBits(n, res); err != nil || b.Truth() != val.True {
+		res := expr.BitsResolverFunc(func(name string) (val.Bits, error) {
+			i, _ := slices.BinarySearch(a.prog.Deps, name)
+			s := m.slotOf[a.paths[i]]
+			ty := m.rt.depTypes[s]
+			return eval.Make(m.vals[s], ty.Width, ty.Signed).ToBits(), nil
+		})
+		if b, err := expr.EvalBits(a.node, res); err != nil || b.Truth() != val.True {
 			return false
 		}
 	}

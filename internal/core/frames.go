@@ -12,18 +12,6 @@ import (
 	"repro/internal/vpi"
 )
 
-// pathBitsResolver resolves a breakpoint condition's names through its
-// precomputed path map, reading four-state values for the general
-// evaluator.
-func (ibp *insertedBP) pathBitsResolver(rt *Runtime) expr.BitsResolver {
-	return expr.BitsResolverFunc(func(name string) (val.Bits, error) {
-		if full, ok := ibp.paths[name]; ok {
-			return vpi.ReadBits(rt.backend, full)
-		}
-		return vpi.ReadBits(rt.backend, rt.remap.ToSim(ibp.bp.InstanceName+"."+name))
-	})
-}
-
 // buildEvent reconstructs the stack-frame information for every hit
 // instance (§3.2 step 3: "we reconstruct the stack frame based on the
 // symbol table and then send the result to the user"). The symbol
@@ -184,25 +172,20 @@ func (rt *Runtime) frameVar(name, full string) Variable {
 // EvaluateBits computes a watch expression in the context of an
 // instance with full four-state, arbitrary-width semantics — the path
 // the protocol's evaluate request uses, so x/z and >64-bit signals
-// render instead of erroring. Source-level names resolve through
-// generator variables, then instance-local RTL names, then absolute
-// paths.
+// render instead of erroring. Names resolve through the chain user
+// conditions and watchpoints use (resolveSourceName), each as it is
+// read.
 func (rt *Runtime) EvaluateBits(instance, src string) (val.Bits, error) {
 	n, err := expr.Parse(src)
 	if err != nil {
 		return val.Bits{}, err
 	}
 	return expr.EvalBits(n, expr.BitsResolverFunc(func(name string) (val.Bits, error) {
-		if rtlPath, err := rt.table.ResolveInstanceVar(instance, name); err == nil {
-			return vpi.ReadBits(rt.backend, rt.remap.ToSim(rtlPath))
+		path, ok := rt.resolveSourceName(-1, instance, name)
+		if !ok {
+			return val.Bits{}, fmt.Errorf("core: cannot resolve %q in %s", name, instance)
 		}
-		if b, err := vpi.ReadBits(rt.backend, rt.remap.ToSim(instance+"."+name)); err == nil {
-			return b, nil
-		}
-		if b, err := vpi.ReadBits(rt.backend, name); err == nil {
-			return b, nil
-		}
-		return val.Bits{}, fmt.Errorf("core: cannot resolve %q in %s", name, instance)
+		return vpi.ReadBits(rt.backend, path)
 	}))
 }
 

@@ -21,12 +21,12 @@ import (
 //
 // The fused program is the only compiled form a condition has.
 // Everything it does not cover runs through the general evaluator
-// (evalBP / Watchpoint.eval over expr.EvalBits): conditions it does not
-// fuse (an unverified or unresolved dependency, an operand or a result
-// wider than 64 bits, ?: arms of different types whose value is read,
-// a signed operation on a 64-bit unsigned operand, a literal only
-// EvalBits accepts), results a failed union read poisons, stepping,
-// reverse walks (reverse steps and reverse-continue), and the
+// (armedExpr.eval over expr.EvalBits): conditions it does not fuse (a
+// dependency that did not resolve, a four-state or wide literal, an
+// operand or a result wider than 64 bits, ?: arms of different types
+// whose value is read, a signed operation on a 64-bit unsigned
+// operand), results a failed union read poisons, stepping, reverse
+// walks (reverse steps and reverse-continue), and the
 // SetExhaustiveEval reference the fused walk is pinned against.
 //
 // Activity bookkeeping is word-parallel, over packed bitsets indexed by
@@ -146,14 +146,13 @@ func (rt *Runtime) rebuildFused() {
 	rt.prefetched = rt.fused.plane[:len(rt.depUnion)]
 }
 
-// buildFused hands every armed member with a folded program, and every
-// watch with one, to the fuser. What the fuser does not fuse (an
-// unverified or unresolved dependency, an operand or a result wider
-// than 64 bits, ?: arms of different types whose value is read, a
-// signed operation on a 64-bit unsigned operand) and members only
-// EvalBits accepts (a four-state or wide literal) are extras, evaluated
-// by the general evaluator during the walk. A breakpoint's result is
-// read as a truth, a watch's as a value.
+// buildFused hands every armed member and every watch to the fuser.
+// What the fuser does not fuse (see expr.Fuse: a dependency that did
+// not resolve, a four-state or wide literal, an operand or a result
+// wider than 64 bits, ?: arms of different types whose value is read,
+// a signed operation on a 64-bit unsigned operand) is an extra,
+// evaluated by the general evaluator during the walk. A breakpoint's
+// result is read as a truth, a watch's as a value.
 func (rt *Runtime) buildFused() *fusedState {
 	fs := &fusedState{
 		groupStart: make([]int32, len(rt.allGroups)+1),
@@ -171,30 +170,21 @@ func (rt *Runtime) buildFused() *fusedState {
 			if !ok {
 				continue
 			}
-			if armed.generalOnly() {
-				fs.groupExtra[gi] = append(fs.groupExtra[gi], armed)
-				fs.extras++
-				continue
-			}
 			members = append(members, member{gi, armed})
-			fconds = append(fconds, expr.FusedCondition{
-				Enable:      armed.enableProg,
-				Cond:        armed.condProg,
-				EnableSlots: armed.enableSlots,
-				CondSlots:   armed.condSlots,
-				Truth:       true,
-			})
+			fc := expr.FusedCondition{Truth: true}
+			if e := armed.enable; e != nil {
+				fc.Enable, fc.EnableSlots = e.prog, e.slots
+			}
+			if c := armed.cond; c != nil {
+				fc.Cond, fc.CondSlots = c.prog, c.slots
+			}
+			fconds = append(fconds, fc)
 		}
 	}
 	// Watchpoint value expressions ride the same program as extra
 	// conditions; checkWatches consumes their values instead of truth.
-	var watches []*Watchpoint
 	for _, w := range rt.watches {
-		w.fusedID = -1
-		if w.prog != nil {
-			watches = append(watches, w)
-			fconds = append(fconds, expr.FusedCondition{Cond: w.prog, CondSlots: w.slots})
-		}
+		fconds = append(fconds, expr.FusedCondition{Cond: w.watched.prog, CondSlots: w.watched.slots})
 	}
 	fs.plane = make([]uint64, len(rt.depUnion))
 	if len(fconds) == 0 {
@@ -216,7 +206,7 @@ func (rt *Runtime) buildFused() *fusedState {
 		fs.groupStart[gi+1] += fs.groupStart[gi]
 	}
 	fs.watchBase = len(fs.conds)
-	for k, w := range watches {
+	for k, w := range rt.watches {
 		w.fusedID = int(sched.IDs[len(members)+k])
 	}
 	fs.n = len(sched.Prog.Conds)

@@ -280,9 +280,9 @@ func TestFusedFailedReadPoisonsItsSlotOnly(t *testing.T) {
 		t.Fatalf("%d conditions fused, poisoned %v: want both fused and the last edge's read failed", fs.n, fs.poisoned)
 	}
 	for ci, ibp := range fs.conds {
-		readsCount := ibp.condPaths[0] == "Counter.count"
+		readsCount := ibp.cond.paths[0] == "Counter.count"
 		if fs.sound(int32(ci)) == readsCount {
-			t.Fatalf("condition %d (%v) sound %v on a failing edge", ci, ibp.condPaths, fs.sound(int32(ci)))
+			t.Fatalf("condition %d (%v) sound %v on a failing edge", ci, ibp.cond.paths, fs.sound(int32(ci)))
 		}
 	}
 }

@@ -1,34 +1,93 @@
 package core
 
 import (
-	"errors"
+	"fmt"
 	"math/bits"
+	"slices"
 
-	"repro/internal/eval"
+	"repro/internal/expr"
+	"repro/internal/val"
 	"repro/internal/vpi"
 )
 
 // This file is the runtime half of the compiled condition pipeline. At
-// insertion time every breakpoint/watch condition is parsed and folded
-// once (expr.ParseCompile) and its signal dependencies are resolved to
-// simulator paths; the union of every armed condition's dependencies
-// is resolved to backend handles and their types once per rebuild (vpi
-// Resolve). At each clock edge the scheduler makes one batched backend
-// read of those handles (ReadValues), diffs the words into the cache
-// for the cycle — the first slots of the fused program's value plane —
-// and runs the whole schedule's fused program over that plane in one
-// pass on the simulation goroutine (fused.go) — replacing the seed's
-// tree-walk + one GetValue per signal per breakpoint + one goroutine
-// spawned per group member per edge.
+// insertion time every armed expression (a breakpoint's enable and user
+// conditions, a watched value) is parsed and folded once
+// (expr.ParseCompile) and each name it reads is resolved to a
+// simulator path. Each union rebuild resolves every distinct path to a
+// backend handle and type once (vpi Resolve), the first time an armed
+// expression reads it. At each clock edge the scheduler makes one
+// batched backend read of those handles (ReadValues), diffs the words
+// into the cache for the cycle — the first slots of the fused program's
+// value plane — and runs the whole schedule's fused program over that
+// plane in one pass on the simulation goroutine (fused.go) — replacing
+// the seed's tree-walk + one GetValue per signal per breakpoint + one
+// goroutine spawned per group member per edge.
+
+// armedExpr is one armed expression: a breakpoint's enable condition,
+// its user condition, or a watched value. It holds the parsed tree
+// EvalBits walks, the folded program the fuser lowers, and for each of
+// the program's names (prog.Deps order) the simulator path it resolved
+// to at arm time and its dependency-union slot, which rebuildDeps
+// assigns: -1 when the path does not resolve.
+type armedExpr struct {
+	node  expr.Node
+	prog  *expr.Program
+	paths []string
+	slots []int
+}
+
+// newArmedExpr parses and folds src and resolves each of its program's
+// names through path. ParseCompile shares one immutable tree and
+// program across the N instances of a generated statement, and across
+// re-arms, instead of re-parsing the identical source N times.
+func newArmedExpr(src string, path func(name string) (string, error)) (*armedExpr, error) {
+	n, p, err := expr.ParseCompile(src)
+	if err != nil {
+		return nil, err
+	}
+	a := &armedExpr{node: n, prog: p, paths: make([]string, len(p.Deps))}
+	for i, name := range p.Deps {
+		if a.paths[i], err = path(name); err != nil {
+			return nil, err
+		}
+	}
+	return a, nil
+}
+
+// eval computes the expression with the general four-state evaluator,
+// reading each name straight from the backend through its arm-time
+// path. EvalBits reads only names the folded program kept (folding
+// drops a name only from a side EvalBits never evaluates), so any
+// other name is an error.
+func (a *armedExpr) eval(rt *Runtime) (val.Bits, error) {
+	return expr.EvalBits(a.node, expr.BitsResolverFunc(func(name string) (val.Bits, error) {
+		i, ok := slices.BinarySearch(a.prog.Deps, name)
+		if !ok {
+			return val.Bits{}, fmt.Errorf("core: %q is not a dependency of %s", name, a.node)
+		}
+		return vpi.ReadBits(rt.backend, a.paths[i])
+	}))
+}
+
+// truth reports whether the expression is definitely true (x is not
+// true, matching Verilog's `if`). An absent expression (nil) holds.
+func (a *armedExpr) truth(rt *Runtime) bool {
+	if a == nil {
+		return true
+	}
+	b, err := a.eval(rt)
+	return err == nil && b.Truth() == val.True
+}
 
 // resolveSourceName resolves a source-level identifier to a simulator
-// path using the same chain for breakpoint conditions and watchpoints:
-// breakpoint-scoped variable (when bpID >= 0) → generator/instance
-// variable → instance-local RTL name → absolute path as written. The
-// second return value reports whether the path was verified against the
-// symbol table or backend; an unverified name is returned as-is for the
-// caller to probe or defer to evaluation time.
-func (rt *Runtime) resolveSourceName(bpID int64, instance, name string) (string, bool) {
+// path through the one chain breakpoint conditions, watchpoints and
+// evaluate requests share: breakpoint-scoped variable (when bpID >= 0)
+// → generator/instance variable → instance-local RTL name → absolute
+// path as written. The last two are asked of the backend's handles
+// (vpi Resolve), which read no value. ok is false when no link
+// resolves; the name then comes back as written.
+func (rt *Runtime) resolveSourceName(bpID int64, instance, name string) (path string, ok bool) {
 	if bpID >= 0 {
 		if rtlPath, err := rt.table.ResolveScopedVar(bpID, name); err == nil {
 			return rt.remap.ToSim(rtlPath), true
@@ -37,12 +96,10 @@ func (rt *Runtime) resolveSourceName(bpID int64, instance, name string) (string,
 	if rtlPath, err := rt.table.ResolveInstanceVar(instance, name); err == nil {
 		return rt.remap.ToSim(rtlPath), true
 	}
-	local := rt.remap.ToSim(instance + "." + name)
-	// A four-state read error proves the signal exists; its value just
-	// routes through the general evaluator instead of the prefetch
-	// cache.
-	if _, err := rt.backend.GetValue(local); err == nil || errors.Is(err, vpi.ErrFourState) {
-		return local, true
+	for _, p := range [2]string{rt.remap.ToSim(instance + "." + name), name} {
+		if _, _, err := rt.backend.Resolve(p); err == nil {
+			return p, true
+		}
 	}
 	return name, false
 }
@@ -70,49 +127,47 @@ func (rt *Runtime) syncDeps() {
 	}
 }
 
-// rebuildDeps recomputes the union of every armed condition's simulator
-// paths, assigns each program dependency its slot in the prefetched
-// value slice, and recompiles the fused schedule against the fresh
-// slots. Runs on the simulation goroutine.
+// rebuildDeps recomputes the union of every armed expression's
+// simulator paths, assigns each program dependency its slot in the
+// prefetched value slice, and recompiles the fused schedule against the
+// fresh slots. Runs on the simulation goroutine.
 func (rt *Runtime) rebuildDeps() {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rt.depUnion = rt.depUnion[:0]
+	// Each distinct path resolves once, the first time an armed
+	// expression reads it: the per-edge read goes by handle, with no name
+	// lookup, and each slot's type is fixed for the fuser. A path that
+	// does not resolve gets slot -1 and stays out of the union: no fused
+	// condition reads it, and EvalBits' reads of it fail.
+	rt.depUnion, rt.depHandles, rt.depTypes = rt.depUnion[:0], nil, nil
 	slotOf := make(map[string]int)
-	slot := func(path string) int {
-		s, ok := slotOf[path]
-		if !ok {
-			s = len(rt.depUnion)
-			slotOf[path] = s
-			rt.depUnion = append(rt.depUnion, path)
+	assign := func(a *armedExpr) {
+		if a == nil {
+			return
 		}
-		return s
-	}
-	// verified == nil means every path was confirmed at arm time; an
-	// unverified path gets slot -1: it stays out of the union, its
-	// condition stays off the fused program, and the general evaluator
-	// probes it per evaluation.
-	assign := func(paths []string, verified []bool) []int {
-		if len(paths) == 0 {
-			return nil
-		}
-		slots := make([]int, len(paths))
-		for i, p := range paths {
-			if verified != nil && !verified[i] {
-				slots[i] = -1
-				continue
+		a.slots = make([]int, len(a.paths))
+		for i, p := range a.paths {
+			s, seen := slotOf[p]
+			if !seen {
+				s = -1
+				if h, t, err := rt.backend.Resolve(p); err == nil {
+					s = len(rt.depUnion)
+					rt.depUnion = append(rt.depUnion, p)
+					rt.depHandles = append(rt.depHandles, h)
+					rt.depTypes = append(rt.depTypes, t)
+				}
+				slotOf[p] = s
 			}
-			slots[i] = slot(p)
+			a.slots[i] = s
 		}
-		return slots
 	}
 	// Armed-member counts let a reverse-continue walk pass over groups
 	// that can never hit; the armed list is all a forward, non-stepping
 	// walk visits.
 	rt.groupArmed = make([]int, len(rt.allGroups))
 	for _, ibp := range rt.inserted {
-		ibp.enableSlots = assign(ibp.enablePaths, ibp.enableVerified)
-		ibp.condSlots = assign(ibp.condPaths, ibp.condVerified)
+		assign(ibp.enable)
+		assign(ibp.cond)
 		if gi, ok := rt.groupIdx[ibp.key()]; ok {
 			rt.groupArmed[gi]++
 		}
@@ -124,7 +179,7 @@ func (rt *Runtime) rebuildDeps() {
 		}
 	}
 	for _, w := range rt.watches {
-		w.slots = assign(w.paths, nil)
+		assign(w.watched)
 		w.canSkip = false
 	}
 	// Invert only after every slot is assigned — watch assignment above
@@ -132,22 +187,11 @@ func (rt *Runtime) rebuildDeps() {
 	rt.slotWatches = make([][]*Watchpoint, len(rt.depUnion))
 	rt.watchedSlots = false
 	for _, w := range rt.watches {
-		for _, s := range w.slots {
-			rt.slotWatches[s] = append(rt.slotWatches[s], w)
-			rt.watchedSlots = true
-		}
-	}
-	// Resolve the union once: the per-edge read goes by handle, with no
-	// name lookup, and each slot's type is fixed for the fuser. A path
-	// that does not resolve keeps NoHandle and no type: it reads as a
-	// failed slot at every edge, and no fused condition reads it.
-	rt.depHandles = make([]vpi.Handle, len(rt.depUnion))
-	rt.depTypes = make([]eval.Value, len(rt.depUnion))
-	for i, p := range rt.depUnion {
-		if h, t, err := rt.backend.Resolve(p); err == nil {
-			rt.depHandles[i], rt.depTypes[i] = h, t
-		} else {
-			rt.depHandles[i] = vpi.NoHandle
+		for _, s := range w.watched.slots {
+			if s >= 0 {
+				rt.slotWatches[s] = append(rt.slotWatches[s], w)
+				rt.watchedSlots = true
+			}
 		}
 	}
 	// No slot has a baseline yet: the first refresh finds every slot
@@ -219,10 +263,10 @@ func (rt *Runtime) refreshAll() {
 	// un-park precisely the affected conditions.
 	n := len(rt.depUnion)
 	in, ok := rt.incoming[:n], rt.incomingOK[:n]
-	// A slot that fails (x/z on a trace; a wide or unresolved slot,
-	// which no fused condition reads) fails alone: fused conditions
-	// reading it come back poisoned and fall to the general evaluator,
-	// and every other breakpoint keeps its value.
+	// A slot that fails (x/z on a trace; a wide slot, which no fused
+	// condition reads) fails alone: fused conditions reading it come
+	// back poisoned and fall to the general evaluator, and every other
+	// breakpoint keeps its value.
 	rt.backend.ReadValues(rt.depHandles, in, ok)
 	prev, prevOK := rt.prefetched[:n], rt.prefetchOK[:n]
 	var failed, dirty uint64

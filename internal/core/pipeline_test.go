@@ -216,9 +216,9 @@ func TestShortCircuitUnresolvableName(t *testing.T) {
 }
 
 // TestUnverifiedDepStaysOutOfBatchUnion pins the union-poisoning fix:
-// one condition with an unresolvable name must not force the whole
-// prefetch into per-path fallback — the bad name stays out of the
-// union, and healthy breakpoints keep hitting.
+// one condition with a name that does not resolve must not force the
+// whole prefetch into per-path fallback — the bad name gets slot -1,
+// outside the union, and healthy breakpoints keep hitting.
 func TestUnverifiedDepStaysOutOfBatchUnion(t *testing.T) {
 	d := buildCounterDesign(t, false)
 	rt, err := New(vpi.NewSimBackend(d.sim), d.table)
@@ -243,7 +243,7 @@ func TestUnverifiedDepStaysOutOfBatchUnion(t *testing.T) {
 	}
 	for _, p := range rt.depUnion {
 		if p == "bogus_xyz" {
-			t.Fatalf("unverified path %q leaked into the batch union %v", p, rt.depUnion)
+			t.Fatalf("unresolved path %q leaked into the batch union %v", p, rt.depUnion)
 		}
 	}
 	if len(rt.depUnion) == 0 {
@@ -270,11 +270,11 @@ func TestWatchAndBreakpointResolveIdentically(t *testing.T) {
 	defer rt.mu.Unlock()
 	var bpPath string
 	for _, ibp := range rt.inserted {
-		if len(ibp.condPaths) == 1 {
-			bpPath = ibp.condPaths[0]
+		if ibp.cond != nil && len(ibp.cond.paths) == 1 {
+			bpPath = ibp.cond.paths[0]
 		}
 	}
-	w := rt.watches[0]
+	w := rt.watches[0].watched
 	if len(w.paths) != 1 || bpPath == "" || w.paths[0] != bpPath {
 		t.Fatalf("watch path %v != breakpoint path %q", w.paths, bpPath)
 	}

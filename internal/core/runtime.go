@@ -24,7 +24,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -221,33 +220,12 @@ type StopEvent struct {
 // the clock callback while the user inspects state.
 type Handler func(*StopEvent) Command
 
-// insertedBP is one armed emulated breakpoint.
+// insertedBP is one armed emulated breakpoint: its symbol-table row and
+// its two armed expressions.
 type insertedBP struct {
 	bp     symtab.Breakpoint
-	enable expr.Node // nil = always enabled; EvalBits' input
-	cond   expr.Node // user condition; nil = none; EvalBits' input
-	// paths precomputes name → full simulator path for every identifier
-	// the conditions reference, so per-cycle evaluation never resolves
-	// names (the timing-sensitive path of §3.3).
-	paths map[string]string
-
-	// Fused pipeline state: the conditions folded at insertion time (nil
-	// when only the general evaluator accepts them), their dependency
-	// paths aligned with each program's Deps order, and the
-	// dependencies' slots in the runtime's per-cycle prefetch cache
-	// (-1/nil when not prefetched).
-	enableProg  *expr.Program
-	condProg    *expr.Program
-	enablePaths []string
-	condPaths   []string
-	enableSlots []int
-	condSlots   []int
-	// The verified flags mark dependencies whose path resolution was
-	// confirmed against the backend at arm time; unverified names stay
-	// out of the batched prefetch union and are probed per evaluation
-	// instead.
-	enableVerified []bool
-	condVerified   []bool
+	enable *armedExpr // nil = always enabled
+	cond   *armedExpr // user condition; nil = none
 }
 
 // group is a set of breakpoints sharing one source statement; its
@@ -316,11 +294,11 @@ type Runtime struct {
 
 	// Per-cycle prefetch cache (simulation-goroutine state, except
 	// depsDirty which rt.mu guards): the union of every armed
-	// condition's dependency paths, their handles and types (resolved
-	// once per union rebuild; vpi.NoHandle and no type for a path that
-	// did not resolve), their batched words for the current cycle (the
-	// first slots of the fused program's plane), per-slot fetch success,
-	// and whether any fetch of the last refresh failed.
+	// expression's dependency paths that resolve, their handles and
+	// types (each path resolved once per union rebuild), their batched
+	// words for the current cycle (the first slots of the fused
+	// program's plane), per-slot fetch success, and whether any fetch of
+	// the last refresh failed.
 	depsDirty     bool
 	depUnion      []string
 	depHandles    []vpi.Handle
@@ -480,119 +458,35 @@ func (ibp *insertedBP) key() groupKey {
 	return groupKey{file: ibp.bp.Filename, line: ibp.bp.Line, ordinal: ibp.bp.Order}
 }
 
-// generalOnly reports whether any of the breakpoint's conditions parsed
-// but has no fusable program (four-state literals, wide constants):
-// such a member evaluates exclusively through the general four-state
-// evaluator and its dependencies stay out of the prefetch union.
-func (ibp *insertedBP) generalOnly() bool {
-	return (ibp.enable != nil && ibp.enableProg == nil) ||
-		(ibp.cond != nil && ibp.condProg == nil)
-}
-
 // prepare parses and folds the enable and user conditions of a
-// breakpoint, then resolves every dependency to its simulator path —
+// breakpoint and resolves every name they read to its simulator path —
 // the compile-once half of the pipeline.
 func (rt *Runtime) prepare(bp symtab.Breakpoint, userCond string) (*insertedBP, error) {
 	ibp := &insertedBP{bp: bp}
+	inst := bp.InstanceName
+	var err error
 	if bp.Enable != "" {
-		// ParseCompile shares one immutable (AST, program) pair across
-		// the N instances of a generated statement — and across re-arms —
-		// instead of re-parsing the identical source N times.
-		n, p, err := expr.ParseCompile(bp.Enable)
+		// Enable conditions speak in instance-local RTL names.
+		ibp.enable, err = newArmedExpr(bp.Enable, func(name string) (string, error) {
+			return rt.remap.ToSim(inst + "." + name), nil
+		})
 		if err != nil {
 			return nil, fmt.Errorf("core: bad enable condition %q: %w", bp.Enable, err)
 		}
-		ibp.enable, ibp.enableProg = n, p
 	}
 	if userCond != "" {
-		n, p, err := expr.ParseCompile(userCond)
+		// User conditions speak in source-level names. A name no link of
+		// the chain resolves stays as written; rebuildDeps then leaves it
+		// out of the union, and the condition's reads of it fail.
+		ibp.cond, err = newArmedExpr(userCond, func(name string) (string, error) {
+			path, _ := rt.resolveSourceName(bp.ID, inst, name)
+			return path, nil
+		})
 		if err != nil {
 			return nil, fmt.Errorf("core: bad breakpoint condition %q: %w", userCond, err)
 		}
-		ibp.cond, ibp.condProg = n, p
 	}
-	rt.precomputePaths(ibp)
 	return ibp, nil
-}
-
-// precomputePaths resolves every identifier in the breakpoint's
-// conditions to its full simulator path once, at arm time. The
-// dependency lists come from the folded programs (constant folding may
-// eliminate references the raw AST still mentions).
-func (rt *Runtime) precomputePaths(ibp *insertedBP) {
-	ibp.paths = map[string]string{}
-	inst := ibp.bp.InstanceName
-	if ibp.enableProg != nil {
-		// Enable conditions speak in instance-local RTL names. Probe
-		// each mapped path so a signal the backend does not expose
-		// (e.g. optimized away) stays out of the batch union.
-		ibp.enablePaths = make([]string, len(ibp.enableProg.Deps))
-		ibp.enableVerified = make([]bool, len(ibp.enableProg.Deps))
-		for i, n := range ibp.enableProg.Deps {
-			p := rt.remap.ToSim(inst + "." + n)
-			ibp.paths[n] = p
-			ibp.enablePaths[i] = p
-			// A four-state read error still proves the signal exists —
-			// its value just needs the general evaluator, which the
-			// per-slot prefetch failure routes the condition to.
-			_, err := rt.backend.GetValue(p)
-			ibp.enableVerified[i] = err == nil || errors.Is(err, vpi.ErrFourState)
-		}
-	}
-	if ibp.condProg != nil {
-		// User conditions speak in source-level names; resolve with the
-		// shared scope → generator → local-RTL → absolute chain
-		// (watchpoints use the identical chain, see AddWatch).
-		ibp.condPaths = make([]string, len(ibp.condProg.Deps))
-		ibp.condVerified = make([]bool, len(ibp.condProg.Deps))
-		for i, n := range ibp.condProg.Deps {
-			if p, done := ibp.paths[n]; done {
-				// Shared with the enable condition: inherit its
-				// verification result.
-				ibp.condPaths[i] = p
-				ibp.condVerified[i] = verifiedIn(ibp.enableProg, ibp.enableVerified, n)
-				continue
-			}
-			// Unverified names stay as written and are probed as
-			// absolute paths at evaluation time.
-			p, ok := rt.resolveSourceName(ibp.bp.ID, inst, n)
-			ibp.paths[n] = p
-			ibp.condPaths[i] = p
-			ibp.condVerified[i] = ok
-		}
-	}
-	// Conditions without a program (general-evaluator-only: four-state
-	// literals, wide constants) still get their names resolved through
-	// the same chains, so the EvalBits resolver sees the paths the fused
-	// pipeline would have used.
-	if ibp.enable != nil && ibp.enableProg == nil {
-		for _, n := range expr.Names(ibp.enable) {
-			if _, done := ibp.paths[n]; !done {
-				ibp.paths[n] = rt.remap.ToSim(inst + "." + n)
-			}
-		}
-	}
-	if ibp.cond != nil && ibp.condProg == nil {
-		for _, n := range expr.Names(ibp.cond) {
-			if _, done := ibp.paths[n]; !done {
-				p, _ := rt.resolveSourceName(ibp.bp.ID, inst, n)
-				ibp.paths[n] = p
-			}
-		}
-	}
-}
-
-// verifiedIn reports whether name is a verified dependency of prog.
-func verifiedIn(prog *expr.Program, verified []bool, name string) bool {
-	if prog == nil {
-		return false
-	}
-	for i, d := range prog.Deps {
-		if d == name {
-			return verified[i]
-		}
-	}
-	return false
 }
 
 // SetHandler installs the stop handler; nil removes it. Without a

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"repro/internal/expr"
-	"repro/internal/val"
-)
+import "sort"
 
 // onEdge is the clock-edge callback: the entire Figure 2 scheduling
 // loop. The first check is the fast path the paper's overhead argument
@@ -284,16 +279,7 @@ func (rt *Runtime) evaluateGroup(g *group, stepping bool) []*insertedBP {
 // evalBP checks one breakpoint with the general four-state evaluator:
 // the SSA enable condition, then the user condition, each reading its
 // signals straight from the backend through the paths resolved at arm
-// time. The breakpoint hits only when both are definitely true (x is
-// not a hit, matching Verilog's `if`).
+// time. The breakpoint hits only when both are definitely true.
 func (rt *Runtime) evalBP(ibp *insertedBP) bool {
-	return (ibp.enable == nil || rt.condTruthBits(ibp, ibp.enable)) &&
-		(ibp.cond == nil || rt.condTruthBits(ibp, ibp.cond))
-}
-
-// condTruthBits evaluates one condition tree with the general
-// four-state evaluator and reports whether it is definitely true.
-func (rt *Runtime) condTruthBits(ibp *insertedBP, n expr.Node) bool {
-	b, err := expr.EvalBits(n, ibp.pathBitsResolver(rt))
-	return err == nil && b.Truth() == val.True
+	return ibp.enable.truth(rt) && ibp.cond.truth(rt)
 }

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
-	"repro/internal/expr"
 	"repro/internal/val"
-	"repro/internal/vpi"
 )
 
 // Watchpoint is a data breakpoint: the simulation stops when the
@@ -21,15 +18,7 @@ type Watchpoint struct {
 	// Expr is the watched expression source.
 	Expr string
 
-	node expr.Node // the parsed expression, EvalBits' input
-	// Fused pipeline state, mirroring insertedBP: the folded expression
-	// (nil when only the general evaluator accepts it), its dependency
-	// paths in prog.Deps order, and the dependencies' prefetch-cache
-	// slots.
-	prog   *expr.Program
-	paths  []string
-	pathOf map[string]string // name → sim path, for the general evaluator
-	slots  []int
+	watched *armedExpr // Expr, armed
 
 	// last is the previous value in the four-state plane; fused results
 	// are lifted into it so the change compare is uniform across the
@@ -37,9 +26,9 @@ type Watchpoint struct {
 	last  val.Bits
 	armed bool
 	// fusedID is this watch's condition id in the whole-schedule fused
-	// program, or -1 when the general evaluator computes it (unfusable
-	// dependencies or literal). Set by rebuildFused under rt.mu; read on
-	// the simulation goroutine.
+	// program, or -1 when the general evaluator computes it (the fuser
+	// did not fuse it). Set by rebuildFused under rt.mu; read on the
+	// simulation goroutine.
 	fusedID int
 	// canSkip marks the watch evaluation as provably redundant: the
 	// last evaluation succeeded with every dependency slot readable,
@@ -52,42 +41,21 @@ type Watchpoint struct {
 
 // AddWatch registers a watchpoint on an expression evaluated in an
 // instance context; it stops on any value change. The expression is
-// folded once here and its dependencies resolve through the same chain
-// breakpoint conditions use (resolveSourceName), so watchpoints and
-// breakpoints see identical names.
+// folded once here and its names resolve through the chain breakpoint
+// conditions use (resolveSourceName), so watchpoints and breakpoints
+// see identical names; unlike a breakpoint condition, a watch fails
+// when a name resolves nowhere.
 func (rt *Runtime) AddWatch(instance, source string) (int, error) {
-	n, prog, err := expr.ParseCompile(source)
+	watched, err := newArmedExpr(source, func(name string) (string, error) {
+		if path, ok := rt.resolveSourceName(-1, instance, name); ok {
+			return path, nil
+		}
+		return "", fmt.Errorf("core: watch: cannot resolve %q in %s", name, instance)
+	})
 	if err != nil {
 		return 0, err
 	}
-	// A nil program means the expression only runs on the general
-	// four-state evaluator; its dependencies come from the AST instead.
-	deps := expr.Names(n)
-	if prog != nil {
-		deps = prog.Deps
-	}
-	w := &Watchpoint{
-		Instance: instance,
-		Expr:     source,
-		node:     n,
-		prog:     prog,
-		paths:    make([]string, len(deps)),
-		pathOf:   make(map[string]string, len(deps)),
-		fusedID:  -1,
-	}
-	for i, name := range deps {
-		path, verified := rt.resolveSourceName(-1, instance, name)
-		if !verified {
-			// Unlike a deferred breakpoint condition, a watch must
-			// resolve at add time: probe the absolute path now. A
-			// four-state read error still proves the signal exists.
-			if _, err := rt.backend.GetValue(path); err != nil && !errors.Is(err, vpi.ErrFourState) {
-				return 0, fmt.Errorf("core: watch: cannot resolve %q in %s", name, instance)
-			}
-		}
-		w.paths[i] = path
-		w.pathOf[name] = path
-	}
+	w := &Watchpoint{Instance: instance, Expr: source, watched: watched, fusedID: -1}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	rt.nextWatch++
@@ -120,27 +88,14 @@ func (rt *Runtime) Watches() []*Watchpoint {
 	return out
 }
 
-// eval computes the watched value with the general four-state
-// evaluator: the path for every watch value the fused program does not
-// deliver (unfusable, poisoned, or the exhaustive reference). Watches
-// run on the simulation goroutine only.
-func (w *Watchpoint) eval(rt *Runtime) (val.Bits, error) {
-	return expr.EvalBits(w.node, expr.BitsResolverFunc(func(name string) (val.Bits, error) {
-		if full, ok := w.pathOf[name]; ok {
-			return vpi.ReadBits(rt.backend, full)
-		}
-		return val.Bits{}, fmt.Errorf("core: watch: unresolved %q", name)
-	}))
-}
-
 // watchSlotsOK reports whether every dependency of the watch sits in a
 // currently-readable prefetch slot — the eligibility condition for
 // skipping it at clean edges.
 func (rt *Runtime) watchSlotsOK(w *Watchpoint) bool {
-	if len(w.slots) != len(w.paths) {
+	if len(w.watched.slots) != len(w.watched.paths) {
 		return false // union rebuild pending; stay conservative
 	}
-	for _, s := range w.slots {
+	for _, s := range w.watched.slots {
 		if s < 0 || s >= len(rt.prefetchOK) || !rt.prefetchOK[s] {
 			return false
 		}
@@ -182,7 +137,7 @@ func (rt *Runtime) checkWatches(time uint64) *StopEvent {
 		if fast && w.fusedID >= 0 && fs.sound(int32(w.fusedID)) {
 			b = fs.value(int32(w.fusedID)).ToBits()
 		} else {
-			b, err = w.eval(rt)
+			b, err = w.watched.eval(rt)
 		}
 		if err != nil {
 			w.canSkip = false

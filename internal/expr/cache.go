@@ -30,10 +30,7 @@ type pcEntry struct {
 
 // ParseCompile parses and folds one expression, returning a shared
 // immutable (AST, program) pair from the process-wide cache when the
-// identical source was seen before. An expression whose folded tree
-// holds a four-state or >64-bit literal only the general evaluator
-// supports (8'b1x0z, wide constants) returns a nil Program: callers
-// run it through EvalBits exclusively. Parse errors are not cached.
+// identical source was seen before. Parse errors are not cached.
 func ParseCompile(src string) (Node, *Program, error) {
 	pcMu.Lock()
 	if e, ok := pcCache[src]; ok {
@@ -46,7 +43,7 @@ func ParseCompile(src string) (Node, *Program, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	p := newProgram(n) // nil: general-evaluator-only expression
+	p := newProgram(n)
 	pcMu.Lock()
 	if len(pcCache) >= parseCompileCacheLimit {
 		pcCache = map[string]*pcEntry{}

@@ -262,9 +262,11 @@ func applyBinBits(op string, a, b val.Bits) (bval, error) {
 	case "<<":
 		// eval.Prim's OpDshl width over the language's 6-bit amount: the
 		// operand's, widened by 2^min(amount width, 6) - 1, capped at 64
-		// bits and never narrower than the operand.
+		// bits and never narrower than the operand. The amount is its low
+		// 6 bits, as in applyBin and the fuser, so an x bit above them
+		// leaves the shift known.
 		w := max(min(a.Width+1<<min(b.Width, 6)-1, 64), a.Width)
-		sh, known := shiftAmount(b)
+		sh, known := shiftAmount(b.Slice(min(b.Width, 6)-1, 0))
 		if !known {
 			return gen(val.Unknown(w)), nil
 		}
@@ -317,7 +319,9 @@ func (n ternaryNode) evalBits(r BitsResolver) (bval, error) {
 		return n.f.evalBits(r)
 	}
 	// Unknown selector: evaluate both arms and keep only the bits they
-	// agree on; everything else is x.
+	// agree on; everything else is x. A known selector yields its arm at
+	// that arm's own width, so the bits above the narrower arm are x
+	// too: a ~ or - over the merge must not read them as known zeros.
 	t, err := n.t.evalBits(r)
 	if err != nil {
 		return bval{}, err
@@ -326,7 +330,12 @@ func (n ternaryNode) evalBits(r BitsResolver) (bval, error) {
 	if err != nil {
 		return bval{}, err
 	}
-	return gen(val.Mux(t.bits(), f.bits())), nil
+	tb, fb := t.bits(), f.bits()
+	m := val.Mux(tb, fb)
+	if w := min(tb.Width, fb.Width); w < m.Width {
+		m = m.Xor(val.Unknown(m.Width).Shl(w))
+	}
+	return gen(m), nil
 }
 
 func (n bitsNode) evalBits(r BitsResolver) (bval, error) {

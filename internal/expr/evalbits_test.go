@@ -3,7 +3,9 @@ package expr
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -81,6 +83,11 @@ func TestEvalBitsXPropagation(t *testing.T) {
 		// Unknown ternary selector keeps only agreeing bits.
 		{"x8[2] ? 12 : 12", val.FromUint64(12, 4)},
 		{"x8[2] ? 5 : 4", mustBits(t, "10x", 3)},
+		// Arms of different widths: the narrower arm has no bits above
+		// its width, so the merge's are x there, and ~ over it does not
+		// claim a truth the 1-bit arm (~1'b1 = 0) contradicts.
+		{"x8[2] ? 1'b1 : 4'd1", mustBits(t, "xxx1", 4)},
+		{"~(x8[2] ? 1'b1 : 4'd1)", mustBits(t, "xxx0", 4)},
 		// Ordered comparison with any x is unknown.
 		{"x8 < k8", val.Unknown(1)},
 		{"zero < k8", val.FromUint64(1, 1)},
@@ -89,6 +96,11 @@ func TestEvalBitsXPropagation(t *testing.T) {
 		{"x8 << 1", mustBits(t, "00001x0z0", 9)},
 		{"x8 >> 3", mustBits(t, "00000001", 8)},
 		{"k8 << x8[2]", val.Unknown(9)},
+		// The amount is its low 6 bits, as on the two-state path: a shift
+		// by 64 keeps the operand's bits, and an x bit above bit 5 leaves
+		// the shift known.
+		{"x8 << 7'd64", mustBits(t, "1x0z", 64)},
+		{"k8 << 7'bx000001", val.FromUint64(18, 64)},
 	}
 	for _, tc := range cases {
 		got := evalBitsStr(t, tc.src, env)
@@ -160,10 +172,10 @@ func TestSizedLiterals(t *testing.T) {
 		t.Fatalf("two-state 16'hdead folded to %v", p)
 	}
 
-	// Four-state literals parse but have no fusable program, forcing
-	// the general path.
-	if p := newProgram(MustParse("sig === 8'b1x0z")); p != nil {
-		t.Fatalf("four-state literal fused as %s", p.Folded)
+	// Four-state literals parse, but Fuse rejects them, forcing the
+	// general path.
+	if !fuseRejects("sig === 8'b1x0z") {
+		t.Fatal("four-state literal fused")
 	}
 
 	for _, bad := range []string{"8'b2", "99999999'h0", "8'hgg", "0'd0"} {
@@ -437,4 +449,179 @@ func TestEvalBitsMatchesExactIntegers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// xSoundNames are the names the x-soundness checks read, by width: p
+// is 8 bits wide, q 7 (an amount that reaches 64 and more) and r 4.
+var xSoundNames = map[string]int{"p": 8, "q": 7, "r": 4}
+
+// xSoundBinOps are the binary operators the x-soundness checks draw
+// from: all but === and !==, which compare x literally.
+var xSoundBinOps = []string{
+	"+", "-", "*", "/", "%", "<", "<=", ">", ">=", "==", "!=",
+	"&", "|", "^", "<<", ">>", "&&", "||",
+}
+
+// xSoundTree builds a random tree over xSoundNames and literals of up to
+// 7 bits, with xSoundBinOps, !, ~ and ?:.
+func xSoundTree(r *rand.Rand, depth int) Node {
+	if depth <= 0 || r.Intn(5) == 0 {
+		if r.Intn(4) == 0 {
+			return numNode{v: eval.Make(r.Uint64(), 1+r.Intn(7), false)}
+		}
+		return nameNode{name: []string{"p", "q", "r"}[r.Intn(3)]}
+	}
+	switch r.Intn(10) {
+	case 0:
+		return unaryNode{op: []string{"!", "~"}[r.Intn(2)], x: xSoundTree(r, depth-1)}
+	case 1:
+		return ternaryNode{cond: xSoundTree(r, depth-1), t: xSoundTree(r, depth-1), f: xSoundTree(r, depth-1)}
+	}
+	return binNode{op: xSoundBinOps[r.Intn(len(xSoundBinOps))], a: xSoundTree(r, depth-1), b: xSoundTree(r, depth-1)}
+}
+
+// xSoundEnv gives each of xSoundNames its bits of vals and of xs, p's
+// in the low byte, q's in the 7 bits above, r's in the 4 above those;
+// only the lowest 6 set bits of xs count, so an environment has at
+// most 64 concretizations.
+func xSoundEnv(vals, xs uint64) map[string]val.Bits {
+	for bits.OnesCount64(xs) > 6 {
+		xs &^= 1 << (63 - bits.LeadingZeros64(xs))
+	}
+	env := map[string]val.Bits{}
+	shift := 0
+	for _, name := range []string{"p", "q", "r"} {
+		w := xSoundNames[name]
+		env[name] = val.FromPlanes([]uint64{vals >> shift}, []uint64{xs >> shift}, w)
+		shift += w
+	}
+	return env
+}
+
+// checkXSound evaluates n over env, whose names carry x bits, and over
+// each concretization of those bits. Every known bit of the four-state
+// result must be known, and the same, in every concrete result; the
+// two compare over the narrower width, since a ?: under an unknown
+// selector may widen. A tree reading a name env lacks is skipped.
+func checkXSound(n Node, env map[string]val.Bits) error {
+	want, err := EvalBits(n, bitsEnv(env))
+	if err != nil {
+		return nil
+	}
+	type xbit struct {
+		name string
+		i    int
+	}
+	var xs []xbit
+	for _, name := range []string{"p", "q", "r"} {
+		for i := 0; i < env[name].Width; i++ {
+			if _, x := env[name].Bit(i); x {
+				xs = append(xs, xbit{name, i})
+			}
+		}
+	}
+	for c := 0; c < 1<<len(xs); c++ {
+		concrete := map[string]val.Bits{}
+		words := map[string]uint64{}
+		for name, b := range env {
+			words[name] = b.V0 &^ b.X0
+		}
+		for k, xb := range xs {
+			words[xb.name] |= uint64(c>>k&1) << xb.i
+		}
+		for name, w := range words {
+			concrete[name] = val.FromUint64(w, env[name].Width)
+		}
+		got, err := EvalBits(n, bitsEnv(concrete))
+		if err != nil {
+			return fmt.Errorf("%v: %v over %v", n, err, concrete)
+		}
+		for i := 0; i < min(want.Width, got.Width); i++ {
+			wv, wx := want.Bit(i)
+			if gv, gx := got.Bit(i); !wx && (gx || gv != wv) {
+				return fmt.Errorf("%v: bit %d of %s (over %v) is known, but %s over %v", n, i, want, env, got, concrete)
+			}
+		}
+	}
+	return nil
+}
+
+// TestEvalBitsXSound pins the four-state evaluator's x-soundness: an x
+// bit in an input stands for either value, so a result bit EvalBits
+// reports known must come out the same whichever values the x bits
+// take. Random trees over 8-, 7- and 4-bit names that carry x bits
+// exercise every operator but === and !==.
+func TestEvalBitsXSound(t *testing.T) {
+	r := rand.New(rand.NewSource(20261020))
+	trees := 20000
+	if testing.Short() {
+		trees = 2000
+	}
+	for trial := 0; trial < trees; trial++ {
+		n := xSoundTree(r, 4)
+		if err := checkXSound(n, xSoundEnv(r.Uint64(), r.Uint64()&r.Uint64()&r.Uint64())); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// FuzzEvalBitsXSound is the coverage-guided form of TestEvalBitsXSound:
+// a fuzz-chosen source over the names p, q and r, with their values and
+// x masks packed as xSoundEnv reads them. Sources that do not parse,
+// run longer than 128 bytes or use === or !== are skipped.
+func FuzzEvalBitsXSound(f *testing.F) {
+	f.Add("p << q", uint64(0x40<<8|0x0d), uint64(0x02))
+	f.Add("(p + q) * r > p - r", uint64(0x1234), uint64(0x0110))
+	f.Add("p[2] ? q : r", uint64(0x7f0f), uint64(0x4))
+	f.Add("!(p & q) || r ^ 4'hz", uint64(0x5a5a), uint64(0x8001))
+	f.Add("p / r % q >> 2 << 7'd64", uint64(0xffff), uint64(0x30))
+	f.Add("~p == q && r <= 3 || p != 8'b1x0z", uint64(0x1ff), uint64(0x100))
+	f.Fuzz(func(t *testing.T, src string, vals, xs uint64) {
+		if len(src) > 128 || strings.Contains(src, "===") || strings.Contains(src, "!==") {
+			return
+		}
+		n, err := Parse(src)
+		if err != nil {
+			return
+		}
+		if err := checkXSound(n, xSoundEnv(vals, xs)); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestEvalBitsReadsOnlyDeps pins the invariant an armed expression's
+// strict name lookup rests on: over random trees, whose names carry x
+// bits or not, EvalBits on the parsed tree resolves only names in its
+// Program.Deps. Folding drops a name only from a side EvalBits never
+// evaluates, the dead side of a constant &&, || or ?: selector.
+func TestEvalBitsReadsOnlyDeps(t *testing.T) {
+	r := rand.New(rand.NewSource(20261021))
+	names := []string{"a", "b", "c", "d"}
+	dropped := 0
+	for trial := 0; trial < 20000; trial++ {
+		n := randNode(r, names, 4)
+		p := newProgram(n)
+		if len(p.Deps) < len(Names(n)) {
+			dropped++
+		}
+		env := map[string]val.Bits{}
+		for _, name := range names {
+			w := 1 + r.Intn(12)
+			env[name] = val.FromPlanes([]uint64{r.Uint64()}, []uint64{r.Uint64() & r.Uint64() * uint64(r.Intn(2))}, w)
+		}
+		_, err := EvalBits(n, BitsResolverFunc(func(name string) (val.Bits, error) {
+			if _, ok := slices.BinarySearch(p.Deps, name); !ok {
+				return val.Bits{}, fmt.Errorf("read %q outside Deps %v", name, p.Deps)
+			}
+			return env[name], nil
+		}))
+		if err != nil {
+			t.Fatalf("%v: %v", n, err)
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("folding dropped no name from any tree; test is vacuous")
+	}
+	t.Logf("folding dropped a name from %d of 20000 trees", dropped)
 }

@@ -59,8 +59,8 @@ func (n numNode) String() string        { return n.v.String() }
 
 // xnumNode is a literal the two-state fast path cannot represent:
 // wider than 64 bits or carrying x/z digits (128'hdead_beef, 8'b1x0z).
-// ParseCompile returns no Program for an expression holding one, which
-// routes the whole expression to the general four-state evaluator.
+// Fuse rejects a condition holding one, which routes the whole
+// condition to the general four-state evaluator.
 type xnumNode struct {
 	b val.Bits
 }

@@ -24,34 +24,10 @@ type Program struct {
 	Folded Node
 }
 
-// newProgram folds n and collects its dependencies. It returns nil when
-// the folded tree still holds a literal only EvalBits accepts (wider
-// than 64 bits, or carrying x/z digits): the fused program runs on
-// two-state values, so such a condition is evaluated by EvalBits alone.
+// newProgram folds n and collects its dependencies.
 func newProgram(n Node) *Program {
 	n = fold(n)
-	if needsGeneral(n) {
-		return nil
-	}
 	return &Program{Deps: Names(n), Folded: n}
-}
-
-// needsGeneral reports whether the tree holds a four-state or wide
-// literal.
-func needsGeneral(n Node) bool {
-	switch t := n.(type) {
-	case xnumNode:
-		return true
-	case unaryNode:
-		return needsGeneral(t.x)
-	case binNode:
-		return needsGeneral(t.a) || needsGeneral(t.b)
-	case ternaryNode:
-		return needsGeneral(t.cond) || needsGeneral(t.t) || needsGeneral(t.f)
-	case bitsNode:
-		return needsGeneral(t.x)
-	}
-	return false
 }
 
 // fold rewrites constant subexpressions into literals. A subtree with

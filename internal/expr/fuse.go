@@ -41,11 +41,12 @@ import (
 //
 // A condition whose types do not check is not fused (its IDs entry is
 // -1) and runs on EvalBits: an operand that did not resolve or is wider
-// than 64 bits, a node whose result type is wider than 64 bits, a
-// signed operation reading a 64-bit unsigned operand (the word ISA
-// would read its bit 63 as a sign), or a ?: whose arms differ in type
-// outside a truth place (EvalBits' result type would then depend on
-// the selector).
+// than 64 bits, a literal with x/z digits or wider than 64 bits
+// (8'b1x0z, 130'h1: no word holds it), a node whose result type is
+// wider than 64 bits, a signed operation reading a 64-bit unsigned
+// operand (the word ISA would read its bit 63 as a sign), or a ?: whose
+// arms differ in type outside a truth place (EvalBits' result type
+// would then depend on the selector).
 //
 // Instructions are hash-consed across all conditions on their opcode,
 // operands and immediates, so a subexpression two conditions share is

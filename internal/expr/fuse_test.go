@@ -103,9 +103,6 @@ func compileCond(t testing.TB, enable, cond Node, slotOf map[string]int) FusedCo
 	var fc FusedCondition
 	mk := func(n Node) (*Program, []int) {
 		p := newProgram(n)
-		if p == nil {
-			t.Fatalf("%s has no fusable program", n)
-		}
 		slots := make([]int, len(p.Deps))
 		for i, d := range p.Deps {
 			slots[i] = slotOf[d]
@@ -121,6 +118,18 @@ func compileCond(t testing.TB, enable, cond Node, slotOf map[string]int) FusedCo
 	return fc
 }
 
+// fuseRejects reports whether Fuse routes src, read as a value with
+// every name an 8-bit slot, to EvalBits.
+func fuseRejects(src string) bool {
+	p := newProgram(MustParse(src))
+	slots := make([]int, len(p.Deps))
+	types := make([]eval.Value, len(p.Deps))
+	for i := range slots {
+		slots[i], types[i] = i, eval.Make(0, 8, false)
+	}
+	return Fuse([]FusedCondition{{Cond: p, CondSlots: slots}}, types).IDs[0] < 0
+}
+
 // folded returns the tree the fuser saw (nil stays nil).
 func folded(p *Program) Node {
 	if p == nil {
@@ -132,9 +141,9 @@ func folded(p *Program) Node {
 // rejectShapes are condition shapes the fuser must route to EvalBits,
 // one per fuse-time rejection rule: ?: arms of different types whose
 // value is observed, a result wider than 64 bits (64-bit +, -, *,
-// unary - and signed /), a slice wider than 64 bits, and a signed
+// unary - and signed /), a slice wider than 64 bits, a signed
 // division, remainder or ordering whose second operand is 64-bit
-// unsigned.
+// unsigned, and a literal with x/z bits or wider than 64 bits.
 var rejectShapes = []struct {
 	class string
 	gen   func(r *rand.Rand, names []string) Node
@@ -168,6 +177,16 @@ var rejectShapes = []struct {
 		ops := []string{"/", "%", "<", "<=", ">", ">="}
 		neg := unaryNode{op: "-", x: bitsNode{x: pickName(r, names), hi: r.Intn(8), lo: 0}}
 		return binNode{op: ops[r.Intn(len(ops))], a: neg, b: wide64(r, names)}
+	}},
+	{"four-state or wide literal", func(r *rand.Rand, names []string) Node {
+		// At least one x/z bit in 1 to 8 bits, or a known 65- to 128-bit
+		// value.
+		lit := val.FromPlanes([]uint64{r.Uint64()}, []uint64{r.Uint64() | 1}, 1+r.Intn(8))
+		if r.Intn(2) == 0 {
+			lit = val.FromWords([]uint64{r.Uint64(), r.Uint64()}, 65+r.Intn(64))
+		}
+		ops := []string{"==", "!=", "===", "&", "|", "+", "<"}
+		return binNode{op: ops[r.Intn(len(ops))], a: pickName(r, names), b: xnumNode{b: lit}}
 	}},
 }
 
@@ -352,8 +371,8 @@ func FuzzFuse(f *testing.F) {
 	f.Add("en ? cnt == 5 : cnt == 9", "en && cnt[3:0] != 2", uint64(3))
 	f.Add("a % b == 0", "a / b > 1", uint64(4))
 	// Sized literals and case equality: two-state sized forms fuse;
-	// four-state / >64-bit literals have no fusable program, seeding
-	// the parser side of the corpus.
+	// Fuse rejects four-state / >64-bit literals, and they seed the
+	// parser side of the corpus.
 	f.Add("x === 16'hdead", "x !== 16'hbeef && x > 0", uint64(5))
 	f.Add("a === 8'b1x0z", "a == 130'h3deadbeefcafebabe0123456789abcdef0", uint64(6))
 	f.Add("-a < 0", "(a >> 1) + 1 == 0", uint64(7))
@@ -379,9 +398,6 @@ func FuzzFuse(f *testing.F) {
 				return
 			}
 			p := newProgram(n)
-			if p == nil {
-				return
-			}
 			slots := make([]int, len(p.Deps))
 			for i, d := range p.Deps {
 				if _, seen := slotOf[d]; !seen {
