@@ -8,9 +8,12 @@
 //
 //	hgdb-index -vcd trace.vcd [-out trace.hgdbstore] [-block N]
 //
-// Indexing is a single streaming pass: blocks are checksummed and
-// written to disk in parallel with the text scan, so peak memory stays
-// at the sparse per-signal index, not the whole store.
+// Indexing is one sequential pass: each block is checksummed and
+// written as soon as the text scan completes it, so peak memory stays
+// at the sparse per-signal index, not the whole store. The store goes
+// to a temporary file beside -out and replaces -out only once complete,
+// so a failed run leaves an existing store as it was; an -out that
+// names the input trace is refused.
 package main
 
 import (

@@ -2,6 +2,8 @@ package dap
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -59,20 +61,21 @@ func fourStateTrace(t *testing.T) ([]byte, *symtab.Table, int) {
 func TestDAPFourStateEndToEnd(t *testing.T) {
 	trace, table, accLine := fourStateTrace(t)
 
-	// --- parse → disk store → reopen: the mask plane and the wide
-	// signal survive the v2 disk format round trip.
-	mem, err := vcd.ParseStore(bytes.NewReader(trace), vcd.StoreOptions{BlockSize: 4})
+	// --- index → disk store → reopen: the mask plane and the wide
+	// signal survive the disk format round trip.
+	dir := t.TempDir()
+	vcdPath, storePath := filepath.Join(dir, "trace.vcd"), filepath.Join(dir, "trace.hgdbstore")
+	if err := os.WriteFile(vcdPath, trace, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vcd.IndexFile(vcdPath, storePath, vcd.StoreOptions{BlockSize: 4}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := vcd.OpenStoreFile(storePath, vcd.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var disk bytes.Buffer
-	if err := vcd.WriteStore(&disk, mem); err != nil {
-		t.Fatal(err)
-	}
-	st, err := vcd.OpenStore(bytes.NewReader(disk.Bytes()), int64(disk.Len()), vcd.OpenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(func() { st.Close() })
 	if st.Stats.XZChanges == 0 {
 		t.Fatal("disk store lost the x/z change statistic")
 	}

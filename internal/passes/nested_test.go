@@ -218,21 +218,28 @@ func TestRegWithoutResetHolds(t *testing.T) {
 
 // Property: compiling the same generated circuit twice (fresh builds)
 // yields identical Low-form text — determinism matters for symbol
-// table stability and caching.
+// table stability and caching. Two nets diverge in every when, so each
+// merge names two muxes and their numbering must not depend on map
+// order.
 func TestCompileDeterminismProperty(t *testing.T) {
 	build := func(n int) string {
 		c := generator.NewCircuit("D")
 		m := c.NewModule("D")
 		x := m.Input("x", ir.UIntType(8))
 		out := m.Output("out", ir.UIntType(8))
+		out2 := m.Output("out2", ir.UIntType(8))
 		w := m.Wire("w", ir.UIntType(8))
+		v := m.Wire("v", ir.UIntType(8))
 		w.Set(m.Lit(0, 8))
+		v.Set(m.Lit(0, 8))
 		for i := 0; i < n; i++ {
 			m.When(x.Bit(i%8), func() {
 				w.Set(w.AddMod(m.Lit(uint64(i+1), 8)))
+				v.Set(v.Xor(m.Lit(uint64(2*i+1), 8)))
 			})
 		}
 		out.Set(w)
+		out2.Set(v)
 		comp, err := Compile(c.MustBuild(), false)
 		if err != nil {
 			t.Fatal(err)

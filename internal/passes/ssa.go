@@ -2,6 +2,8 @@ package passes
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/ir"
@@ -338,7 +340,7 @@ func (sc *ssaCtx) processWhen(w *ir.When) error {
 	// Listing 4).
 	merged := copyEnv(saved)
 	depth := len(sc.enables)
-	for name := range union(thenEnv, elseEnv) {
+	for _, name := range union(thenEnv, elseEnv) {
 		// Nets declared inside either branch are scoped to it; they do
 		// not merge and are unreadable afterwards.
 		if sc.declDepth[name] > depth {
@@ -453,15 +455,17 @@ func copyEnv(env map[string]ir.Expr) map[string]ir.Expr {
 	return out
 }
 
-func union(a, b map[string]ir.Expr) map[string]bool {
-	out := map[string]bool{}
-	for k := range a {
-		out[k] = true
-	}
+// union returns the names bound in either environment, sorted, so the
+// merge muxes are numbered the same way on every compile.
+func union(a, b map[string]ir.Expr) []string {
+	names := slices.Collect(maps.Keys(a))
 	for k := range b {
-		out[k] = true
+		if _, ok := a[k]; !ok {
+			names = append(names, k)
+		}
 	}
-	return out
+	slices.Sort(names)
+	return names
 }
 
 func exprEqual(a, b ir.Expr) bool {

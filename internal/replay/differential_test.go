@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"testing"
@@ -91,23 +93,24 @@ func TestStoreEngineDifferential(t *testing.T) {
 }
 
 // diskStoreEngine round-trips the trace through the on-disk store
-// format (WriteStore → OpenStore) before wrapping it in a checkpointed
-// engine, with a deliberately tiny block cache so LRU eviction churns
-// during the test.
+// format (IndexFile → OpenStoreFile) before wrapping it in a
+// checkpointed engine, with a deliberately tiny block cache so LRU
+// eviction churns during the test.
 func diskStoreEngine(t testing.TB, data []byte, interval uint64) *Engine {
 	t.Helper()
-	st, err := vcd.ParseStore(bytes.NewReader(data), vcd.StoreOptions{BlockSize: 2})
+	dir := t.TempDir()
+	vcdPath, storePath := filepath.Join(dir, "trace.vcd"), filepath.Join(dir, "trace.hgdbstore")
+	if err := os.WriteFile(vcdPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vcd.IndexFile(vcdPath, storePath, vcd.StoreOptions{BlockSize: 2}); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := vcd.OpenStoreFile(storePath, vcd.OpenOptions{BlockCacheBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := vcd.WriteStore(&buf, st); err != nil {
-		t.Fatal(err)
-	}
-	ds, err := vcd.OpenStore(bytes.NewReader(buf.Bytes()), int64(buf.Len()), vcd.OpenOptions{BlockCacheBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(func() { ds.Close() })
 	return NewStore(ds, WithCheckpointInterval(interval))
 }
 

@@ -34,17 +34,10 @@ func writeTable(t *testing.T, dir, name string) (string, int) {
 
 func TestCacheSharesByContent(t *testing.T) {
 	dir := t.TempDir()
+	// Distinct paths, identical content: two independent builds of one
+	// design save the same bytes.
 	pathA, _ := writeTable(t, dir, "a.db")
-	// Distinct path, identical content: a byte copy, because the store's
-	// serialization is not deterministic across independent builds.
-	raw, err := os.ReadFile(pathA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pathB := filepath.Join(dir, "b.db")
-	if err := os.WriteFile(pathB, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	pathB, _ := writeTable(t, dir, "b.db")
 
 	c := NewCache(0)
 	ta, relA, hitA, err := c.Acquire(pathA)

@@ -8,6 +8,8 @@ package symtab
 import (
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -179,6 +181,9 @@ func Build(comp *passes.Compilation) (*Table, error) {
 		if entry.Enable != nil {
 			enable = ir.RenderInfix(entry.Enable)
 		}
+		// Map keys are ranged in sorted order here and below, so one
+		// compilation always saves the same bytes.
+		srcs := slices.Sorted(maps.Keys(entry.Vars))
 		for _, instPath := range paths[entry.Module] {
 			bpID, err := d.Insert(tblBreakpoint, db.Row{
 				"filename":   entry.File,
@@ -192,8 +197,8 @@ func Build(comp *passes.Compilation) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			for src, rtl := range entry.Vars {
-				vid, err := getVar(rtl)
+			for _, src := range srcs {
+				vid, err := getVar(entry.Vars[src])
 				if err != nil {
 					return nil, err
 				}
@@ -208,9 +213,9 @@ func Build(comp *passes.Compilation) (*Table, error) {
 		}
 	}
 
-	for module, gvs := range comp.GenVars {
+	for _, module := range slices.Sorted(maps.Keys(comp.GenVars)) {
 		for _, instPath := range paths[module] {
-			for _, gv := range gvs {
+			for _, gv := range comp.GenVars[module] {
 				vid, err := getVar(gv.RTL)
 				if err != nil {
 					return nil, err

@@ -7,18 +7,16 @@ package vcd
 // checkpointing"):
 //
 //	header      fixed 64 bytes: magic, version, counts, section table offset
+//	blocks      concatenated block record streams (the ParseStore encoding)
 //	sections    located by a section table of (id, offset, length) entries:
 //	  blockDir  per block: uvarint(window delta), uvarint(length), uvarint(crc32)
 //	  signals   per signal: name ref, width, change count, sparse block index
 //	  strings   deduplicated string table (signal paths, scope names)
 //	  hier      instance tree in pre-order, names by string-table ref
-//	  blocks    concatenated block record streams (the ParseStore encoding)
 //
-// Sections are located by the table, so writers are free to choose
-// layout order: WriteStore (whole store in memory, io.Writer) puts
-// metadata first; IndexFile (streaming ingest) puts block data first
-// so blocks can be written while the VCD text is still being scanned,
-// and backpatches the header.
+// IndexFile is the one writer. It writes each block right after the
+// previous one while the VCD text is still being scanned, then the
+// metadata sections and the section table, and the header last.
 //
 // OpenStore reads the header and metadata sections only. Block record
 // streams stay on disk and load on demand through Store.blockData into
@@ -33,24 +31,21 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"runtime"
+	"path/filepath"
 	"sync"
 
 	"repro/internal/rtl"
 )
 
 const (
-	// StoreVersion is the on-disk format version written by this
-	// package. Version 2 added the four-state value planes: block
+	// StoreVersion is the on-disk format version written and read by
+	// this package. Version 2 added the four-state value planes: block
 	// records carry an optional unknown-bit word stream and wide
 	// (>64-bit) value words, signal rows carry packed last-value
-	// planes, and the header records x/z statistics. OpenStore still
-	// reads version-1 files (two-state, values masked to 64 bits at
-	// index time) and rejects versions newer than this with a clear
-	// error rather than misdecoding them.
+	// planes, and the header records x/z statistics. OpenStore refuses
+	// every other version with an error that says to re-index the trace
+	// rather than misdecoding it.
 	StoreVersion = 2
-	// storeVersionV1 is the legacy two-state format.
-	storeVersionV1 = 1
 
 	headerSize  = 64
 	maxSections = 64
@@ -93,12 +88,6 @@ type dirEntry struct {
 
 // --- encoding helpers ---
 
-func putUvarint(dst []byte, v uint64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	return append(dst, tmp[:n]...)
-}
-
 // stringTable deduplicates strings at write time; refs are indices
 // into the encoded table.
 type stringTable struct {
@@ -121,9 +110,9 @@ func (t *stringTable) ref(s string) uint64 {
 }
 
 func (t *stringTable) encode() []byte {
-	b := putUvarint(nil, uint64(len(t.list)))
+	b := binary.AppendUvarint(nil, uint64(len(t.list)))
 	for _, s := range t.list {
-		b = putUvarint(b, uint64(len(s)))
+		b = binary.AppendUvarint(b, uint64(len(s)))
 		b = append(b, s...)
 	}
 	return b
@@ -138,9 +127,9 @@ func encodeBlockDir(dir []dirEntry) []byte {
 			d = e.win - prev
 		}
 		prev = e.win
-		b = putUvarint(b, d)
-		b = putUvarint(b, uint64(e.length))
-		b = putUvarint(b, uint64(e.crc))
+		b = binary.AppendUvarint(b, d)
+		b = binary.AppendUvarint(b, uint64(e.length))
+		b = binary.AppendUvarint(b, uint64(e.crc))
 	}
 	return b
 }
@@ -148,10 +137,10 @@ func encodeBlockDir(dir []dirEntry) []byte {
 func encodeSignals(list []*StoreSignal, strs *stringTable) []byte {
 	var b []byte
 	for _, ts := range list {
-		b = putUvarint(b, strs.ref(ts.Name))
-		b = putUvarint(b, uint64(ts.Width))
-		b = putUvarint(b, uint64(ts.n))
-		b = putUvarint(b, uint64(len(ts.blkIdx)))
+		b = binary.AppendUvarint(b, strs.ref(ts.Name))
+		b = binary.AppendUvarint(b, uint64(ts.Width))
+		b = binary.AppendUvarint(b, uint64(ts.n))
+		b = binary.AppendUvarint(b, uint64(len(ts.blkIdx)))
 		prev := uint32(0)
 		for i, bi := range ts.blkIdx {
 			d := bi
@@ -159,24 +148,24 @@ func encodeSignals(list []*StoreSignal, strs *stringTable) []byte {
 				d = bi - prev
 			}
 			prev = bi
-			b = putUvarint(b, uint64(d))
+			b = binary.AppendUvarint(b, uint64(d))
 		}
 		// Last-value planes, one row of nw words per indexed block: an
 		// x-plane presence flag, then the value words, then (only when
-		// present) the x words. A fully two-state signal costs one flag
-		// byte over the v1 encoding.
+		// present) the x words. A fully two-state signal pays one flag
+		// byte for the four-state support.
 		if len(ts.blkIdx) > 0 {
 			xflag := uint64(0)
 			if ts.last.x != nil {
 				xflag = 1
 			}
-			b = putUvarint(b, xflag)
+			b = binary.AppendUvarint(b, xflag)
 			for _, v := range ts.last.v {
-				b = putUvarint(b, v)
+				b = binary.AppendUvarint(b, v)
 			}
 			if xflag != 0 {
 				for _, x := range ts.last.x {
-					b = putUvarint(b, x)
+					b = binary.AppendUvarint(b, x)
 				}
 			}
 		}
@@ -196,12 +185,12 @@ func countHierNodes(n *rtl.InstanceNode) int {
 }
 
 func encodeHierNode(b []byte, n *rtl.InstanceNode, strs *stringTable) []byte {
-	b = putUvarint(b, strs.ref(n.Name))
-	b = putUvarint(b, uint64(len(n.Signals)))
+	b = binary.AppendUvarint(b, strs.ref(n.Name))
+	b = binary.AppendUvarint(b, uint64(len(n.Signals)))
 	for _, s := range n.Signals {
-		b = putUvarint(b, strs.ref(s))
+		b = binary.AppendUvarint(b, strs.ref(s))
 	}
-	b = putUvarint(b, uint64(len(n.Children)))
+	b = binary.AppendUvarint(b, uint64(len(n.Children)))
 	for _, c := range n.Children {
 		b = encodeHierNode(b, c, strs)
 	}
@@ -209,55 +198,11 @@ func encodeHierNode(b []byte, n *rtl.InstanceNode, strs *stringTable) []byte {
 }
 
 func encodeHier(root *rtl.InstanceNode, strs *stringTable) []byte {
-	b := putUvarint(nil, uint64(countHierNodes(root)))
+	b := binary.AppendUvarint(nil, uint64(countHierNodes(root)))
 	if root != nil {
 		b = encodeHierNode(b, root, strs)
 	}
 	return b
-}
-
-// crcBlocks computes per-block CRCs in parallel: block data dominates
-// a large store, and checksumming it is the serialization hot spot.
-func crcBlocks(blocks []storeBlock) []dirEntry {
-	dir := make([]dirEntry, len(blocks))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 8 {
-		workers = 8
-	}
-	if workers > len(blocks) {
-		workers = len(blocks)
-	}
-	if workers <= 1 {
-		for i := range blocks {
-			dir[i] = dirEntry{
-				win:    blocks[i].win,
-				length: uint32(len(blocks[i].buf)),
-				crc:    crc32.Checksum(blocks[i].buf, crcTable),
-			}
-		}
-		return dir
-	}
-	var wg sync.WaitGroup
-	next := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				dir[i] = dirEntry{
-					win:    blocks[i].win,
-					length: uint32(len(blocks[i].buf)),
-					crc:    crc32.Checksum(blocks[i].buf, crcTable),
-				}
-			}
-		}()
-	}
-	for i := range blocks {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return dir
 }
 
 type sectionEntry struct {
@@ -294,54 +239,6 @@ func encodeSectionTable(secs []sectionEntry) []byte {
 	return b
 }
 
-// WriteStore serializes a parsed store to w in the on-disk format.
-// Layout: header, section table, metadata sections, then block data —
-// everything is known up front, so a plain sequential writer works
-// (no seeking). Per-block CRCs are computed in parallel.
-func WriteStore(w io.Writer, st *Store) error {
-	if st.src != nil {
-		return fmt.Errorf("vcd: WriteStore: store is already disk-backed")
-	}
-	dir := crcBlocks(st.blocks)
-	strs := newStringTable()
-	sigB := encodeSignals(st.list, strs)
-	hierB := encodeHier(st.Hierarchy, strs)
-	strB := strs.encode()
-	dirB := encodeBlockDir(dir)
-
-	blockBytes := uint64(0)
-	for i := range st.blocks {
-		blockBytes += uint64(len(st.blocks[i].buf))
-	}
-	secs := make([]sectionEntry, 0, 5)
-	off := uint64(headerSize + 5*20)
-	add := func(id uint32, n uint64) {
-		secs = append(secs, sectionEntry{id: id, off: off, len: n})
-		off += n
-	}
-	add(secBlockDir, uint64(len(dirB)))
-	add(secSignals, uint64(len(sigB)))
-	add(secStrings, uint64(len(strB)))
-	add(secHier, uint64(len(hierB)))
-	add(secBlocks, blockBytes)
-
-	for _, chunk := range [][]byte{
-		encodeHeader(len(secs), headerSize, st, len(st.blocks)),
-		encodeSectionTable(secs),
-		dirB, sigB, strB, hierB,
-	} {
-		if _, err := w.Write(chunk); err != nil {
-			return err
-		}
-	}
-	for i := range st.blocks {
-		if _, err := w.Write(st.blocks[i].buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // IndexStats summarizes one IndexFile run.
 type IndexStats struct {
 	Signals int
@@ -354,164 +251,106 @@ type IndexStats struct {
 }
 
 // IndexFile parses the VCD trace at vcdPath and writes its block store
-// to storePath in one streaming pass: completed blocks flow through a
-// pipeline — CRC workers checksum them in parallel while a writer
-// goroutine appends them to the file in slot order — so block data is
-// being written to disk while the text scan is still running and peak
-// memory stays at the sparse index plus the pipeline window, not the
-// whole store. On error the partial store file is removed.
+// to storePath in one sequential pass (indexStream), so peak memory
+// stays at the sparse per-signal index, not the whole store. The store
+// is written to a temporary file beside storePath and renamed over it
+// only once complete: a failed index leaves any existing file as it
+// was. A storePath that names the input trace itself is refused.
 func IndexFile(vcdPath, storePath string, opts StoreOptions) (*IndexStats, error) {
 	in, err := os.Open(vcdPath)
 	if err != nil {
 		return nil, err
 	}
 	defer in.Close()
-	out, err := os.Create(storePath)
+	inInfo, err := in.Stat()
 	if err != nil {
 		return nil, err
 	}
-	stats, err := indexStream(in, out)(opts)
+	if outInfo, err := os.Stat(storePath); err == nil && os.SameFile(inInfo, outInfo) {
+		return nil, fmt.Errorf("vcd: store path %s is the input trace", storePath)
+	}
+	out, err := os.CreateTemp(filepath.Dir(storePath), filepath.Base(storePath)+".*.tmp")
+	if err != nil {
+		return nil, err
+	}
+	// No Sync before the rename: the store is derived data, and a torn
+	// file fails OpenStore's checks and is rebuilt by indexing again.
+	stats, err := indexStream(in, out, opts)
+	if err == nil {
+		err = out.Chmod(0o644)
+	}
 	if cerr := out.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = os.Rename(out.Name(), storePath)
+	}
 	if err != nil {
-		os.Remove(storePath)
+		os.Remove(out.Name())
 		return nil, err
 	}
 	return stats, nil
 }
 
-// indexStream runs the streaming ingest pipeline from rd into out.
-// Returned as a closure so IndexFile's error/cleanup handling stays
-// linear.
-func indexStream(rd io.Reader, out *os.File) func(StoreOptions) (*IndexStats, error) {
-	return func(opts StoreOptions) (*IndexStats, error) {
-		bs := opts.BlockSize
-		if bs == 0 {
-			bs = DefaultBlockSize
-		}
-
-		type job struct {
-			slot int
-			win  uint64
-			buf  []byte
-			crc  uint32
-		}
-		workers := runtime.GOMAXPROCS(0)
-		if workers > 8 {
-			workers = 8
-		}
-		if workers < 1 {
-			workers = 1
-		}
-		jobs := make(chan job, 2*workers)
-		done := make(chan job, 2*workers)
-
-		// CRC workers: checksum completed blocks in parallel with the
-		// scan and the writer.
-		var crcWG sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			crcWG.Add(1)
-			go func() {
-				defer crcWG.Done()
-				for j := range jobs {
-					j.crc = crc32.Checksum(j.buf, crcTable)
-					done <- j
-				}
-			}()
-		}
-
-		// Writer: receives checksummed blocks in arbitrary completion
-		// order, writes them to the file in slot order starting right
-		// after the header, and builds the directory.
-		var (
-			writerWG  sync.WaitGroup
-			dir       []dirEntry
-			writeErr  error
-			dataBytes uint64
-		)
-		writerWG.Add(1)
-		go func() {
-			defer writerWG.Done()
-			pending := map[int]job{}
-			next := 0
-			offset := int64(headerSize)
-			for j := range done {
-				pending[j.slot] = j
-				for {
-					p, ok := pending[next]
-					if !ok {
-						break
-					}
-					delete(pending, next)
-					if writeErr == nil {
-						if _, err := out.WriteAt(p.buf, offset); err != nil {
-							writeErr = err
-						}
-					}
-					offset += int64(len(p.buf))
-					dataBytes += uint64(len(p.buf))
-					dir = append(dir, dirEntry{win: p.win, length: uint32(len(p.buf)), crc: p.crc})
-					next++
-				}
-			}
-		}()
-
-		g := newStoreIngest(bs, func(slot int, blk storeBlock) {
-			jobs <- job{slot: slot, win: blk.win, buf: blk.buf}
-		})
-		scanErr := scanVCD(rd, g)
-		if scanErr == nil {
-			g.finish()
-		}
-		close(jobs)
-		crcWG.Wait()
-		close(done)
-		writerWG.Wait()
-		if scanErr != nil {
-			return nil, scanErr
-		}
-		if writeErr != nil {
-			return nil, writeErr
-		}
-
-		st := g.st
-		// Metadata sections follow the block data; the section table
-		// follows them; the header is backpatched last.
-		strs := newStringTable()
-		sigB := encodeSignals(st.list, strs)
-		hierB := encodeHier(st.Hierarchy, strs)
-		strB := strs.encode()
-		dirB := encodeBlockDir(dir)
-		off := uint64(headerSize) + dataBytes
-		secs := []sectionEntry{{id: secBlocks, off: headerSize, len: dataBytes}}
-		for _, sec := range []struct {
-			id uint32
-			b  []byte
-		}{{secBlockDir, dirB}, {secSignals, sigB}, {secStrings, strB}, {secHier, hierB}} {
-			if _, err := out.WriteAt(sec.b, int64(off)); err != nil {
-				return nil, err
-			}
-			secs = append(secs, sectionEntry{id: sec.id, off: off, len: uint64(len(sec.b))})
-			off += uint64(len(sec.b))
-		}
-		tableOff := off
-		tableB := encodeSectionTable(secs)
-		if _, err := out.WriteAt(tableB, int64(tableOff)); err != nil {
-			return nil, err
-		}
-		if _, err := out.WriteAt(encodeHeader(len(secs), tableOff, st, len(dir)), 0); err != nil {
-			return nil, err
-		}
-		return &IndexStats{
-			Signals: len(st.list),
-			Blocks:  len(dir),
-			Changes: st.changes,
-			MaxTime: st.MaxTime,
-			Bytes:   int64(tableOff) + int64(len(tableB)),
-			Parse:   st.Stats,
-		}, nil
+// indexStream scans VCD text from rd and writes its store to out. Each
+// block the ingest completes is checksummed and written at the next
+// offset after the header; once the scan ends, the metadata sections
+// and the section table follow the block data, and the header is
+// written last.
+func indexStream(rd io.Reader, out io.WriterAt, opts StoreOptions) (*IndexStats, error) {
+	bs := opts.BlockSize
+	if bs == 0 {
+		bs = DefaultBlockSize
 	}
+	var (
+		dir      []dirEntry
+		off      = uint64(headerSize)
+		writeErr error
+	)
+	g := newStoreIngest(bs, func(blk storeBlock) {
+		if writeErr == nil {
+			_, writeErr = out.WriteAt(blk.buf, int64(off))
+		}
+		dir = append(dir, dirEntry{win: blk.win, length: uint32(len(blk.buf)), crc: crc32.Checksum(blk.buf, crcTable)})
+		off += uint64(len(blk.buf))
+	})
+	if err := scanVCD(rd, g); err != nil {
+		return nil, err
+	}
+	g.finish()
+	if writeErr != nil {
+		return nil, writeErr
+	}
+	st := g.st
+	strs := newStringTable()
+	sigB := encodeSignals(st.list, strs)
+	hierB := encodeHier(st.Hierarchy, strs)
+	secs := []sectionEntry{{id: secBlocks, off: headerSize, len: off - headerSize}}
+	for _, sec := range []struct {
+		id uint32
+		b  []byte
+	}{{secBlockDir, encodeBlockDir(dir)}, {secSignals, sigB}, {secStrings, strs.encode()}, {secHier, hierB}} {
+		if _, err := out.WriteAt(sec.b, int64(off)); err != nil {
+			return nil, err
+		}
+		secs = append(secs, sectionEntry{id: sec.id, off: off, len: uint64(len(sec.b))})
+		off += uint64(len(sec.b))
+	}
+	tableB := encodeSectionTable(secs)
+	if _, err := out.WriteAt(tableB, int64(off)); err != nil {
+		return nil, err
+	}
+	if _, err := out.WriteAt(encodeHeader(len(secs), off, st, len(dir)), 0); err != nil {
+		return nil, err
+	}
+	return &IndexStats{
+		Signals: len(st.list),
+		Blocks:  len(dir),
+		Changes: st.changes,
+		MaxTime: st.MaxTime,
+		Bytes:   int64(off) + int64(len(tableB)),
+		Parse:   st.Stats,
+	}, nil
 }
 
 // --- opening ---
@@ -559,7 +398,7 @@ func (r *byteReader) str(n uint64) string {
 
 func (r *byteReader) remaining() int { return len(r.b) - r.off }
 
-// OpenStore opens a store serialized by WriteStore or IndexFile. Only
+// OpenStore opens a store written by IndexFile. Only
 // the header and metadata sections are read — O(header + index), never
 // the block data, which loads lazily through r with CRC verification.
 // The format is treated as hostile input: every count is bounded
@@ -575,15 +414,10 @@ func OpenStore(r io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 	if [8]byte(h[0:8]) != storeMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrNotStore)
 	}
-	version := binary.LittleEndian.Uint32(h[8:12])
-	switch {
-	case version == storeVersionV1 || version == StoreVersion:
-		// v1 (legacy two-state) opens read-only through the v1 record
-		// decoder; v2 is current.
-	case version > StoreVersion:
-		return nil, fmt.Errorf("vcd: store version %d was created by a newer hgdb; this build reads up to version %d — re-index the trace or upgrade", version, StoreVersion)
-	default:
-		return nil, fmt.Errorf("vcd: store version %d not supported (want %d or %d)", version, storeVersionV1, StoreVersion)
+	if version := binary.LittleEndian.Uint32(h[8:12]); version > StoreVersion {
+		return nil, fmt.Errorf("vcd: store version %d was created by a newer hgdb; this build reads version %d — re-index the trace or upgrade", version, StoreVersion)
+	} else if version != StoreVersion {
+		return nil, fmt.Errorf("vcd: store version %d is no longer supported (this build reads version %d) — re-index the trace", version, StoreVersion)
 	}
 	sectionCount := binary.LittleEndian.Uint32(h[12:16])
 	tableOff := binary.LittleEndian.Uint64(h[16:24])
@@ -592,15 +426,8 @@ func OpenStore(r io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 	numSignals := binary.LittleEndian.Uint32(h[40:44])
 	numBlocks := binary.LittleEndian.Uint32(h[44:48])
 	changes := binary.LittleEndian.Uint64(h[48:56])
-	// v2 header: x/z change count at 56, widest literal at 60. The v1
-	// header stored its masked-wide-change count at 56; a v1 store holds
-	// no x/z by construction, so both stats read as zero there (MaxWidth
-	// is reconstructed from the declared signal widths below).
-	var xz, maxWidth uint32
-	if version >= StoreVersion {
-		xz = binary.LittleEndian.Uint32(h[56:60])
-		maxWidth = binary.LittleEndian.Uint32(h[60:64])
-	}
+	xz := binary.LittleEndian.Uint32(h[56:60])
+	maxWidth := binary.LittleEndian.Uint32(h[60:64])
 	if blockSize == 0 {
 		return nil, fmt.Errorf("vcd: store: zero block size")
 	}
@@ -694,7 +521,6 @@ func OpenStore(r io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 		blockSize: blockSize,
 		sigs:      make(map[string]*StoreSignal, numSignals),
 		changes:   int(changes),
-		v1:        version == storeVersionV1,
 		src:       r,
 		cache:     newBlockCache(cacheBytes),
 	}
@@ -794,41 +620,28 @@ func OpenStore(r io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 				prev = uint32(bi)
 				ts.blkIdx = append(ts.blkIdx, uint32(bi))
 			}
-			if st.v1 {
-				// v1 row: one plain value word per indexed block.
-				ts.last.v = make([]uint64, 0, k*uint64(nw))
-				for j := uint64(0); j < k; j++ {
-					w := gr.uvarint()
-					ts.last.v = append(ts.last.v, w)
-					for p := 1; p < nw; p++ {
-						ts.last.v = append(ts.last.v, 0)
-					}
-				}
-			} else {
-				// v2 row: x-plane flag, k*nw value words, then (when the
-				// flag is set) k*nw x words. Every word is at least one
-				// byte, so the row count is bounded against the section
-				// before allocation.
-				xflag := gr.uvarint()
-				if gr.err == nil && xflag > 1 {
-					return nil, fmt.Errorf("vcd: store: signal %d: bad x-plane flag %d", i, xflag)
-				}
-				words := k * uint64(nw)
-				if xflag != 0 {
-					words *= 2
-				}
-				if words > uint64(gr.remaining())+1 {
-					return nil, fmt.Errorf("vcd: store: signal %d: %d last-value words cannot fit the section", i, words)
-				}
-				ts.last.v = make([]uint64, 0, k*uint64(nw))
+			// Row: x-plane flag, k*nw value words, then (when the flag is
+			// set) k*nw x words. Every word is at least one byte, so the
+			// row count is bounded against the section before allocation.
+			xflag := gr.uvarint()
+			if gr.err == nil && xflag > 1 {
+				return nil, fmt.Errorf("vcd: store: signal %d: bad x-plane flag %d", i, xflag)
+			}
+			words := k * uint64(nw)
+			if xflag != 0 {
+				words *= 2
+			}
+			if words > uint64(gr.remaining())+1 {
+				return nil, fmt.Errorf("vcd: store: signal %d: %d last-value words cannot fit the section", i, words)
+			}
+			ts.last.v = make([]uint64, 0, k*uint64(nw))
+			for j := uint64(0); j < k*uint64(nw); j++ {
+				ts.last.v = append(ts.last.v, gr.uvarint())
+			}
+			if xflag != 0 {
+				ts.last.x = make([]uint64, 0, k*uint64(nw))
 				for j := uint64(0); j < k*uint64(nw); j++ {
-					ts.last.v = append(ts.last.v, gr.uvarint())
-				}
-				if xflag != 0 {
-					ts.last.x = make([]uint64, 0, k*uint64(nw))
-					for j := uint64(0); j < k*uint64(nw); j++ {
-						ts.last.x = append(ts.last.x, gr.uvarint())
-					}
+					ts.last.x = append(ts.last.x, gr.uvarint())
 				}
 			}
 			if gr.err != nil {
@@ -839,15 +652,6 @@ func OpenStore(r io.ReaderAt, size int64, opts OpenOptions) (*Store, error) {
 		st.sigs[ts.Name] = ts
 	}
 	st.finalizeLayout()
-	if st.v1 {
-		// The v1 header had no width statistic; the widest declared
-		// signal that actually changed is the faithful reconstruction.
-		for _, ts := range st.list {
-			if ts.n > 0 && ts.Width > st.Stats.MaxWidth {
-				st.Stats.MaxWidth = ts.Width
-			}
-		}
-	}
 
 	// Hierarchy.
 	hr := &byteReader{b: hierB}
@@ -985,7 +789,7 @@ func (s *Store) validateBlockStream(slot int, buf []byte) error {
 	if end < start {
 		end = ^uint64(0)
 	}
-	r := blockReader{buf: buf, time: start, v1: s.v1}
+	r := blockReader{buf: buf, time: start}
 	for {
 		rec, ok := r.next()
 		if !ok {
@@ -998,14 +802,12 @@ func (s *Store) validateBlockStream(slot int, buf []byte) error {
 		if rec.time > end {
 			return fmt.Errorf("vcd: block %d (window %d): record time %d outside window", slot, b.win, rec.time)
 		}
-		// A v2 record's plane word count is fixed by the signal's
-		// declared width: wide exactly when the signal needs more than
-		// one word, and then exactly nw-1 extra words.
-		if !s.v1 {
-			if want := s.list[rec.sig].nw() - 1; len(rec.vh) != want {
-				return fmt.Errorf("vcd: block %d (window %d): record for %d-bit signal %d carries %d extra value words (want %d)",
-					slot, b.win, s.list[rec.sig].Width, rec.sig, len(rec.vh), want)
-			}
+		// A record's plane word count is fixed by the signal's declared
+		// width: wide exactly when the signal needs more than one word,
+		// and then exactly nw-1 extra words.
+		if want := s.list[rec.sig].nw() - 1; len(rec.vh) != want {
+			return fmt.Errorf("vcd: block %d (window %d): record for %d-bit signal %d carries %d extra value words (want %d)",
+				slot, b.win, s.list[rec.sig].Width, rec.sig, len(rec.vh), want)
 		}
 	}
 	if r.err != nil {

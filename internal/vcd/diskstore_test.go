@@ -16,14 +16,33 @@ import (
 	"repro/internal/val"
 )
 
-// writeOpen round-trips a parsed store through the on-disk format.
-func writeOpen(t testing.TB, st *Store, opts OpenOptions) *Store {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := WriteStore(&buf, st); err != nil {
-		t.Fatalf("WriteStore: %v", err)
+// memFile is an in-memory io.WriterAt, so tests write store images
+// through the same writer IndexFile uses.
+type memFile struct{ b []byte }
+
+func (m *memFile) WriteAt(p []byte, off int64) (int, error) {
+	if end := int(off) + len(p); end > len(m.b) {
+		m.b = append(m.b, make([]byte, end-len(m.b))...)
 	}
-	ds, err := OpenStore(bytes.NewReader(buf.Bytes()), int64(buf.Len()), opts)
+	return copy(m.b[off:], p), nil
+}
+
+// indexBytes writes the store of VCD text data with block size bs (0 =
+// default) and returns the file image.
+func indexBytes(t testing.TB, data []byte, bs uint64) []byte {
+	t.Helper()
+	var m memFile
+	if _, err := indexStream(bytes.NewReader(data), &m, StoreOptions{BlockSize: bs}); err != nil {
+		t.Fatalf("indexStream: %v", err)
+	}
+	return m.b
+}
+
+// writeOpen indexes VCD text data and opens the resulting store image.
+func writeOpen(t testing.TB, data []byte, bs uint64, opts OpenOptions) *Store {
+	t.Helper()
+	raw := indexBytes(t, data, bs)
+	ds, err := OpenStore(bytes.NewReader(raw), int64(len(raw)), opts)
 	if err != nil {
 		t.Fatalf("OpenStore: %v", err)
 	}
@@ -146,30 +165,16 @@ func diffStores(t *testing.T, mem, disk *Store, label string) {
 }
 
 // TestStoreRoundTrip is the primary disk-vs-memory differential on a
-// real recorded design: the opened store must be bit-identical to the
-// parsed store it was written from.
+// real recorded design: the store indexed from a trace must open
+// bit-identical to the store ParseStore builds from the same text.
 func TestStoreRoundTrip(t *testing.T) {
 	data, _ := recordDesign(t, 300)
 	mem, err := ParseStore(bytes.NewReader(data), StoreOptions{BlockSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk := writeOpen(t, mem, OpenOptions{})
+	disk := writeOpen(t, data, 16, OpenOptions{})
 	diffStores(t, mem, disk, "roundtrip")
-}
-
-// TestWriteStoreRejectsDiskStore: re-serializing an opened store is not
-// supported (its blocks are not resident); the writer must say so.
-func TestWriteStoreRejectsDiskStore(t *testing.T) {
-	data, _ := recordDesign(t, 20)
-	mem, err := ParseStore(bytes.NewReader(data), StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	disk := writeOpen(t, mem, OpenOptions{})
-	if err := WriteStore(&bytes.Buffer{}, disk); err == nil {
-		t.Fatal("WriteStore accepted a disk-backed store")
-	}
 }
 
 // xorshift is the deterministic PRNG used for random-trace generation.
@@ -229,8 +234,8 @@ func randomVCD(rng *xorshift) []byte {
 }
 
 // TestDiskMemoryDifferentialRandom fuzzes the round trip with random
-// traces: whatever ParseStore builds, WriteStore+OpenStore must
-// reproduce bit-identically.
+// traces: whatever ParseStore builds, the store indexed from the same
+// text must reproduce bit-identically once opened.
 func TestDiskMemoryDifferentialRandom(t *testing.T) {
 	rng := xorshift(0x9E3779B97F4A7C15)
 	for i := 0; i < 25; i++ {
@@ -240,7 +245,7 @@ func TestDiskMemoryDifferentialRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trace %d: %v", i, err)
 		}
-		disk := writeOpen(t, mem, OpenOptions{})
+		disk := writeOpen(t, data, bs, OpenOptions{})
 		diffStores(t, mem, disk, fmt.Sprintf("random-%d(bs=%d)", i, bs))
 	}
 }
@@ -303,6 +308,114 @@ func TestIndexFile(t *testing.T) {
 	}
 }
 
+// TestIndexFileDeterministic: indexing one trace twice writes the same
+// bytes, so a store can be compared, cached and shared by content.
+func TestIndexFileDeterministic(t *testing.T) {
+	data, _ := recordDesign(t, 200)
+	dir := t.TempDir()
+	vcdPath := filepath.Join(dir, "trace.vcd")
+	if err := os.WriteFile(vcdPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stores [2][]byte
+	for i := range stores {
+		storePath := filepath.Join(dir, fmt.Sprintf("trace%d.hgdbstore", i))
+		if _, err := IndexFile(vcdPath, storePath, StoreOptions{BlockSize: 8}); err != nil {
+			t.Fatalf("IndexFile %d: %v", i, err)
+		}
+		raw, err := os.ReadFile(storePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[i] = raw
+	}
+	if !bytes.Equal(stores[0], stores[1]) {
+		t.Fatalf("two indexes of one trace differ (%d and %d bytes)", len(stores[0]), len(stores[1]))
+	}
+	if !bytes.Equal(stores[0], indexBytes(t, data, 8)) {
+		t.Fatal("IndexFile and indexStream wrote different bytes for one trace")
+	}
+}
+
+// TestIndexFileRefusesItsInput: a store path that names the input trace
+// (directly or through a link) is refused before anything is written,
+// and the trace survives unchanged.
+func TestIndexFileRefusesItsInput(t *testing.T) {
+	data, _ := recordDesign(t, 20)
+	dir := t.TempDir()
+	vcdPath := filepath.Join(dir, "trace.vcd")
+	if err := os.WriteFile(vcdPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	link := filepath.Join(dir, "link.vcd")
+	if err := os.Symlink(vcdPath, link); err != nil {
+		t.Fatal(err)
+	}
+	for _, storePath := range []string{vcdPath, link} {
+		if _, err := IndexFile(vcdPath, storePath, StoreOptions{}); err == nil {
+			t.Fatalf("IndexFile wrote its store over its input %s", storePath)
+		}
+		got, err := os.ReadFile(vcdPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("indexing into %s changed the trace (%d bytes, was %d)", storePath, len(got), len(data))
+		}
+	}
+	assertOnlyFiles(t, dir, "link.vcd", "trace.vcd")
+}
+
+// TestIndexFileKeepsStoreOnFailure: a failed re-index leaves the store
+// already at the path byte for byte, and no temporary file behind.
+func TestIndexFileKeepsStoreOnFailure(t *testing.T) {
+	data, _ := recordDesign(t, 40)
+	dir := t.TempDir()
+	vcdPath := filepath.Join(dir, "trace.vcd")
+	badPath := filepath.Join(dir, "bad.vcd")
+	storePath := filepath.Join(dir, "trace.hgdbstore")
+	if err := os.WriteFile(vcdPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(badPath, []byte("$enddefinitions $end\n#5\n#3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := IndexFile(vcdPath, storePath, StoreOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(storePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := IndexFile(badPath, storePath, StoreOptions{}); err == nil {
+		t.Fatal("IndexFile accepted a regressed-timestamp trace")
+	}
+	got, err := os.ReadFile(storePath)
+	if err != nil {
+		t.Fatalf("failed re-index removed the store: %v", err)
+	}
+	if !bytes.Equal(got, good) {
+		t.Fatalf("failed re-index changed the store (%d bytes, was %d)", len(got), len(good))
+	}
+	assertOnlyFiles(t, dir, "bad.vcd", "trace.hgdbstore", "trace.vcd")
+}
+
+// assertOnlyFiles fails unless dir holds exactly the named entries.
+func assertOnlyFiles(t *testing.T, dir string, want ...string) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range ents {
+		got = append(got, e.Name())
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("%s holds %q, want %q", dir, got, want)
+	}
+}
+
 // TestBlockCacheEviction pins the block LRU byte bound: with a cache
 // smaller than the trace, repeated point queries across many blocks
 // stay correct while resident cache bytes never exceed the bound.
@@ -319,7 +432,7 @@ func TestBlockCacheEviction(t *testing.T) {
 			maxBlock = len(mem.blocks[i].buf)
 		}
 	}
-	disk := writeOpen(t, mem, OpenOptions{BlockCacheBytes: 2 * maxBlock})
+	disk := writeOpen(t, data, 8, OpenOptions{BlockCacheBytes: 2 * maxBlock})
 	tr := mem
 	names := tr.SignalNames()
 	rng := xorshift(42)
@@ -353,20 +466,19 @@ func TestCorruptBlockPoisons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteStore(&buf, mem); err != nil {
-		t.Fatal(err)
+	// The writer puts block data right after the header; stomp the
+	// last 64 bytes of that section so several blocks are damaged.
+	raw := indexBytes(t, data, 8)
+	end := headerSize
+	for i := range mem.blocks {
+		end += len(mem.blocks[i].buf)
 	}
-	// WriteStore puts block data last; stomp a span near the end so
-	// several blocks are damaged.
-	raw := buf.Bytes()
-	for i := len(raw) - 64; i < len(raw); i++ {
+	for i := end - 64; i < end; i++ {
 		raw[i] ^= 0xA5
 	}
 	disk, err := OpenStore(bytes.NewReader(raw), int64(len(raw)), OpenOptions{})
 	if err != nil {
-		// Also acceptable: damage reached metadata and open refused.
-		return
+		t.Fatalf("damage confined to block data failed the open: %v", err)
 	}
 	state := disk.NewState()
 	disk.ApplyUpTo(Cursor{}, disk.MaxTime, state) // must terminate
@@ -410,7 +522,7 @@ func TestBlockReaderHostile(t *testing.T) {
 			t.Fatalf("case %d: stopped early without error", i)
 		}
 	}
-	// A valid v2 stream still decodes cleanly.
+	// A valid stream still decodes cleanly.
 	var good []byte
 	good = binary.AppendUvarint(good, 3<<2) // head: sig 3, known, narrow
 	good = binary.AppendUvarint(good, 7)    // delta
@@ -419,16 +531,6 @@ func TestBlockReaderHostile(t *testing.T) {
 	rec, ok := r.next()
 	if !ok || r.err != nil || rec.sig != 3 || rec.time != 107 || rec.v0 != 99 || rec.x0 != 0 {
 		t.Fatalf("valid stream misdecoded: %+v ok=%v err=%v", rec, ok, r.err)
-	}
-	// And the legacy v1 three-varint form through the v1 reader.
-	var v1good []byte
-	v1good = binary.AppendUvarint(v1good, 3)
-	v1good = binary.AppendUvarint(v1good, 7)
-	v1good = binary.AppendUvarint(v1good, 99)
-	r = blockReader{buf: v1good, time: 100, v1: true}
-	rec, ok = r.next()
-	if !ok || r.err != nil || rec.sig != 3 || rec.time != 107 || rec.v0 != 99 {
-		t.Fatalf("valid v1 stream misdecoded: %+v ok=%v err=%v", rec, ok, r.err)
 	}
 	// A four-state wide record round-trips through appendRecord.
 	b, err := val.ParseVCD("1x"+strings.Repeat("01", 40), 82)
@@ -451,15 +553,7 @@ func TestBlockReaderHostile(t *testing.T) {
 // poison the store on first touch), never panic, hang, or over-allocate.
 func TestOpenStoreHostile(t *testing.T) {
 	data, _ := recordDesign(t, 60)
-	mem, err := ParseStore(bytes.NewReader(data), StoreOptions{BlockSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteStore(&buf, mem); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid := indexBytes(t, data, 8)
 	put32 := func(b []byte, off int, v uint32) { binary.LittleEndian.PutUint32(b[off:], v) }
 	put64 := func(b []byte, off int, v uint64) { binary.LittleEndian.PutUint64(b[off:], v) }
 	cases := []struct {
@@ -478,7 +572,18 @@ func TestOpenStoreHostile(t *testing.T) {
 		{"block count bomb", func(b []byte) []byte { put32(b, 44, 1<<31); return b }, false},
 		{"change count bomb", func(b []byte) []byte { put64(b, 48, 1<<62); return b }, false},
 		{"truncated metadata", func(b []byte) []byte { return b[:headerSize+40] }, false},
-		{"truncated blocks", func(b []byte) []byte { return b[:len(b)-len(b)/4] }, false},
+		// The writer puts the metadata and the section table after the
+		// block data, so a cut tail loses the table.
+		{"truncated tail", func(b []byte) []byte { return b[:len(b)-len(b)/4] }, false},
+		{"short block section", func(b []byte) []byte {
+			tableOff := binary.LittleEndian.Uint64(b[16:24])
+			for e := tableOff; e+20 <= uint64(len(b)); e += 20 {
+				if binary.LittleEndian.Uint32(b[e:]) == secBlocks {
+					put64(b, int(e)+12, binary.LittleEndian.Uint64(b[e+12:])/2)
+				}
+			}
+			return b
+		}, false},
 	}
 	for _, tc := range cases {
 		b := tc.mutate(append([]byte(nil), valid...))
@@ -490,9 +595,9 @@ func TestOpenStoreHostile(t *testing.T) {
 			continue
 		}
 		if err == nil {
-			// truncated-blocks keeps metadata intact when sections precede
-			// data; the damage must then surface as a sticky error on
-			// first touch, not as fabricated values.
+			// A mutation that leaves the metadata intact must surface
+			// as a sticky error on first touch, not as fabricated
+			// values.
 			state := st.NewState()
 			st.ApplyUpTo(Cursor{}, st.MaxTime, state)
 			if st.Err() == nil {
@@ -513,15 +618,7 @@ func TestOpenStoreHostile(t *testing.T) {
 func FuzzOpenStore(f *testing.F) {
 	// Seeds: a valid store, a truncation, a bit flip, raw VCD text.
 	data, _ := recordDesign(f, 40)
-	mem, err := ParseStore(bytes.NewReader(data), StoreOptions{BlockSize: 8})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteStore(&buf, mem); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid := indexBytes(f, data, 8)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	flipped := append([]byte(nil), valid...)
@@ -530,7 +627,7 @@ func FuzzOpenStore(f *testing.F) {
 	f.Add(data)
 	f.Add([]byte("hgdbstor"))
 	// Four-state + >64-bit seed: x at reset on a 128-bit bus, mixed
-	// x/z vectors later — exercises the v2 mask-plane record paths.
+	// x/z vectors later — exercises the mask-plane record paths.
 	fourState := []byte("$scope module top $end\n" +
 		"$var wire 8 ! st $end\n" +
 		"$var wire 128 \" bus $end\n" +
@@ -538,17 +635,10 @@ func FuzzOpenStore(f *testing.F) {
 		"#0\nbxxxxxxxx !\nb" + strings.Repeat("x", 128) + " \"\n" +
 		"#4\nb1x0z1010 !\nb1" + strings.Repeat("0", 126) + "1 \"\n" +
 		"#9\nb10101010 !\nb" + strings.Repeat("10", 64) + " \"\n")
-	memX, err := ParseStore(bytes.NewReader(fourState), StoreOptions{BlockSize: 4})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var bufX bytes.Buffer
-	if err := WriteStore(&bufX, memX); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(bufX.Bytes())
+	f.Add(indexBytes(f, fourState, 4))
 	f.Add(fourState)
-	// Legacy version-1 file — the read-only compatibility path.
+	// A version-1 file, which OpenStore refuses at the header; a
+	// mutation that reaches the version word opens the rest.
 	f.Add(buildV1Store(f))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		st, err := OpenStore(bytes.NewReader(b), int64(len(b)), OpenOptions{BlockCacheBytes: 1 << 16})
@@ -584,10 +674,10 @@ func FuzzOpenStore(f *testing.F) {
 	})
 }
 
-// buildV1Store hand-assembles a legacy version-1 store file: two-state
+// buildV1Store hand-assembles a version-1 store file: two-state
 // three-varint records, plain single-word last-value rows, no x/z
-// header statistics. It is the compatibility fixture for the files an
-// older hgdb-index wrote before the four-state format bump.
+// header statistics — the files an older hgdb-index wrote before the
+// four-state format bump.
 func buildV1Store(t testing.TB) []byte {
 	t.Helper()
 	// Signals: top.a (8 bits, changes at t=0→1 and t=5→9) and
@@ -667,7 +757,7 @@ func buildV1Store(t testing.TB) []byte {
 
 	h := make([]byte, headerSize)
 	copy(h[0:8], storeMagic[:])
-	binary.LittleEndian.PutUint32(h[8:12], storeVersionV1)
+	binary.LittleEndian.PutUint32(h[8:12], 1) // format version 1
 	binary.LittleEndian.PutUint32(h[12:16], uint32(len(secs)))
 	binary.LittleEndian.PutUint64(h[16:24], tableOff)
 	binary.LittleEndian.PutUint64(h[24:32], 16) // block size
@@ -679,45 +769,22 @@ func buildV1Store(t testing.TB) []byte {
 	return append(append(h, table...), body...)
 }
 
-// TestOpenStoreV1Legacy pins backwards compatibility: a version-1
-// (two-state) store file still opens read-only and serves correct
-// values through every query path, with MaxWidth reconstructed from
-// the declared widths.
+// TestOpenStoreV1Legacy: a legacy version-1 store is refused at the
+// header with an error that says to re-index, not misclassified as some
+// other file and never decoded.
 func TestOpenStoreV1Legacy(t *testing.T) {
 	raw := buildV1Store(t)
-	st, err := OpenStore(bytes.NewReader(raw), int64(len(raw)), OpenOptions{})
-	if err != nil {
-		t.Fatalf("OpenStore(v1): %v", err)
+	_, err := OpenStore(bytes.NewReader(raw), int64(len(raw)), OpenOptions{})
+	if err == nil {
+		t.Fatal("version-1 store opened")
 	}
-	if !st.v1 {
-		t.Fatal("v1 store not flagged as legacy")
+	if errors.Is(err, ErrNotStore) {
+		t.Fatalf("version-1 store misclassified as not-a-store: %v", err)
 	}
-	a, ok := st.Signal("top.a")
-	if !ok {
-		t.Fatal("top.a missing")
-	}
-	if got := a.ValueAt(0); got != 1 {
-		t.Fatalf("a@0 = %d, want 1", got)
-	}
-	if got := a.ValueAt(5); got != 9 {
-		t.Fatalf("a@5 = %d, want 9", got)
-	}
-	if b := a.BitsAt(5); b.HasX() || b.Width != 8 || b.V0 != 9 {
-		t.Fatalf("a@5 bits = %s", b.String())
-	}
-	state := st.NewState()
-	st.ApplyUpTo(Cursor{}, st.MaxTime, state)
-	if got := st.StateBits(state, a); got.V0 != 9 {
-		t.Fatalf("state a = %s, want 9", got.String())
-	}
-	if st.Stats.XZChanges != 0 {
-		t.Fatalf("v1 store reports %d x/z changes", st.Stats.XZChanges)
-	}
-	if st.Stats.MaxWidth != 8 {
-		t.Fatalf("v1 MaxWidth = %d, want 8 (reconstructed from widths)", st.Stats.MaxWidth)
-	}
-	if err := st.Err(); err != nil {
-		t.Fatal(err)
+	for _, want := range []string{"version 1", "re-index"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not mention %q", err, want)
+		}
 	}
 }
 
@@ -727,24 +794,16 @@ func TestOpenStoreV1Legacy(t *testing.T) {
 // misdecode.
 func TestOpenStoreNewerVersion(t *testing.T) {
 	data, _ := recordDesign(t, 20)
-	mem, err := ParseStore(bytes.NewReader(data), StoreOptions{BlockSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteStore(&buf, mem); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := indexBytes(t, data, 8)
 	binary.LittleEndian.PutUint32(raw[8:12], StoreVersion+1)
-	_, err = OpenStore(bytes.NewReader(raw), int64(len(raw)), OpenOptions{})
+	_, err := OpenStore(bytes.NewReader(raw), int64(len(raw)), OpenOptions{})
 	if err == nil {
 		t.Fatal("newer-version store opened")
 	}
 	if errors.Is(err, ErrNotStore) {
 		t.Fatalf("newer version misclassified as not-a-store: %v", err)
 	}
-	for _, want := range []string{"newer", fmt.Sprintf("version %d", StoreVersion+1)} {
+	for _, want := range []string{"newer", fmt.Sprintf("version %d", StoreVersion+1), "re-index"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("error %q does not mention %q", err, want)
 		}

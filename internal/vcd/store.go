@@ -34,15 +34,16 @@ type StoreOptions struct {
 }
 
 // storeBlock holds every change in one time window
-// [win*bs, (win+1)*bs) as a compact record stream: uvarint(signal
-// index), uvarint(time delta from the previous record in the block, or
-// from the window start for the first), uvarint(value bits). Records
-// are in file order, which is non-decreasing time order, so
-// last-write-wins replay is correct. Blocks are SPARSE over time: only
-// windows containing at least one change exist, in ascending window
-// order, so store memory is O(changes) even when timestamps are huge
-// (real simulator dumps count timescale units, not cycles — a 1 s run
-// at 1 ps timescale ends at #1e12).
+// [win*bs, (win+1)*bs) as a compact record stream (see appendRecord):
+// per record a header naming the signal, the time delta from the
+// previous record in the block (or from the window start for the
+// first), and the value planes. Records are in file order, which is
+// non-decreasing time order, so last-write-wins replay is correct.
+// Blocks are SPARSE over time: only windows containing at least one
+// change exist, in ascending window order, so store memory is
+// O(changes) even when timestamps are huge (real simulator dumps count
+// timescale units, not cycles — a 1 s run at 1 ps timescale ends at
+// #1e12).
 //
 // In a parsed store (ParseStore) buf holds the resident record bytes.
 // In a disk-backed store (OpenStore) buf stays nil and off/length/crc
@@ -180,11 +181,6 @@ type Store struct {
 	blocks    []storeBlock
 	changes   int
 
-	// v1 marks a store opened from a version-1 file: block record
-	// streams use the legacy 3-varint two-state encoding (values were
-	// masked to their low 64 bits at index time), read-only.
-	v1 bool
-
 	// Packed replay-state layout: signal i's planes live at word
 	// offset wordOff[i], sigWords(width) words each, stateWords total.
 	// Computed once the signal list is final (finalizeLayout).
@@ -300,7 +296,7 @@ func (s *Store) StateBits(st *State, ts *StoreSignal) val.Bits {
 // and IndexFile: it encodes change events into block record streams
 // and maintains the per-signal sparse index. Completed blocks are
 // handed to emit in slot order — ParseStore keeps them resident,
-// IndexFile streams them to disk while the parse continues.
+// IndexFile writes each to disk while the parse continues.
 type storeIngest struct {
 	bs      uint64
 	st      *Store
@@ -309,10 +305,10 @@ type storeIngest struct {
 	cur     storeBlock
 	have    bool
 	slot    int // index the current block will get when emitted
-	emit    func(slot int, blk storeBlock)
+	emit    func(blk storeBlock)
 }
 
-func newStoreIngest(bs uint64, emit func(slot int, blk storeBlock)) *storeIngest {
+func newStoreIngest(bs uint64, emit func(blk storeBlock)) *storeIngest {
 	return &storeIngest{
 		bs:   bs,
 		st:   &Store{blockSize: bs, sigs: map[string]*StoreSignal{}},
@@ -331,7 +327,7 @@ func (g *storeIngest) vardecl(id string, width int, full string) {
 	g.byID[id] = ts
 }
 
-// appendRecord encodes one v2 change record:
+// appendRecord encodes one change record:
 //
 //	uvarint(sig<<2 | hasX | wide<<1)  header: signal index + plane flags
 //	uvarint(dt)                       time delta from the block cursor
@@ -340,7 +336,7 @@ func (g *storeIngest) vardecl(id string, width int, full string) {
 //	if wide: uvarint(k), k value words, then (if hasX) k x words
 //
 // A fully known narrow change — the overwhelmingly common case — costs
-// exactly the three varints the v1 format did.
+// exactly three varints.
 func appendRecord(dst []byte, sig int, dt uint64, b val.Bits) []byte {
 	hasX := b.HasX()
 	wide := b.Words() > 1
@@ -351,21 +347,21 @@ func appendRecord(dst []byte, sig int, dt uint64, b val.Bits) []byte {
 	if wide {
 		head |= 2
 	}
-	dst = putUvarint(dst, head)
-	dst = putUvarint(dst, dt)
-	dst = putUvarint(dst, b.Word(0))
+	dst = binary.AppendUvarint(dst, head)
+	dst = binary.AppendUvarint(dst, dt)
+	dst = binary.AppendUvarint(dst, b.Word(0))
 	if hasX {
-		dst = putUvarint(dst, b.XWord(0))
+		dst = binary.AppendUvarint(dst, b.XWord(0))
 	}
 	if wide {
 		k := b.Words() - 1
-		dst = putUvarint(dst, uint64(k))
+		dst = binary.AppendUvarint(dst, uint64(k))
 		for i := 1; i <= k; i++ {
-			dst = putUvarint(dst, b.Word(i))
+			dst = binary.AppendUvarint(dst, b.Word(i))
 		}
 		if hasX {
 			for i := 1; i <= k; i++ {
-				dst = putUvarint(dst, b.XWord(i))
+				dst = binary.AppendUvarint(dst, b.XWord(i))
 			}
 		}
 	}
@@ -393,7 +389,7 @@ func (g *storeIngest) change(id string, t uint64, lit string) {
 		g.cur = storeBlock{win: win, last: win * g.bs}
 		g.have = true
 	} else if g.cur.win != win {
-		g.emit(g.slot, g.cur)
+		g.emit(g.cur)
 		g.slot++
 		g.cur = storeBlock{win: win, last: win * g.bs}
 	}
@@ -413,7 +409,7 @@ func (g *storeIngest) change(id string, t uint64, lit string) {
 // finish emits the final partially filled block.
 func (g *storeIngest) finish() {
 	if g.have {
-		g.emit(g.slot, g.cur)
+		g.emit(g.cur)
 		g.slot++
 		g.have = false
 	}
@@ -429,7 +425,7 @@ func ParseStore(rd io.Reader, opts StoreOptions) (*Store, error) {
 		bs = DefaultBlockSize
 	}
 	var g *storeIngest
-	g = newStoreIngest(bs, func(_ int, blk storeBlock) {
+	g = newStoreIngest(bs, func(blk storeBlock) {
 		g.st.blocks = append(g.st.blocks, blk)
 	})
 	if err := scanVCD(rd, g); err != nil {
@@ -505,12 +501,12 @@ func (rec record) bits(width int) val.Bits {
 const maxPlaneWords = maxSignalWidth / 64
 
 // blockReader iterates a block's compact record stream. It is the one
-// place the record encoding (see appendRecord; v1 streams are the
-// legacy three-varint form) is decoded; every consumer — lazy point
-// queries, materialization, state sweeps — shares it so the format
-// cannot desynchronize between them. next decodes without consuming;
-// commit consumes, which is what lets ApplyUpTo stop exactly before
-// the first record past its target time.
+// place the record encoding (see appendRecord) is decoded; every
+// consumer — lazy point queries, materialization, state sweeps —
+// shares it so the format cannot desynchronize between them. next
+// decodes without consuming; commit consumes, which is what lets
+// ApplyUpTo stop exactly before the first record past its target
+// time.
 //
 // The stream is a hostile-input surface once blocks come from disk:
 // next validates every varint's byte count and bounds every declared
@@ -521,7 +517,6 @@ type blockReader struct {
 	buf  []byte
 	off  int
 	time uint64 // delta base: window start, or a resumed cursor's time
-	v1   bool   // legacy three-varint record format
 	err  error
 }
 
@@ -539,7 +534,7 @@ func (s *Store) blockData(b int) []byte {
 
 // reader returns a blockReader positioned at the start of block slot b.
 func (s *Store) reader(b int) blockReader {
-	return blockReader{buf: s.blockData(b), time: s.blocks[b].win * s.blockSize, v1: s.v1}
+	return blockReader{buf: s.blockData(b), time: s.blocks[b].win * s.blockSize}
 }
 
 var errCorruptRecord = fmt.Errorf("vcd: corrupt block record stream")
@@ -571,9 +566,6 @@ func (r *blockReader) next() (record, bool) {
 	v0, ok := r.uv(&off, "value")
 	if !ok {
 		return record{}, false
-	}
-	if r.v1 {
-		return record{sig: int(head), time: r.time + dt, v0: v0, size: off - r.off}, true
 	}
 	rec := record{sig: int(head >> 2), time: r.time + dt, v0: v0}
 	hasX := head&1 != 0
@@ -826,7 +818,7 @@ func (s *Store) ApplyUpTo(c Cursor, t uint64, state *State) Cursor {
 		if c.Off == 0 {
 			c.Time = blockStart
 		}
-		r := blockReader{buf: s.blockData(c.Block), off: c.Off, time: c.Time, v1: s.v1}
+		r := blockReader{buf: s.blockData(c.Block), off: c.Off, time: c.Time}
 		for {
 			rec, ok := r.next()
 			if !ok {
@@ -887,7 +879,7 @@ func (s *Store) NextChangeTime(c Cursor) (uint64, bool) {
 		if c.Off == 0 {
 			c.Time = s.blocks[c.Block].win * s.blockSize
 		}
-		r := blockReader{buf: s.blockData(c.Block), off: c.Off, time: c.Time, v1: s.v1}
+		r := blockReader{buf: s.blockData(c.Block), off: c.Off, time: c.Time}
 		if rec, ok := r.next(); ok {
 			return rec.time, true
 		}

@@ -4,7 +4,8 @@
 // reconstructs an instance tree from $scope nesting and indexes the
 // value changes into a time-blocked Store that answers value-at-time
 // queries for reverse debugging, either straight from the text
-// (ParseStore) or from a persisted store file (IndexFile, OpenStore).
+// (ParseStore) or from a store file, which IndexFile writes in one
+// sequential pass and OpenStore opens.
 package vcd
 
 import (
